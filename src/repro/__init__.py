@@ -105,12 +105,6 @@ from repro.engines import (
 )
 from repro.faults.models import FaultModel, FaultType
 from repro.faults.placement import check_condition1, place_faults
-from repro.simulation.runner import (
-    MultiPulseResult,
-    SinglePulseResult,
-    simulate_multi_pulse,
-    simulate_single_pulse,
-)
 from repro.topologies import (
     Topology,
     available_topologies,
@@ -136,10 +130,6 @@ __all__ = [
     "lemma4_intra_layer_bound",
     "corollary1_intra_layer_bound",
     "lemma5_pulse_skew_bound",
-    "simulate_single_pulse",
-    "simulate_multi_pulse",
-    "SinglePulseResult",
-    "MultiPulseResult",
     "Engine",
     "EngineCapabilities",
     "RunSpec",

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.analysis.skew import inter_layer_skews, intra_layer_skews
 from repro.core.topology import HexGrid
-from repro.simulation.runner import MultiPulseResult
+from repro.engines.base import RunResult
 
 __all__ = [
     "PulseAssignment",
@@ -75,7 +75,7 @@ class PulseAssignment:
     _early_firings: int = 0
 
 
-def assign_pulses(result: MultiPulseResult) -> PulseAssignment:
+def assign_pulses(result: RunResult) -> PulseAssignment:
     """Bin the firings of a multi-pulse run by pulse number.
 
     The window of pulse ``k`` starts at the earliest layer-0 generation time of
@@ -164,7 +164,7 @@ def pulse_skew_ok(
 
 
 def stabilization_time(
-    result: MultiPulseResult,
+    result: RunResult,
     intra_bound: Callable[[int], float],
     inter_bound: Optional[Callable[[int], float]] = None,
     assignment: Optional[PulseAssignment] = None,

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simulation.runner import MultiPulseResult
+from repro.engines.base import RunResult
 
 __all__ = ["pulse_skew_series"]
 
 
-def pulse_skew_series(result: MultiPulseResult) -> np.ndarray:
+def pulse_skew_series(result: RunResult) -> np.ndarray:
     """Per-pulse max intra-layer firing spread of a multi-pulse run.
 
     Returns an array of length ``num_pulses``: entry ``k`` is the largest

@@ -1,12 +1,12 @@
 """Batch suite: ``Engine.run_batch`` vs per-spec execution.
 
-The speedup gate of the batched solver hot path: a serial 100-cell
-single-pulse sweep on the paper's 50x20 grid (25 cells per scenario), run
-once through a per-spec ``engine.run()`` loop and once through
-``engine.run_batch``.  The check pins both halves of the contract -- results
-bit-identical, wall clock at least twice as fast -- so a regression in
-either the fast sweep or the grid sharing fails the benchmark itself, not
-just the timing gate.
+A serial 100-cell single-pulse sweep on the paper's 50x20 grid (25 cells
+per scenario), run once through a per-spec ``engine.run()`` loop and once
+through ``engine.run_batch``.  Both paths share one sweep and one grid per
+``(topology, layers, width)``, so the check pins that there is no slow
+per-spec path: results bit-identical, and the ``run()`` loop at most
+:data:`MAX_RUN_OVER_BATCH` times the ``run_batch`` wall clock (fastest
+repeat of each).
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import numpy as np
 
 from repro.bench.case import BenchCase, BenchSettings
 from repro.bench.registry import register_case
-from repro.engines import RunSpec, get_engine
+from repro.engines import RunResult, RunSpec, get_engine
 
 SUITE = "batch"
 
-#: The speedup floor the batched path must clear on the 100-cell sweep.
-TARGET_SPEEDUP = 2.0
+#: How much slower than ``run_batch`` the per-spec ``run()`` loop may be.
+MAX_RUN_OVER_BATCH = 1.25
 
 
 def _sweep_specs(settings: BenchSettings) -> List[RunSpec]:
@@ -48,26 +48,45 @@ def _sweep_specs(settings: BenchSettings) -> List[RunSpec]:
 def _make(settings: BenchSettings):
     engine = get_engine("solver")
     specs = _sweep_specs(settings)
-    # Warm both paths once so neither pays first-call costs inside the
-    # measured region (plan compilation is part of the batch design, but the
-    # comparison should not hinge on import-time effects).
-    engine.run(specs[0])
-    engine.run_batch(specs[:2])
+    # Warm both paths over the whole sweep so neither pays first-call costs
+    # (grid and plan construction, allocator growth) inside the measured
+    # region.
+    engine.run_batch(specs)
+    for spec in specs:
+        engine.run(spec)
+    serial_times: List[float] = []
+    batch_times: List[float] = []
+
+    def time_serial() -> List[RunResult]:
+        start = time.perf_counter()
+        results = [engine.run(spec) for spec in specs]
+        serial_times.append(time.perf_counter() - start)
+        return results
+
+    def time_batch() -> List[RunResult]:
+        start = time.perf_counter()
+        results = engine.run_batch(specs)
+        batch_times.append(time.perf_counter() - start)
+        return results
 
     def workload() -> Dict[str, Any]:
-        start = time.perf_counter()
-        serial = [engine.run(spec) for spec in specs]
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        batched = engine.run_batch(specs)
-        batch_s = time.perf_counter() - start
+        # Alternate which path goes first, so drift within a repeat favours
+        # neither.
+        if len(serial_times) % 2 == 0:
+            serial, batched = time_serial(), time_batch()
+        else:
+            batched = time_batch()
+            serial = time_serial()
+        # The fastest repeat of each path: the least noisy ratio of two
+        # paths that do the same work.
+        serial_s, batch_s = min(serial_times), min(batch_times)
         return {
             "specs": specs,
             "serial": serial,
             "batched": batched,
             "serial_s": serial_s,
             "batch_s": batch_s,
-            "speedup": serial_s / batch_s if batch_s > 0 else float("inf"),
+            "run_over_batch": serial_s / batch_s if batch_s > 0 else float("inf"),
         }
 
     return workload
@@ -82,9 +101,10 @@ def _check(result: Dict[str, Any], settings: BenchSettings) -> None:
         assert np.array_equal(
             per_spec.layer0_times, batched.layer0_times, equal_nan=True
         )
-    assert result["speedup"] >= TARGET_SPEEDUP, (
-        f"run_batch speedup {result['speedup']:.2f}x on the "
-        f"{len(result['specs'])}-cell sweep is below the {TARGET_SPEEDUP}x target"
+    assert result["run_over_batch"] <= MAX_RUN_OVER_BATCH, (
+        f"the per-spec run() loop takes {result['run_over_batch']:.2f}x the "
+        f"run_batch time on the {len(result['specs'])}-cell sweep (at most "
+        f"{MAX_RUN_OVER_BATCH}x): run() has left the shared kernel or grid"
     )
 
 
@@ -93,7 +113,7 @@ def _info(result: Dict[str, Any], settings: BenchSettings) -> Dict[str, float]:
         "cells": len(result["specs"]),
         "serial_s": round(result["serial_s"], 3),
         "batch_s": round(result["batch_s"], 3),
-        "speedup": round(result["speedup"], 2),
+        "run_over_batch": round(result["run_over_batch"], 2),
     }
 
 

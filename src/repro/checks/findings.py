@@ -31,7 +31,7 @@ class Finding:
         ``"error"`` or ``"warning"`` (both fail the gate).
     path:
         Path of the offending file, relative to the scanned package root
-        (POSIX separators, e.g. ``"simulation/runner.py"``).
+        (POSIX separators, e.g. ``"simulation/network.py"``).
     line:
         1-based line number of the violation.
     message:

@@ -55,8 +55,9 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     "adversary": frozenset({"core", "faults", "simulation", "topologies"}),
     # -- streaming accumulators are a dependency-free leaf --------------
     "stream": frozenset(),
-    # -- analysis stays obs-free (lazy artifact loaders are waived) -----
-    "analysis": frozenset({"core", "faults", "simulation", "stream", "topologies"}),
+    # -- analysis stays obs-free (lazy artifact loaders are waived); it
+    # reads engine results (``engines.base.RunResult``) but never runs them
+    "analysis": frozenset({"core", "engines", "faults", "simulation", "stream", "topologies"}),
     # -- observability sits on the stream leaf only ---------------------
     # (covers every repro.obs submodule, incl. the cross-process layer:
     # obs.context / obs.merge / obs.resources import nothing outside the

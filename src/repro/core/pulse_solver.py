@@ -25,6 +25,11 @@ O(n log n); it is the engine used for the large single-pulse statistical sweeps
 :mod:`repro.simulation` handles multi-pulse and stabilization experiments.
 The two engines are cross-validated against each other in the test suite.
 
+There is one sweep, :func:`solve_single_pulse`, over the flat arrays of a
+per-grid :class:`SolverPlan`.  Faults are static within one pulse (faulty
+nodes never fire), so a faulty run only overlays a few rebuilt link lists
+and its stuck-at-1 seed arrivals on the shared plan.
+
 The solver is deliberately defensive about *who* may fire: layer-0 nodes fire
 exactly at the externally supplied times, faulty nodes never fire (their
 outgoing links behave according to the fault model instead), and nodes whose
@@ -42,7 +47,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from repro.core.algorithm import GuardKind
-from repro.core.topology import TRIGGER_GUARDS, Direction, HexGrid, NodeId
+from repro.core.topology import Direction, HexGrid, NodeId
 from repro.faults.models import FaultModel, LinkBehavior
 
 __all__ = [
@@ -50,7 +55,6 @@ __all__ = [
     "PulseSolution",
     "SolverPlan",
     "solve_single_pulse",
-    "solve_single_pulse_planned",
     "solver_plan",
 ]
 
@@ -91,13 +95,11 @@ class PulseSolution:
         faulty sources carry ``nan``).
     work:
         Deterministic work counters of the sweep: ``heap_pushes`` (guards that
-        completed, i.e. candidates the *deduplicating* sweep pushes exactly
-        once each -- the reference sweep's redundant re-pushes are not
-        counted, so the number is identical across both solver paths),
-        ``frontier_advances`` (forwarding nodes finalized) and
-        ``messages_delivered`` (trigger arrivals that landed, including
-        Byzantine stuck-at-1 seeds).  Pure functions of topology, delays and
-        faults -- bit-deterministic across runs, machines and solver paths.
+        completed, each pushed exactly once), ``frontier_advances``
+        (forwarding nodes finalized) and ``messages_delivered`` (trigger
+        arrivals that landed, including Byzantine stuck-at-1 seeds).  Pure
+        functions of topology, delays and faults -- bit-deterministic across
+        runs and machines.
     """
 
     grid: HexGrid
@@ -145,185 +147,11 @@ class PulseSolution:
         return times
 
 
-def _arrival_matrix_shape(grid: HexGrid) -> Tuple[int, int, int]:
-    return (grid.layers + 1, grid.width, len(TRIGGER_GUARDS) + 1)
-
-
-def solve_single_pulse(
-    grid: HexGrid,
-    layer0_times: Sequence[float],
-    delays: LinkDelayProvider,
-    fault_model: Optional[FaultModel] = None,
-    byzantine_high_time: float = 0.0,
-) -> PulseSolution:
-    """Compute the firing time of every node for a single pulse wave.
-
-    Parameters
-    ----------
-    grid:
-        The HEX grid.
-    layer0_times:
-        Firing times of the ``W`` layer-0 clock sources (scenario-dependent;
-        see :mod:`repro.clocksource.scenarios`).  Faulty layer-0 nodes are
-        handled through the fault model; their entry here is ignored.
-    delays:
-        Link delay provider (see :class:`LinkDelayProvider`).  Only consulted
-        for links that behave correctly.
-    fault_model:
-        Faults to inject; ``None`` means fault-free.
-    byzantine_high_time:
-        The time at which a stuck-at-1 Byzantine link sets the receiver's
-        memory flag.  The paper's testbench drives such links high from the
-        start of the run, hence the default of 0.
-
-    Returns
-    -------
-    PulseSolution
-    """
-    layer0_times = np.asarray(layer0_times, dtype=float)
-    if layer0_times.shape != (grid.width,):
-        raise ValueError(
-            f"layer0_times must have shape ({grid.width},), got {layer0_times.shape}"
-        )
-    if fault_model is not None and fault_model.grid != grid:
-        raise ValueError("fault model belongs to a different grid")
-    faults = fault_model if fault_model is not None else FaultModel.fault_free(grid)
-
-    num_layers, width = grid.layers + 1, grid.width
-    trigger_times = np.full((num_layers, width), math.inf, dtype=float)
-    guards = np.full((num_layers, width), -1, dtype=np.int8)
-    correct_mask = faults.correctness_mask()
-    # Structurally absent nodes (punctured slots of a degraded topology) are
-    # excluded like faulty nodes: nan trigger time, masked out of statistics.
-    presence = grid.presence_mask()
-    correct_mask &= presence
-    trigger_times[~presence] = math.nan
-
-    # arrivals[node] maps incoming Direction -> arrival time of the trigger
-    # message on that link (only for links whose message is already determined).
-    arrivals: Dict[NodeId, Dict[Direction, float]] = {
-        node: {} for node in grid.forwarding_nodes()
-    }
-
-    # Priority queue of firing candidates: (time, layer, column, guard_value).
-    heap: List[Tuple[float, int, int, int]] = []
-    finalized = np.zeros((num_layers, width), dtype=bool)
-
-    def push_candidates(node: NodeId) -> None:
-        """(Re-)evaluate all guards of ``node`` and push completed ones."""
-        node_arrivals = arrivals[node]
-        layer, column = node
-        for guard_value, (dir_a, dir_b) in enumerate(TRIGGER_GUARDS):
-            if dir_a in node_arrivals and dir_b in node_arrivals:
-                candidate = max(node_arrivals[dir_a], node_arrivals[dir_b])
-                heapq.heappush(heap, (candidate, layer, column, guard_value))
-
-    def deliver(source: NodeId, fire_time: float) -> None:
-        """Propagate the firing of ``source`` to its correct out-neighbours."""
-        for destination in grid.out_neighbors(source).values():
-            dest_layer, dest_column = destination
-            if dest_layer == 0 or not correct_mask[dest_layer, dest_column]:
-                continue
-            behavior = faults.link_behavior((source, destination), time=fire_time)
-            if behavior is not LinkBehavior.CORRECT:
-                # Constant links were already seeded below; silent links deliver
-                # nothing.
-                continue
-            direction = grid.direction_between(source, destination)
-            arrival = fire_time + delays.delay(source, destination)
-            node_arrivals = arrivals[destination]
-            if direction in node_arrivals:
-                # A link delivers (at most) one message per pulse under (C2).
-                continue
-            node_arrivals[direction] = arrival
-            push_candidates(destination)
-
-    # ------------------------------------------------------------------
-    # seed: Byzantine stuck-at-1 links set the receiver's flag immediately
-    # ------------------------------------------------------------------
-    for faulty_node in faults.faulty_nodes():
-        for destination in grid.out_neighbors(faulty_node).values():
-            dest_layer, dest_column = destination
-            if dest_layer == 0 or not correct_mask[dest_layer, dest_column]:
-                continue
-            if faults.link_behavior((faulty_node, destination)) is LinkBehavior.CONSTANT_ONE:
-                direction = grid.direction_between(faulty_node, destination)
-                arrivals[destination][direction] = byzantine_high_time
-    for (source, destination), behavior in (
-        (link, faults.link_behavior(link)) for link in faults.faulty_links()
-    ):
-        dest_layer, dest_column = destination
-        if dest_layer == 0 or not correct_mask[dest_layer, dest_column]:
-            continue
-        if behavior is LinkBehavior.CONSTANT_ONE:
-            direction = grid.direction_between(source, destination)
-            arrivals[destination][direction] = byzantine_high_time
-    for node in grid.forwarding_nodes():
-        if arrivals[node]:
-            push_candidates(node)
-
-    # ------------------------------------------------------------------
-    # seed: layer-0 clock sources
-    # ------------------------------------------------------------------
-    for column in range(width):
-        source = (0, column)
-        if not correct_mask[0, column]:
-            trigger_times[0, column] = math.nan
-            continue
-        fire_time = float(layer0_times[column])
-        trigger_times[0, column] = fire_time
-        finalized[0, column] = True
-        deliver(source, fire_time)
-
-    # Faulty forwarding nodes never fire; mark them now.
-    for layer, column in faults.faulty_nodes():
-        if layer > 0:
-            trigger_times[layer, column] = math.nan
-
-    # ------------------------------------------------------------------
-    # Dijkstra sweep
-    # ------------------------------------------------------------------
-    while heap:
-        candidate, layer, column, guard_value = heapq.heappop(heap)
-        if finalized[layer, column]:
-            continue
-        finalized[layer, column] = True
-        trigger_times[layer, column] = candidate
-        guards[layer, column] = guard_value
-        deliver((layer, column), candidate)
-
-    # Post-hoc work accounting (O(n), outside the sweep -- the hot loop pays
-    # nothing).  Counts the *deduplicated* heap traffic so the number matches
-    # the planned fast path, which skips the re-pushes this sweep performs.
-    messages_delivered = 0
-    heap_pushes = 0
-    for node_arrivals in arrivals.values():
-        messages_delivered += len(node_arrivals)
-        for dir_a, dir_b in TRIGGER_GUARDS:
-            if dir_a in node_arrivals and dir_b in node_arrivals:
-                heap_pushes += 1
-    work = {
-        "heap_pushes": heap_pushes,
-        "frontier_advances": int(finalized[1:, :].sum()),
-        "messages_delivered": messages_delivered,
-    }
-
-    layer0_out = trigger_times[0, :].copy()
-    return PulseSolution(
-        grid=grid,
-        trigger_times=trigger_times,
-        guards=guards,
-        correct_mask=correct_mask,
-        layer0_times=layer0_out,
-        work=work,
-    )
-
-
 # ----------------------------------------------------------------------
-# plan-compiled fast path (fault-free runs)
+# the compiled plan (RNG-free, shared per grid)
 # ----------------------------------------------------------------------
 #: Flat indices of the four incoming directions, chosen so that the three
-#: guards of :data:`TRIGGER_GUARDS` become the consecutive pairs
+#: guards of :data:`~repro.core.topology.TRIGGER_GUARDS` become the consecutive pairs
 #: ``(0, 1), (1, 2), (2, 3)``.
 _IN_INDEX = {
     Direction.LEFT: 0,
@@ -332,17 +160,21 @@ _IN_INDEX = {
     Direction.RIGHT: 3,
 }
 
+#: One entry of :attr:`SolverPlan.out_links`.
+OutLink = Tuple[int, int, int, int]
+
 
 @dataclass(frozen=True)
 class SolverPlan:
-    """RNG-free scaffolding of :func:`solve_single_pulse_planned`.
+    """RNG-free scaffolding of :func:`solve_single_pulse`.
 
     A plan compiles a grid's neighbour tables into flat Python lists indexed
     by the row-major node index, so the sweep's inner loop touches no dicts,
     no ``(layer, column)`` tuples and no :class:`Direction` enums.  Plans
     contain only topology-derived data (no randomness, no per-run state), so
     one plan serves every run on an equal grid; :func:`solver_plan` caches
-    them by grid identity.
+    them by grid identity.  Faulty runs overlay a few rebuilt link lists on
+    it (see :func:`_fault_overlay`) and never modify it.
 
     Attributes
     ----------
@@ -352,9 +184,9 @@ class SolverPlan:
     out_links:
         Node index -> list of ``(dest_index, in_direction_index, dest_layer,
         dest_column)`` tuples, in the exact iteration order of
-        ``grid.out_neighbors(node).values()``; destinations on layer 0 or
-        structurally absent are excluded (the reference sweep skips them
-        before consuming any randomness).
+        ``grid.out_neighbors(node).values()`` (the order in which the sweep
+        queries the delay model); destinations on layer 0 or structurally
+        absent are excluded.
     present_sources:
         The layer-0 columns whose source node is structurally present.
     """
@@ -363,7 +195,7 @@ class SolverPlan:
     width: int
     layers: int
     nodes: Tuple[NodeId, ...]
-    out_links: Tuple[Tuple[Tuple[int, int, int, int], ...], ...]
+    out_links: Tuple[Tuple[OutLink, ...], ...]
     present_sources: Tuple[int, ...]
 
     @classmethod
@@ -379,10 +211,10 @@ class SolverPlan:
             for layer in range(grid.layers + 1)
             for column in range(width)
         )
-        out_links: List[Tuple[Tuple[int, int, int, int], ...]] = []
+        out_links: List[Tuple[OutLink, ...]] = []
         for node in nodes:
             layer, column = node
-            links: List[Tuple[int, int, int, int]] = []
+            links: List[OutLink] = []
             if presence[layer, column]:
                 for destination in grid.out_neighbors(node).values():
                     dest_layer, dest_column = destination
@@ -421,33 +253,121 @@ def solver_plan(grid: HexGrid) -> SolverPlan:
     return SolverPlan.compile(grid)
 
 
-def solve_single_pulse_planned(
+def _fault_overlay(
+    grid: HexGrid,
+    plan: SolverPlan,
+    faults: FaultModel,
+    correct_mask: np.ndarray,
+) -> Tuple[Sequence[Tuple[OutLink, ...]], List[Tuple[int, int]], Tuple[int, ...]]:
+    """Per-run view of ``plan`` under a static fault model.
+
+    Faults are static within one pulse: faulty nodes never fire, so the
+    ``time`` argument of :meth:`FaultModel.link_behavior` never matters, and
+    a correct source's links are fixed for the whole run.  Returns
+
+    * the out-link table, with the lists of the in-neighbours of faulty
+      nodes and of the sources of faulty links rebuilt to drop faulty
+      destinations and links that are not ``CORRECT`` (so the sweep never
+      queries their delay);
+    * the stuck-at-1 seed arrivals as ``(dest_index, in_direction_index)``;
+    * the correct layer-0 source columns.
+    """
+    out_links: List[Tuple[OutLink, ...]] = list(plan.out_links)
+    faulty_nodes = faults.faulty_nodes()
+    faulty_links = faults.faulty_links()
+    # A registered link fault is never CORRECT (``add_link_fault`` drops those).
+    silent = {
+        (grid.node_index(source), grid.node_index(destination))
+        for source, destination in faulty_links
+    }
+    rebuild = {source for source, _destination in silent}
+    for node in faulty_nodes:
+        rebuild.update(grid.node_index(source) for source in grid.in_neighbors(node).values())
+    for source_index in rebuild:
+        out_links[source_index] = tuple(
+            link
+            for link in plan.out_links[source_index]
+            if correct_mask[link[2], link[3]] and (source_index, link[0]) not in silent
+        )
+
+    seeds: List[Tuple[int, int]] = []
+    seed_links = [
+        (node, destination)
+        for node in faulty_nodes
+        for destination in grid.out_neighbors(node).values()
+    ]
+    seed_links.extend(faulty_links)
+    for source, destination in seed_links:
+        if faults.link_behavior((source, destination)) is not LinkBehavior.CONSTANT_ONE:
+            continue
+        dest_index = grid.node_index(destination)
+        for link in plan.out_links[grid.node_index(source)]:
+            if link[0] == dest_index and correct_mask[link[2], link[3]]:
+                seeds.append((dest_index, link[1]))
+                break
+
+    sources = tuple(column for column in plan.present_sources if correct_mask[0, column])
+    return out_links, seeds, sources
+
+
+# ----------------------------------------------------------------------
+# the sweep
+# ----------------------------------------------------------------------
+def solve_single_pulse(
     grid: HexGrid,
     layer0_times: Sequence[float],
     delays: LinkDelayProvider,
-    plan: Optional[SolverPlan] = None,
+    fault_model: Optional[FaultModel] = None,
+    byzantine_high_time: float = 0.0,
 ) -> PulseSolution:
-    """Fault-free fast path of :func:`solve_single_pulse`.
+    """Compute the firing time of every node for a single pulse wave.
 
-    Runs the identical Dijkstra sweep -- same candidate tuples, same heap
-    discipline, same delivery order, and therefore the *same sequence of
-    delay-model queries* -- over the flat arrays of a :class:`SolverPlan`
-    instead of the dict-of-tuples bookkeeping of the reference sweep.  For a
-    fault-free run the result is bit-identical to
-    ``solve_single_pulse(grid, layer0_times, delays)`` (pinned by the engine
-    test suite); callers with a non-trivial fault model must use the
-    reference solver.
+    Runs a Dijkstra sweep over the flat arrays of the grid's cached
+    :class:`SolverPlan`.  The delay model is queried lazily, once per
+    correct link from a correct source that fires, in finalization order --
+    that order is part of the reproducibility contract, since delay models
+    such as :class:`~repro.simulation.links.UniformRandomDelays` draw on
+    first query.
 
-    This is the hot path of ``SolverEngine.run_batch``: the plan is compiled
-    once per grid and shared across all runs of a batch.
+    Parameters
+    ----------
+    grid:
+        The HEX grid.
+    layer0_times:
+        Firing times of the ``W`` layer-0 clock sources (scenario-dependent;
+        see :mod:`repro.clocksource.scenarios`).  Faulty layer-0 nodes are
+        handled through the fault model; their entry here is ignored.
+    delays:
+        Link delay provider (see :class:`LinkDelayProvider`).  Only consulted
+        for links that behave correctly.
+    fault_model:
+        Faults to inject; ``None`` means fault-free.
+    byzantine_high_time:
+        The time at which a stuck-at-1 Byzantine link sets the receiver's
+        memory flag.  The paper's testbench drives such links high from the
+        start of the run, hence the default of 0.
+
+    Returns
+    -------
+    PulseSolution
     """
     layer0 = np.asarray(layer0_times, dtype=float)
     if layer0.shape != (grid.width,):
         raise ValueError(
             f"layer0_times must have shape ({grid.width},), got {layer0.shape}"
         )
-    if plan is None:
-        plan = solver_plan(grid)
+    if fault_model is not None and fault_model.grid != grid:
+        raise ValueError("fault model belongs to a different grid")
+    plan = solver_plan(grid)
+    # Structurally absent nodes (punctured slots of a degraded topology) are
+    # excluded like faulty nodes: nan trigger time, masked out of statistics.
+    correct_mask = grid.presence_mask().copy()
+    out_links: Sequence[Tuple[OutLink, ...]] = plan.out_links
+    seeds: List[Tuple[int, int]] = []
+    sources = plan.present_sources
+    if fault_model is not None and (fault_model.faulty_nodes() or fault_model.faulty_links()):
+        correct_mask &= fault_model.correctness_mask()
+        out_links, seeds, sources = _fault_overlay(grid, plan, fault_model, correct_mask)
 
     num_nodes, width = plan.num_nodes, plan.width
     trigger_flat = [math.inf] * num_nodes
@@ -458,9 +378,20 @@ def solve_single_pulse_planned(
     heap: List[Tuple[float, int, int, int]] = []
     push = heapq.heappush
     pop = heapq.heappop
-    out_links = plan.out_links
     node_tuples = plan.nodes
     link_delay = delays.delay
+
+    # Stuck-at-1 links set the receiver's flag at ``byzantine_high_time``;
+    # push every guard they complete on their own, once.
+    for dest_index, direction in seeds:
+        arrivals[dest_index * 4 + direction] = byzantine_high_time
+    for dest_index in sorted({dest_index for dest_index, _direction in seeds}):
+        base = dest_index * 4
+        dest_layer, dest_column = node_tuples[dest_index]
+        for guard_value in range(3):
+            first, second = arrivals[base + guard_value], arrivals[base + guard_value + 1]
+            if first is not None and second is not None:
+                push(heap, (max(first, second), dest_layer, dest_column, guard_value))
 
     def deliver(source_index: int, fire_time: float) -> None:
         source = node_tuples[source_index]
@@ -468,11 +399,10 @@ def solve_single_pulse_planned(
             arrival = fire_time + link_delay(source, node_tuples[dest_index])
             base = dest_index * 4
             arrivals[base + direction] = arrival
-            # Push exactly the guards this arrival completes.  The reference
-            # sweep re-pushes already-complete guards with unchanged candidate
-            # tuples; duplicates never alter the pop order, so skipping them
-            # keeps the finalization sequence (and thus the delay-draw order)
-            # bit-identical while halving the heap traffic.
+            # Push exactly the guards this arrival completes.  Heap tuples are
+            # totally ordered, so re-pushing an already-complete guard (same
+            # tuple) could never change the pop sequence -- and thus neither
+            # the finalization nor the delay-query order.
             if direction == 0:
                 other = arrivals[base + 1]
                 if other is not None:
@@ -544,7 +474,7 @@ def solve_single_pulse_planned(
                         ),
                     )
 
-    for column in plan.present_sources:
+    for column in sources:
         fire_time = float(layer0[column])
         trigger_flat[column] = fire_time
         finalized[column] = 1
@@ -562,8 +492,7 @@ def solve_single_pulse_planned(
 
     # Post-hoc work accounting over the flat arrival slots (O(n), outside the
     # sweep).  A guard counts as one heap push when both of its arrivals
-    # landed -- exactly when this path pushed it -- so the numbers equal the
-    # reference sweep's deduplicated counts bit for bit.
+    # landed -- exactly when the sweep (or the seeding) pushed it.
     messages_delivered = 0
     heap_pushes = 0
     for base in range(0, 4 * num_nodes, 4):
@@ -579,15 +508,14 @@ def solve_single_pulse_planned(
         )
     work = {
         "heap_pushes": heap_pushes,
-        "frontier_advances": sum(finalized) - len(plan.present_sources),
+        "frontier_advances": sum(finalized) - len(sources),
         "messages_delivered": messages_delivered,
     }
 
     trigger_times = np.array(trigger_flat, dtype=float).reshape(plan.layers + 1, width)
     guards = np.array(guard_flat, dtype=np.int8).reshape(plan.layers + 1, width)
-    presence = grid.presence_mask()
-    trigger_times[~presence] = math.nan
-    correct_mask = presence.copy()
+    # Faulty and absent nodes never fire: nan, guard -1.
+    trigger_times[~correct_mask] = math.nan
     return PulseSolution(
         grid=grid,
         trigger_times=trigger_times,

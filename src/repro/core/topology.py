@@ -38,7 +38,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 #: A node identity: ``(layer, column)`` with ``0 <= layer <= L`` and
@@ -614,25 +613,3 @@ class HexGrid:
                 best = total
         assert best is not None
         return best
-
-    # ------------------------------------------------------------------
-    # exports
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> "nx.DiGraph":
-        """Export the directed communication graph as a :class:`networkx.DiGraph`.
-
-        Node attributes: ``layer``, ``column``.  Edge attribute: ``direction``
-        (the :class:`Direction` of the destination as seen from the source,
-        i.e. the direction the message travels).
-        """
-        graph = nx.DiGraph(layers=self.layers, width=self.width)
-        for layer, column in self.nodes():
-            graph.add_node((layer, column), layer=layer, column=column)
-        for node in self.nodes():
-            for direction, neighbor in self.out_neighbors(node).items():
-                graph.add_edge(node, neighbor, direction=direction.value)
-        return graph
-
-    def to_undirected_networkx(self) -> "nx.Graph":
-        """Export the undirected communication graph."""
-        return self.to_networkx().to_undirected()

@@ -9,11 +9,10 @@ This module defines the three value objects of the execution API:
   everything an engine needs to execute the run in any process, and hashes to
   a stable content key (the cache identity used by the campaign layer).
 
-* :class:`RunResult` -- the unified outcome of a run, subsuming the fields of
-  the historical ``SinglePulseResult`` / ``MultiPulseResult`` consumed by
-  :mod:`repro.analysis` (dense trigger times and correctness mask for
-  single-pulse runs; timeouts, source schedule and raw firing records for
-  multi-pulse runs) plus free-form per-engine ``metrics``.
+* :class:`RunResult` -- the unified outcome of a run, carrying the fields
+  :mod:`repro.analysis` consumes (dense trigger times and correctness mask
+  for single-pulse runs; timeouts, source schedule and raw firing records
+  for multi-pulse runs) plus free-form per-engine ``metrics``.
 
 * :class:`Engine` -- the protocol every execution backend implements:
   ``name``, ``capabilities`` and ``run(spec, rng) -> RunResult``.  Engines are
@@ -251,11 +250,10 @@ class EngineCapabilities:
         Whether the engine honours a spec's fault injection parameters.
     supports_explicit_inputs:
         Whether the engine also exposes the imperative entry points taking
-        caller-supplied arrays (``single_pulse`` / ``multi_pulse``), which is
-        what the ``simulate_single_pulse`` / ``simulate_multi_pulse`` shims
-        need.  Defaults to ``False`` because the :class:`Engine` protocol
-        only requires ``run``; engines that implement the extra methods opt
-        in explicitly.
+        caller-supplied arrays (``single_pulse`` / ``multi_pulse``).
+        Defaults to ``False`` because the :class:`Engine` protocol only
+        requires ``run``; engines that implement the extra methods opt in
+        explicitly.
     supports_fault_schedules:
         Whether the engine executes the *dynamic* fault schedules of
         :mod:`repro.adversary` (timed inject/heal/crash/flip events).  Only
@@ -776,8 +774,7 @@ class RunResult:
     Single-pulse engines populate ``trigger_times`` / ``correct_mask`` /
     ``layer0_times`` (and, for the analytic solver, ``solution``); multi-pulse
     runs populate ``timeouts`` / ``source_schedule`` / ``firing_times``.
-    Either way the result duck-types the historical ``SinglePulseResult`` /
-    ``MultiPulseResult`` interfaces that :mod:`repro.analysis` consumes.
+    :mod:`repro.analysis` consumes either kind through the accessors below.
 
     Attributes
     ----------
@@ -829,7 +826,7 @@ class RunResult:
     metrics: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # single-pulse accessors (SinglePulseResult interface)
+    # single-pulse accessors
     # ------------------------------------------------------------------
     def trigger_time(self, node: NodeId) -> float:
         """Firing time of one node (single-pulse runs on the hex grid)."""
@@ -847,7 +844,7 @@ class RunResult:
         return bool(np.all(np.isfinite(times[mask])))
 
     # ------------------------------------------------------------------
-    # multi-pulse accessors (MultiPulseResult interface)
+    # multi-pulse accessors
     # ------------------------------------------------------------------
     @property
     def num_pulses(self) -> int:

@@ -305,12 +305,13 @@ class DesEngine:
                 + timeouts.t_sleep_max,
             )
         network.run(until=horizon)
-        if network.observer is not None and not custom_observer:
-            obs.record_des_observer(
-                network.observer,
-                events_scheduled=network.queue.num_scheduled,
-                events_processed=network.queue.num_processed,
-            )
+        # Queue counters are recorded whenever metrics are on; a caller's own
+        # observer (e.g. the soak monitor) is not flushed into obs.
+        obs.record_des_observer(
+            None if custom_observer else network.observer,
+            events_scheduled=network.queue.num_scheduled,
+            events_processed=network.queue.num_processed,
+        )
         trigger_times = network.first_firing_matrix()
         final_model = self._final_fault_model(network, fault_model, adversary)
         correct_mask = (
@@ -438,12 +439,13 @@ class DesEngine:
                 + run_slack,
             )
         network.run(until=horizon)
-        if network.observer is not None and not custom_observer:
-            obs.record_des_observer(
-                network.observer,
-                events_scheduled=network.queue.num_scheduled,
-                events_processed=network.queue.num_processed,
-            )
+        # Queue counters are recorded whenever metrics are on; a caller's own
+        # observer (e.g. the soak monitor) is not flushed into obs.
+        obs.record_des_observer(
+            None if custom_observer else network.observer,
+            events_scheduled=network.queue.num_scheduled,
+            events_processed=network.queue.num_processed,
+        )
 
         final_model = self._final_fault_model(network, fault_model, adversary)
         firing_times: Dict[NodeId, List[float]] = {}

@@ -1,5 +1,10 @@
 """The analytic single-pulse solver as an execution engine.
 
+Every path -- :meth:`SolverEngine.run`, :meth:`SolverEngine.run_batch` and
+the explicit-input :meth:`SolverEngine.single_pulse` -- runs the one
+plan-compiled sweep :func:`~repro.core.pulse_solver.solve_single_pulse`,
+faulty or not.
+
 Draw order (the reproducibility contract, identical to the historical
 ``execute_task`` single-pulse body): layer-0 firing times, then fault
 placement and behaviour, then the per-link delays -- which
@@ -9,14 +14,15 @@ solver's own link traversal, exactly as before.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.clocksource.scenarios import scenario_layer0_times
 from repro.core.parameters import TimeoutConfig, TimingConfig
-from repro.core.pulse_solver import solve_single_pulse, solve_single_pulse_planned, solver_plan
+from repro.core.pulse_solver import solve_single_pulse
 from repro.core.topology import HexGrid
 from repro.engines.base import (
     EngineCapabilities,
@@ -32,8 +38,15 @@ from repro.faults.models import FaultModel
 from repro.faults.placement import build_fault_model
 from repro.simulation.links import DelayModel, UniformRandomDelays
 from repro.simulation.network import TimerPolicy
+from repro.topologies import build_topology
 
 __all__ = ["SolverEngine"]
+
+
+@lru_cache(maxsize=16)
+def _shared_grid(topology: str, layers: int, width: int) -> HexGrid:
+    """The grid of a ``batch_key``: grids are immutable, so runs share one."""
+    return build_topology(topology, layers, width)
 
 
 def _record_solver_work(solution) -> None:
@@ -72,14 +85,28 @@ class SolverEngine:
         """Execute a declarative single-pulse run (scenario-driven draws)."""
         with obs.span("engine.run", engine=self.name, kind=spec.kind):
             obs.inc("engine.solver.runs")
-            return self._run(spec, rng)
+            return self._run(spec, rng if rng is not None else spec.rng())
 
-    def _run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
+    def run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
+        """Execute several single-pulse runs.
+
+        Bit-identical to ``[run(spec) for spec in specs]`` (pinned by the
+        test suite): both take the same path, one sweep per spec.  Runs on
+        equal ``(topology, layers, width)`` share one grid -- and so its
+        neighbour tables and compiled
+        :class:`~repro.core.pulse_solver.SolverPlan` -- across calls.  Grid
+        construction and plan compilation consume no randomness, so the
+        sharing cannot perturb seeded draws.
+        """
+        with obs.span("engine.run_batch", engine=self.name, size=len(specs)):
+            obs.inc("engine.solver.runs", len(specs))
+            return [self._run(spec, spec.rng()) for spec in specs]
+
+    def _run(self, spec: RunSpec, generator: np.random.Generator) -> RunResult:
         require_kind(self, spec)
         require_schedule_support(self, spec)
         require_topology_support(self, spec)
-        generator = rng if rng is not None else spec.rng()
-        grid = spec.make_grid()
+        grid = _shared_grid(*batch_key(spec))
         timing = spec.make_timing()
         layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=generator)
         fault_model = build_fault_model(
@@ -99,76 +126,6 @@ class SolverEngine:
         )
         result.spec = spec
         return result
-
-    def run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Execute several single-pulse runs, sharing all RNG-free setup.
-
-        Bit-identical to ``[run(spec) for spec in specs]`` (pinned by the
-        test suite), but substantially faster for the common sweep shape --
-        many cells on the same grid:
-
-        * each distinct ``(topology, layers, width)`` builds its grid (and
-          the neighbour tables that dominate construction) exactly once;
-        * fault-free specs run through the plan-compiled flat-array sweep
-          (:func:`~repro.core.pulse_solver.solve_single_pulse_planned`),
-          whose :class:`~repro.core.pulse_solver.SolverPlan` is likewise
-          shared per grid.
-
-        Grid construction and plan compilation consume no randomness, so the
-        sharing cannot perturb seeded draws; specs with faults keep the
-        reference sweep (the fault machinery is draw-order-sensitive) and
-        still benefit from the shared grid.
-        """
-        with obs.span("engine.run_batch", engine=self.name, size=len(specs)):
-            obs.inc("engine.solver.runs", len(specs))
-            return self._run_batch(specs)
-
-    def _run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        grids: Dict[Tuple[str, int, int], HexGrid] = {}
-        results: List[RunResult] = []
-        for spec in specs:
-            require_kind(self, spec)
-            require_schedule_support(self, spec)
-            require_topology_support(self, spec)
-            grid_key = batch_key(spec)
-            grid = grids.get(grid_key)
-            if grid is None:
-                grid = spec.make_grid()
-                grids[grid_key] = grid
-            generator = spec.rng()
-            timing = spec.make_timing()
-            layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=generator)
-            fault_model = build_fault_model(
-                grid,
-                spec.num_faults,
-                spec.make_fault_type(),
-                generator,
-                fixed_positions=spec.fixed_fault_positions,
-            )
-            delays = spec.make_delays(timing, generator, kind_default="uniform")
-            layer0 = validate_layer0(grid, layer0)
-            if fault_model is None:
-                solution = solve_single_pulse_planned(
-                    grid, layer0, delays, plan=solver_plan(grid)
-                )
-            else:
-                solution = solve_single_pulse(grid, layer0, delays, fault_model=fault_model)
-            _record_solver_work(solution)
-            results.append(
-                RunResult(
-                    engine=self.name,
-                    kind="single_pulse",
-                    grid=grid,
-                    timing=timing,
-                    trigger_times=solution.trigger_times,
-                    correct_mask=solution.correct_mask,
-                    layer0_times=solution.layer0_times,
-                    solution=solution,
-                    fault_model=fault_model,
-                    spec=spec,
-                )
-            )
-        return results
 
     def single_pulse(
         self,

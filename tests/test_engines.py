@@ -28,7 +28,6 @@ from repro.engines.array import delay_envelope
 from repro.engines.base import batch_key, require_exactness
 from repro.faults.placement import build_fault_model
 from repro.simulation.links import UniformRandomDelays
-from repro.simulation.runner import simulate_multi_pulse, simulate_single_pulse
 
 
 @pytest.fixture
@@ -152,23 +151,9 @@ class TestRunSpec:
 
 
 # ----------------------------------------------------------------------
-# shim-vs-engine and task-vs-engine bit-identity
+# engine-vs-historical-body and task-vs-engine bit-identity
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    @pytest.mark.parametrize("engine", ["solver", "des"])
-    def test_shim_matches_engine_single_pulse(self, timing, engine):
-        grid = HexGrid(layers=6, width=5)
-        layer0 = np.linspace(0.0, 1.0, grid.width)
-        shim = simulate_single_pulse(
-            grid, timing, layer0, rng=np.random.default_rng(11), engine=engine
-        )
-        direct = get_engine(engine).single_pulse(
-            grid, timing, layer0, rng=np.random.default_rng(11)
-        )
-        np.testing.assert_array_equal(shim.trigger_times, direct.trigger_times)
-        np.testing.assert_array_equal(shim.correct_mask, direct.correct_mask)
-        assert shim.engine == direct.engine == engine
-
     @pytest.mark.parametrize("engine", ["solver", "des"])
     def test_engine_run_matches_historical_body(self, timing, engine):
         """engine.run(spec) reproduces the historical draw order bit-for-bit."""
@@ -193,39 +178,14 @@ class TestBitIdentity:
         grid = spec.make_grid()
         layer0 = scenario_layer0_times("iii", grid.width, timing, rng=rng)
         fault_model = build_fault_model(grid, 1, spec.make_fault_type(), rng)
-        expected = simulate_single_pulse(
-            grid, timing, layer0, rng=rng, fault_model=fault_model, engine=engine
+        expected = get_engine(engine).single_pulse(
+            grid, timing, layer0, rng=rng, fault_model=fault_model
         )
         np.testing.assert_array_equal(result.layer0_times, layer0)
         np.testing.assert_array_equal(result.trigger_times, expected.trigger_times)
         assert sorted(fault_model.faulty_nodes()) == sorted(
             result.fault_model.faulty_nodes()
         )
-
-    def test_multi_pulse_shim_matches_engine(self, timing):
-        grid = HexGrid(layers=4, width=4)
-        engine = get_engine("des")
-        spec = RunSpec(
-            kind="multi_pulse", layers=4, width=4, num_pulses=2, entropy=9, run_index=0
-        )
-        via_run = engine.run(spec)
-        shim = simulate_multi_pulse(
-            grid,
-            timing,
-            via_run.timeouts,
-            via_run.source_schedule,
-            rng=np.random.default_rng(123),
-        )
-        direct = engine.multi_pulse(
-            grid,
-            timing,
-            via_run.timeouts,
-            via_run.source_schedule,
-            rng=np.random.default_rng(123),
-        )
-        assert shim.firing_times == direct.firing_times
-        assert shim.total_firings() == direct.total_firings()
-        assert via_run.num_pulses == shim.num_pulses == 2
 
 
 # ----------------------------------------------------------------------
@@ -311,13 +271,6 @@ class TestClockTreeEngine:
                        fault_type="byzantine", entropy=3)
         with pytest.raises(ValueError, match="does not support fault injection"):
             get_engine("clocktree").run(spec)
-
-    def test_rejects_explicit_inputs_via_shim(self, timing):
-        grid = HexGrid(layers=4, width=4)
-        with pytest.raises(ValueError, match="explicit layer0_times"):
-            simulate_single_pulse(
-                grid, timing, np.zeros(4), seed=0, engine="clocktree"
-            )
 
 
 class TestCampaignIntegration:
@@ -619,11 +572,6 @@ class TestArrayEngine:
                 )
             )
 
-    def test_rejects_explicit_inputs_via_shim(self, timing):
-        grid = HexGrid(layers=4, width=4)
-        with pytest.raises(ValueError, match="explicit layer0_times"):
-            simulate_single_pulse(grid, timing, np.zeros(4), seed=0, engine="array")
-
     def test_degraded_unreachable_nodes_match_solver(self):
         """Heavily damaged grids leave deadlocked nodes at +inf in both engines."""
         spec = RunSpec(
@@ -730,40 +678,12 @@ class TestErrorsAndCli:
     def test_layer0_shape_error_is_actionable(self, timing):
         grid = HexGrid(layers=4, width=7)
         with pytest.raises(ValueError) as excinfo:
-            simulate_single_pulse(grid, timing, np.zeros(3), seed=0)
+            get_engine("solver").single_pulse(
+                grid, timing, np.zeros(3), rng=np.random.default_rng(0)
+            )
         message = str(excinfo.value)
         assert "(7,)" in message
         assert "scenario_layer0_times" in message
-
-    def test_unknown_engine_error_in_shim(self, timing):
-        grid = HexGrid(layers=4, width=4)
-        with pytest.raises(ValueError, match="available engines"):
-            simulate_single_pulse(grid, timing, np.zeros(4), seed=0, engine="vhdl")
-
-    def test_protocol_only_engine_fails_cleanly_in_shim(self, timing):
-        """A run-only Engine (the documented minimum) must not crash the shims
-        with AttributeError, whatever its capability flags claim."""
-
-        class RunOnlyEngine:
-            name = "run-only"
-            capabilities = EngineCapabilities(
-                kinds=("single_pulse", "multi_pulse"), supports_explicit_inputs=True
-            )
-
-            def run(self, spec, rng=None):  # pragma: no cover - never called
-                raise NotImplementedError
-
-        grid = HexGrid(layers=4, width=4)
-        try:
-            register_engine(RunOnlyEngine())
-            with pytest.raises(ValueError, match="explicit layer0_times"):
-                simulate_single_pulse(grid, timing, np.zeros(4), seed=0, engine="run-only")
-            with pytest.raises(ValueError, match="multi-pulse"):
-                simulate_multi_pulse(
-                    grid, timing, None, np.zeros((1, 4)), seed=0, engine="run-only"
-                )
-        finally:
-            unregister_engine("run-only")
 
     def test_cli_engines_lists_backends(self, capsys):
         assert main(["engines"]) == 0

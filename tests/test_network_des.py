@@ -1,4 +1,4 @@
-"""Tests for the discrete-event simulator (network + runner)."""
+"""Tests for the discrete-event simulator (network + engine entry points)."""
 
 from __future__ import annotations
 
@@ -7,10 +7,11 @@ import pytest
 
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.core.topology import Direction, HexGrid
+from repro.engines import get_engine
+from repro.engines.des import single_pulse_default_timeouts as default_timeouts
 from repro.faults.models import FaultModel, LinkBehavior, NodeFault
 from repro.simulation.links import ConstantDelays, UniformRandomDelays
 from repro.simulation.network import HexNetwork, TimerPolicy
-from repro.simulation.runner import default_timeouts, simulate_multi_pulse, simulate_single_pulse
 
 
 @pytest.fixture
@@ -39,9 +40,11 @@ class TestSinglePulseDES:
         delays = UniformRandomDelays(timing, np.random.default_rng(5))
         delays.materialize(grid)
         layer0 = np.linspace(0.0, timing.d_max, grid.width)
-        solver = simulate_single_pulse(grid, timing, layer0, rng=rng, delays=delays, engine="solver")
-        des = simulate_single_pulse(
-            grid, timing, layer0, rng=np.random.default_rng(9), delays=delays, engine="des"
+        solver = get_engine("solver").single_pulse(
+            grid, timing, layer0, rng=rng, delays=delays
+        )
+        des = get_engine("des").single_pulse(
+            grid, timing, layer0, rng=np.random.default_rng(9), delays=delays
         )
         assert np.allclose(solver.trigger_times, des.trigger_times, atol=1e-9)
 
@@ -51,13 +54,13 @@ class TestSinglePulseDES:
         fault_rng = np.random.default_rng(3)
         model = FaultModel(grid, [NodeFault.byzantine(grid, (4, 2), rng=fault_rng)])
         layer0 = np.zeros(grid.width)
-        solver = simulate_single_pulse(
+        solver = get_engine("solver").single_pulse(
             grid, timing, layer0, rng=np.random.default_rng(1), delays=delays,
-            fault_model=model, engine="solver",
+            fault_model=model,
         )
-        des = simulate_single_pulse(
+        des = get_engine("des").single_pulse(
             grid, timing, layer0, rng=np.random.default_rng(2), delays=delays,
-            fault_model=model, engine="des",
+            fault_model=model,
         )
         mask = model.correctness_mask()
         assert np.allclose(solver.trigger_times[mask], des.trigger_times[mask], atol=1e-9)
@@ -131,7 +134,7 @@ class TestSinglePulseDES:
 class TestRunnerInterfaces:
     def test_single_pulse_result_accessors(self, grid, timing, rng):
         layer0 = np.zeros(grid.width)
-        result = simulate_single_pulse(grid, timing, layer0, rng=rng)
+        result = get_engine("solver").single_pulse(grid, timing, layer0, rng=rng)
         assert result.trigger_time((0, 0)) == 0.0
         assert result.all_correct_triggered()
         assert result.engine == "solver"
@@ -139,11 +142,11 @@ class TestRunnerInterfaces:
 
     def test_unknown_engine_raises(self, grid, timing, rng):
         with pytest.raises(ValueError):
-            simulate_single_pulse(grid, timing, np.zeros(grid.width), rng=rng, engine="vhdl")
+            get_engine("vhdl")
 
     def test_bad_layer0_shape_raises(self, grid, timing, rng):
         with pytest.raises(ValueError):
-            simulate_single_pulse(grid, timing, np.zeros(3), rng=rng)
+            get_engine("solver").single_pulse(grid, timing, np.zeros(3), rng=rng)
 
     def test_multi_pulse_counts_pulses(self, grid, timing, timeouts, rng):
         schedule = generate_pulse_schedule(
@@ -152,7 +155,7 @@ class TestRunnerInterfaces:
             timing,
             rng=rng,
         )
-        result = simulate_multi_pulse(
+        result = get_engine("des").multi_pulse(
             grid, timing, timeouts, schedule, rng=rng, random_initial_states=False
         )
         assert result.num_pulses == 3
@@ -168,7 +171,7 @@ class TestRunnerInterfaces:
             timing,
             rng=rng,
         )
-        result = simulate_multi_pulse(
+        result = get_engine("des").multi_pulse(
             grid, timing, timeouts, schedule, rng=rng, random_initial_states=True
         )
         # In the last pulse window every forwarding node fires (the system has
@@ -180,7 +183,7 @@ class TestRunnerInterfaces:
 
     def test_multi_pulse_bad_schedule_shape(self, grid, timing, timeouts, rng):
         with pytest.raises(ValueError):
-            simulate_multi_pulse(grid, timing, timeouts, np.zeros((2, 3)), rng=rng)
+            get_engine("des").multi_pulse(grid, timing, timeouts, np.zeros((2, 3)), rng=rng)
 
     def test_default_timeouts_satisfy_condition2_relations(self, grid, timing):
         timeouts = default_timeouts(grid, timing, num_faults=2, layer0_spread=1.0)

@@ -173,8 +173,58 @@ class TestRunSoak:
             assert snapshot["counters"]["soak.pulses"] == float(TINY.num_pulses)
             assert snapshot["gauges"]["soak.epochs"] == float(TINY.num_epochs)
             assert "soak.skew_p95_s" in snapshot["gauges"]
+            assert snapshot["counters"]["des.events_processed"] > 0
         finally:
             obs.disable()
+
+    def test_des_event_counters_do_not_depend_on_the_observer(self):
+        """The soak monitor replaces the default DES observer; the queue
+        counters must be recorded all the same."""
+        from repro import obs
+
+        grid = HexGrid(layers=3, width=3)
+        timing = TimingConfig.paper_defaults()
+        timeouts = scenario_stabilization_timeouts(
+            Scenario.ZERO, 3, 3, 0, timing, extra_hops=grid.condition2_extra_hops()
+        )
+        schedule = generate_pulse_schedule(
+            PulseScheduleConfig(
+                scenario=Scenario.ZERO, num_pulses=5,
+                separation=timeouts.pulse_separation,
+            ),
+            3,
+            timing,
+            rng=np.random.default_rng(1),
+        )
+        soak_observer = SoakObserver(
+            grid,
+            separation=timeouts.pulse_separation,
+            num_windows=5,
+            skew_threshold=math.inf,
+            skew=StreamSummary(),
+            recovery=StreamSummary(),
+        )
+        counters = []
+        for observer in (None, soak_observer):
+            obs.enable(metrics=True)
+            try:
+                DesEngine().multi_pulse(
+                    grid,
+                    timing,
+                    timeouts,
+                    schedule,
+                    rng=np.random.default_rng(2),
+                    initial_states="clean",
+                    observer=observer,
+                )
+                snapshot = obs.registry().snapshot()["counters"]
+            finally:
+                obs.disable()
+            counters.append(
+                (snapshot["des.events_scheduled"], snapshot["des.events_processed"])
+            )
+        assert counters[0][1] > 0
+        assert counters[1] == counters[0]
 
 
 class TestStreamingMatchesPostHoc:

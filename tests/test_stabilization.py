@@ -8,8 +8,9 @@ import pytest
 from repro.analysis.stabilization import assign_pulses, pulse_skew_ok, stabilization_time
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.core.topology import HexGrid
+from repro.engines import RunResult, get_engine
+from repro.engines.des import single_pulse_default_timeouts as default_timeouts
 from repro.faults.models import FaultModel, NodeFault
-from repro.simulation.runner import MultiPulseResult, default_timeouts, simulate_multi_pulse
 
 
 @pytest.fixture
@@ -18,7 +19,7 @@ def grid() -> HexGrid:
 
 
 def _synthetic_result(grid, timing, timeouts, schedule, per_layer_offsets):
-    """Build a MultiPulseResult with analytically known firing times.
+    """Build a multi-pulse RunResult with analytically known firing times.
 
     Every node of layer ``l`` fires ``per_layer_offsets[l]`` after the earliest
     layer-0 time of the pulse.
@@ -30,7 +31,9 @@ def _synthetic_result(grid, timing, timeouts, schedule, per_layer_offsets):
             base = float(np.min(schedule[pulse]))
             times.append(base + per_layer_offsets[layer])
         firing_times[(layer, column)] = times
-    return MultiPulseResult(
+    return RunResult(
+        engine="des",
+        kind="multi_pulse",
         grid=grid,
         timing=timing,
         timeouts=timeouts,
@@ -187,8 +190,13 @@ class TestEndToEndStabilization:
             timing,
             seed=4,
         )
-        result = simulate_multi_pulse(
-            grid, timing, timeouts, schedule, seed=11, random_initial_states=True
+        result = get_engine("des").multi_pulse(
+            grid,
+            timing,
+            timeouts,
+            schedule,
+            rng=np.random.default_rng(11),
+            random_initial_states=True,
         )
         estimate = stabilization_time(
             result, intra_bound=lambda layer: 3 * timing.d_max

@@ -208,9 +208,10 @@ class TestFamilies:
     )
     def test_hop_distance_matches_networkx(self, spec, dims):
         import networkx as nx
+        from nx_export import to_undirected_networkx
 
         grid = build_topology(spec, *dims)
-        lengths = dict(nx.all_pairs_shortest_path_length(grid.to_undirected_networkx()))
+        lengths = dict(nx.all_pairs_shortest_path_length(to_undirected_networkx(grid)))
         for a in grid.nodes():
             for b in grid.nodes():
                 assert grid.hop_distance(a, b) == lengths[a][b], (a, b)

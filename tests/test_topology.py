@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from nx_export import to_networkx, to_undirected_networkx
 
 from repro.core.topology import TRIGGER_GUARDS, Direction, HexGrid
 
@@ -195,7 +196,7 @@ class TestDistances:
             assert small_grid.hop_distance(a, b) == small_grid.hop_distance(b, a)
 
     def test_hop_distance_matches_networkx_shortest_path(self, small_grid):
-        graph = small_grid.to_undirected_networkx()
+        graph = to_undirected_networkx(small_grid)
         for a, b in [((1, 0), (4, 3)), ((0, 0), (6, 4)), ((2, 1), (2, 3)), ((5, 4), (1, 2))]:
             expected = nx.shortest_path_length(graph, a, b)
             assert small_grid.hop_distance(a, b) == expected
@@ -203,21 +204,21 @@ class TestDistances:
 
 class TestNetworkxExport:
     def test_node_and_edge_counts(self, small_grid):
-        graph = small_grid.to_networkx()
+        graph = to_networkx(small_grid)
         assert graph.number_of_nodes() == small_grid.num_nodes
         assert graph.number_of_edges() == small_grid.num_links()
 
     def test_edge_attributes_carry_direction(self, small_grid):
-        graph = small_grid.to_networkx()
+        graph = to_networkx(small_grid)
         assert graph.edges[(2, 1), (3, 1)]["direction"] == Direction.UPPER_RIGHT.value
 
     def test_graph_metadata(self, small_grid):
-        graph = small_grid.to_networkx()
+        graph = to_networkx(small_grid)
         assert graph.graph["layers"] == 6
         assert graph.graph["width"] == 5
 
     def test_undirected_graph_is_connected(self, small_grid):
-        assert nx.is_connected(small_grid.to_undirected_networkx())
+        assert nx.is_connected(to_undirected_networkx(small_grid))
 
 
 class TestLazyNeighborTables:

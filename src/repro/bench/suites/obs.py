@@ -16,8 +16,9 @@ Three tracked cases:
   disabled path is visible in isolation.
 * ``worker_fanin`` -- a 2-worker parallel campaign with cross-process
   observability fully on vs off; the check asserts record bit-identity plus
-  the fan-in products (merged trace, ``worker.*`` counters incl. the
-  deterministic work counters), the info records the instrumented slowdown.
+  the fan-in products (worker-tagged task spans parented under
+  ``campaign.run``, ``worker.*`` counters incl. the deterministic work
+  counters), the info records the instrumented slowdown.
 """
 
 from __future__ import annotations
@@ -253,17 +254,23 @@ def _make_worker_fanin(settings: BenchSettings):
         start = time.perf_counter()
         off = CampaignRunner(spec, workers=2).run()
         off_wall = time.perf_counter() - start
-        shard_dir = tempfile.mkdtemp(prefix="hex-obs-fanin-")
-        trace_path = os.path.join(shard_dir, "fanin-trace.jsonl")
+        trace_dir = tempfile.mkdtemp(prefix="hex-obs-fanin-")
+        trace_path = os.path.join(trace_dir, "fanin-trace.jsonl")
         try:
             with obs.observed(trace=trace_path) as session:
                 start = time.perf_counter()
                 on = CampaignRunner(spec, workers=2).run()
                 on_wall = time.perf_counter() - start
                 counters = dict(session.registry.snapshot()["counters"])
-            header, _ = obs.load_trace(trace_path)
+            records = obs.load_trace_records(trace_path)
         finally:
-            shutil.rmtree(shard_dir, ignore_errors=True)
+            shutil.rmtree(trace_dir, ignore_errors=True)
+        run_id = next(r["span_id"] for r in records if r.get("name") == "campaign.run")
+        worker_tasks = [
+            r
+            for r in records
+            if "worker" in r and r.get("name") in ("campaign.task", "campaign.task_batch")
+        ]
         return {
             "spec": spec,
             "off": off,
@@ -271,8 +278,8 @@ def _make_worker_fanin(settings: BenchSettings):
             "off_wall_s": off_wall,
             "on_wall_s": on_wall,
             "counters": counters,
-            "merged": bool(header.get("merged")),
-            "num_shards": int(header.get("num_shards", 0)),
+            "worker_tasks_under_run": bool(worker_tasks)
+            and all(r["parent_id"] == run_id for r in worker_tasks),
         }
 
     return workload
@@ -280,13 +287,15 @@ def _make_worker_fanin(settings: BenchSettings):
 
 def _check_worker_fanin(result: Dict[str, Any], settings: BenchSettings) -> None:
     # Cross-process contract, all deterministic so it gates quick mode too:
-    # records identical either way, worker shards folded into one trace, and
-    # the workers' engine-level counters (incl. the deterministic work
+    # records identical either way, worker task spans written into the
+    # parent trace under campaign.run, and the workers' engine-level counters (incl. the deterministic work
     # counters) fanned back in under the worker.* provenance prefix.
     assert [r.canonical_json() for r in result["off"].records] == [
         r.canonical_json() for r in result["on"].records
     ]
-    assert result["merged"], "parallel trace was not merged from worker shards"
+    assert result["worker_tasks_under_run"], (
+        "parallel trace lacks worker-tagged task spans parented under campaign.run"
+    )
     counters = result["counters"]
     tasks = result["spec"].num_tasks
     assert counters.get("worker.campaign.tasks_executed") == tasks, (
@@ -305,7 +314,6 @@ def _info_worker_fanin(result: Dict[str, Any], settings: BenchSettings) -> Dict[
     counters = result["counters"]
     return {
         "tasks": result["spec"].num_tasks,
-        "num_shards": result["num_shards"],
         "off_wall_s": round(result["off_wall_s"], 4),
         "on_wall_s": round(result["on_wall_s"], 4),
         "slowdown_factor": round(result["on_wall_s"] / result["off_wall_s"], 3),

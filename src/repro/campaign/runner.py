@@ -1,4 +1,4 @@
-"""Campaign execution: serial or multiprocessing fan-out over run tasks.
+"""Campaign execution: serial or process-pool fan-out over run tasks.
 
 :func:`execute_task` is the single entry point that turns a
 :class:`~repro.campaign.spec.RunTask` into a
@@ -14,18 +14,30 @@ executes it and in which order: a campaign run with ``workers=8`` produces
 canonically byte-identical records to a serial run.
 
 :class:`CampaignRunner` expands a spec, consults the optional on-disk store
-for already-completed tasks (``resume=True``), executes the remainder either
-in-process or on a ``multiprocessing`` pool, persists results as they
-complete (so an interrupted campaign resumes where it stopped) and returns
-the records in deterministic task order.
+for already-completed tasks (``resume=True``), executes the remainder,
+persists results as they complete (so an interrupted campaign resumes where
+it stopped) and returns the records in deterministic task order.
 
-Serial execution additionally groups consecutive same-engine single-pulse
-tasks and dispatches each group through ``engine.run_batch``
-(:func:`execute_task_batch`), so same-grid sweep cells amortize topology
-construction and the solver's plan-compiled fast path.  Batching is purely a
-wall-clock optimisation: the engine contract keeps batched results
-bit-identical to per-task execution, so canonical records -- and therefore
-the serial/parallel/resume equalities -- are unchanged.
+Both execution paths cut the pending tasks into the same chunks: runs of
+consecutive tasks of one ``(kind, engine)``, at most ``batch_size`` long in
+process and ``min(batch_size, ceil(pending / (4 * workers)))`` long on the
+pool.  :func:`execute_chunk` runs a chunk of several single-pulse tasks
+through ``engine.run_batch`` (:func:`execute_task_batch`), so same-grid
+sweep cells amortize topology construction and the solver's plan-compiled
+sweep; any other chunk runs task by task through :func:`execute_task`.
+Batching is purely a wall-clock optimisation: the engine contract keeps
+batched results bit-identical to per-task execution, so canonical records --
+and therefore the serial/parallel/resume equalities -- are unchanged.
+
+The pool is a :class:`concurrent.futures.ProcessPoolExecutor`.  Each worker
+runs its chunk under a fresh in-memory observability session
+(:class:`repro.obs.worker_session`) and returns ``(records, spans,
+metrics)`` on the one result channel; the parent folds the telemetry into
+its own trace and registry (:func:`repro.obs.absorb_worker`) and appends the
+records to the store.  A worker that dies (killed by a signal or the OOM
+killer) breaks the pool: the runner keeps every record that did come back
+and raises a :class:`RuntimeError` naming the lost tasks, so a ``resume``
+run finishes them instead of the campaign hanging.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +63,13 @@ from repro.engines import Engine, get_engine
 from repro.engines.des import scenario_layer0_spread
 from repro.stream import StreamingMoments, StreamingQuantiles
 
-__all__ = ["execute_task", "execute_task_batch", "CampaignResult", "CampaignRunner"]
+__all__ = [
+    "execute_task",
+    "execute_task_batch",
+    "execute_chunk",
+    "CampaignResult",
+    "CampaignRunner",
+]
 
 
 def _single_pulse_record(task: RunTask, result) -> RunRecord:
@@ -195,10 +213,59 @@ def execute_task_batch(tasks: Sequence[RunTask]) -> List[RunRecord]:
     return records
 
 
-def _execute_indexed(indexed: Tuple[int, RunTask]) -> Tuple[int, RunRecord]:
-    """Pool-friendly wrapper keeping each record paired with its task index."""
-    index, task = indexed
-    return index, execute_task(task)
+def execute_chunk(tasks: Sequence[RunTask]) -> Iterator[RunRecord]:
+    """Execute one chunk of same-``(kind, engine)`` tasks, yielding records in order.
+
+    Several single-pulse tasks go through :func:`execute_task_batch` in one
+    engine call; anything else runs task by task through :func:`execute_task`,
+    yielding each record as soon as it exists so the serial path can persist
+    it before starting the next (slow multi-pulse) task.  Both helpers are
+    looked up through the module, so tests can monkeypatch them.
+    """
+    if len(tasks) > 1 and tasks[0].kind == "single_pulse":
+        yield from execute_task_batch(tasks)
+    else:
+        for task in tasks:
+            yield execute_task(task)
+
+
+WorkerResult = Tuple[List[RunRecord], List[Dict[str, Any]], Optional[Dict[str, Any]]]
+
+
+def _execute_chunk_in_worker(
+    tasks: Sequence[RunTask], telemetry: Optional[obs.WorkerTelemetry]
+) -> WorkerResult:
+    """Pool entry point: one chunk's ``(records, spans, metrics snapshot)``."""
+    with obs.worker_session(telemetry) as session:
+        records = list(execute_chunk(tasks))
+    return records, session.spans, session.metrics
+
+
+def _chunks(
+    pending: Sequence[Tuple[int, RunTask]], size: int
+) -> Iterator[List[Tuple[int, RunTask]]]:
+    """Cut ``pending`` into runs of consecutive same-``(kind, engine)`` tasks."""
+    chunk: List[Tuple[int, RunTask]] = []
+    for index, task in pending:
+        if chunk:
+            last = chunk[-1][1]
+            if len(chunk) >= size or (task.kind, task.engine) != (last.kind, last.engine):
+                yield chunk
+                chunk = []
+        chunk.append((index, task))
+    if chunk:
+        yield chunk
+
+
+def _format_indices(indices: Sequence[int]) -> str:
+    """``[0, 1, 2, 5, 7, 8]`` -> ``"0-2, 5, 7-8"``."""
+    ranges: List[List[int]] = []
+    for index in sorted(indices):
+        if ranges and index == ranges[-1][1] + 1:
+            ranges[-1][1] = index
+        else:
+            ranges.append([index, index])
+    return ", ".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in ranges)
 
 
 @dataclass
@@ -311,21 +378,15 @@ class CampaignRunner:
         ``True`` for a stderr progress/ETA line, a ready-made
         :class:`ProgressReporter`, or ``None``/``False`` for silence.
     batch_size:
-        Maximum number of consecutive same-engine single-pulse tasks the
-        serial path hands to one ``engine.run_batch`` call (see
-        :func:`execute_task_batch`); sweep cells on the same grid then share
-        topology construction and the solver fast path.  ``1`` disables
-        batching and restores strict per-task execution through the
-        module-level :func:`execute_task` hook (which tests monkeypatch).
-        Records are persisted as each batch completes, so an interrupt loses
-        at most one in-flight batch.
-    mp_start_method:
-        Multiprocessing start method for the worker pool (``"fork"``,
-        ``"spawn"`` or ``"forkserver"``); ``None`` uses the platform default.
-        Records are start-method-independent (each task rebuilds its
-        generator from ``(entropy, run_index)``), so this only affects how
-        workers come up -- it exists so the cross-process observability path
-        can be exercised under the macOS/Windows default (``spawn``) as well.
+        Maximum length of a chunk: the number of consecutive same-engine
+        single-pulse tasks handed to one ``engine.run_batch`` call (see
+        :func:`execute_chunk`); sweep cells on the same grid then share
+        topology construction and the solver fast path.  The pool path caps
+        chunks further at ``ceil(pending / (4 * workers))`` so the workers
+        stay balanced.  ``1`` disables batching and restores strict per-task
+        execution through the module-level :func:`execute_task` hook (which
+        tests monkeypatch).  Records are persisted as each chunk completes,
+        so an interrupt loses at most the chunks in flight.
     """
 
     def __init__(
@@ -336,25 +397,14 @@ class CampaignRunner:
         resume: bool = False,
         progress: Union[bool, ProgressReporter, None] = None,
         batch_size: int = 32,
-        mp_start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if mp_start_method is not None:
-            import multiprocessing
-
-            available = multiprocessing.get_all_start_methods()
-            if mp_start_method not in available:
-                raise ValueError(
-                    f"unknown multiprocessing start method {mp_start_method!r}; "
-                    f"available: {', '.join(available)}"
-                )
         self.spec = spec
         self.workers = workers
         self.batch_size = batch_size
-        self.mp_start_method = mp_start_method
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self.store = store
@@ -452,68 +502,48 @@ class CampaignRunner:
         if not pending:
             return
         if self.workers == 1 or len(pending) == 1:
-            group: List[Tuple[int, RunTask]] = []
-            for index, task in pending:
-                batchable = task.kind == "single_pulse" and self.batch_size > 1
-                if group and (
-                    not batchable
-                    or task.engine != group[-1][1].engine
-                    or len(group) >= self.batch_size
-                ):
-                    yield from self._flush_group(group)
-                    group = []
-                if batchable:
-                    group.append((index, task))
-                else:
-                    # Looked up through the module so tests can monkeypatch
-                    # the executor for fault-injection and resume accounting.
-                    yield index, execute_task(task)
-            yield from self._flush_group(group)
+            for chunk in _chunks(pending, self.batch_size):
+                records = execute_chunk([task for _, task in chunk])
+                yield from zip((index for index, _ in chunk), records)
             return
-        import multiprocessing
+        # Imported here: serial runs (and resumes, and soaks) never pay for
+        # loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
 
         workers = min(self.workers, len(pending))
-        chunksize = max(1, math.ceil(len(pending) / (workers * 4)))
-        # With obs on in the parent, each worker runs its own instrumented
-        # session: fork_context() captures the picklable TraceContext the
-        # initializer needs to open a pid-suffixed trace shard and a fresh
-        # registry (workers must never write through the parent's inherited
-        # trace handle -- worker_init always drops that first).
-        context = obs.fork_context()
-        mp_context = (
-            multiprocessing.get_context(self.mp_start_method)
-            if self.mp_start_method is not None
-            else multiprocessing
-        )
-        # Deliberately NOT `with Pool(...)`: the context manager form calls
-        # terminate(), which kills workers before the Finalize teardown that
-        # flushes their telemetry shards can run.  close()+join() lets every
-        # worker exit cleanly; terminate() remains the error path.
-        pool = mp_context.Pool(
-            processes=workers, initializer=obs.worker_init, initargs=(context,)
-        )
+        size = min(self.batch_size, math.ceil(len(pending) / (workers * 4)))
+        telemetry = obs.worker_telemetry()
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            for index, record in pool.imap_unordered(
-                _execute_indexed, pending, chunksize=chunksize
-            ):
-                yield index, record
-            pool.close()
+            futures = {
+                pool.submit(
+                    _execute_chunk_in_worker, [task for _, task in chunk], telemetry
+                ): [index for index, _ in chunk]
+                for chunk in _chunks(pending, size)
+            }
+            lost: List[int] = []
+            for future in as_completed(futures):
+                indices = futures[future]
+                try:
+                    records, spans, metrics = future.result()
+                except BrokenProcessPool:
+                    lost.extend(indices)
+                    continue
+                obs.absorb_worker(spans, metrics)
+                yield from zip(indices, records)
         except BaseException:
-            pool.terminate()
+            pool.shutdown(wait=False, cancel_futures=True)
             raise
-        finally:
-            pool.join()
-        if context is not None:
-            obs.absorb_worker_shards(context, expected=workers)
-
-    def _flush_group(self, group: Sequence[Tuple[int, RunTask]]):
-        """Execute one pending batch group, yielding ``(index, record)`` pairs."""
-        if not group:
-            return
-        if len(group) == 1:
-            index, task = group[0]
-            yield index, execute_task(task)
-            return
-        records = execute_task_batch([task for _, task in group])
-        for (index, _), record in zip(group, records):
-            yield index, record
+        pool.shutdown()
+        if lost:
+            hint = (
+                "; the records that came back are in the store, rerun with "
+                "resume to finish the rest"
+                if self.store is not None
+                else ""
+            )
+            raise RuntimeError(
+                f"campaign {self.spec.name!r}: a pool worker died and {len(lost)} "
+                f"task(s) were lost (task indices {_format_indices(lost)}){hint}"
+            )

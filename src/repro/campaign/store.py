@@ -6,8 +6,11 @@ store root.  Each line is an object ``{"key": <task hash>, "record":
 and repeat invocations instant:
 
 * **Append-only, one record per line.**  The runner flushes after every
-  record, so a crash or Ctrl-C loses at most the line being written;
-  :meth:`CampaignStore.load` skips a torn trailing line.
+  record, so a crash or Ctrl-C loses at most the line being written.
+  :meth:`CampaignStore.load` skips a torn trailing line (and any other
+  malformed line), counting them as ``store.lines_skipped`` and warning
+  once per load; reopening a shard for appends first cuts the torn tail
+  off, so the next record starts on a line of its own.
 * **Content addressing.**  Lines are keyed by the *task* hash (parameters,
   timing and seed coordinates; campaign-layout fields excluded), so a
   resumed run matches records to tasks by content, not position --
@@ -22,20 +25,50 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from pathlib import Path
 from typing import Dict, List, Union
 
+from repro import obs
 from repro.campaign.records import RunRecord
 from repro.campaign.spec import CampaignSpec
 
 __all__ = ["CampaignStore", "ShardWriter"]
 
 
+def _cut_torn_tail(path: Path) -> None:
+    """Truncate ``path`` after its last newline (drops a torn final line)."""
+    try:
+        handle = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        end = handle.seek(0, os.SEEK_END)
+        keep = 0
+        position = end
+        while position > 0:
+            step = min(4096, position)
+            position -= step
+            handle.seek(position)
+            newline = handle.read(step).rfind(b"\n")
+            if newline >= 0:
+                keep = position + newline + 1
+                break
+        if keep < end:
+            handle.truncate(keep)
+
+
 class ShardWriter:
-    """Incremental writer for one campaign shard (line-buffered, crash-safe)."""
+    """Incremental writer for one campaign shard (line-buffered, crash-safe).
+
+    In append mode a torn final line left by a crash is cut off first;
+    otherwise the next record would fuse onto it and be lost on load too.
+    """
 
     def __init__(self, path: Path, append: bool = True) -> None:
         self.path = path
+        if append:
+            _cut_torn_tail(path)
         self._handle = open(path, "a" if append else "w", encoding="utf-8")
 
     def append(self, record: RunRecord) -> None:
@@ -80,12 +113,15 @@ class CampaignStore:
         """All completed records of a campaign, keyed by task hash.
 
         Malformed lines (typically a torn final line after an interrupt) are
-        skipped; duplicate keys keep the last occurrence.
+        skipped, counted as the ``store.lines_skipped`` metric and reported in
+        one ``RuntimeWarning`` per load; duplicate keys keep the last
+        occurrence.
         """
         path = self.shard_path(spec)
         records: Dict[str, RunRecord] = {}
         if not path.exists():
             return records
+        skipped = 0
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -96,7 +132,15 @@ class CampaignStore:
                     record = RunRecord.from_json_dict(payload["record"])
                     records[payload["key"]] = record
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    continue
+                    skipped += 1
+        if skipped:
+            obs.inc("store.lines_skipped", skipped)
+            warnings.warn(
+                f"{path}: skipped {skipped} malformed line(s); their tasks "
+                f"will be re-run",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return records
 
     def open_writer(self, spec: CampaignSpec, append: bool = True) -> ShardWriter:

@@ -59,8 +59,7 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     # reads engine results (``engines.base.RunResult``) but never runs them
     "analysis": frozenset({"core", "engines", "faults", "simulation", "stream", "topologies"}),
     # -- observability sits on the stream leaf only ---------------------
-    # (covers every repro.obs submodule, incl. the cross-process layer:
-    # obs.context / obs.merge / obs.resources import nothing outside the
+    # (covers every repro.obs submodule: none imports anything outside the
     # package beyond stream + the checks.schemas foundation leaf)
     "obs": frozenset({"stream"}),
     # -- execution layer ------------------------------------------------

@@ -42,10 +42,6 @@ SCHEMAS: Dict[str, str] = {
     "trace": "hex-repro/trace/v1",
     # observability metrics snapshots (repro.obs)
     "metrics": "hex-repro/metrics/v1",
-    # raw per-worker metrics shards written on pool teardown (repro.obs);
-    # unlike "metrics" these carry raw timer values so the parent can merge
-    # percentiles exactly
-    "worker-metrics": "hex-repro/worker-metrics/v1",
     # one benchmark suite's BENCH_<suite>.json artifact (repro.bench)
     "bench-suite": "hex-repro/bench-suite/v1",
     # the combined BENCH_suite.json artifact (repro.bench)

@@ -38,20 +38,16 @@ Subcommands
     Summarize an observability artifact -- a ``hex-repro/trace/v1`` JSONL
     trace, a ``hex-repro/metrics/v1`` snapshot or a ``hex-repro/soak/v1``
     checkpoint -- written with ``--trace`` / ``--metrics-out`` / ``--store``.
-    ``--by-worker`` adds the per-worker rollup table of a merged
-    parallel-campaign trace.
-``trace merge <file>``
-    Fold the ``<stem>-worker-<pid>.jsonl`` shards of a parallel campaign into
-    one ordered trace (``repro.obs.merge``).  Normally automatic at campaign
-    end; the verb re-runs the merge for shards left behind by an interrupted
-    run (it is idempotent on already-merged traces).
+    ``--by-worker`` adds the per-worker rollup table of a parallel-campaign
+    trace.
 
 Observability (``repro.obs``) is off by default; ``--trace FILE`` records
 nested spans (plus per-event DES capture with ``--trace-events``) and
 ``--metrics-out FILE`` snapshots the counters/gauges/timers of the command.
-Both cross process boundaries: under ``--workers N`` each pool worker traces
-into its own shard (merged into FILE at exit) and its engine-level counters
-fan back in under ``worker.*`` provenance.  Enabling either never changes
+Both cross process boundaries: under ``--workers N`` each pool worker sends
+its spans and counters back with its records, so worker spans land in FILE
+under the ``campaign.run`` span (tagged with the worker pid) and worker
+counters under ``worker.*`` provenance.  Enabling either never changes
 results: instrumentation reads state, it never draws randomness.  A global
 ``-v`` raises log verbosity; ``--version`` reports the installed package
 version.
@@ -90,7 +86,6 @@ Examples
     hex-repro trace summarize sweep-trace.jsonl
     hex-repro trace summarize sweep-metrics.json --json
     hex-repro trace summarize sweep-trace.jsonl --top 5
-    hex-repro trace merge par-trace.jsonl --expected-shards 2
     hex-repro trace summarize par-trace.jsonl --by-worker
     hex-repro soak --quick --store soak-artifacts
     hex-repro soak --layers 10 --width 6 --pulses 1000000 --store soak-artifacts --resume
@@ -382,9 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "action",
-        choices=("summarize", "merge"),
-        help="summarize a trace/metrics file, or merge worker trace shards "
-        "of a parallel campaign into one ordered trace",
+        choices=("summarize",),
+        help="summarize a trace, metrics snapshot or soak checkpoint",
     )
     trace_parser.add_argument(
         "file", metavar="FILE", help="hex-repro/trace/v1 JSONL or hex-repro/metrics/v1 JSON"
@@ -403,29 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--by-worker",
         action="store_true",
-        help="add the per-worker rollup table of a merged multi-shard trace "
+        help="add the per-worker rollup table of a parallel-campaign trace "
         "(trace summaries only)",
-    )
-    trace_parser.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the merged trace here instead of replacing FILE in place "
-        "(trace merge only)",
-    )
-    trace_parser.add_argument(
-        "--keep-shards",
-        action="store_true",
-        help="leave absorbed worker shard files on disk after merging "
-        "(trace merge only)",
-    )
-    trace_parser.add_argument(
-        "--expected-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="warn if fewer than N worker shards are found "
-        "(trace merge only)",
     )
 
     soak_parser = subparsers.add_parser(
@@ -1087,19 +1060,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.action == "merge":
-        from repro.obs.merge import merge_trace
-
-        report = merge_trace(
-            args.file,
-            out=args.out,
-            expected_shards=args.expected_shards,
-            keep_shards=args.keep_shards,
-        )
-        for message in report.warnings:
-            print(f"warning: {message}", file=sys.stderr)
-        print(report.summary_line())
-        return 0
     from repro.obs.summary import render_summary, summarize_file, summary_to_json
 
     summary = summarize_file(args.file)

@@ -27,50 +27,37 @@ Typical programmatic use::
         result = runner.run()
     session.registry.write("metrics.json")
 
-State crosses process boundaries through :mod:`repro.obs.context`: when the
-parent has observability on, :func:`fork_context` captures a picklable
-:class:`TraceContext` that the campaign runner passes through the pool
-initializer.  Each worker then runs its own registry and (when tracing is on)
-writes its own pid-suffixed trace shard; on pool teardown workers flush raw
-metrics shards, the parent folds them back in with ``worker.*`` provenance
-(:func:`absorb_worker_shards`), and the trace shards are deterministically
-merged into the parent trace when it closes (:mod:`repro.obs.merge`).
+State crosses process boundaries on the result channel itself: the campaign
+runner hands pool workers :func:`worker_telemetry` (what to record), each
+worker runs its chunk of tasks under a fresh in-memory :class:`worker_session`
+and returns the finished span records and a raw metrics snapshot next to its
+run records, and the parent folds both into its own session with
+:func:`absorb_worker` -- metrics under ``worker.*`` provenance, spans
+re-parented under the live ``campaign.run`` span and tagged with the worker
+pid.  No file is shared between processes.
 """
 
 from __future__ import annotations
 
 import os as _os
-import shutil as _shutil
-import tempfile as _tempfile
 import time as _time
-import warnings as _warnings
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs import resources
 from repro.obs.capture import DesRunObserver, first_firing_matrix_from_events
-from repro.obs.context import (
-    SPAN_ID_STRIDE,
-    TraceContext,
-    find_metrics_shards,
-    worker_metrics_path,
-    worker_trace_path,
-)
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.merge import MergeReport, merge_trace
 from repro.obs.metrics import (
     METRICS_SCHEMA,
     METRICS_SCHEMA_VERSION,
-    WORKER_METRICS_SCHEMA,
-    WORKER_METRICS_SCHEMA_VERSION,
     MetricsRegistry,
     load_metrics,
-    load_worker_metrics,
     metrics_delta,
 )
 from repro.obs.trace import (
     TRACE_SCHEMA,
     TRACE_SCHEMA_VERSION,
+    MemorySink,
     Tracer,
     TraceSink,
     load_trace,
@@ -82,12 +69,9 @@ __all__ = [
     "METRICS_SCHEMA_VERSION",
     "TRACE_SCHEMA",
     "TRACE_SCHEMA_VERSION",
-    "WORKER_METRICS_SCHEMA",
-    "WORKER_METRICS_SCHEMA_VERSION",
     "DesRunObserver",
-    "MergeReport",
+    "MemorySink",
     "MetricsRegistry",
-    "TraceContext",
     "Tracer",
     "TraceSink",
     "ObsSession",
@@ -95,9 +79,10 @@ __all__ = [
     "get_logger",
     "enable",
     "disable",
-    "worker_init",
-    "fork_context",
-    "absorb_worker_shards",
+    "WorkerTelemetry",
+    "worker_telemetry",
+    "worker_session",
+    "absorb_worker",
     "observed",
     "enabled",
     "metrics_enabled",
@@ -115,8 +100,6 @@ __all__ = [
     "load_metrics",
     "load_trace",
     "load_trace_records",
-    "load_worker_metrics",
-    "merge_trace",
     "metrics_delta",
     "resources",
     "first_firing_matrix_from_events",
@@ -128,12 +111,6 @@ __all__ = [
 _registry: Optional[MetricsRegistry] = None
 _tracer: Optional[Tracer] = None
 _des_events: bool = False
-#: Path of the live trace file (needed to locate worker shards at merge time).
-_trace_path: Optional[Path] = None
-#: Trace merges queued by :func:`absorb_worker_shards`, run when the parent
-#: tracer closes (the parent trace must be complete before worker spans can be
-#: re-parented under it).
-_pending_merges: List[Tuple[Path, Optional[int]]] = []
 
 
 class ObsSession:
@@ -156,160 +133,10 @@ class ObsSession:
         return self.registry.write(path)
 
 
-def worker_init(context: Optional[TraceContext] = None) -> None:
-    """Initialize obs state in a pool worker process.
-
-    Fork-started workers inherit the parent's enabled registry and tracer --
-    including the open trace file handle, whose file offset is shared with
-    the parent; several processes writing through it would interleave and
-    corrupt the JSONL stream.  Workers therefore always drop the inherited
-    state *without* closing the handle (a close would flush the worker's copy
-    of the parent's unflushed buffer, duplicating lines).
-
-    With a :class:`TraceContext` (parent had obs on), the worker then brings
-    up its own session: a fresh registry, and -- when the parent was tracing
-    -- a tracer writing this worker's own pid-suffixed shard, anchored at the
-    parent's timeline origin with pid-namespaced span ids.  Teardown is
-    registered through ``multiprocessing.util.Finalize`` (NOT ``atexit``,
-    which pool children skip: they exit via ``os._exit`` after
-    ``util._exit_function``, and only the latter runs these finalizers under
-    both ``fork`` and ``spawn``): on worker exit the registry is flushed to a
-    raw ``hex-repro/worker-metrics/v1`` shard and the trace shard is closed.
-
-    Passed as the ``initializer`` of the campaign runner's multiprocessing
-    pool, with :func:`fork_context`'s result as its ``initargs``.
-    """
-    global _registry, _tracer, _des_events, _trace_path, _pending_merges
-    _registry = None
-    _tracer = None
-    _des_events = False
-    _trace_path = None
-    _pending_merges = []
-    if context is None:
-        return
-    pid = _os.getpid()
-    _registry = MetricsRegistry() if context.metrics else None
-    if context.tracing:
-        sink = TraceSink(
-            worker_trace_path(context, pid),
-            header_extra={
-                "trace_id": context.trace_id,
-                "worker": pid,
-                "parent_span_id": context.parent_span_id,
-            },
-        )
-        _tracer = Tracer(sink, origin=context.origin, id_offset=pid * SPAN_ID_STRIDE)
-    _des_events = bool(context.des_events)
-    from multiprocessing.util import Finalize
-
-    Finalize(None, _worker_teardown, args=(context,), exitpriority=10)
-
-
-def _worker_teardown(context: TraceContext) -> None:
-    """Flush this worker's telemetry shards on process exit (idempotent)."""
-    global _registry, _tracer, _des_events
-    if _registry is not None:
-        try:
-            _registry.write_worker_snapshot(worker_metrics_path(context, _os.getpid()))
-        except OSError:
-            pass
-    if _tracer is not None:
-        _tracer.close()
-    _registry = None
-    _tracer = None
-    _des_events = False
-
-
-def fork_context() -> Optional[TraceContext]:
-    """The picklable context pool workers need, or ``None`` when obs is off.
-
-    Captured by the campaign runner immediately before creating its pool, so
-    ``parent_span_id`` is the orchestrator span the workers' task spans will
-    hang under after the merge (normally ``campaign.run``).  When only
-    metrics are on, a throwaway shard directory is created for the workers'
-    metrics shards; :func:`absorb_worker_shards` removes it.
-    """
-    if not enabled():
-        return None
-    tracing = _tracer is not None and _trace_path is not None
-    if tracing:
-        shard_dir = str(_trace_path.parent) or "."
-        stem = _trace_path.stem
-        origin = _tracer.origin
-        parent_span_id = _tracer.current_span_id
-    else:
-        shard_dir = _tempfile.mkdtemp(prefix="hex-repro-obs-")
-        stem = f"metrics-{_os.getpid()}"
-        origin = 0.0
-        parent_span_id = None
-    return TraceContext(
-        trace_id=f"{stem}-{_os.getpid()}",
-        trace_stem=stem,
-        shard_dir=shard_dir,
-        origin=origin,
-        parent_span_id=parent_span_id,
-        tracing=tracing,
-        metrics=_registry is not None,
-        des_events=_des_events and tracing,
-    )
-
-
-def absorb_worker_shards(
-    context: TraceContext, expected: Optional[int] = None
-) -> None:
-    """Fold worker telemetry shards back into the parent session.
-
-    Called by the campaign runner after the pool has been ``close()``d and
-    ``join()``ed (so every worker's ``Finalize`` teardown has flushed its
-    shards).  Metrics shards merge immediately, every name prefixed with
-    ``worker.``; trace shards are *queued* and merged when the parent tracer
-    closes, because worker spans re-parent under orchestrator spans that are
-    only written once the parent trace is complete.
-
-    ``expected`` (the pool's worker count) makes incomplete telemetry loud: a
-    missing shard raises a ``RuntimeWarning`` instead of merging silently.
-    """
-    shard_dir = Path(context.shard_dir)
-    if context.metrics:
-        shards = find_metrics_shards(shard_dir, context.trace_stem)
-        if _registry is not None:
-            if expected is not None and len(shards) < expected:
-                _warnings.warn(
-                    f"expected {expected} worker metrics shard(s) under "
-                    f"{shard_dir}, found {len(shards)} -- merged counters are "
-                    f"missing worker activity",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            for shard in shards:
-                try:
-                    payload = load_worker_metrics(shard)
-                except (OSError, ValueError) as error:
-                    _warnings.warn(
-                        f"{shard}: unreadable worker metrics shard ({error}); "
-                        f"dropped from merge",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                _registry.merge_worker_snapshot(payload)
-        for shard in shards:
-            try:
-                shard.unlink()
-            except OSError:
-                pass
-    if context.tracing and _trace_path is not None:
-        entry = (Path(_trace_path), expected)
-        if entry not in _pending_merges:
-            _pending_merges.append(entry)
-    if not context.tracing:
-        _shutil.rmtree(shard_dir, ignore_errors=True)
-
-
 def enable(
     *,
     metrics: bool = True,
-    trace: Optional[Union[str, Path]] = None,
+    trace: Optional[Union[str, Path, Tracer]] = None,
     des_events: bool = False,
 ) -> ObsSession:
     """Turn observability on for this process.
@@ -321,55 +148,34 @@ def enable(
         ``observe`` sites.
     trace:
         Path of a ``hex-repro/trace/v1`` JSONL file; when given, spans and
-        events are recorded through a fresh :class:`Tracer`.
+        events are recorded through a fresh :class:`Tracer`.  A ready
+        :class:`Tracer` is used as is (pool workers pass one writing to a
+        :class:`MemorySink`).
     des_events:
         Capture every DES event of every run into the trace (requires
         ``trace``; expensive for large runs, meant for single-run forensics).
         Without a trace file, ``des_events`` still records per-kind counters
         if metrics are on.
     """
-    global _registry, _tracer, _des_events, _trace_path
+    global _registry, _tracer, _des_events
     disable()
     _registry = MetricsRegistry() if metrics else None
-    _tracer = Tracer(TraceSink(trace)) if trace is not None else None
-    _trace_path = Path(trace) if trace is not None else None
+    if trace is None or isinstance(trace, Tracer):
+        _tracer = trace
+    else:
+        _tracer = Tracer(TraceSink(trace))
     _des_events = bool(des_events)
     return ObsSession(_registry, _tracer)
 
 
-def _finalize_tracer() -> None:
-    """Close the live tracer, then run any queued worker-shard merges."""
-    global _tracer, _pending_merges
+def disable() -> None:
+    """Turn observability off, closing any open trace file (idempotent)."""
+    global _registry, _tracer, _des_events
     if _tracer is not None:
         _tracer.close()
-        _tracer = None
-    pending, _pending_merges = _pending_merges, []
-    for path, expected in pending:
-        try:
-            report = merge_trace(path, expected_shards=expected)
-        except (OSError, ValueError) as error:
-            _warnings.warn(
-                f"trace merge failed for {path}: {error}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            continue
-        for message in report.warnings:
-            _warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
-def disable() -> None:
-    """Turn observability off, closing any open trace file (idempotent).
-
-    Closing the trace also merges any worker shards queued by
-    :func:`absorb_worker_shards` into it.
-    """
-    global _registry, _tracer, _des_events, _trace_path
-    _finalize_tracer()
     _registry = None
     _tracer = None
     _des_events = False
-    _trace_path = None
 
 
 class observed:
@@ -383,27 +189,96 @@ class observed:
         self,
         *,
         metrics: bool = True,
-        trace: Optional[Union[str, Path]] = None,
+        trace: Optional[Union[str, Path, Tracer]] = None,
         des_events: bool = False,
     ) -> None:
         self._kwargs = {"metrics": metrics, "trace": trace, "des_events": des_events}
         self._previous: Optional[tuple] = None
 
     def __enter__(self) -> ObsSession:
-        global _registry, _tracer, _des_events, _trace_path, _pending_merges
-        self._previous = (_registry, _tracer, _des_events, _trace_path, _pending_merges)
+        global _registry, _tracer, _des_events
+        self._previous = (_registry, _tracer, _des_events)
         # Detach (without closing) any outer session before enable() resets:
         # a closed outer tracer must not be restored on exit.
-        _registry, _tracer, _des_events, _trace_path = None, None, False, None
-        _pending_merges = []
+        _registry, _tracer, _des_events = None, None, False
         return enable(**self._kwargs)
 
     def __exit__(self, *exc_info) -> None:
-        global _registry, _tracer, _des_events, _trace_path, _pending_merges
-        _finalize_tracer()
+        global _registry, _tracer, _des_events
+        disable()
         assert self._previous is not None
-        _registry, _tracer, _des_events, _trace_path, _pending_merges = self._previous
+        _registry, _tracer, _des_events = self._previous
         self._previous = None
+
+
+# ----------------------------------------------------------------------
+# pool workers: telemetry travels back with the results
+# ----------------------------------------------------------------------
+#: What a pool worker records: ``(metrics, trace origin, des_events)``, where
+#: the origin is the parent tracer's ``perf_counter`` anchor (``None`` when
+#: the parent is not tracing).
+WorkerTelemetry = Tuple[bool, Optional[float], bool]
+
+
+def worker_telemetry() -> Optional[WorkerTelemetry]:
+    """The picklable request a pool worker needs, or ``None`` when obs is off."""
+    if not enabled():
+        return None
+    origin = _tracer.origin if _tracer is not None else None
+    return (_registry is not None, origin, _des_events)
+
+
+class worker_session:
+    """Run one pool-worker region under a fresh in-memory session.
+
+    Whatever obs state the worker inherited is detached, never written to or
+    closed: under ``fork`` that is the parent's live registry and tracer,
+    whose trace file handle shares its offset with the parent.  The region
+    records what ``telemetry`` (from :func:`worker_telemetry`) asks for; on
+    exit the inherited state is restored and the results are picklable:
+
+    * ``spans`` -- the finished span and event records, each tagged with
+      ``"worker": <pid>`` and timed on the parent's timeline
+      (``perf_counter`` is ``CLOCK_MONOTONIC`` on Linux, so offsets from the
+      parent's origin are comparable across processes on one machine);
+    * ``metrics`` -- :meth:`MetricsRegistry.worker_snapshot`, or ``None``.
+    """
+
+    def __init__(self, telemetry: Optional[WorkerTelemetry]) -> None:
+        metrics, origin, des_events = telemetry or (False, None, False)
+        self._tracer = Tracer(MemorySink(), origin=origin) if origin is not None else None
+        self._observed = observed(metrics=metrics, trace=self._tracer, des_events=des_events)
+        self._registry: Optional[MetricsRegistry] = None
+        self.spans: List[Dict[str, Any]] = []
+        self.metrics: Optional[Dict[str, Any]] = None
+
+    def __enter__(self) -> "worker_session":
+        self._registry = self._observed.__enter__().registry
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._observed.__exit__(*exc_info)
+        if self._tracer is not None:
+            pid = _os.getpid()
+            self.spans = [dict(record, worker=pid) for record in self._tracer.sink.records]
+        if self._registry is not None:
+            self.metrics = self._registry.worker_snapshot()
+
+
+def absorb_worker(
+    spans: List[Dict[str, Any]], metrics: Optional[Dict[str, Any]]
+) -> None:
+    """Fold one :class:`worker_session`'s telemetry into this process's session.
+
+    Metrics merge under the ``worker.*`` prefix; spans are written through
+    the live tracer as children of the current span (normally
+    ``campaign.run``), with ids renumbered from the tracer's own counter
+    (:meth:`Tracer.adopt`).  Telemetry the parent does not record is dropped.
+    """
+    if _registry is not None and metrics is not None:
+        _registry.merge_worker_snapshot(metrics)
+    if _tracer is not None and spans:
+        _tracer.adopt(spans)
 
 
 # ----------------------------------------------------------------------

@@ -34,11 +34,8 @@ from repro.stream.quantiles import interpolated_quantile
 __all__ = [
     "METRICS_SCHEMA",
     "METRICS_SCHEMA_VERSION",
-    "WORKER_METRICS_SCHEMA",
-    "WORKER_METRICS_SCHEMA_VERSION",
     "MetricsRegistry",
     "timer_stats",
-    "load_worker_metrics",
 ]
 
 #: Schema tag of a serialized metrics snapshot.
@@ -46,12 +43,6 @@ METRICS_SCHEMA = schema("metrics")
 
 #: Version number of the snapshot schema.
 METRICS_SCHEMA_VERSION = 1
-
-#: Schema tag of a raw per-worker metrics shard (pool-teardown fan-in).
-WORKER_METRICS_SCHEMA = schema("worker-metrics")
-
-#: Version number of the worker-shard schema.
-WORKER_METRICS_SCHEMA_VERSION = 1
 
 #: Per-timer cap on retained observations.  ``count``/``total_s`` stay exact
 #: beyond the cap; the percentile statistics then describe the first
@@ -97,11 +88,11 @@ class MetricsRegistry:
     """In-process metrics accumulator (counters, gauges, timers).
 
     Not thread-safe by design: the campaign layer is process-parallel, not
-    thread-parallel, and each process owns (at most) one registry.  Worker
-    processes of a parallel campaign each run their own registry and write a
-    raw ``hex-repro/worker-metrics/v1`` shard on pool teardown
-    (:meth:`write_worker_snapshot`); the parent folds those shards back in
-    with ``worker.*`` provenance via :meth:`merge_worker_snapshot`.
+    thread-parallel, and each process owns (at most) one registry.  Pool
+    workers of a parallel campaign run a fresh registry per chunk of tasks
+    and return its :meth:`worker_snapshot` with their results; the parent
+    folds each one back in with ``worker.*`` provenance via
+    :meth:`merge_worker_snapshot`.
     """
 
     def __init__(self) -> None:
@@ -178,7 +169,7 @@ class MetricsRegistry:
     # cross-process fan-in (parallel campaign workers)
     # ------------------------------------------------------------------
     def worker_snapshot(self) -> Dict[str, Any]:
-        """The raw ``hex-repro/worker-metrics/v1`` shard of this registry.
+        """The raw, picklable state of this registry for a parent process.
 
         Unlike :meth:`snapshot`, timers keep their *raw* retained values (not
         just the computed statistics) so the parent can merge counts, totals
@@ -186,8 +177,6 @@ class MetricsRegistry:
         single-process run bit for bit.
         """
         return {
-            "schema": WORKER_METRICS_SCHEMA,
-            "schema_version": WORKER_METRICS_SCHEMA_VERSION,
             "counters": {name: self._counters[name] for name in sorted(self._counters)},
             "gauges": {name: self._gauges[name] for name in sorted(self._gauges)},
             "timers": {
@@ -200,28 +189,16 @@ class MetricsRegistry:
             },
         }
 
-    def write_worker_snapshot(self, path: Union[str, Path]) -> Path:
-        """Persist :meth:`worker_snapshot` as a JSON file."""
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.worker_snapshot(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
-
     def merge_worker_snapshot(
         self, payload: Dict[str, Any], prefix: str = "worker."
     ) -> None:
-        """Fold one ``hex-repro/worker-metrics/v1`` shard into this registry.
+        """Fold one :meth:`worker_snapshot` into this registry.
 
         Every merged name carries ``prefix`` as provenance (so
         ``engine.solver.runs`` counted inside pool workers lands as
         ``worker.engine.solver.runs`` next to the parent's own counters).
-        Counters add, gauges keep the last merged shard's value (shards are
-        merged in sorted filename order, so the result is deterministic given
-        the shard set), and timers merge counts/totals/raw values exactly.
+        Counters add, gauges keep the last merged snapshot's value, and
+        timers merge counts/totals/raw values exactly.
         """
         for name, value in payload.get("counters", {}).items():
             self.inc(prefix + name, value)
@@ -254,25 +231,6 @@ def load_metrics(path: Union[str, Path]) -> Dict[str, Any]:
     if not isinstance(payload, dict) or payload.get("schema") != METRICS_SCHEMA:
         raise ValueError(
             f"{path}: not a metrics snapshot (expected schema {METRICS_SCHEMA!r}, "
-            f"got {payload.get('schema') if isinstance(payload, dict) else type(payload).__name__!r})"
-        )
-    return payload
-
-
-def load_worker_metrics(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load a shard written by :meth:`MetricsRegistry.write_worker_snapshot`.
-
-    Raises
-    ------
-    ValueError
-        If the document does not carry the ``hex-repro/worker-metrics/v1``
-        schema.
-    """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or payload.get("schema") != WORKER_METRICS_SCHEMA:
-        raise ValueError(
-            f"{path}: not a worker metrics shard (expected schema "
-            f"{WORKER_METRICS_SCHEMA!r}, "
             f"got {payload.get('schema') if isinstance(payload, dict) else type(payload).__name__!r})"
         )
     return payload

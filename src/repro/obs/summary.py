@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.checks.schemas import schema
 from repro.obs.metrics import METRICS_SCHEMA, load_metrics, timer_stats
-from repro.obs.trace import TRACE_SCHEMA, load_trace
+from repro.obs.trace import TRACE_SCHEMA, load_trace_records
 from repro.stream import StreamSummary
 
 __all__ = ["summarize_file", "render_summary"]
@@ -98,12 +98,13 @@ def _summarize_metrics(path: Path) -> Dict[str, Any]:
     }
 
 
-#: Span names counted as "tasks" in per-worker rollups of merged traces.
+#: Span names counted as "tasks" in per-worker rollups of parallel traces
+#: (a ``campaign.task_batch`` span counts its ``size`` tasks).
 _TASK_SPAN_NAMES = ("campaign.task", "campaign.task_batch")
 
 
 def _summarize_trace(path: Path) -> Dict[str, Any]:
-    header, records = load_trace(path)
+    records = load_trace_records(path)
     spans: Dict[str, Dict[str, Any]] = {}
     event_counts: Dict[str, int] = {}
     des_kinds: Dict[str, int] = {}
@@ -131,11 +132,12 @@ def _summarize_trace(path: Path) -> Dict[str, Any]:
                     {"spans": 0, "tasks": 0, "task_values": [], "max_rss_bytes": 0},
                 )
                 rollup["spans"] += 1
-                rss = (record.get("attrs") or {}).get("max_rss_bytes")
+                attrs = record.get("attrs") or {}
+                rss = attrs.get("max_rss_bytes")
                 if isinstance(rss, (int, float)):
                     rollup["max_rss_bytes"] = max(rollup["max_rss_bytes"], int(rss))
                 if name in _TASK_SPAN_NAMES:
-                    rollup["tasks"] += 1
+                    rollup["tasks"] += int(attrs.get("size", 1))
                     rollup["task_values"].append(duration)
         elif kind == "event":
             name = record.get("name", "?")
@@ -159,8 +161,6 @@ def _summarize_trace(path: Path) -> Dict[str, Any]:
         "file": str(path),
         "format": "trace",
         "schema": TRACE_SCHEMA,
-        "merged": bool(header.get("merged")),
-        "num_shards": int(header.get("num_shards", 0)),
         "num_spans": num_spans,
         "num_events": sum(event_counts.values()),
         "max_depth": max_depth,
@@ -183,7 +183,7 @@ def render_summary(
     ``top`` truncates the per-name span table of trace summaries to the
     ``top`` names with the largest total time (the rest are folded into one
     "... and K more" line); metrics and soak reports ignore it.  ``by_worker``
-    adds the per-worker rollup table of a merged multi-shard trace (tasks,
+    adds the per-worker rollup table of a parallel-campaign trace (tasks,
     total/median task time, peak RSS per worker pid).
     """
     lines: List[str] = []
@@ -251,11 +251,9 @@ def render_summary(
             f"top-level time {summary['top_level_time_s']:.4f}s"
         )
         workers = summary.get("workers") or {}
-        if summary.get("merged"):
-            pids = ", ".join(sorted(workers)) or "?"
+        if workers:
             lines.append(
-                f"  merged from {summary.get('num_shards', len(workers))} "
-                f"worker shard(s) (pids: {pids})"
+                f"  {len(workers)} pool worker(s) (pids: {', '.join(workers)})"
             )
         if by_worker and workers:
             lines.append("  by worker:")

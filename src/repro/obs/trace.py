@@ -24,13 +24,14 @@ import itertools
 import json
 import time
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.checks.schemas import schema
 
 __all__ = [
     "TRACE_SCHEMA",
     "TRACE_SCHEMA_VERSION",
+    "MemorySink",
     "TraceSink",
     "Tracer",
     "load_trace",
@@ -60,16 +61,9 @@ class TraceSink:
 
     The header line is written eagerly on construction so that even an empty
     (or crashed) run leaves a parseable, schema-identified file behind.
-    ``header_extra`` fields are merged into the header record; worker shards
-    of a parallel campaign use them to carry their trace id, pid and the
-    orchestrator span they hang under (see :mod:`repro.obs.context`).
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        header_extra: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         if self.path.parent != Path(""):
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -79,8 +73,6 @@ class TraceSink:
             "schema": TRACE_SCHEMA,
             "schema_version": TRACE_SCHEMA_VERSION,
         }
-        if header_extra:
-            header.update({key: _jsonable(value) for key, value in header_extra.items()})
         self.write(header)
 
     def write(self, record: Dict[str, Any]) -> None:
@@ -100,6 +92,25 @@ class TraceSink:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class MemorySink:
+    """Trace sink keeping records in a list instead of a file.
+
+    Pool workers of a parallel campaign trace into one and return
+    :attr:`records` with their results; the parent writes them into its own
+    trace with :meth:`Tracer.adopt`.
+    """
+
+    def __init__(self) -> None:
+        self.records: List[Dict[str, Any]] = []
+
+    def write(self, record: Dict[str, Any]) -> None:
+        """Keep one record."""
+        self.records.append(record)
+
+    def close(self) -> None:
+        """Nothing to release."""
 
 
 class _Span:
@@ -134,21 +145,18 @@ class Tracer:
 
     ``origin`` overrides the timeline anchor: by default ``start_s`` values
     are offsets from tracer creation, but worker tracers of a parallel
-    campaign are anchored at the *parent's* origin so every shard shares one
-    timeline (``time.perf_counter`` is ``CLOCK_MONOTONIC`` on Linux --
-    comparable across processes on one machine).  ``id_offset`` namespaces
-    span ids (workers use ``pid * 1_000_000``) so shard ids never collide
-    before the merge renumbers them.
+    campaign are anchored at the *parent's* origin so their spans land on
+    the parent's timeline (``time.perf_counter`` is ``CLOCK_MONOTONIC`` on
+    Linux -- comparable across processes on one machine).
     """
 
     def __init__(
         self,
-        sink: TraceSink,
+        sink: Union[TraceSink, MemorySink],
         origin: Optional[float] = None,
-        id_offset: int = 0,
     ) -> None:
         self.sink = sink
-        self._ids = itertools.count(1 + id_offset)
+        self._ids = itertools.count(1)
         self._stack: List[_Span] = []
         self._origin = time.perf_counter() if origin is None else float(origin)
         self.num_spans = 0
@@ -211,6 +219,36 @@ class Tracer:
         self.sink.write(record)
         self.num_events += 1
 
+    def adopt(self, records: Iterable[Dict[str, Any]]) -> None:
+        """Write another tracer's finished records under the current span.
+
+        Span ids are renumbered from this tracer's own counter (so every id
+        in the trace stays unique), root spans and top-level events are
+        re-parented under the current span, and depths shift below it.  A
+        parallel campaign writes its pool workers' spans this way.
+        """
+        parent_id = self.current_span_id
+        depth_shift = len(self._stack)
+        ids: Dict[int, int] = {}
+
+        def renumber(old: Optional[int]) -> Optional[int]:
+            if old is None:
+                return parent_id
+            if old not in ids:
+                ids[old] = next(self._ids)
+            return ids[old]
+
+        for record in records:
+            record = dict(record)
+            record["span_id"] = renumber(record.get("span_id"))
+            if record.get("type") == "span":
+                record["parent_id"] = renumber(record.get("parent_id"))
+                record["depth"] = int(record.get("depth", 0)) + depth_shift
+                self.num_spans += 1
+            else:
+                self.num_events += 1
+            self.sink.write(record)
+
     def close(self) -> None:
         """Close any spans still open, then close the sink."""
         while self._stack:
@@ -223,9 +261,7 @@ def load_trace(
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Parse a ``hex-repro/trace/v1`` JSONL file into ``(header, records)``.
 
-    The header line is validated and returned separately (merged traces carry
-    provenance fields -- ``merged``, ``num_shards``, ``workers`` -- that
-    shard-aware consumers need).
+    The header line is validated and returned separately.
 
     Raises
     ------

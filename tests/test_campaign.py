@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
+import re
+import signal
+import warnings
 
 import numpy as np
 import pytest
 
 import repro.campaign.runner as campaign_runner
+from repro import obs
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
@@ -247,8 +253,46 @@ class TestStoreResume:
         shard = store.shard_path(spec)
         with open(shard, "a", encoding="utf-8") as handle:
             handle.write('{"key": "deadbeef", "record": {"trunc')
-        loaded = store.load(spec)
+        with pytest.warns(RuntimeWarning, match="skipped 1 malformed line"):
+            loaded = store.load(spec)
         assert len(loaded) == spec.num_tasks
+
+    def test_resume_after_torn_tail_recovers_every_record(self, tmp_path):
+        """A crash mid-write tears the last line; one resume must heal it.
+
+        The resumed run's first append must not fuse onto the fragment (which
+        would lose that record on the next load, too).
+        """
+        spec = small_spec(runs=2)
+        store = CampaignStore(tmp_path)
+        CampaignRunner(spec, store=store).run()
+        shard = store.shard_path(spec)
+        data = shard.read_bytes()
+        last_line = data.rstrip(b"\n").rfind(b"\n") + 1
+        shard.write_bytes(data[: last_line + 20])  # keep a 20-byte fragment
+        with pytest.warns(RuntimeWarning, match="skipped 1 malformed line"):
+            assert len(store.load(spec)) == spec.num_tasks - 1
+        with pytest.warns(RuntimeWarning, match="skipped 1 malformed line"):
+            resumed = CampaignRunner(spec, store=store, resume=True).run()
+        assert resumed.executed == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(store.load(spec)) == spec.num_tasks
+
+    def test_malformed_lines_are_counted_and_warned(self, tmp_path):
+        spec = small_spec(runs=2)
+        store = CampaignStore(tmp_path)
+        CampaignRunner(spec, store=store).run()
+        shard = store.shard_path(spec)
+        lines = shard.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = '{"key": "corrupt", "rec\n'
+        shard.write_text("".join(lines), encoding="utf-8")
+        with obs.observed(metrics=True) as session:
+            with pytest.warns(RuntimeWarning, match="skipped 1 malformed line") as caught:
+                loaded = store.load(spec)
+            assert session.registry.counter("store.lines_skipped") == 1.0
+        assert str(shard) in str(caught[0].message)
+        assert len(loaded) == spec.num_tasks - 1
 
     def test_resume_requires_store(self):
         with pytest.raises(ValueError):
@@ -310,6 +354,62 @@ class TestStoreResume:
             json.loads(line, parse_constant=reject_constant)
         for record in result.records:
             json.loads(record.canonical_json(), parse_constant=reject_constant)
+
+
+class TestWorkerDeath:
+    def test_killed_worker_fails_loudly_and_keeps_flushed_records(
+        self, tmp_path, monkeypatch
+    ):
+        """A SIGKILLed pool worker must raise, not hang the campaign.
+
+        The chunk executor (inherited by forked workers) kills its own
+        process on every ``run_index == 2`` task.  ``run()`` must raise a
+        RuntimeError naming the lost tasks, keep every record that came back,
+        and a resume must finish the campaign with the serial records.
+        """
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the monkeypatched executor only under fork")
+        spec = small_spec(runs=4)
+        store = CampaignStore(tmp_path)
+        real_chunk = campaign_runner.execute_chunk
+
+        def killing_chunk(tasks):
+            if any(task.run_index == 2 for task in tasks):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_chunk(tasks)
+
+        def hung(signum, frame):
+            raise TimeoutError("campaign still running 60 s after a worker died")
+
+        monkeypatch.setattr(campaign_runner, "execute_chunk", killing_chunk)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="pool worker died") as caught:
+                CampaignRunner(spec, workers=2, store=store, resume=True).run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        stored = store.load(spec)
+        lost = spec.num_tasks - len(stored)
+        message = str(caught.value)
+        assert f"{lost} task(s) were lost" in message
+        named = set()
+        for part in re.search(r"task indices ([0-9, -]+)\)", message).group(1).split(", "):
+            low, _, high = part.partition("-")
+            named.update(range(int(low), int(high or low) + 1))
+        tasks = spec.tasks()
+        assert named == {i for i, task in enumerate(tasks) if task.key() not in stored}
+        assert {i for i, task in enumerate(tasks) if task.run_index == 2} <= named
+
+        monkeypatch.setattr(campaign_runner, "execute_chunk", real_chunk)
+        resumed = CampaignRunner(spec, workers=2, store=store, resume=True).run()
+        assert resumed.cached == len(stored)
+        assert resumed.executed == lost
+        serial = CampaignRunner(spec).run()
+        assert [r.canonical_json() for r in resumed.records] == [
+            r.canonical_json() for r in serial.records
+        ]
 
 
 class TestExperimentParity:

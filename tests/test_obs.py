@@ -331,9 +331,10 @@ class TestBitIdentity:
         assert base_stats == obs_stats
 
     def test_parallel_workers_fan_telemetry_back_in(self, tmp_path):
-        """Pool workers run their own instrumented sessions: worker activity
-        lands in the merged trace and the ``worker.*`` counters, while the
-        records stay byte-identical to the serial obs-off run."""
+        """Pool workers run their own in-memory sessions and send the spans
+        and counters back with their records: worker activity lands in the
+        parent trace and the ``worker.*`` counters, while the records stay
+        byte-identical to the serial obs-off run."""
         from repro.campaign import CampaignRunner, CampaignSpec, SweepSpec
 
         cell = SweepSpec(
@@ -349,18 +350,19 @@ class TestBitIdentity:
         assert [r.canonical_json() for r in baseline.records] == [
             r.canonical_json() for r in parallel.records
         ]
-        header, records = obs.load_trace(trace)
-        assert header["merged"] is True
+        records = obs.load_trace_records(trace)
+        _assert_unique_span_ids(records)
         names = {r["name"] for r in records}
         assert "campaign.run" in names
-        # Worker engine runs now appear in the merged trace...
+        # Worker engine runs appear in the parent trace...
         worker_spans = [r for r in records if "worker" in r]
-        assert {r["name"] for r in worker_spans} >= {"campaign.task", "engine.run"}
-        # ...parented under the orchestrator's campaign.run span.
+        assert {r["name"] for r in worker_spans} >= {"engine.run"}
+        # ...with every worker task span parented under campaign.run.
         campaign_span = next(r for r in records if r.get("name") == "campaign.run")
-        task_spans = [r for r in worker_spans if r["name"] == "campaign.task"]
+        task_spans = [r for r in worker_spans if r["name"] in _TASK_SPANS]
         assert task_spans
         assert all(r["parent_id"] == campaign_span["span_id"] for r in task_spans)
+        assert all(r["depth"] == campaign_span["depth"] + 1 for r in task_spans)
         # ...and the worker counters fan back in with provenance.
         assert counters["worker.engine.des.runs"] == float(len(baseline.records))
         assert counters["worker.campaign.tasks_executed"] == float(
@@ -380,8 +382,17 @@ class TestBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# cross-process fan-in: context propagation, shard merge, warnings
+# cross-process fan-in: telemetry rides the pool's result channel
 # ----------------------------------------------------------------------
+#: Span names a pool worker wraps its tasks in.
+_TASK_SPANS = ("campaign.task", "campaign.task_batch")
+
+
+def _assert_unique_span_ids(records) -> None:
+    ids = [r["span_id"] for r in records if r.get("type") == "span"]
+    assert len(ids) == len(set(ids)), "span ids repeat (duplicated trace lines?)"
+
+
 def _parallel_spec(name: str, engines=("solver",), runs: int = 2):
     from repro.campaign import CampaignSpec, SweepSpec
 
@@ -392,140 +403,88 @@ def _parallel_spec(name: str, engines=("solver",), runs: int = 2):
     return CampaignSpec(name=name, seed=2013, cells=(cell,))
 
 
-def _minimal_trace(path) -> int:
-    """Write a one-span parent trace; returns the span id."""
-    tracer = obs.Tracer(obs.TraceSink(path))
-    span = tracer.start_span("campaign.run")
-    tracer.end_span(span)
-    tracer.close()
-    return span.span_id
-
-
 class TestCrossProcess:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_context_propagates_under_both_start_methods(self, tmp_path, start_method):
-        """obs.worker_init + TraceContext must work when workers inherit the
-        parent state (fork) AND when they start from a fresh interpreter and
-        unpickle the context (spawn, the macOS/Windows default)."""
+        """The pool's chunk function must work when workers inherit the
+        parent state (fork) AND when they start from a fresh interpreter
+        (spawn, the macOS/Windows default): same records as in-process, and
+        the requested telemetry comes back with them."""
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {start_method!r} not available")
-        from repro.campaign import CampaignRunner
+        from repro.campaign.runner import _execute_chunk_in_worker, execute_chunk
 
-        spec = _parallel_spec(f"obs-{start_method}")
-        trace = tmp_path / f"{start_method}.jsonl"
-        with obs.observed(trace=trace) as session:
-            CampaignRunner(spec, workers=2, mp_start_method=start_method).run()
-            counters = session.registry.snapshot()["counters"]
-        assert counters["worker.campaign.tasks_executed"] == float(spec.num_tasks)
-        assert counters["worker.solver.heap_pushes"] > 0
-        header, records = obs.load_trace(trace)
-        assert header["merged"] is True
-        assert header["num_shards"] >= 1
-        assert any("worker" in record for record in records)
+        tasks = _parallel_spec(f"obs-{start_method}", runs=3).tasks()
+        expected = [r.canonical_json() for r in execute_chunk(tasks)]
+        with obs.observed(trace=tmp_path / f"{start_method}.jsonl"):
+            telemetry = obs.worker_telemetry()
+            context = multiprocessing.get_context(start_method)
+            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+                records, spans, metrics = pool.submit(
+                    _execute_chunk_in_worker, tasks, telemetry
+                ).result()
+        assert [r.canonical_json() for r in records] == expected
+        batch_span = next(r for r in spans if r["name"] == "campaign.task_batch")
+        assert batch_span["parent_id"] is None  # a root until the parent adopts it
+        assert batch_span["attrs"]["size"] == len(tasks)
+        assert all(isinstance(r["worker"], int) for r in spans)
+        assert metrics["counters"]["campaign.tasks_executed"] == float(len(tasks))
+        assert metrics["counters"]["solver.heap_pushes"] > 0
 
-    def test_missing_shard_warns_instead_of_merging_silently(self, tmp_path):
-        from repro.obs.merge import merge_trace
-
-        trace = tmp_path / "t.jsonl"
-        _minimal_trace(trace)
-        report = merge_trace(trace, expected_shards=2)
-        assert len(report.warnings) == 1
-        assert "expected 2 worker shard(s), found 0" in report.warnings[0]
-
-    def test_truncated_shard_warns_and_keeps_complete_records(self, tmp_path):
-        from repro.obs.merge import merge_trace
-
-        trace = tmp_path / "t.jsonl"
-        parent_span = _minimal_trace(trace)
-        shard = tmp_path / "t-worker-123.jsonl"
-        header = {
-            "type": "header", "schema": obs.TRACE_SCHEMA, "schema_version": 1,
-            "trace_id": "t", "worker": 123, "parent_span_id": parent_span,
-        }
-        complete = {
-            "type": "span", "name": "campaign.task", "span_id": 123_000_001,
-            "parent_id": None, "depth": 0, "start_s": 0.1, "duration_s": 0.2,
-        }
-        shard.write_text(
-            json.dumps(header) + "\n" + json.dumps(complete) + "\n"
-            + '{"type": "span", "na',  # worker died mid-write
-            encoding="utf-8",
-        )
-        report = merge_trace(trace, expected_shards=1)
-        assert any("truncated worker shard" in message for message in report.warnings)
-        header_out, records = obs.load_trace(trace)
-        assert header_out["merged"] is True
-        worker_spans = [r for r in records if r.get("worker") == 123]
-        assert len(worker_spans) == 1
-        assert worker_spans[0]["parent_id"] == parent_span
-        assert worker_spans[0]["depth"] == 1  # shifted below campaign.run
-        assert not shard.exists()  # absorbed shards are removed
-
-    def test_empty_shard_dropped_with_warning(self, tmp_path):
-        from repro.obs.merge import merge_trace
-
-        trace = tmp_path / "t.jsonl"
-        _minimal_trace(trace)
-        (tmp_path / "t-worker-7.jsonl").write_text("", encoding="utf-8")
-        report = merge_trace(trace)
-        assert any("empty worker shard" in message for message in report.warnings)
-
-    def test_merge_is_idempotent(self, tmp_path):
-        from repro.obs.merge import merge_trace
-
-        trace = tmp_path / "t.jsonl"
-        parent_span = _minimal_trace(trace)
-        shard = tmp_path / "t-worker-9.jsonl"
-        shard.write_text(
-            json.dumps({
-                "type": "header", "schema": obs.TRACE_SCHEMA, "schema_version": 1,
-                "trace_id": "t", "worker": 9, "parent_span_id": parent_span,
-            }) + "\n" + json.dumps({
-                "type": "span", "name": "campaign.task", "span_id": 9_000_001,
-                "parent_id": None, "depth": 0, "start_s": 0.1, "duration_s": 0.2,
-            }) + "\n",
-            encoding="utf-8",
-        )
-        first = merge_trace(trace, expected_shards=1)
-        assert first.num_shards == 1 and not first.warnings
-        merged_once = trace.read_text(encoding="utf-8")
-        again = merge_trace(trace, expected_shards=1)
-        assert again.already_merged and again.num_shards == 0
-        assert not again.warnings  # the absorbed shard still counts as found
-        assert trace.read_text(encoding="utf-8") == merged_once
-
-    def test_worker_metrics_shard_merges_exactly(self, tmp_path):
+    def test_worker_metrics_shard_merges_exactly(self):
         source = obs.MetricsRegistry()
         source.inc("engine.solver.runs", 3)
         source.gauge("campaign.worker_utilization", 0.5)
         for value in (0.1, 0.2, 0.4):
             source.observe("campaign.task_s", value)
-        shard = source.write_worker_snapshot(tmp_path / "w-metrics.json")
 
         target = obs.MetricsRegistry()
-        target.merge_worker_snapshot(obs.load_worker_metrics(shard))
+        target.merge_worker_snapshot(source.worker_snapshot())
         snap = target.snapshot()
         assert snap["counters"] == {"worker.engine.solver.runs": 3.0}
         assert snap["gauges"] == {"worker.campaign.worker_utilization": 0.5}
         merged = snap["timers"]["worker.campaign.task_s"]
         original = source.snapshot()["timers"]["campaign.task_s"]
-        # Raw values travel with the shard, so the percentile statistics are
-        # exact -- not recomputed from pre-aggregated summaries.
+        # Raw values travel with the snapshot, so the percentile statistics
+        # are exact -- not recomputed from pre-aggregated summaries.
         for key in ("count", "total_s", "mean_s", "median_s", "p95_s"):
             assert merged[key] == original[key]
 
-    def test_load_worker_metrics_rejects_plain_snapshot(self, tmp_path):
-        registry = obs.MetricsRegistry()
-        path = registry.write(tmp_path / "plain.json")
-        with pytest.raises(ValueError, match="worker-metrics"):
-            obs.load_worker_metrics(path)
+    def test_adopted_spans_renumber_and_reparent(self, tmp_path):
+        trace = tmp_path / "adopt.jsonl"
+        worker = obs.Tracer(obs.MemorySink())
+        outer = worker.start_span("campaign.task_batch")
+        worker.event("note")
+        inner = worker.start_span("engine.run")
+        worker.end_span(inner)
+        worker.end_span(outer)
+
+        parent = obs.Tracer(obs.TraceSink(trace))
+        run = parent.start_span("campaign.run")
+        parent.adopt(worker.sink.records)
+        parent.adopt(worker.sink.records)  # a second worker reusing the ids
+        parent.end_span(run)
+        parent.close()
+        records = obs.load_trace_records(trace)
+        _assert_unique_span_ids(records)
+        roots = [r for r in records if r.get("name") == "campaign.task_batch"]
+        assert [r["parent_id"] for r in roots] == [run.span_id] * 2
+        assert [r["depth"] for r in roots] == [1, 1]
+        root_ids = {r["span_id"] for r in roots}
+        inners = [r for r in records if r.get("name") == "engine.run"]
+        assert {r["parent_id"] for r in inners} == root_ids
+        assert [r["depth"] for r in inners] == [2, 2]
+        events = [r for r in records if r.get("name") == "note"]
+        assert {r["span_id"] for r in events} == root_ids
+        assert parent.num_spans == 5 and parent.num_events == 2
 
     def test_work_counters_identical_across_solver_paths(self):
         """The deterministic work counters are path-independent: a serial
-        campaign (plan-compiled batched sweep) and a parallel one (per-task
-        reference sweep in pool workers) report the same numbers."""
+        campaign (one batched chunk) and a parallel one (smaller chunks in
+        pool workers, counted under ``worker.*``) report the same numbers."""
         from repro.campaign import CampaignRunner
 
         spec = _parallel_spec("obs-work", runs=3)
@@ -579,8 +538,8 @@ class TestCrossProcess:
         trace = tmp_path / "bw.jsonl"
         with obs.observed(trace=trace):
             CampaignRunner(spec, workers=2).run()
+        _assert_unique_span_ids(obs.load_trace_records(trace))
         summary = summarize_file(trace)
-        assert summary["merged"] is True
         assert summary["workers"]
         for rollup in summary["workers"].values():
             assert rollup["task_total_s"] >= 0.0
@@ -588,9 +547,6 @@ class TestCrossProcess:
         assert sum(r["tasks"] for r in summary["workers"].values()) == spec.num_tasks
         rendered = render_summary(summary, by_worker=True)
         assert "by worker:" in rendered and "peak rss" in rendered
-        # The CLI surfaces both the merge (idempotent) and the rollup table.
-        assert main(["trace", "merge", str(trace)]) == 0
-        assert "already merged" in capsys.readouterr().out
         assert main(["trace", "summarize", str(trace), "--by-worker"]) == 0
         assert "by worker:" in capsys.readouterr().out
 

@@ -29,13 +29,13 @@ order for the biased model -- the usual reproducibility contract.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.parameters import TimingConfig
 from repro.core.topology import LinkId, NodeId
-from repro.simulation.links import DelayModel
+from repro.simulation.links import DelayModel, Uniform
 
 __all__ = ["MaxSkewDelays", "BiasedLinkDelays"]
 
@@ -95,7 +95,7 @@ class BiasedLinkDelays(DelayModel):
         if not 0.0 <= jitter <= 1.0:
             raise ValueError(f"jitter must lie in [0, 1], got {jitter}")
         self._timing = timing
-        self._rng = rng
+        self.rng = rng
         self._jitter = float(jitter)
         self._bias: Dict[LinkId, float] = {}
 
@@ -109,20 +109,26 @@ class BiasedLinkDelays(DelayModel):
         """Per-message jitter amplitude as a fraction of ``epsilon``."""
         return self._jitter
 
-    def delay(self, source: NodeId, destination: NodeId) -> float:
+    def delay(
+        self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None
+    ) -> float:
         key = (source, destination)
         value = self._bias.get(key)
         if value is None:
-            value = float(self._rng.uniform(self._timing.d_min, self._timing.d_max))
+            draw = uniform if uniform is not None else self.rng.uniform
+            value = float(draw(self._timing.d_min, self._timing.d_max))
             self._bias[key] = value
         return value
 
-    def sample(self, source: NodeId, destination: NodeId) -> float:
-        bias = self.delay(source, destination)
+    def sample(
+        self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None
+    ) -> float:
+        bias = self.delay(source, destination, uniform)
         if self._jitter == 0.0:
             return bias
         amplitude = self._jitter * self._timing.epsilon
-        value = bias + float(self._rng.uniform(-amplitude, amplitude))
+        draw = uniform if uniform is not None else self.rng.uniform
+        value = bias + float(draw(-amplitude, amplitude))
         return float(min(max(value, self._timing.d_min), self._timing.d_max))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -4,7 +4,8 @@ Two tracked cases:
 
 * ``sustained_pulses`` -- a short but complete soak run (epoch loop, fault
   churn, streaming observer, checkpoint-shaped accumulators); the timing
-  gate guards the pulses/sec the long-horizon acceptance runs rely on.
+  gate guards the pulses/sec the long-horizon acceptance runs rely on, and
+  ``ns_per_event`` reports it per discrete event.
 * ``accumulator_overhead`` -- microbenchmark of one
   :class:`repro.stream.StreamSummary` observation (Welford moments plus the
   GK sketch, past the exact-buffer spill point), with the sketch's
@@ -21,6 +22,7 @@ import numpy as np
 
 from repro.bench.case import BenchCase, BenchSettings
 from repro.bench.registry import register_case
+from repro.bench.suites.des import timed_per_event
 from repro.experiments.soak import SoakSpec, run_soak
 from repro.stream import StreamSummary
 
@@ -42,19 +44,12 @@ def _spec(settings: BenchSettings) -> SoakSpec:
 
 def _make_sustained_pulses(settings: BenchSettings):
     spec = _spec(settings)
-
-    def workload() -> Dict[str, Any]:
-        start = time.perf_counter()
-        result = run_soak(spec)
-        wall = time.perf_counter() - start
-        return {"spec": spec, "result": result, "wall_s": wall}
-
-    return workload
+    return timed_per_event(lambda: run_soak(spec))
 
 
 def _check_sustained_pulses(result: Dict[str, Any], settings: BenchSettings) -> None:
     soak = result["result"]
-    spec = result["spec"]
+    spec = _spec(settings)
     assert soak.pulses == spec.num_pulses, (
         f"soak completed {soak.pulses} of {spec.num_pulses} pulses"
     )
@@ -73,6 +68,7 @@ def _info_sustained_pulses(result: Dict[str, Any], settings: BenchSettings) -> D
         "pulses": soak.pulses,
         "epochs": soak.epochs,
         "pulses_per_s": round(soak.pulses / result["wall_s"], 1),
+        "ns_per_event": round(result["ns_per_event"], 1),
         "recoveries": soak.recoveries,
         "skew_p95": round(soak.skew.quantile(0.95), 4),
     }

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 import numpy as np
@@ -73,6 +74,7 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "batch_key",
+    "shared_grid",
     "canonical_json",
     "content_key",
     "generic_run_batch",
@@ -518,6 +520,16 @@ def batch_key(spec: "RunSpec") -> Tuple[str, int, int]:
     grouping rule cannot drift between implementations.
     """
     return (spec.topology, spec.layers, spec.width)
+
+
+@lru_cache(maxsize=16)
+def shared_grid(topology: str, layers: int, width: int) -> HexGrid:
+    """The grid of a :func:`batch_key`, built once and shared.
+
+    Grids are immutable, so runs on equal grids share one instance and with
+    it its lazily built neighbour tables.
+    """
+    return build_topology(topology, layers, width)
 
 
 # ----------------------------------------------------------------------

@@ -31,9 +31,11 @@ from repro.engines.base import (
     EngineCapabilities,
     RunResult,
     RunSpec,
+    batch_key,
     generic_run_batch,
     require_kind,
     require_topology_support,
+    shared_grid,
     validate_layer0,
 )
 from repro.faults.models import FaultModel
@@ -113,6 +115,57 @@ def scenario_stabilization_timeouts(
     )
 
 
+def _simulate(
+    network: HexNetwork,
+    schedule: np.ndarray,
+    num_faults: int,
+    *,
+    observer: Optional[object],
+    adversary: Optional[ScheduledAdversary],
+    initial_states: str = "clean",
+    run_slack: float = 0.0,
+) -> HexNetwork:
+    """Drive a fresh network through one run and flush its counters into obs.
+
+    Order (part of the draw-order contract): initial stuck-at-1 assertions,
+    the adversary's actions, the initial states, the layer-0 pulses, then the
+    run.  ``observer`` replaces the default :func:`repro.obs.des_observer`;
+    the network's counters are recorded whenever metrics are on, but a
+    caller's own observer (e.g. the soak monitor) is not flushed into obs.
+    """
+    custom_observer = observer is not None
+    network.observer = observer if custom_observer else obs.des_observer()
+    network.initialize()
+    if adversary is not None:
+        adversary.install(network)
+    if initial_states == "random":
+        network.apply_random_initial_states(network.rng)
+    elif initial_states == "adversarial":
+        network.apply_adversarial_initial_states()
+    network.schedule_source_pulses(schedule)
+    # Byzantine stuck-at-1 links re-assert themselves forever, so the run
+    # must be bounded; by Lemma 5 every correct node that fires at all does
+    # so within (L + f) d+ of the last layer-0 firing -- plus the topology's
+    # lateral-trigger margin (0 on the cylinder).  Schedule-driven runs also
+    # cover late adversary actions plus one full propagation afterwards.
+    grid = network.grid
+    propagation_hops = grid.layers + grid.condition2_extra_hops() + num_faults + 2
+    hops = propagation_hops * network.timing.d_max
+    sleep = network.timeouts.t_sleep_max
+    horizon = float(np.nanmax(schedule)) + hops + sleep + run_slack
+    if adversary is not None:
+        horizon = max(horizon, adversary.last_time + hops + sleep + run_slack)
+    network.run(until=horizon)
+    obs.record_des_observer(
+        None if custom_observer else network.observer,
+        events_scheduled=network.queue.num_scheduled,
+        events_processed=network.queue.num_processed,
+        stale_high_assertions=network.stale_high_assertions,
+        dropped_arrivals=network.dropped_arrivals,
+    )
+    return network
+
+
 class DesEngine:
     """The ModelSim-style discrete-event execution semantics."""
 
@@ -157,7 +210,7 @@ class DesEngine:
         require_kind(self, spec)
         require_topology_support(self, spec)
         generator = rng if rng is not None else spec.rng()
-        grid = spec.make_grid()
+        grid = shared_grid(*batch_key(spec))
         timing = spec.make_timing()
         timer_policy = TimerPolicy(spec.timer_policy)
 
@@ -258,9 +311,10 @@ class DesEngine:
         """Propagate one pulse wave through the full state machines.
 
         ``observer`` replaces the default :func:`repro.obs.des_observer` hook
-        with a caller-supplied network observer (duck-typed ``on_event`` /
-        ``on_firing`` / ``on_adversary``); the caller then owns whatever the
-        observer accumulated -- nothing is recorded into ``repro.obs``.
+        with a caller-supplied network observer (``on_firing`` /
+        ``on_adversary``, optionally ``on_event``); the caller then owns
+        whatever the observer accumulated -- only the network's counters are
+        recorded into ``repro.obs``.
         """
         layer0 = validate_layer0(grid, layer0_times)
         if delays is None:
@@ -271,46 +325,12 @@ class DesEngine:
             timeouts = single_pulse_default_timeouts(
                 grid, timing, num_faults=num_faults, layer0_spread=spread
             )
-        network = HexNetwork(
-            grid=grid,
-            timing=timing,
-            timeouts=timeouts,
-            delays=delays,
-            fault_model=fault_model,
-            rng=rng,
-            timer_policy=timer_policy,
-        )
-        custom_observer = observer is not None
-        network.observer = observer if custom_observer else obs.des_observer()
-        network.initialize()
-        if adversary is not None:
-            adversary.install(network)
-        network.schedule_source_pulses(layer0[np.newaxis, :])
-        # Byzantine stuck-at-1 links re-assert themselves forever, so the run
-        # must be bounded; by Lemma 5 every correct node that fires at all does
-        # so within (L + f) d+ of the last layer-0 firing -- plus the
-        # topology's lateral-trigger margin (0 on the cylinder).
-        propagation_hops = grid.layers + grid.condition2_extra_hops() + num_faults + 2
-        horizon = (
-            float(np.nanmax(layer0))
-            + propagation_hops * timing.d_max
-            + timeouts.t_sleep_max
-        )
-        if adversary is not None:
-            # Cover late schedule events plus one full propagation afterwards.
-            horizon = max(
-                horizon,
-                adversary.last_time
-                + propagation_hops * timing.d_max
-                + timeouts.t_sleep_max,
-            )
-        network.run(until=horizon)
-        # Queue counters are recorded whenever metrics are on; a caller's own
-        # observer (e.g. the soak monitor) is not flushed into obs.
-        obs.record_des_observer(
-            None if custom_observer else network.observer,
-            events_scheduled=network.queue.num_scheduled,
-            events_processed=network.queue.num_processed,
+        network = _simulate(
+            HexNetwork(grid, timing, timeouts, delays, fault_model, rng, timer_policy),
+            layer0[np.newaxis, :],
+            num_faults,
+            observer=observer,
+            adversary=adversary,
         )
         trigger_times = network.first_firing_matrix()
         final_model = self._final_fault_model(network, fault_model, adversary)
@@ -383,9 +403,9 @@ class DesEngine:
         actions mutate the fault model mid-run.
 
         ``observer`` replaces the default :func:`repro.obs.des_observer` hook
-        with a caller-supplied network observer (duck-typed ``on_event`` /
-        ``on_firing`` / ``on_adversary``) that sees every firing as it
-        happens; ``collect_firings=False`` additionally skips building the
+        with a caller-supplied network observer (``on_firing`` /
+        ``on_adversary``, optionally ``on_event``) that sees every firing as
+        it happens; ``collect_firings=False`` additionally skips building the
         per-node ``firing_times`` dict on the result, so long soak epochs
         whose observer already consumed the stream keep memory bounded.
         """
@@ -402,49 +422,14 @@ class DesEngine:
         if initial_states is None:
             initial_states = "random" if random_initial_states else "clean"
 
-        network = HexNetwork(
-            grid=grid,
-            timing=timing,
-            timeouts=timeouts,
-            delays=delays,
-            fault_model=fault_model,
-            rng=rng,
-            timer_policy=timer_policy,
-        )
-        custom_observer = observer is not None
-        network.observer = observer if custom_observer else obs.des_observer()
-        network.initialize()
-        if adversary is not None:
-            adversary.install(network)
-        if initial_states == "random":
-            network.apply_random_initial_states(rng)
-        elif initial_states == "adversarial":
-            network.apply_adversarial_initial_states()
-        network.schedule_source_pulses(schedule)
-
-        num_faults = fault_model.num_faulty_nodes if fault_model is not None else 0
-        propagation_hops = grid.layers + grid.condition2_extra_hops() + num_faults + 2
-        horizon = (
-            float(np.nanmax(schedule))
-            + propagation_hops * timing.d_max
-            + timeouts.t_sleep_max
-            + run_slack
-        )
-        if adversary is not None:
-            horizon = max(
-                horizon,
-                adversary.last_time
-                + propagation_hops * timing.d_max
-                + timeouts.t_sleep_max
-                + run_slack,
-            )
-        network.run(until=horizon)
-        # Queue counters are recorded whenever metrics are on; a caller's own
-        # observer (e.g. the soak monitor) is not flushed into obs.
-        obs.record_des_observer(
-            None if custom_observer else network.observer,
-            events_scheduled=network.queue.num_scheduled,
-            events_processed=network.queue.num_processed,
+        network = _simulate(
+            HexNetwork(grid, timing, timeouts, delays, fault_model, rng, timer_policy),
+            schedule,
+            fault_model.num_faulty_nodes if fault_model is not None else 0,
+            observer=observer,
+            adversary=adversary,
+            initial_states=initial_states,
+            run_slack=run_slack,
         )
 
         final_model = self._final_fault_model(network, fault_model, adversary)

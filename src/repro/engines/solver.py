@@ -14,7 +14,6 @@ solver's own link traversal, exactly as before.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -32,21 +31,15 @@ from repro.engines.base import (
     require_kind,
     require_schedule_support,
     require_topology_support,
+    shared_grid,
     validate_layer0,
 )
 from repro.faults.models import FaultModel
 from repro.faults.placement import build_fault_model
 from repro.simulation.links import DelayModel, UniformRandomDelays
 from repro.simulation.network import TimerPolicy
-from repro.topologies import build_topology
 
 __all__ = ["SolverEngine"]
-
-
-@lru_cache(maxsize=16)
-def _shared_grid(topology: str, layers: int, width: int) -> HexGrid:
-    """The grid of a ``batch_key``: grids are immutable, so runs share one."""
-    return build_topology(topology, layers, width)
 
 
 def _record_solver_work(solution) -> None:
@@ -106,7 +99,7 @@ class SolverEngine:
         require_kind(self, spec)
         require_schedule_support(self, spec)
         require_topology_support(self, spec)
-        grid = _shared_grid(*batch_key(spec))
+        grid = shared_grid(*batch_key(spec))
         timing = spec.make_timing()
         layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=generator)
         fault_model = build_fault_model(

@@ -217,9 +217,6 @@ class SoakObserver:
         self._counts = np.zeros(size, dtype=np.int64)
 
     # -- the duck-typed HexNetwork observer hooks ----------------------
-    def on_event(self, time: float, event: object) -> None:
-        """Per-event hook: unused (per-pulse stats come from firings)."""
-
     def on_firing(self, node: NodeId, time: float) -> None:
         """Fold one firing into the live window's accumulators."""
         layer = node[0]

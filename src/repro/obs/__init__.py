@@ -422,16 +422,26 @@ def record_des_observer(
     *,
     events_scheduled: int = 0,
     events_processed: int = 0,
+    stale_high_assertions: int = 0,
+    dropped_arrivals: int = 0,
 ) -> None:
-    """Flush one finished run's observer into the registry and tracer.
+    """Flush one finished run's counters and observer into the registry and tracer.
 
-    ``events_scheduled`` / ``events_processed`` come from the network's
-    :class:`~repro.simulation.engine.EventQueue` counters, which are
-    maintained unconditionally (they predate obs and cost nothing extra).
+    The counts come from the network, which keeps them unconditionally as
+    plain ints (they cost nothing extra): ``events_scheduled`` /
+    ``events_processed`` from its
+    :class:`~repro.simulation.engine.EventQueue`, and the two silent skips
+    of its event loop -- stuck-at-1 assertions dropped because the link
+    stopped being stuck (``stale_high_assertions``) and arrivals dropped at
+    nodes that were not executing (``dropped_arrivals``).  ``observer`` is
+    ``None`` when the caller supplied its own network observer (soak): the
+    counters are recorded all the same.
     """
     if _registry is not None:
         _registry.inc("des.events_scheduled", events_scheduled)
         _registry.inc("des.events_processed", events_processed)
+        _registry.inc("des.stale_high_assertions", stale_high_assertions)
+        _registry.inc("des.dropped_arrivals", dropped_arrivals)
         if observer is not None:
             for kind, count in sorted(observer.counts.items()):
                 _registry.inc(f"des.{kind}", count)

@@ -10,7 +10,10 @@ The queue is a thin, fully deterministic wrapper around :mod:`heapq`:
 
 Keeping the engine this small (schedule / pop / peek) pushes all domain logic
 into :mod:`repro.simulation.network`, which makes both parts easy to test in
-isolation.
+isolation.  The network's run loop works on :attr:`EventQueue.heap` and
+:attr:`EventQueue.sequence` directly (plain ``heapq`` calls, no per-event
+method call or re-validation of times it computed itself) and writes back
+:attr:`EventQueue.now` and :attr:`EventQueue.num_processed`.
 """
 
 from __future__ import annotations
@@ -40,35 +43,29 @@ class EventQueue(Generic[E]):
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._heap: List[Tuple[float, int, E]] = []
-        self._counter = itertools.count()
-        self._now = float(start_time)
-        self._num_scheduled = 0
-        self._num_processed = 0
+        #: ``(time, seq, event)`` entries in heap order.
+        self.heap: List[Tuple[float, int, E]] = []
+        #: Source of the insertion-order tie-breakers ``seq``.
+        self.sequence = itertools.count()
+        #: The current simulation time (time of the last popped event).
+        self.now = float(start_time)
+        #: Total number of events popped so far.
+        self.num_processed = 0
+        self._num_cleared = 0
 
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """The current simulation time (time of the last popped event)."""
-        return self._now
-
-    @property
     def num_scheduled(self) -> int:
         """Total number of events scheduled so far."""
-        return self._num_scheduled
-
-    @property
-    def num_processed(self) -> int:
-        """Total number of events popped so far."""
-        return self._num_processed
+        return self.num_processed + len(self.heap) + self._num_cleared
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)
 
     # ------------------------------------------------------------------
     # operations
@@ -84,18 +81,17 @@ class EventQueue(Generic[E]):
         """
         if not math.isfinite(time):
             raise ValueError(f"cannot schedule an event at non-finite time {time}")
-        if time < self._now - 1e-12:
+        if time < self.now - 1e-12:
             raise ValueError(
-                f"cannot schedule an event at {time} before current time {self._now}"
+                f"cannot schedule an event at {time} before current time {self.now}"
             )
-        heapq.heappush(self._heap, (float(time), next(self._counter), event))
-        self._num_scheduled += 1
+        heapq.heappush(self.heap, (float(time), next(self.sequence), event))
 
     def peek_time(self) -> Optional[float]:
         """The time of the next event, or ``None`` if the queue is empty."""
-        if not self._heap:
+        if not self.heap:
             return None
-        return self._heap[0][0]
+        return self.heap[0][0]
 
     def pop(self) -> Tuple[float, E]:
         """Remove and return the next ``(time, event)`` pair, advancing time.
@@ -105,16 +101,17 @@ class EventQueue(Generic[E]):
         IndexError
             If the queue is empty.
         """
-        time, _seq, event = heapq.heappop(self._heap)
-        self._now = time
-        self._num_processed += 1
+        time, _seq, event = heapq.heappop(self.heap)
+        self.now = time
+        self.num_processed += 1
         return time, event
 
     def pop_until(self, horizon: float) -> Iterator[Tuple[float, E]]:
         """Yield events in time order up to (and including) ``horizon``."""
-        while self._heap and self._heap[0][0] <= horizon:
+        while self.heap and self.heap[0][0] <= horizon:
             yield self.pop()
 
     def clear(self) -> None:
         """Drop all pending events (current time is preserved)."""
-        self._heap.clear()
+        self._num_cleared += len(self.heap)
+        self.heap.clear()

@@ -1,9 +1,11 @@
-"""Typed events of the HEX discrete-event simulation.
+"""Typed views of the HEX discrete-event simulation's events.
 
-Each event is a small frozen dataclass.  Events never carry behaviour; the
-:class:`repro.simulation.network.HexNetwork` dispatches on their type.  All
-events are totally ordered by their scheduled time with a monotonically
-increasing sequence number as a tie-breaker (assigned by the
+The network queues events as plain ``(kind, node, arg)`` integer tuples;
+these small frozen dataclasses are the form an observer's ``on_event`` hook
+receives (see :class:`repro.simulation.network.HexNetwork`), built only when
+the observer defines that hook.  Events never carry behaviour.  All events
+are totally ordered by their scheduled time with a monotonically increasing
+sequence number as a tie-breaker (assigned by the
 :class:`repro.simulation.engine.EventQueue`), which makes simulation runs fully
 deterministic for a given seed.
 """
@@ -53,8 +55,8 @@ class MessageArrival:
 class FlagExpiry:
     """The link timer of ``node``'s memory flag for ``direction`` runs out.
 
-    ``expiry`` is the absolute expiry time the flag was armed with; the node
-    automaton uses it to discard stale expiry events.
+    ``expiry`` is the absolute expiry time the flag was armed with (the
+    event's own time); only a flag armed with it is cleared.
     """
 
     node: NodeId

@@ -1,42 +1,43 @@
-"""A HEX grid of node automata wired through delay channels.
+"""A HEX grid running Algorithm 1 on flat integer state.
 
-:class:`HexNetwork` owns
+:class:`HexNetwork` executes the timed semantics of Algorithm 1 (Fig. 7) on
+every node of a grid for the discrete-event simulator.  The event loop
+touches only int-indexed state:
 
-* one :class:`~repro.core.algorithm.HexNodeAutomaton` per correct (or
-  crash-faulty, pre-crash) forwarding node,
-* the :class:`~repro.simulation.engine.EventQueue`,
-* the link delay model, the timeout configuration and the fault model,
+* node ``n = layer * W + column``, with the out-links ``(destination, flag
+  slot)`` of the cached :class:`~repro.core.pulse_solver.SolverPlan`;
+* flat per-node lists: ``ready`` (1 ready, 0 sleeping, -1 not running the
+  algorithm), a 4-bit flag mask with expiries in ``flags[4n + slot]``
+  (slots in :data:`~repro.core.algorithm.INCOMING_DIRECTIONS` order), the
+  wake time and the firing times;
+* per node, a faulty flag and the time it stops executing; per link, the
+  eventual non-correct behaviours keyed ``source * N + destination``.  The
+  mutation hooks keep both in step with :attr:`HexNetwork.faults`;
+* ``(kind, node, arg)`` event tuples on the
+  :class:`~repro.simulation.engine.EventQueue` heap (time, then insertion).
 
-and implements the event handlers that realise the timed semantics of
-Algorithm 1 on the grid:
-
-* ``SourcePulse`` -- a layer-0 clock source fires and broadcasts to its two
-  upper neighbours;
-* ``MessageArrival`` -- a trigger message is memorized (starting a link timer)
-  and the receiving node fires if one of the three guards became satisfied;
-* ``FlagExpiry`` -- a memory flag is cleared after ``T_link``;
-* ``WakeUp`` -- a sleeping node clears all flags and becomes ready again.
-
-Byzantine stuck-at-1 links are modelled exactly as the hardware behaves: the
-receiver's memory flag for such a link is set at simulation start and re-set
-immediately whenever it is cleared (by a link timeout or a wake-up).
-
-The network never draws a random number outside the ``rng`` stream handed to it
-and never iterates over unordered sets when scheduling, so runs are bit-for-bit
-reproducible given (seed, parameters).
+Byzantine stuck-at-1 links behave as the hardware does: the receiver's flag
+for such a link is set at simulation start and re-set whenever it is
+cleared (by a link timeout or a wake-up).  Timer draws, and the draws of a
+delay model over the same generator, read one
+:class:`~repro.simulation.links.DrawStream`, rewound before every public
+method returns, so the generator ends exactly where scalar draws would
+leave it.  Node ids are validated at the API boundary only.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.algorithm import INCOMING_DIRECTIONS, FiringRecord, HexNodeAutomaton, NodePhase
+from repro.core.algorithm import INCOMING_DIRECTIONS
 from repro.core.parameters import TimeoutConfig, TimingConfig
-from repro.core.topology import Direction, HexGrid, NodeId
+from repro.core.pulse_solver import solver_plan
+from repro.core.topology import TRIGGER_GUARDS, Direction, HexGrid, NodeId
 from repro.faults.models import FaultModel, FaultType, LinkBehavior, NodeFault
 from repro.simulation.engine import EventQueue
 from repro.simulation.events import (
@@ -47,9 +48,23 @@ from repro.simulation.events import (
     SourcePulse,
     WakeUp,
 )
-from repro.simulation.links import DelayModel
+from repro.simulation.links import DelayModel, DrawStream
 
 __all__ = ["TimerPolicy", "HexNetwork"]
+
+_INF = math.inf
+
+#: Event kinds; ``arg`` is ``source * 4 + slot`` for arrivals, the flag slot
+#: for expiries and the pulse index for source pulses.  Adversary events
+#: carry the action index in the ``node`` field.
+_ARRIVAL, _HIGH, _EXPIRY, _WAKE, _SOURCE, _ADVERSARY = range(6)
+
+_SLOT = {direction: slot for slot, direction in enumerate(INCOMING_DIRECTIONS)}
+
+_GUARD_MASKS = [(1 << _SLOT[a]) | (1 << _SLOT[b]) for a, b in TRIGGER_GUARDS]
+
+#: Memorized-flag mask -> whether some guard of Algorithm 1 is satisfied.
+_FIRES = tuple(any(mask & guard == guard for guard in _GUARD_MASKS) for mask in range(16))
 
 
 class TimerPolicy(enum.Enum):
@@ -86,6 +101,22 @@ class HexNetwork:
     max_events:
         Safety cap on processed events (guards against run-away Byzantine
         feedback loops in misconfigured experiments).
+
+    Attributes
+    ----------
+    observer:
+        Optional read-only run observer, ``None`` by default.  It must
+        define ``on_firing(node, time)`` and ``on_adversary(time, action)``;
+        ``on_event(time, event)`` is called with a
+        :mod:`repro.simulation.events` view of every popped event, and only
+        when the observer defines it.  In practice a
+        :class:`repro.obs.capture.DesRunObserver` (injected by the DES engine
+        when observability is enabled) or a soak monitor; the network itself
+        never imports :mod:`repro.obs`.
+    stale_high_assertions, dropped_arrivals:
+        Running counts of the loop's two silent skips: stuck-at-1 assertions
+        whose link has stopped being stuck, and arrivals at nodes that are
+        not executing.
     """
 
     def __init__(
@@ -111,71 +142,103 @@ class HexNetwork:
         self.rng = rng
         self.timer_policy = timer_policy
         self.max_events = max_events
+        self.queue: EventQueue[Tuple[int, int, int]] = EventQueue()
+        self.observer: Optional[object] = None
+        self.stale_high_assertions = 0
+        self.dropped_arrivals = 0
 
-        self.queue: EventQueue[Event] = EventQueue()
-        #: Firing records of layer-0 sources (guard is ``None``).
-        self.source_firings: List[FiringRecord] = []
+        self._stream = DrawStream(rng) if rng is not None else None
+        self._uniform = self._stream.uniform if self._stream is not None else None
+        draws_from_run = rng is not None and getattr(delays, "rng", None) is rng
+        self._delay_uniform = self._uniform if draws_from_run else None
+        self._nominal = timer_policy is TimerPolicy.NOMINAL
 
-        # Automata exist for correct forwarding nodes and for crash-faulty nodes
-        # (which behave correctly until their crash time).
-        self.automata: Dict[NodeId, HexNodeAutomaton] = {}
+        plan = solver_plan(grid)
+        size = len(plan.nodes)
+        self._size = size
+        self._nodes = plan.nodes
+        self._out = plan.out_links
+        self._ready = [-1] * size
+        self._mask = [0] * size
+        self._flags = [0.0] * (4 * size)
+        self._wake = [-_INF] * size
+        self._firings: List[List[float]] = [[] for _ in range(size)]
+        self._faulty = [False] * size
+        self._alive_until = [_INF] * size
+        #: Eventual non-correct link behaviours, keyed ``source * N + dest``.
+        self._cut: Dict[int, LinkBehavior] = {}
+        #: Receiving node -> its stuck-at-1 inputs ``(slot, source)``, by slot.
+        self._high: Dict[int, List[Tuple[int, int]]] = {}
+        for node in self.faults.faulty_nodes():
+            self._sync_node_fault(node)
+        for source, destination in self.faults.faulty_links():
+            self._sync_link(source, destination)
+
+        # Correct forwarding nodes run the algorithm, and so do crash-faulty
+        # ones (correct until their crash time).
         for node in grid.forwarding_nodes():
             fault = self.faults.node_fault(node)
             if fault is None or fault.fault_type is FaultType.CRASH:
-                self.automata[node] = HexNodeAutomaton(node=node)
-
-        # Pre-compute, per receiving node, the incoming directions driven by a
-        # stuck-at-1 link (Byzantine neighbour or broken wire stuck high).
-        self._byzantine_high_inputs: Dict[NodeId, List[Tuple[Direction, NodeId]]] = {}
-        for node in self.automata:
-            entries: List[Tuple[Direction, NodeId]] = []
-            for direction, source in sorted(
-                grid.in_neighbors(node).items(), key=lambda item: item[0].value
-            ):
-                if self.faults.link_behavior((source, node)) is LinkBehavior.CONSTANT_ONE:
-                    entries.append((direction, source))
-            if entries:
-                self._byzantine_high_inputs[node] = entries
+                self._ready[self._index(node)] = 1
+        if LinkBehavior.CONSTANT_ONE in self._cut.values():
+            for index in self._running():
+                self._sync_stuck_high_inputs(index)
 
         #: Installed adversary actions (see :meth:`install_adversary`); the
         #: queue carries only indices into this table.
         self._adversary_actions: List[object] = []
         self._initialized = False
-        #: Optional read-only run observer (duck-typed against
-        #: :class:`repro.adversary.runtime`-style protocols; in practice a
-        #: :class:`repro.obs.capture.DesRunObserver`, injected by the DES
-        #: engine when observability is enabled).  The default ``None`` keeps
-        #: a single ``is None`` guard as the only cost -- the network itself
-        #: never imports :mod:`repro.obs`.
-        self.observer: Optional[object] = None
 
     # ------------------------------------------------------------------
-    # timer draws
+    # index helpers and fault mirrors
     # ------------------------------------------------------------------
-    def _draw_link_timeout(self) -> float:
-        if self.timer_policy is TimerPolicy.NOMINAL:
-            return self.timeouts.t_link_min
-        assert self.rng is not None
-        return float(self.rng.uniform(self.timeouts.t_link_min, self.timeouts.t_link_max))
+    def _index(self, node: NodeId) -> int:
+        return node[0] * self.grid.width + node[1]
 
-    def _draw_sleep_duration(self) -> float:
-        if self.timer_policy is TimerPolicy.NOMINAL:
-            return self.timeouts.t_sleep_min
-        assert self.rng is not None
-        return float(self.rng.uniform(self.timeouts.t_sleep_min, self.timeouts.t_sleep_max))
+    def _running(self) -> List[int]:
+        """Indices of the nodes that run the algorithm, ascending."""
+        return [index for index, ready in enumerate(self._ready) if ready >= 0]
+
+    def _sync_link(self, source: NodeId, destination: NodeId) -> None:
+        key = self._index(source) * self._size + self._index(destination)
+        behavior = self.faults.link_behavior((source, destination))
+        if behavior is LinkBehavior.CORRECT:
+            self._cut.pop(key, None)
+        else:
+            self._cut[key] = behavior
+
+    def _sync_node_fault(self, node: NodeId) -> None:
+        """Mirror ``node``'s live fault entry into the flat fault state."""
+        fault = self.faults.node_fault(node)
+        if fault is None:
+            until = _INF
+        elif fault.fault_type is FaultType.CRASH:
+            until = fault.crash_time
+        else:
+            until = -_INF
+        index = self._index(node)
+        self._faulty[index] = fault is not None
+        self._alive_until[index] = until
+        for destination in self.grid.out_neighbors(node).values():
+            self._sync_link(node, destination)
+
+    def _sync_stuck_high_inputs(self, index: int) -> List[Tuple[int, int]]:
+        """Rebuild a node's stuck-at-1 inputs from the live fault state."""
+        entries = sorted(
+            (_SLOT[direction], self._index(source))
+            for direction, source in self.grid.in_neighbors(self._nodes[index]).items()
+            if self._cut.get(self._index(source) * self._size + index)
+            is LinkBehavior.CONSTANT_ONE
+        )
+        if entries:
+            self._high[index] = entries
+        else:
+            self._high.pop(index, None)
+        return entries
 
     # ------------------------------------------------------------------
     # initialisation
     # ------------------------------------------------------------------
-    def _node_active(self, node: NodeId, time: float) -> bool:
-        """Whether ``node`` executes the algorithm at ``time`` (crash handling)."""
-        fault = self.faults.node_fault(node)
-        if fault is None:
-            return True
-        if fault.fault_type is FaultType.CRASH:
-            return time < fault.crash_time
-        return False
-
     def initialize(self) -> None:
         """Seed the event queue with the stuck-at-1 link assertions.
 
@@ -184,17 +247,9 @@ class HexNetwork:
         if self._initialized:
             return
         self._initialized = True
-        for node in sorted(self._byzantine_high_inputs):
-            for direction, source in self._byzantine_high_inputs[node]:
-                self.queue.schedule(
-                    0.0,
-                    MessageArrival(
-                        source=source,
-                        destination=node,
-                        direction=direction,
-                        from_byzantine_high=True,
-                    ),
-                )
+        for index in sorted(self._high):
+            for slot, source in self._high[index]:
+                self.queue.schedule(0.0, (_HIGH, index, source * 4 + slot))
 
     def schedule_source_pulses(self, schedule: np.ndarray) -> None:
         """Schedule the layer-0 pulse generation.
@@ -214,13 +269,12 @@ class HexNetwork:
             )
         for pulse_index in range(schedule.shape[0]):
             for column in range(self.grid.width):
-                source = (0, column)
-                if self.faults.is_faulty(source):
+                if self.faults.is_faulty((0, column)):
                     continue
                 time = schedule[pulse_index, column]
                 if not math.isfinite(time):
                     continue
-                self.queue.schedule(float(time), SourcePulse(node=source, pulse_index=pulse_index))
+                self.queue.schedule(float(time), (_SOURCE, column, pulse_index))
 
     def apply_random_initial_states(self, rng: Optional[np.random.Generator] = None) -> None:
         """Put every correct forwarding node into a random internal state.
@@ -236,26 +290,31 @@ class HexNetwork:
         generator = rng if rng is not None else self.rng
         if generator is None:
             raise ValueError("a random generator is required for random initial states")
-        for node in sorted(self.automata):
-            automaton = self.automata[node]
+        running = self._running()
+        for index in running:
             sleeping = bool(generator.integers(0, 2))
-            flags: Dict[Direction, float] = {}
-            for direction in INCOMING_DIRECTIONS:
+            mask = 0
+            for slot in range(4):
                 if bool(generator.integers(0, 2)):
-                    expiry = float(generator.uniform(0.0, self.timeouts.t_link_max))
-                    flags[direction] = expiry
+                    mask |= 1 << slot
+                    self._flags[4 * index + slot] = float(
+                        generator.uniform(0.0, self.timeouts.t_link_max)
+                    )
+            self._mask[index] = mask
             if sleeping:
                 wake_time = float(generator.uniform(0.0, self.timeouts.t_sleep_max))
-                automaton.force_state(NodePhase.SLEEPING, flags=flags, wake_time=wake_time)
-                self.queue.schedule(wake_time, WakeUp(node=node))
+                self._ready[index] = 0
+                self._wake[index] = wake_time
+                self.queue.schedule(wake_time, (_WAKE, index, 0))
             else:
-                automaton.force_state(NodePhase.READY, flags=flags)
-            for direction, expiry in flags.items():
-                self.queue.schedule(expiry, FlagExpiry(node=node, direction=direction, expiry=expiry))
+                self._ready[index] = 1
+                self._wake[index] = -_INF
+            for slot in range(4):
+                if mask >> slot & 1:
+                    self.queue.schedule(self._flags[4 * index + slot], (_EXPIRY, index, slot))
         # Nodes whose arbitrary initial flags already satisfy a guard fire as
         # soon as the run starts.
-        for node in sorted(self.automata):
-            self._attempt_fire(node, 0.0)
+        self._fire_ready(running)
 
     def apply_adversarial_initial_states(self) -> None:
         """Put every correct forwarding node into the adversarial initial state.
@@ -269,14 +328,28 @@ class HexNetwork:
         :meth:`run`.
         """
         expiry = self.timeouts.t_link_max
-        for node in sorted(self.automata):
-            automaton = self.automata[node]
-            flags = {direction: expiry for direction in INCOMING_DIRECTIONS}
-            automaton.force_state(NodePhase.READY, flags=flags)
-            for direction in INCOMING_DIRECTIONS:
-                self.queue.schedule(expiry, FlagExpiry(node=node, direction=direction, expiry=expiry))
-        for node in sorted(self.automata):
-            self._attempt_fire(node, 0.0)
+        running = self._running()
+        for index in running:
+            self._ready[index] = 1
+            self._wake[index] = -_INF
+            self._mask[index] = 0b1111
+            for slot in range(4):
+                self._flags[4 * index + slot] = expiry
+                self.queue.schedule(expiry, (_EXPIRY, index, slot))
+        self._fire_ready(running)
+
+    def _fire_ready(self, indices: List[int]) -> None:
+        try:
+            for index in indices:
+                if self._ready[index] == 1 and _FIRES[self._mask[index]]:
+                    if 0.0 < self._alive_until[index]:
+                        self._fire(index, 0.0)
+        finally:
+            self._rewind()
+
+    def _rewind(self) -> None:
+        if self._stream is not None:
+            self._stream.rewind()
 
     # ------------------------------------------------------------------
     # dynamic adversary hooks (repro.adversary)
@@ -296,19 +369,19 @@ class HexNetwork:
         for time, action in actions:
             index = len(self._adversary_actions)
             self._adversary_actions.append(action)
-            self.queue.schedule(float(time), AdversaryAction(index=index))
+            self.queue.schedule(float(time), (_ADVERSARY, index, 0))
 
     def inject_node_fault(self, fault: NodeFault, time: float) -> None:
         """Make a node faulty from ``time`` on (dynamic fault injection).
 
-        The node's automaton (if any) stops executing -- :meth:`_node_active`
-        consults the *current* fault model -- and freshly stuck-at-1 outgoing
-        links start asserting themselves at ``time``.  Messages the node sent
-        before ``time`` are already in flight and still arrive, exactly as in
-        hardware.
+        The node stops executing -- its fault slot follows the *current*
+        fault model -- and freshly stuck-at-1 outgoing links start asserting
+        themselves at ``time``.  Messages the node sent before ``time`` are
+        already in flight and still arrive, exactly as in hardware.
         """
         node = self.grid.validate_node(fault.node)
         self.faults.add_node_fault(fault)
+        self._sync_node_fault(node)
         self._register_stuck_high_links(node, time)
 
     def heal_node(self, node: NodeId, time: float) -> None:
@@ -322,36 +395,22 @@ class HexNetwork:
         node's.  Healing a node that was never faulty is a no-op.
         """
         node = self.grid.validate_node(node)
-        removed = self.faults.remove_node_fault(node)
-        if removed is None:
+        if self.faults.remove_node_fault(node) is None:
             return
+        self._sync_node_fault(node)
         self._unregister_stuck_high_links(node)
         if node[0] == 0:
             return
-        automaton = self.automata.get(node)
-        if automaton is None:
-            automaton = HexNodeAutomaton(node=node)
-            self.automata[node] = automaton
-        else:
-            automaton.force_state(NodePhase.READY, flags={})
+        index = self._index(node)
+        self._ready[index] = 1
+        self._mask[index] = 0
+        self._wake[index] = -_INF
         # Stuck-at-1 in-links of *other* faulty neighbours resume driving the
-        # healed node's flags immediately.  Recompute the registry entry from
-        # the live fault model: a statically faulty node had no automaton at
+        # healed node's flags immediately.  Recompute the entry from the live
+        # fault model: a statically faulty node did not run the algorithm at
         # construction, so its in-link registrations were never built.
-        entries: List[Tuple[Direction, NodeId]] = []
-        for direction, source in sorted(
-            self.grid.in_neighbors(node).items(), key=lambda item: item[0].value
-        ):
-            if self.faults.link_behavior((source, node), time=math.inf) is (
-                LinkBehavior.CONSTANT_ONE
-            ):
-                entries.append((direction, source))
-        if entries:
-            self._byzantine_high_inputs[node] = entries
-        else:
-            self._byzantine_high_inputs.pop(node, None)
-        for direction, _source in entries:
-            self._reassert_byzantine_high(node, direction, time)
+        for slot, source in self._sync_stuck_high_inputs(index):
+            self.queue.schedule(time, (_HIGH, index, source * 4 + slot))
 
     def flip_node_behavior(self, node: NodeId, time: float) -> None:
         """Toggle a Byzantine node's per-link constant-0/constant-1 outputs."""
@@ -371,6 +430,7 @@ class HexNetwork:
         self.faults.add_node_fault(
             NodeFault(node=node, fault_type=FaultType.BYZANTINE, link_behaviors=flipped)
         )
+        self._sync_node_fault(node)
         self._register_stuck_high_links(node, time)
 
     def set_link_behavior(self, link: Tuple[NodeId, NodeId], behavior: LinkBehavior, time: float) -> None:
@@ -380,6 +440,7 @@ class HexNetwork:
         destination = self.grid.validate_node(destination)
         previous = self.faults.link_behavior((source, destination), time=time)
         self.faults.add_link_fault((source, destination), behavior)
+        self._sync_link(source, destination)
         if behavior is LinkBehavior.CONSTANT_ONE and previous is not LinkBehavior.CONSTANT_ONE:
             self._register_one_stuck_high_link(source, destination, time)
         elif behavior is not LinkBehavior.CONSTANT_ONE and previous is LinkBehavior.CONSTANT_ONE:
@@ -388,31 +449,23 @@ class HexNetwork:
     def _register_stuck_high_links(self, node: NodeId, time: float) -> None:
         """Register (and assert) every stuck-at-1 outgoing link of ``node``."""
         for destination in sorted(self.grid.out_neighbors(node).values()):
-            if self.faults.link_behavior((node, destination), time=math.inf) is (
-                LinkBehavior.CONSTANT_ONE
-            ):
+            if self.faults.link_behavior((node, destination)) is LinkBehavior.CONSTANT_ONE:
                 self._register_one_stuck_high_link(node, destination, time)
 
     def _register_one_stuck_high_link(
         self, source: NodeId, destination: NodeId, time: float
     ) -> None:
-        if destination[0] == 0 or destination not in self.automata:
+        dest = self._index(destination)
+        if destination[0] == 0 or self._ready[dest] < 0:
             return
-        direction = self.grid.direction_between(source, destination)
-        entries = self._byzantine_high_inputs.setdefault(destination, [])
-        if any(existing_source == source for _d, existing_source in entries):
+        src = self._index(source)
+        entries = self._high.setdefault(dest, [])
+        if any(existing == src for _slot, existing in entries):
             return
-        entries.append((direction, source))
-        entries.sort(key=lambda item: item[0].value)
-        self.queue.schedule(
-            float(time),
-            MessageArrival(
-                source=source,
-                destination=destination,
-                direction=direction,
-                from_byzantine_high=True,
-            ),
-        )
+        slot = _SLOT[self.grid.direction_between(source, destination)]
+        entries.append((slot, src))
+        entries.sort()
+        self.queue.schedule(float(time), (_HIGH, dest, src * 4 + slot))
 
     def _unregister_stuck_high_links(self, node: NodeId) -> None:
         """Retract every stuck-at-1 registration whose source is ``node``."""
@@ -420,117 +473,68 @@ class HexNetwork:
             self._unregister_one_stuck_high_link(node, destination)
 
     def _unregister_one_stuck_high_link(self, source: NodeId, destination: NodeId) -> None:
-        entries = self._byzantine_high_inputs.get(destination)
+        dest = self._index(destination)
+        entries = self._high.get(dest)
         if not entries:
             return
-        remaining = [item for item in entries if item[1] != source]
+        src = self._index(source)
+        remaining = [entry for entry in entries if entry[1] != src]
         if remaining:
-            self._byzantine_high_inputs[destination] = remaining
+            self._high[dest] = remaining
         else:
-            self._byzantine_high_inputs.pop(destination, None)
+            del self._high[dest]
 
     # ------------------------------------------------------------------
-    # event handlers
+    # firing
     # ------------------------------------------------------------------
-    def _broadcast(self, source: NodeId, time: float) -> None:
-        """Send the trigger message of ``source`` on all its outgoing links."""
-        for _direction, destination in sorted(
-            self.grid.out_neighbors(source).items(), key=lambda item: item[0].value
-        ):
-            if destination[0] == 0:
-                continue
-            if destination not in self.automata:
-                continue
-            behavior = self.faults.link_behavior((source, destination), time=time)
-            if behavior is not LinkBehavior.CORRECT:
-                continue
-            arrival_time = time + self.delays.sample(source, destination)
-            self.queue.schedule(
-                arrival_time,
-                MessageArrival(
-                    source=source,
-                    destination=destination,
-                    direction=self.grid.direction_between(source, destination),
-                ),
-            )
-
-    def _attempt_fire(self, node: NodeId, time: float) -> Optional[FiringRecord]:
-        """Fire ``node`` if it is ready and a guard is satisfied."""
-        automaton = self.automata[node]
-        if automaton.phase is not NodePhase.READY or automaton.satisfied_guard() is None:
-            return None
-        if not self._node_active(node, time):
-            return None
-        record = automaton.try_fire(time, self._draw_sleep_duration())
-        assert record is not None
+    def _fire(self, index: int, time: float) -> None:
+        """Fire a ready node whose guard is satisfied: sleep and broadcast."""
+        timeouts = self.timeouts
+        if self._nominal:
+            sleep = timeouts.t_sleep_min
+        else:
+            sleep = self._uniform(timeouts.t_sleep_min, timeouts.t_sleep_max)
+        wake = time + sleep
+        self._ready[index] = 0
+        self._wake[index] = wake
+        self._firings[index].append(time)
         if self.observer is not None:
-            self.observer.on_firing(node, time)  # type: ignore[attr-defined]
-        self.queue.schedule(automaton.wake_time, WakeUp(node=node))
-        self._broadcast(node, time)
-        return record
+            self.observer.on_firing(self._nodes[index], time)  # type: ignore[attr-defined]
+        heapq.heappush(self.queue.heap, (wake, next(self.queue.sequence), (_WAKE, index, 0)))
+        self._broadcast(index, time)
 
-    def _reassert_byzantine_high(self, node: NodeId, direction: Direction, time: float) -> None:
-        """Re-schedule a stuck-at-1 arrival after its memory flag was cleared."""
-        for high_direction, source in self._byzantine_high_inputs.get(node, ()):
-            if high_direction is direction:
-                self.queue.schedule(
-                    time,
-                    MessageArrival(
-                        source=source,
-                        destination=node,
-                        direction=direction,
-                        from_byzantine_high=True,
-                    ),
+    def _broadcast(self, source: int, time: float) -> None:
+        """Send the trigger message of ``source`` on all its outgoing links."""
+        out_links = self._out[source]
+        if not out_links:
+            return
+        ready = self._ready
+        cut = self._cut
+        # Only a correct source's links can carry link faults: a broadcasting
+        # crash-faulty node is still before its crash, hence fully correct.
+        check_cut = bool(cut) and not self._faulty[source]
+        base = source * self._size
+        sample = self.delays.sample
+        uniform = self._delay_uniform
+        nodes = self._nodes
+        heap = self.queue.heap
+        sequence = self.queue.sequence
+        for destination, slot, _layer, _column in out_links:
+            if ready[destination] < 0 or (check_cut and base + destination in cut):
+                continue
+            if uniform is None:
+                delay = sample(nodes[source], nodes[destination])
+            else:
+                delay = sample(nodes[source], nodes[destination], uniform)
+            arrival = time + delay
+            if not time - 1e-12 <= arrival < _INF:
+                raise ValueError(
+                    f"delay model returned {delay!r} for link "
+                    f"{nodes[source]} -> {nodes[destination]}"
                 )
-
-    def _handle(self, time: float, event: Event) -> None:
-        if isinstance(event, SourcePulse):
-            # Sources that turned faulty mid-run (dynamic injection / crash)
-            # stop generating; statically faulty sources were never scheduled.
-            if not self._node_active(event.node, time):
-                return
-            self.source_firings.append(
-                FiringRecord(node=event.node, time=time, guard=None)
+            heapq.heappush(
+                heap, (arrival, next(sequence), (_ARRIVAL, destination, source * 4 + slot))
             )
-            if self.observer is not None:
-                self.observer.on_firing(event.node, time)  # type: ignore[attr-defined]
-            self._broadcast(event.node, time)
-        elif isinstance(event, MessageArrival):
-            if event.from_byzantine_high and self.faults.link_behavior(
-                (event.source, event.destination), time=time
-            ) is not LinkBehavior.CONSTANT_ONE:
-                # Stale assertion of a stuck-at-1 link that has since healed.
-                return
-            node = event.destination
-            automaton = self.automata.get(node)
-            if automaton is None or not self._node_active(node, time):
-                return
-            expiry = automaton.receive_trigger(event.direction, time, self._draw_link_timeout())
-            if expiry is not None:
-                self.queue.schedule(
-                    expiry, FlagExpiry(node=node, direction=event.direction, expiry=expiry)
-                )
-            self._attempt_fire(node, time)
-        elif isinstance(event, FlagExpiry):
-            automaton = self.automata.get(event.node)
-            if automaton is None:
-                return
-            if automaton.expire_flag(event.direction, event.expiry):
-                self._reassert_byzantine_high(event.node, event.direction, time)
-        elif isinstance(event, WakeUp):
-            automaton = self.automata.get(event.node)
-            if automaton is None:
-                return
-            if automaton.wake_up(time):
-                for direction, _source in self._byzantine_high_inputs.get(event.node, ()):
-                    self._reassert_byzantine_high(event.node, direction, time)
-        elif isinstance(event, AdversaryAction):
-            action = self._adversary_actions[event.index]
-            action.apply(self, time)  # type: ignore[attr-defined]
-            if self.observer is not None:
-                self.observer.on_adversary(time, action)  # type: ignore[attr-defined]
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown event type {type(event)!r}")
 
     # ------------------------------------------------------------------
     # execution
@@ -550,43 +554,146 @@ class HexNetwork:
         """
         if not self._initialized:
             self.initialize()
-        processed = 0
-        while self.queue:
-            next_time = self.queue.peek_time()
-            assert next_time is not None
-            if next_time > until:
-                break
-            time, event = self.queue.pop()
-            if self.observer is not None:
-                self.observer.on_event(time, event)  # type: ignore[attr-defined]
-            self._handle(time, event)
-            processed += 1
-            if self.queue.num_processed > self.max_events:
-                raise RuntimeError(
-                    f"event cap of {self.max_events} exceeded; "
-                    "check the fault model / timeout configuration for livelock"
-                )
+        queue = self.queue
+        heap = queue.heap
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        next_seq = queue.sequence.__next__
+        ready, mask, flags, wake_at = self._ready, self._mask, self._flags, self._wake
+        alive_until, faulty = self._alive_until, self._faulty
+        cut, high, size = self._cut, self._high, self._size
+        fire, broadcast, firings = self._fire, self._broadcast, self._firings
+        uniform = self._uniform
+        nominal = self._nominal
+        link_min = self.timeouts.t_link_min
+        link_max = self.timeouts.t_link_max
+        observer = self.observer
+        on_event = getattr(observer, "on_event", None)
+        stuck_high = LinkBehavior.CONSTANT_ONE
+        limit = self.max_events - queue.num_processed
+        processed = stale = dropped = 0
+        time = queue.now
+        try:
+            while heap:
+                if heap[0][0] > until:
+                    break
+                time, _seq, (kind, node, arg) = heappop(heap)
+                processed += 1
+                if on_event is not None:
+                    on_event(time, self._event_view(kind, node, arg, time))
+                if kind <= _HIGH:
+                    if kind == _HIGH and (
+                        cut.get((arg >> 2) * size + node) is not stuck_high
+                        or (faulty[arg >> 2] and time < alive_until[arg >> 2])
+                    ):
+                        # Stale assertion of a stuck-at-1 link that has since
+                        # healed (or whose crash-faulty source has not crashed).
+                        stale += 1
+                    elif ready[node] < 0 or not time < alive_until[node]:
+                        dropped += 1
+                    else:
+                        link_timeout = link_min if nominal else uniform(link_min, link_max)
+                        slot = arg & 3
+                        memorized = mask[node]
+                        if not memorized >> slot & 1:
+                            # A set flag absorbs the message; a clear one is
+                            # set and starts its link timer.
+                            expiry = time + link_timeout
+                            memorized |= 1 << slot
+                            mask[node] = memorized
+                            flags[4 * node + slot] = expiry
+                            heappush(heap, (expiry, next_seq(), (_EXPIRY, node, slot)))
+                        if ready[node] == 1 and _FIRES[memorized] and time < alive_until[node]:
+                            fire(node, time)
+                elif kind == _EXPIRY:
+                    # Only the expiry the flag was armed with clears it.
+                    if mask[node] >> arg & 1 and abs(flags[4 * node + arg] - time) <= 1e-12:
+                        mask[node] ^= 1 << arg
+                        for slot, source in high.get(node, ()) if high else ():
+                            if slot == arg:
+                                heappush(heap, (time, next_seq(), (_HIGH, node, source * 4 + slot)))
+                elif kind == _WAKE:
+                    # Stale wake-ups (the node was reset since) are ignored.
+                    if ready[node] == 0 and abs(wake_at[node] - time) <= 1e-9:
+                        ready[node] = 1
+                        mask[node] = 0
+                        wake_at[node] = -_INF
+                        for slot, source in high.get(node, ()) if high else ():
+                            heappush(heap, (time, next_seq(), (_HIGH, node, source * 4 + slot)))
+                elif kind == _SOURCE:
+                    # Sources that turned faulty mid-run (dynamic injection /
+                    # crash) stop generating; statically faulty sources were
+                    # never scheduled.
+                    if time < alive_until[node]:
+                        firings[node].append(time)
+                        if observer is not None:
+                            observer.on_firing(self._nodes[node], time)  # type: ignore[attr-defined]
+                        broadcast(node, time)
+                else:
+                    queue.now = time
+                    action = self._adversary_actions[node]
+                    action.apply(self, time)  # type: ignore[attr-defined]
+                    if observer is not None:
+                        observer.on_adversary(time, action)  # type: ignore[attr-defined]
+                if processed > limit:
+                    raise RuntimeError(
+                        f"event cap of {self.max_events} exceeded; "
+                        "check the fault model / timeout configuration for livelock"
+                    )
+        finally:
+            queue.now = time
+            queue.num_processed += processed
+            self.stale_high_assertions += stale
+            self.dropped_arrivals += dropped
+            self._rewind()
         return processed
+
+    def _event_view(self, kind: int, node: int, arg: int, time: float) -> Event:
+        """The :mod:`repro.simulation.events` form of one queued event."""
+        if kind == _ADVERSARY:
+            return AdversaryAction(index=node)
+        nodes = self._nodes
+        if kind <= _HIGH:
+            return MessageArrival(
+                source=nodes[arg >> 2],
+                destination=nodes[node],
+                direction=INCOMING_DIRECTIONS[arg & 3],
+                from_byzantine_high=kind == _HIGH,
+            )
+        if kind == _EXPIRY:
+            return FlagExpiry(node=nodes[node], direction=INCOMING_DIRECTIONS[arg], expiry=time)
+        if kind == _WAKE:
+            return WakeUp(node=nodes[node])
+        return SourcePulse(node=nodes[node], pulse_index=arg)
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
     def firing_times(self, node: NodeId) -> List[float]:
         """All firing times of a node (sources and forwarding nodes alike)."""
-        node = self.grid.validate_node(node)
-        if node[0] == 0:
-            return [record.time for record in self.source_firings if record.node == node]
-        automaton = self.automata.get(node)
-        if automaton is None:
-            return []
-        return [record.time for record in automaton.firings]
+        return list(self._firings[self._index(self.grid.validate_node(node))])
 
-    def all_firings(self) -> List[FiringRecord]:
-        """All firing records of the run, sorted by time."""
-        records = list(self.source_firings)
-        for automaton in self.automata.values():
-            records.extend(automaton.firings)
-        return sorted(records, key=lambda record: (record.time, record.node))
+    def memorized(self, node: NodeId) -> Dict[Direction, float]:
+        """The node's memorized flags: incoming direction -> expiry time.
+
+        Directions are listed in :data:`~repro.core.algorithm.INCOMING_DIRECTIONS`
+        order; a node that does not run the algorithm has none.
+        """
+        index = self._index(self.grid.validate_node(node))
+        mask = self._mask[index]
+        return {
+            direction: self._flags[4 * index + slot]
+            for slot, direction in enumerate(INCOMING_DIRECTIONS)
+            if mask >> slot & 1
+        }
+
+    def stuck_high_inputs(self, node: NodeId) -> List[Tuple[Direction, NodeId]]:
+        """The registered stuck-at-1 in-links of a node, as ``(direction, source)``."""
+        index = self._index(self.grid.validate_node(node))
+        return [
+            (INCOMING_DIRECTIONS[slot], self._nodes[source])
+            for slot, source in self._high.get(index, ())
+        ]
 
     def first_firing_matrix(self) -> np.ndarray:
         """Matrix of shape ``(L + 1, W)`` with each node's *first* firing time.
@@ -602,7 +709,7 @@ class HexNetwork:
             if self.faults.is_faulty(node):
                 times[layer, column] = math.nan
                 continue
-            firings = self.firing_times(node)
+            firings = self._firings[self._index(node)]
             if firings:
                 times[layer, column] = firings[0]
         return times

@@ -582,13 +582,13 @@ class TestCrashFaultValidation:
             rng=np.random.default_rng(0),
         )
         network.initialize()
-        assert healed not in network._byzantine_high_inputs  # no automaton yet
+        assert network.stuck_high_inputs(healed) == []  # not running yet
         network.heal_node(healed, time=5.0)
-        assert network._byzantine_high_inputs[healed] == [(direction, byzantine)]
+        assert network.stuck_high_inputs(healed) == [(direction, byzantine)]
         assert isinstance(direction, Direction)
         network.run(until=10.0)
         # The stuck-high link drove the healed node's memory flag.
-        assert network.automata[healed].is_memorized(direction)
+        assert direction in network.memorized(healed)
 
     def test_heal_removes_crash_semantics(self, grid):
         model = FaultModel(grid, [NodeFault.crash(grid, (3, 2), crash_time=10.0)])

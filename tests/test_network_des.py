@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.adversary.runtime import HealNode, InjectFault, ScheduledAdversary
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.core.topology import Direction, HexGrid
 from repro.engines import get_engine
@@ -91,8 +93,7 @@ class TestSinglePulseDES:
         network.run(until=horizon)
         victim = grid.neighbor(fault_node, Direction.UPPER_RIGHT)
         assert network.firing_times(victim) == []
-        automaton = network.automata[victim]
-        assert Direction.LOWER_LEFT in automaton.flags
+        assert Direction.LOWER_LEFT in network.memorized(victim)
 
     def test_crash_fault_forwards_before_crash_only(self, grid, timing, timeouts):
         model = FaultModel(grid, [NodeFault.crash(grid, (2, 3), crash_time=1000.0)])
@@ -129,6 +130,50 @@ class TestSinglePulseDES:
         network.schedule_source_pulses(np.zeros((1, grid.width)))
         network.run(until=1000.0)
         assert network.first_firing_matrix()[grid.layers, 0] > 0
+
+
+class TestSilentSkipCounters:
+    """The DES's two silent skips are counted and reach ``repro.obs``."""
+
+    @staticmethod
+    def _counters(grid, timing, timeouts, **kwargs):
+        schedule = np.zeros((2, grid.width))
+        schedule[1] += timeouts.pulse_separation
+        with obs.observed(metrics=True) as session:
+            get_engine("des").multi_pulse(
+                grid, timing, timeouts, schedule, rng=np.random.default_rng(4),
+                initial_states="clean", **kwargs,
+            )
+        return session.registry.counters()
+
+    def test_fault_free_run_skips_nothing(self, grid, timing, timeouts):
+        counters = self._counters(grid, timing, timeouts)
+        assert counters["des.stale_high_assertions"] == 0
+        assert counters["des.dropped_arrivals"] == 0
+
+    def test_heal_mid_run_counts_stale_stuck_high_assertions(self, grid, timing, timeouts):
+        """A heal in the same instant as the injection strands its assertions."""
+        node = (3, 2)
+        fault = NodeFault.byzantine(
+            grid,
+            node,
+            behaviors={
+                dest: LinkBehavior.CONSTANT_ONE for dest in grid.out_neighbors(node).values()
+            },
+        )
+        adversary = ScheduledAdversary(
+            actions=((50.0, InjectFault(fault)), (50.0, HealNode(node)))
+        )
+        counters = self._counters(grid, timing, timeouts, adversary=adversary)
+        # One stuck-at-1 assertion per out-link, each dropped after the heal.
+        assert counters["des.stale_high_assertions"] == len(grid.out_neighbors(node))
+
+    def test_crashed_node_counts_dropped_arrivals(self, grid, timing, timeouts):
+        model = FaultModel(grid, [NodeFault.crash(grid, (2, 3), crash_time=1.0)])
+        counters = self._counters(grid, timing, timeouts, fault_model=model)
+        # Two pulses, each delivering at least the two lower in-links.
+        assert counters["des.dropped_arrivals"] >= 4
+        assert counters["des.stale_high_assertions"] == 0
 
 
 class TestRunnerInterfaces:

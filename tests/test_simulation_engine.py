@@ -1,13 +1,15 @@
-"""Tests for the event queue and the link delay models."""
+"""Tests for the event queue, the link delay models and the draw stream."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.topology import HexGrid
 from repro.simulation.engine import EventQueue
 from repro.simulation.links import (
     ConstantDelays,
+    DrawStream,
     FreshUniformDelays,
     TableDelays,
     UniformRandomDelays,
@@ -128,3 +130,43 @@ class TestDelayModels:
         assert good.validate_against(timing, grid)
         bad = ConstantDelays(timing.d_max * 2)
         assert not bad.validate_against(timing, grid)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937]
+
+
+class TestDrawStream:
+    """The buffered stream is interchangeable with scalar ``uniform`` calls."""
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    def test_draws_and_end_state_match_scalar_uniform(self, bit_generator):
+        scalar = np.random.Generator(bit_generator(7))
+        buffered = np.random.Generator(bit_generator(7))
+        # A pending 32-bit half-word must survive the rewind as well.
+        scalar.integers(0, 2)
+        buffered.integers(0, 2)
+        bounds = [(7.161, 8.197), (-0.05, 0.05), (0.0, 48.99)] * 300
+        stream = DrawStream(buffered)
+        expected = [float(scalar.uniform(low, high)) for low, high in bounds]
+        assert [stream.uniform(low, high) for low, high in bounds] == expected
+        stream.rewind()
+        assert buffered.random() == scalar.random()
+        assert buffered.integers(0, 1 << 30, size=5).tolist() == (
+            scalar.integers(0, 1 << 30, size=5).tolist()
+        )
+
+    def test_rewind_reopens_on_the_next_draw(self):
+        scalar, buffered = np.random.default_rng(3), np.random.default_rng(3)
+        stream = DrawStream(buffered)
+        for _ in range(2):
+            assert stream.uniform(0.0, 1.0) == float(scalar.uniform(0.0, 1.0))
+            stream.rewind()
+            assert buffered.integers(0, 9) == scalar.integers(0, 9)
+
+    def test_direct_draw_behind_the_stream_raises(self):
+        rng = np.random.default_rng(5)
+        stream = DrawStream(rng)
+        stream.uniform(0.0, 1.0)
+        rng.random()
+        with pytest.raises(RuntimeError):
+            stream.rewind()

@@ -33,9 +33,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.draws import Uniform
 from repro.core.parameters import TimingConfig
 from repro.core.topology import LinkId, NodeId
-from repro.simulation.links import DelayModel, Uniform
+from repro.simulation.links import DelayModel
 
 __all__ = ["MaxSkewDelays", "BiasedLinkDelays"]
 
@@ -67,7 +68,9 @@ class MaxSkewDelays(DelayModel):
         """The delay bounds the adversary chooses within."""
         return self._timing
 
-    def delay(self, source: NodeId, destination: NodeId) -> float:
+    def delay(
+        self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None
+    ) -> float:
         if destination[1] < self._width // 2:
             return self._timing.d_max
         return self._timing.d_min

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["BenchCase", "BenchSettings"]
 
@@ -150,6 +150,11 @@ class BenchCase:
     info:
         Optional ``info(result, settings) -> dict`` extractor of headline
         scalars recorded next to the timings in ``BENCH_*.json``.
+    work:
+        Optional ``(counter, unit)``: a ``repro.obs`` work counter of the
+        workload, counted in one untimed run under metrics; ``info`` then
+        gains ``ns_per_<unit>``, the median repeat over that count (omitted
+        when the run records none).
     """
 
     name: str
@@ -160,6 +165,7 @@ class BenchCase:
     check: Optional[Callable[[Any, BenchSettings], None]] = None
     quick_check: bool = False
     info: Optional[Callable[[Any, BenchSettings], Dict[str, Any]]] = None
+    work: Optional[Tuple[str, str]] = None
 
     def __post_init__(self) -> None:
         if not self.name or not self.suite:

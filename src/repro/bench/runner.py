@@ -136,7 +136,8 @@ def run_case(
 ) -> CaseResult:
     """Build, time and (optionally) shape-check one case.
 
-    The factory runs once outside the timed region; the workload runs
+    The factory (and a case's :attr:`~BenchCase.work` counting run) runs
+    outside the timed region; the workload runs
     ``case.effective_repeats(settings)`` times.  The check and the info
     extractor see the last repeat's return value.
 
@@ -147,6 +148,11 @@ def run_case(
     committed baselines were timed without observability.
     """
     workload = case.make(settings)
+    work = 0.0
+    if case.work is not None:
+        with obs.observed(metrics=True) as session:
+            workload()
+        work = session.registry.counter(case.work[0])
     registry = obs.registry()
     counters_before = registry.counters() if registry is not None else None
     times: List[float] = []
@@ -163,9 +169,10 @@ def run_case(
     if check and case.checks_under(settings):
         case.check(result, settings)
     info = case.info(result, settings) if case.info is not None else {}
-    return CaseResult(
-        case=case, times_s=times, stats=robust_stats(times), info=info, metrics=metrics
-    )
+    stats = robust_stats(times)
+    if work:
+        info[f"ns_per_{case.work[1]}"] = round(stats["median_s"] / work * 1e9, 1)
+    return CaseResult(case=case, times_s=times, stats=stats, info=info, metrics=metrics)
 
 
 def _suite_payload(

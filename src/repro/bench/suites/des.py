@@ -3,17 +3,14 @@
 Both cases run the discrete-event engine through the experiments layer on
 the smaller 20x10 stabilization grid (the historical ``bench_stab_config``),
 with the fault-count / parameter-choice sweeps of the corresponding figures.
-Each reports ``ns_per_event``: a repeat's wall time over the
-``des.events_processed`` count of one untimed run of the same (seeded)
-workload, so event-loop speed is comparable across grids and fault loads.
+Each reports ``ns_per_event`` over ``des.events_processed``, so event-loop
+speed is comparable across grids and fault loads.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
-from repro import obs
 from repro.bench.case import BenchCase, BenchSettings
 from repro.bench.registry import register_case
 from repro.experiments import fig18, fig19
@@ -21,41 +18,21 @@ from repro.faults.models import FaultType
 
 SUITE = "des"
 
-
-def timed_per_event(run: Callable[[], Any]) -> Callable[[], Dict[str, Any]]:
-    """Wrap a DES workload: count its events once, then time each repeat.
-
-    The count comes from one untimed run under ``repro.obs`` metrics (the
-    workloads are seeded, so every repeat processes the same events); the
-    timed repeats run without observability.
-    """
-    with obs.observed(metrics=True) as session:
-        run()
-    events = session.registry.counter("des.events_processed")
-
-    def workload() -> Dict[str, Any]:
-        start = time.perf_counter()
-        result = run()
-        wall = time.perf_counter() - start
-        return {"result": result, "wall_s": wall, "ns_per_event": wall / events * 1e9}
-
-    return workload
+#: The ``BenchCase.work`` counter of every DES-driven case.
+EVENTS = ("des.events_processed", "event")
 
 
 def _make_fig18(settings: BenchSettings):
     config = settings.stab_config()
-    return timed_per_event(
-        lambda: fig18.run(
-            config,
-            fault_counts=(0, 2, 5),
-            choices=(0, 3),
-            fault_types=(FaultType.BYZANTINE, FaultType.FAIL_SILENT),
-        )
+    return lambda: fig18.run(
+        config,
+        fault_counts=(0, 2, 5),
+        choices=(0, 3),
+        fault_types=(FaultType.BYZANTINE, FaultType.FAIL_SILENT),
     )
 
 
-def _check_fig18(timed: Dict[str, Any], settings: BenchSettings) -> None:
-    result = timed["result"]
+def _check_fig18(result: Any, settings: BenchSettings) -> None:
     config = settings.stab_config()
     conservative = result.point(0, 0, FaultType.BYZANTINE)
     aggressive = result.point(5, 3, FaultType.BYZANTINE)
@@ -78,12 +55,10 @@ def _check_fig18(timed: Dict[str, Any], settings: BenchSettings) -> None:
     )
 
 
-def _info_fig18(timed: Dict[str, Any], settings: BenchSettings) -> Dict[str, float]:
-    result = timed["result"]
+def _info_fig18(result: Any, settings: BenchSettings) -> Dict[str, float]:
     conservative = result.point(0, 0, FaultType.BYZANTINE)
     aggressive = result.point(5, 3, FaultType.BYZANTINE)
     return {
-        "ns_per_event": round(timed["ns_per_event"], 1),
         "avg_stab_time_f0_C0": round(conservative.average, 2),
         "stabilized_f0_C0": conservative.num_stabilized,
         "avg_stab_time_f5_C3": round(aggressive.average, 2),
@@ -101,6 +76,7 @@ register_case(
         quick_repeats=3,
         check=_check_fig18,
         info=_info_fig18,
+        work=EVENTS,
     ),
     replace=True,
 )
@@ -108,18 +84,12 @@ register_case(
 
 def _make_fig19(settings: BenchSettings):
     config = settings.stab_config()
-    return timed_per_event(
-        lambda: fig19.run(
-            config,
-            fault_counts=(0, 3),
-            choices=(0, 2),
-            fault_types=(FaultType.BYZANTINE,),
-        )
+    return lambda: fig19.run(
+        config, fault_counts=(0, 3), choices=(0, 2), fault_types=(FaultType.BYZANTINE,)
     )
 
 
-def _check_fig19(timed: Dict[str, Any], settings: BenchSettings) -> None:
-    result = timed["result"]
+def _check_fig19(result: Any, settings: BenchSettings) -> None:
     config = settings.stab_config()
     conservative = result.point(0, 0, FaultType.BYZANTINE)
     with_faults = result.point(3, 0, FaultType.BYZANTINE)
@@ -133,12 +103,10 @@ def _check_fig19(timed: Dict[str, Any], settings: BenchSettings) -> None:
         assert with_faults.average <= (config.layers + 1) / 2
 
 
-def _info_fig19(timed: Dict[str, Any], settings: BenchSettings) -> Dict[str, float]:
-    result = timed["result"]
+def _info_fig19(result: Any, settings: BenchSettings) -> Dict[str, float]:
     conservative = result.point(0, 0, FaultType.BYZANTINE)
     with_faults = result.point(3, 0, FaultType.BYZANTINE)
     return {
-        "ns_per_event": round(timed["ns_per_event"], 1),
         "avg_stab_time_f0_C0": round(conservative.average, 2),
         "avg_stab_time_f3_C0": round(with_faults.average, 2),
     }
@@ -153,6 +121,7 @@ register_case(
         quick_repeats=3,
         check=_check_fig19,
         info=_info_fig19,
+        work=EVENTS,
     ),
     replace=True,
 )

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bench.case import BenchCase, BenchSettings
 from repro.bench.registry import register_case
-from repro.bench.suites.des import timed_per_event
+from repro.bench.suites.des import EVENTS
 from repro.experiments.soak import SoakSpec, run_soak
 from repro.stream import StreamSummary
 
@@ -44,7 +44,13 @@ def _spec(settings: BenchSettings) -> SoakSpec:
 
 def _make_sustained_pulses(settings: BenchSettings):
     spec = _spec(settings)
-    return timed_per_event(lambda: run_soak(spec))
+
+    def workload() -> Dict[str, Any]:
+        start = time.perf_counter()
+        soak = run_soak(spec)
+        return {"result": soak, "wall_s": time.perf_counter() - start}
+
+    return workload
 
 
 def _check_sustained_pulses(result: Dict[str, Any], settings: BenchSettings) -> None:
@@ -68,7 +74,6 @@ def _info_sustained_pulses(result: Dict[str, Any], settings: BenchSettings) -> D
         "pulses": soak.pulses,
         "epochs": soak.epochs,
         "pulses_per_s": round(soak.pulses / result["wall_s"], 1),
-        "ns_per_event": round(result["ns_per_event"], 1),
         "recoveries": soak.recoveries,
         "skew_p95": round(soak.skew.quantile(0.95), 4),
     }
@@ -84,6 +89,7 @@ register_case(
         check=_check_sustained_pulses,
         quick_check=True,
         info=_info_sustained_pulses,
+        work=EVENTS,
     ),
     replace=True,
 )

@@ -5,7 +5,9 @@ carrying the shape checks of its historical ``benchmarks/test_bench_*.py``
 module: the measured numbers must stay in the published regime, not merely
 execute.  All cases run the analytic solver engine through the experiments
 layer on the paper's 50x20 grid; quick mode shrinks the Monte Carlo run
-counts only.
+counts only.  The heap-sweep cases report ``ns_per_message`` over the
+engine's ``solver.messages_delivered`` (fig05, fig13, fig14 and fig17 call
+the solver outside the engine, which counts nothing, so they carry none).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ def _case(
     repeats: int = 3,
     quick_repeats: int = 3,
     quick_check: bool = False,
+    heap_sweep: bool = True,
 ) -> None:
     register_case(
         BenchCase(
@@ -60,6 +63,7 @@ def _case(
             check=check,
             quick_check=quick_check,
             info=info,
+            work=("solver.messages_delivered", "message") if heap_sweep else None,
         ),
         replace=True,
     )
@@ -679,6 +683,7 @@ _case(
     repeats=7,
     quick_repeats=7,
     quick_check=True,
+    heap_sweep=False,
 )
 
 
@@ -728,6 +733,7 @@ _case(
     repeats=7,
     quick_repeats=7,
     quick_check=True,
+    heap_sweep=False,
 )
 
 
@@ -756,4 +762,5 @@ _case(
     repeats=7,
     quick_repeats=7,
     quick_check=True,
+    heap_sweep=False,
 )

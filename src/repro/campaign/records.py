@@ -2,7 +2,7 @@
 
 A :class:`RunRecord` is the unit the campaign runner produces, the on-disk
 store persists and the analysis layer aggregates.  Records are deliberately
-*flat* (scalars, strings and nested lists only) so they round-trip through
+*flat* (scalars, strings and two float64 arrays) so they round-trip through
 JSON lines and pickling without custom machinery, and *deterministic* given
 their task -- with the single exception of :attr:`RunRecord.wall_time_s`,
 which measures the host.  The canonical form (:meth:`RunRecord.canonical_dict`)
@@ -14,12 +14,12 @@ over the union of all per-run skew samples of a point (not averages of
 per-run statistics), which requires the dense trigger-time matrices; campaigns
 keep them by default (``CampaignSpec.keep_times``).
 
-In memory the dense payloads stay numpy arrays (no conversion cost on the hot
-path); serialization converts to nested lists and maps non-finite floats to
-the sentinel strings ``"NaN"`` / ``"Infinity"`` / ``"-Infinity"`` so record
-files are *strict* RFC 8259 JSON lines (bare ``NaN`` tokens would be rejected
-by ``jq`` and most non-Python parsers).  :meth:`RunRecord.from_json_dict`
-decodes the sentinels back to floats.
+The dense payloads are float64 numpy arrays, also after a JSON round trip.
+Serialization maps non-finite floats to the sentinel strings ``"NaN"`` /
+``"Infinity"`` / ``"-Infinity"`` so record files are *strict* RFC 8259 JSON
+lines (bare ``NaN`` tokens would be rejected by ``jq`` and most non-Python
+parsers); ``np.asarray(..., dtype=float)`` parses them back, and a ragged or
+non-numeric payload fails to load.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +85,30 @@ def _encode_json_safe(value: Any) -> Any:
     return value
 
 
+def _dense_to_json(values: Optional[np.ndarray]) -> Optional[list]:
+    """Nested lists of a float array, non-finite entries as sentinel strings."""
+    if values is None:
+        return None
+    array = np.asarray(values, dtype=float)
+    nested = array.tolist()
+    for position in zip(*np.nonzero(~np.isfinite(array))):
+        target = nested
+        for index in position[:-1]:
+            target = target[index]
+        target[position[-1]] = _encode_json_safe(float(array[position]))
+    return nested
+
+
+def _dense_from_json(values: Any, ndim: int) -> Optional[np.ndarray]:
+    """Inverse of :func:`_dense_to_json`; raises ``ValueError`` on a malformed payload."""
+    if values is None:
+        return None
+    array = np.asarray(values, dtype=float)
+    if array.ndim != ndim:
+        raise ValueError(f"dense payload has {array.ndim} dimension(s), expected {ndim}")
+    return array
+
+
 def _decode_json_safe(value: Any) -> Any:
     """Inverse of :func:`_encode_json_safe` (sentinel strings back to floats)."""
     if isinstance(value, str) and value in _NONFINITE:
@@ -117,11 +141,11 @@ class RunRecord:
         The ``(layer, column)`` positions of the run's faulty nodes.
     trigger_times:
         Dense ``(L + 1, W)`` trigger-time matrix (``inf`` for never-fired,
-        ``nan`` for faulty nodes) -- a numpy array when produced by the
-        executor, nested lists after a JSON round trip; ``None`` when the
+        ``nan`` for faulty nodes) as a float64 array; ``None`` when the
         campaign dropped dense payloads.
     layer0_times:
-        The layer-0 firing times of the run (single-pulse, dense payload).
+        The layer-0 firing times of the run (single-pulse, dense payload,
+        float64 array).
     stabilization_time:
         Estimated stabilization pulse (1-based; ``NaN`` when the run did not
         stabilize); multi-pulse runs only.
@@ -139,8 +163,8 @@ class RunRecord:
     params: Dict[str, Any] = field(default_factory=dict)
     skew: Optional[Dict[str, float]] = None
     faulty_nodes: Tuple[Tuple[int, int], ...] = ()
-    trigger_times: Optional[Union[np.ndarray, List[List[float]]]] = None
-    layer0_times: Optional[Union[np.ndarray, List[float]]] = None
+    trigger_times: Optional[np.ndarray] = None
+    layer0_times: Optional[np.ndarray] = None
     stabilization_time: Optional[float] = None
     total_firings: Optional[int] = None
     wall_time_s: float = 0.0
@@ -189,33 +213,21 @@ class RunRecord:
         Strict-JSON safe: dense arrays become nested lists and non-finite
         floats their sentinel strings.
         """
-        trigger_times = (
-            np.asarray(self.trigger_times, dtype=float).tolist()
-            if self.trigger_times is not None
-            else None
-        )
-        layer0_times = (
-            np.asarray(self.layer0_times, dtype=float).tolist()
-            if self.layer0_times is not None
-            else None
-        )
-        return _encode_json_safe(
-            {
-                "schema": SCHEMA,
-                "key": self.key,
-                "kind": self.kind,
-                "cell_index": self.cell_index,
-                "point_index": self.point_index,
-                "run_index": self.run_index,
-                "params": dict(self.params),
-                "skew": dict(self.skew) if self.skew is not None else None,
-                "faulty_nodes": [list(node) for node in self.faulty_nodes],
-                "trigger_times": trigger_times,
-                "layer0_times": layer0_times,
-                "stabilization_time": self.stabilization_time,
-                "total_firings": self.total_firings,
-            }
-        )
+        return {
+            "schema": SCHEMA,
+            "key": self.key,
+            "kind": self.kind,
+            "cell_index": self.cell_index,
+            "point_index": self.point_index,
+            "run_index": self.run_index,
+            "params": _encode_json_safe(dict(self.params)),
+            "skew": _encode_json_safe(dict(self.skew)) if self.skew is not None else None,
+            "faulty_nodes": [list(node) for node in self.faulty_nodes],
+            "trigger_times": _dense_to_json(self.trigger_times),
+            "layer0_times": _dense_to_json(self.layer0_times),
+            "stabilization_time": _encode_json_safe(self.stabilization_time),
+            "total_firings": self.total_firings,
+        }
 
     def canonical_json(self) -> str:
         """Canonical JSON line; byte-identical across re-executions of the task."""
@@ -226,21 +238,21 @@ class RunRecord:
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "RunRecord":
         """Rebuild a record from its (canonical or full) JSON representation."""
-        payload = _decode_json_safe(payload)
+        skew = payload.get("skew")
         return cls(
             key=payload["key"],
             kind=payload["kind"],
             cell_index=int(payload["cell_index"]),
             point_index=int(payload["point_index"]),
             run_index=int(payload["run_index"]),
-            params=dict(payload.get("params", {})),
-            skew=dict(payload["skew"]) if payload.get("skew") is not None else None,
+            params=_decode_json_safe(dict(payload.get("params", {}))),
+            skew=_decode_json_safe(dict(skew)) if skew is not None else None,
             faulty_nodes=tuple(
                 (int(layer), int(column)) for layer, column in payload.get("faulty_nodes", [])
             ),
-            trigger_times=payload.get("trigger_times"),
-            layer0_times=payload.get("layer0_times"),
-            stabilization_time=payload.get("stabilization_time"),
+            trigger_times=_dense_from_json(payload.get("trigger_times"), 2),
+            layer0_times=_dense_from_json(payload.get("layer0_times"), 1),
+            stabilization_time=_decode_json_safe(payload.get("stabilization_time")),
             total_firings=payload.get("total_firings"),
             wall_time_s=float(payload.get("wall_time_s", 0.0)),
         )

@@ -55,7 +55,7 @@ from repro.analysis.skew import SkewStatistics
 from repro.analysis.stabilization import stabilization_time
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.records import RunRecord, group_by_point, pooled_statistics, stabilization_times
-from repro.campaign.spec import CampaignSpec, RunTask
+from repro.campaign.spec import CampaignSpec, RunTask, task_key
 from repro.campaign.store import CampaignStore
 from repro.clocksource.scenarios import parse_scenario
 from repro.core.bounds import stable_skew_choice
@@ -437,7 +437,10 @@ class CampaignRunner:
         for index, task in enumerate(tasks):
             # Hashing every task is only worthwhile when there is a cache to
             # probe; the executor stamps record keys itself.
-            hit = cached.get(task.key()) if cached else None
+            hit = None
+            if cached:
+                params = task.to_json_dict()
+                hit = cached.get(task_key(params))
             if hit is not None:
                 # Serve each hit as an independent copy with the *current*
                 # campaign coordinates: a task may have moved cells between
@@ -448,7 +451,7 @@ class CampaignRunner:
                     cell_index=task.cell_index,
                     point_index=task.point_index,
                     run_index=task.run_index,
-                    params=task.to_json_dict(),
+                    params=params,
                 )
             else:
                 pending.append((index, task))

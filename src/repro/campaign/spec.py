@@ -70,6 +70,7 @@ __all__ = [
     "SweepPoint",
     "CampaignSpec",
     "RunTask",
+    "task_key",
     "canonical_json",
     "content_key",
 ]
@@ -595,6 +596,17 @@ class CampaignSpec:
         return replace(self, seed=seed)
 
 
+def task_key(params: Dict[str, Any]) -> str:
+    """Content-address of a task from its :meth:`RunTask.to_json_dict` payload.
+
+    Presentation-only coordinates (``cell_index``, ``point_index``,
+    ``label``) are excluded so cached runs survive reorganising a campaign
+    into different cells.
+    """
+    ignored = ("cell_index", "point_index", "label")
+    return content_key({name: value for name, value in params.items() if name not in ignored})
+
+
 @dataclass(frozen=True)
 class RunTask:
     """One fully-resolved simulation run, self-contained and picklable.
@@ -658,16 +670,8 @@ class RunTask:
         return payload
 
     def key(self) -> str:
-        """Content-address of the task (cache lookup key).
-
-        Presentation-only coordinates (``cell_index``, ``point_index``,
-        ``label``) are excluded so cached runs survive reorganising a campaign
-        into different cells.
-        """
-        payload = self.to_json_dict()
-        for ignored in ("cell_index", "point_index", "label"):
-            payload.pop(ignored)
-        return content_key(payload)
+        """Content-address of the task (cache lookup key, see :func:`task_key`)."""
+        return task_key(self.to_json_dict())
 
     # ------------------------------------------------------------------
     # reconstruction helpers (used by the executor)

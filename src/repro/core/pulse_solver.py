@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from repro.core.algorithm import GuardKind
+from repro.core.draws import DrawStream, Uniform
 from repro.core.topology import Direction, HexGrid, NodeId
 from repro.faults.models import FaultModel, LinkBehavior
 
@@ -64,10 +65,17 @@ class LinkDelayProvider(Protocol):
 
     The delay models in :mod:`repro.simulation.links` implement this protocol;
     a plain ``dict``-backed adapter or a constant-delay lambda wrapped in a
-    small class works just as well for analytic constructions.
+    small class with ``rng = None`` works just as well for analytic
+    constructions.  ``rng`` is the generator the provider draws from
+    (``None`` when it draws nothing); given ``uniform``, it draws through
+    that instead of ``rng``.
     """
 
-    def delay(self, source: NodeId, destination: NodeId) -> float:
+    rng: Optional[np.random.Generator]
+
+    def delay(
+        self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None
+    ) -> float:
         """The end-to-end delay of the directed link ``source -> destination``."""
         ...
 
@@ -327,7 +335,9 @@ def solve_single_pulse(
     correct link from a correct source that fires, in finalization order --
     that order is part of the reproducibility contract, since delay models
     such as :class:`~repro.simulation.links.UniformRandomDelays` draw on
-    first query.
+    first query.  Queries draw through one :class:`~repro.core.draws.DrawStream`
+    over ``delays.rng``, rewound when the sweep ends (also on an exception),
+    so the generator stands where scalar ``rng.uniform`` calls would leave it.
 
     Parameters
     ----------
@@ -380,6 +390,8 @@ def solve_single_pulse(
     pop = heapq.heappop
     node_tuples = plan.nodes
     link_delay = delays.delay
+    stream = DrawStream(delays.rng) if delays.rng is not None else None
+    uniform = stream.uniform if stream is not None else None
 
     # Stuck-at-1 links set the receiver's flag at ``byzantine_high_time``;
     # push every guard they complete on their own, once.
@@ -396,7 +408,7 @@ def solve_single_pulse(
     def deliver(source_index: int, fire_time: float) -> None:
         source = node_tuples[source_index]
         for dest_index, direction, dest_layer, dest_column in out_links[source_index]:
-            arrival = fire_time + link_delay(source, node_tuples[dest_index])
+            arrival = fire_time + link_delay(source, node_tuples[dest_index], uniform)
             base = dest_index * 4
             arrivals[base + direction] = arrival
             # Push exactly the guards this arrival completes.  Heap tuples are
@@ -474,21 +486,25 @@ def solve_single_pulse(
                         ),
                     )
 
-    for column in sources:
-        fire_time = float(layer0[column])
-        trigger_flat[column] = fire_time
-        finalized[column] = 1
-        deliver(column, fire_time)
+    try:
+        for column in sources:
+            fire_time = float(layer0[column])
+            trigger_flat[column] = fire_time
+            finalized[column] = 1
+            deliver(column, fire_time)
 
-    while heap:
-        candidate, layer, column, guard_value = pop(heap)
-        index = layer * width + column
-        if finalized[index]:
-            continue
-        finalized[index] = 1
-        trigger_flat[index] = candidate
-        guard_flat[index] = guard_value
-        deliver(index, candidate)
+        while heap:
+            candidate, layer, column, guard_value = pop(heap)
+            index = layer * width + column
+            if finalized[index]:
+                continue
+            finalized[index] = 1
+            trigger_flat[index] = candidate
+            guard_flat[index] = guard_value
+            deliver(index, candidate)
+    finally:
+        if stream is not None:
+            stream.rewind()
 
     # Post-hoc work accounting over the flat arrival slots (O(n), outside the
     # sweep).  A guard counts as one heap push when both of its arrivals

@@ -8,8 +8,8 @@ faulty or not.
 Draw order (the reproducibility contract, identical to the historical
 ``execute_task`` single-pulse body): layer-0 firing times, then fault
 placement and behaviour, then the per-link delays -- which
-:class:`~repro.simulation.links.UniformRandomDelays` draws lazily inside the
-solver's own link traversal, exactly as before.
+:class:`~repro.simulation.links.UniformRandomDelays` draws lazily, in the
+solver's link traversal order, through its buffered draw stream.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
   observers see).
 * :mod:`repro.simulation.engine` -- the time-ordered event queue.
 * :mod:`repro.simulation.links` -- link delay models (uniform random,
-  deterministic, per-link tables) and the buffered draw stream.
+  deterministic, per-link tables).
 * :mod:`repro.simulation.network` -- Algorithm 1 on a HEX grid over flat
   integer state, with fault injection and arbitrary initial states.
 

@@ -1,4 +1,4 @@
-"""Link delay models and the buffered draw stream they share with the DES.
+"""Link delay models.
 
 The paper's testbench supports "both random delays (uniform within [d-, d+])
 and deterministic delays" for every individual link.  The classes here cover
@@ -6,9 +6,9 @@ both, plus per-link tables for the hand-crafted worst-case constructions of
 Figs. 5 and 17.
 
 All models implement the :class:`repro.core.pulse_solver.LinkDelayProvider`
-protocol (``delay(source, destination) -> float``) and additionally a
-``sample(source, destination, uniform=None)`` method used by the
-discrete-event simulator for each individual message:
+protocol (``rng`` and ``delay(source, destination, uniform=None)``) and
+additionally a ``sample(source, destination, uniform=None)`` method used by
+the discrete-event simulator for each individual message:
 
 * for :class:`UniformRandomDelays` the per-link delay is drawn lazily once and
   then cached, so the analytic solver and the discrete-event simulator observe
@@ -17,20 +17,21 @@ discrete-event simulator for each individual message:
 * :class:`FreshUniformDelays` instead draws a fresh delay for every message,
   modelling per-message jitter in long multi-pulse runs.
 
-A model that draws names its generator in :attr:`DelayModel.rng`.  When that
-is the simulation's own generator, the network passes the ``uniform`` of its
-:class:`DrawStream` to ``sample``: timer and delay draws then read one
-buffered stream whose values and end state are bit-identical to scalar
-``Generator.uniform`` calls in the same order.
+A model that draws names its generator in :attr:`DelayModel.rng`; the
+solver (and the DES, when that is the run's generator) passes the
+``uniform`` of a :class:`~repro.core.draws.DrawStream` over it to ``delay``
+/ ``sample``, and the model draws through that.  Deterministic models
+ignore ``uniform``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.core.draws import Uniform
 from repro.core.parameters import TimingConfig
 from repro.core.topology import HexGrid, LinkId, NodeId
 
@@ -40,96 +41,7 @@ __all__ = [
     "TableDelays",
     "UniformRandomDelays",
     "FreshUniformDelays",
-    "DrawStream",
-    "Uniform",
 ]
-
-#: ``uniform(low, high) -> float``: one draw from ``[low, high)``.
-Uniform = Callable[[float, float], float]
-
-#: Draws per :class:`DrawStream` refill.
-_CHUNK = 256
-
-
-class DrawStream:
-    """Buffered ``uniform(low, high)`` draws from one generator.
-
-    The stream refills with ``rng.random(256)`` and returns
-    ``low + (high - low) * u``, which is bit-identical to scalar
-    ``Generator.uniform(low, high)``.  :meth:`rewind` hands the generator
-    back exactly where those scalar calls would have left it: it restores
-    the state saved before the first refill and advances it by the number
-    of draws consumed.  Bit generators whose ``advance`` does not count
-    double draws run the same code with a chunk of one, so nothing is ever
-    drawn ahead.
-
-    Between refills and :meth:`rewind` nothing else may draw from the
-    generator: a refill or rewind that finds the generator moved raises
-    :class:`RuntimeError` instead of silently reordering the draws.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        # Bit generators whose ``advance(n)`` skips exactly ``n`` double
-        # draws (imported here: ``numpy.random`` loads lazily).
-        from numpy.random import PCG64, PCG64DXSM
-
-        self._rng = rng
-        self._chunk = _CHUNK if isinstance(rng.bit_generator, (PCG64, PCG64DXSM)) else 1
-        self._buffer: List[float] = []
-        self._next = 0
-        self._consumed = 0
-        self._start: Optional[dict] = None
-        self._expected: Optional[dict] = None
-
-    def uniform(self, low: float, high: float) -> float:
-        """The next draw, scaled to ``[low, high)``."""
-        index = self._next
-        if index == len(self._buffer):
-            self._refill()
-            index = 0
-        self._next = index + 1
-        return low + (high - low) * self._buffer[index]
-
-    def _refill(self) -> None:
-        bit_generator = self._rng.bit_generator
-        if self._start is None:
-            self._start = bit_generator.state
-        else:
-            self._check_untouched()
-        self._consumed += len(self._buffer)
-        self._buffer = self._rng.random(self._chunk).tolist()
-        self._next = 0
-        if self._chunk > 1:
-            self._expected = bit_generator.state
-
-    def _check_untouched(self) -> None:
-        if self._chunk > 1 and self._rng.bit_generator.state != self._expected:
-            raise RuntimeError(
-                "the generator was drawn from directly while a DrawStream held "
-                "buffered draws; route every draw through the stream"
-            )
-
-    def rewind(self) -> None:
-        """Return unconsumed draws: leave the generator as scalar draws would."""
-        if self._start is None:
-            return
-        self._check_untouched()
-        if self._next < len(self._buffer):
-            start = self._start
-            bit_generator = self._rng.bit_generator
-            bit_generator.state = start
-            bit_generator.advance(self._consumed + self._next)
-            # advance() drops the buffered 32-bit half-word that double draws
-            # never touch; put it back so later integer draws match too.
-            state = bit_generator.state
-            state["has_uint32"] = start["has_uint32"]
-            state["uinteger"] = start["uinteger"]
-            bit_generator.state = state
-        self._buffer = []
-        self._next = 0
-        self._consumed = 0
-        self._start = None
-        self._expected = None
 
 
 class DelayModel(abc.ABC):
@@ -139,8 +51,10 @@ class DelayModel(abc.ABC):
     rng: Optional[np.random.Generator] = None
 
     @abc.abstractmethod
-    def delay(self, source: NodeId, destination: NodeId) -> float:
-        """The (stable) delay of the directed link ``source -> destination``."""
+    def delay(
+        self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None
+    ) -> float:
+        """The (stable) delay of the link; ``uniform`` stands in for :attr:`rng`."""
 
     def sample(
         self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None
@@ -148,11 +62,9 @@ class DelayModel(abc.ABC):
         """The delay of one particular message on the link.
 
         Defaults to the stable per-link delay; models with per-message jitter
-        override this.  ``uniform``, when given, stands in for the model's
-        own draws from :attr:`rng` (the DES passes its :class:`DrawStream`
-        over that same generator).
+        override this.  ``uniform`` is as for :meth:`delay`.
         """
-        return self.delay(source, destination)
+        return self.delay(source, destination, uniform)
 
     def validate_against(self, timing: TimingConfig, grid: HexGrid) -> bool:
         """Check that every link delay of ``grid`` lies within ``[d-, d+]``.
@@ -183,7 +95,9 @@ class ConstantDelays(DelayModel):
         """The constant delay."""
         return self._value
 
-    def delay(self, source: NodeId, destination: NodeId) -> float:
+    def delay(
+        self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None
+    ) -> float:
         return self._value
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -217,7 +131,9 @@ class TableDelays(DelayModel):
             raise ValueError(f"link delay must be positive, got {value}")
         self._table[(source, destination)] = float(value)
 
-    def delay(self, source: NodeId, destination: NodeId) -> float:
+    def delay(
+        self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None
+    ) -> float:
         return self._table.get((source, destination), self._default)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

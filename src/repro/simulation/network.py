@@ -20,7 +20,7 @@ Byzantine stuck-at-1 links behave as the hardware does: the receiver's flag
 for such a link is set at simulation start and re-set whenever it is
 cleared (by a link timeout or a wake-up).  Timer draws, and the draws of a
 delay model over the same generator, read one
-:class:`~repro.simulation.links.DrawStream`, rewound before every public
+:class:`~repro.core.draws.DrawStream`, rewound before every public
 method returns, so the generator ends exactly where scalar draws would
 leave it.  Node ids are validated at the API boundary only.
 """
@@ -35,6 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.algorithm import INCOMING_DIRECTIONS
+from repro.core.draws import DrawStream
 from repro.core.parameters import TimeoutConfig, TimingConfig
 from repro.core.pulse_solver import solver_plan
 from repro.core.topology import TRIGGER_GUARDS, Direction, HexGrid, NodeId
@@ -48,7 +49,7 @@ from repro.simulation.events import (
     SourcePulse,
     WakeUp,
 )
-from repro.simulation.links import DelayModel, DrawStream
+from repro.simulation.links import DelayModel
 
 __all__ = ["TimerPolicy", "HexNetwork"]
 
@@ -149,7 +150,7 @@ class HexNetwork:
 
         self._stream = DrawStream(rng) if rng is not None else None
         self._uniform = self._stream.uniform if self._stream is not None else None
-        draws_from_run = rng is not None and getattr(delays, "rng", None) is rng
+        draws_from_run = rng is not None and delays.rng is rng
         self._delay_uniform = self._uniform if draws_from_run else None
         self._nominal = timer_policy is TimerPolicy.NOMINAL
 
@@ -522,10 +523,7 @@ class HexNetwork:
         for destination, slot, _layer, _column in out_links:
             if ready[destination] < 0 or (check_cut and base + destination in cut):
                 continue
-            if uniform is None:
-                delay = sample(nodes[source], nodes[destination])
-            else:
-                delay = sample(nodes[source], nodes[destination], uniform)
+            delay = sample(nodes[source], nodes[destination], uniform)
             arrival = time + delay
             if not time - 1e-12 <= arrival < _INF:
                 raise ValueError(

@@ -10,7 +10,9 @@ historical hand-rolled loops, and the CLI regressions (``--runs 0``, the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -190,6 +192,21 @@ class TestExecutionDeterminism:
         assert clone.canonical_json() == record.canonical_json()
         # Infinity/NaN entries survive the round trip (never-fired / faulty).
         assert np.array_equal(clone.trigger_matrix(), record.trigger_matrix(), equal_nan=True)
+        # Dense payloads load as float64 arrays, non-finite entries in place.
+        times = record.trigger_matrix().copy()
+        assert np.isnan(times).any()  # the faulty node
+        times[2, 1], times[3, 4] = math.inf, -math.inf
+        planted = dataclasses.replace(record, trigger_times=times)
+        clone = RunRecord.from_json_dict(json.loads(planted.canonical_json()))
+        for loaded, original in (
+            (clone.trigger_times, times),
+            (clone.layer0_times, record.layer0_times),
+        ):
+            assert isinstance(loaded, np.ndarray) and loaded.dtype == np.float64
+            assert np.array_equal(loaded, original, equal_nan=True)
+        assert clone.trigger_times[2, 1] == math.inf
+        assert clone.trigger_times[3, 4] == -math.inf
+        assert clone.canonical_json() == planted.canonical_json()
 
 
 class TestStoreResume:
@@ -293,6 +310,38 @@ class TestStoreResume:
             assert session.registry.counter("store.lines_skipped") == 1.0
         assert str(shard) in str(caught[0].message)
         assert len(loaded) == spec.num_tasks - 1
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda times: times[0].pop(), id="ragged"),
+            pytest.param(lambda times: times[1].__setitem__(2, "bogus"), id="non-sentinel"),
+        ],
+    )
+    def test_malformed_dense_payload_is_skipped_and_rerun(self, tmp_path, corrupt):
+        """A bad trigger-time matrix fails at load, not later in ``--out``."""
+        spec = small_spec(runs=2)
+        store = CampaignStore(tmp_path)
+        fresh = CampaignRunner(spec, store=store).run()
+        shard = store.shard_path(spec)
+        lines = shard.read_text(encoding="utf-8").splitlines(keepends=True)
+        payload = json.loads(lines[1])
+        corrupt(payload["record"]["trigger_times"])
+        lines[1] = json.dumps(payload) + "\n"
+        shard.write_text("".join(lines), encoding="utf-8")
+        with obs.observed(metrics=True) as session:
+            with pytest.warns(RuntimeWarning, match="skipped 1 malformed line") as caught:
+                loaded = store.load(spec)
+            assert session.registry.counter("store.lines_skipped") == 1.0
+        assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
+        assert payload["key"] not in loaded
+        assert len(loaded) == spec.num_tasks - 1
+        with pytest.warns(RuntimeWarning, match="skipped 1 malformed line"):
+            resumed = CampaignRunner(spec, store=store, resume=True).run()
+        assert resumed.executed == 1
+        assert [r.canonical_json() for r in resumed.records] == [
+            r.canonical_json() for r in fresh.records
+        ]
 
     def test_resume_requires_store(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,12 @@ from repro.core.algorithm import GuardKind
 from repro.core.pulse_solver import solve_single_pulse
 from repro.core.topology import Direction, HexGrid
 from repro.faults.models import FaultModel, LinkBehavior, NodeFault
-from repro.simulation.links import ConstantDelays, TableDelays, UniformRandomDelays
+from repro.simulation.links import (
+    ConstantDelays,
+    DelayModel,
+    TableDelays,
+    UniformRandomDelays,
+)
 
 
 class TestFaultFreePropagation:
@@ -203,3 +208,59 @@ class TestWorstCaseDelays:
         # The coupling of the HEX rule keeps the neighbour skew of the boundary
         # columns far below the accumulated difference of the two halves.
         assert abs(top[4] - top[3]) < grid.layers * (simple_timing.d_max - simple_timing.d_min)
+
+
+class _DrawsBehindTheStream(DelayModel):
+    """Draws through ``uniform`` but also straight from ``rng``."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def delay(self, source, destination, uniform=None):
+        self.rng.random()
+        return uniform(1.0, 2.0)
+
+
+class _FailsAfterDraws(DelayModel):
+    """Draws ``draws`` delays through ``uniform``, then raises."""
+
+    def __init__(self, rng: np.random.Generator, draws: int) -> None:
+        self.rng = rng
+        self._left = draws
+
+    def delay(self, source, destination, uniform=None):
+        if self._left == 0:
+            raise LookupError("no delay for this link")
+        self._left -= 1
+        return uniform(1.0, 2.0)
+
+
+class TestDrawStreamContract:
+    """Link delays are read from a DrawStream over the model's generator."""
+
+    def test_generator_ends_where_scalar_draws_leave_it(self, timing):
+        grid = HexGrid(layers=50, width=20)
+        rng = np.random.default_rng(2013)
+        delays = UniformRandomDelays(timing, rng)
+        solve_single_pulse(grid, np.zeros(grid.width), delays)
+        cached = list(delays._cache.values())
+        assert len(cached) > 256  # crosses a stream refill
+        replay = np.random.default_rng(2013)
+        assert [replay.uniform(timing.d_min, timing.d_max) for _ in cached] == cached
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_direct_draw_from_the_generator_raises(self, medium_grid):
+        delays = _DrawsBehindTheStream(np.random.default_rng(1))
+        with pytest.raises(RuntimeError, match="drawn from directly"):
+            solve_single_pulse(medium_grid, np.zeros(medium_grid.width), delays)
+
+    @pytest.mark.parametrize("draws", [0, 5, 300])
+    def test_raising_delay_leaves_only_its_draws_consumed(self, draws):
+        grid = HexGrid(layers=50, width=20)
+        rng = np.random.default_rng(99)
+        with pytest.raises(LookupError):
+            solve_single_pulse(grid, np.zeros(grid.width), _FailsAfterDraws(rng, draws))
+        replay = np.random.default_rng(99)
+        for _ in range(draws):
+            replay.uniform(1.0, 2.0)
+        assert rng.bit_generator.state == replay.bit_generator.state

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.draws import DrawStream
 from repro.core.topology import HexGrid
 from repro.simulation.engine import EventQueue
 from repro.simulation.links import (
     ConstantDelays,
-    DrawStream,
     FreshUniformDelays,
     TableDelays,
     UniformRandomDelays,

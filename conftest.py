@@ -3,8 +3,7 @@
 The canonical way to work with the repository is an editable install
 (``pip install -e .`` or, in offline environments lacking the ``wheel``
 package, ``python setup.py develop``).  Adding ``src/`` to ``sys.path`` here
-additionally lets ``pytest tests/`` and ``pytest benchmarks/`` run straight
-from a fresh checkout.
+additionally lets ``pytest tests/`` run straight from a fresh checkout.
 """
 
 import sys

@@ -5,19 +5,17 @@ The perf trajectory of the reproduction runs through this package:
 * :class:`~repro.bench.case.BenchCase` -- one declarative benchmark
   (workload factory, repeat counts, quick-mode shrink, shape check, headline
   info extractor) and :class:`~repro.bench.case.BenchSettings`, the mode
-  knobs (quick / full / paper, ``HEX_BENCH_RUNS``);
+  knobs (quick / full / paper, runs per data point);
 * :mod:`~repro.bench.registry` -- the ``(suite, name)`` case registry the
   built-in suites (:mod:`repro.bench.suites`) populate;
 * :mod:`~repro.bench.runner` -- times cases, computes robust statistics
-  (min / median / IQR) and emits the schema-versioned ``BENCH_<suite>.json``
-  files plus the combined ``BENCH_suite.json``, with all artifact paths
-  routed through ``--out`` / ``BENCH_OUT`` (default: current directory);
+  (min / median / IQR) and writes one schema-versioned ``BENCH_<suite>.json``
+  per suite into the ``--out`` directory (default: current directory);
 * :mod:`~repro.bench.compare` -- the regression gate behind
   ``hex-repro bench --compare``, comparing fresh medians against committed
   baselines with a tolerance percentage and the documented exit codes.
 
-The pytest wrappers under ``benchmarks/`` and the ``hex-repro bench`` CLI
-are both thin clients of this package.
+``hex-repro bench`` is the one client of this package.
 """
 
 from repro.bench.case import BenchCase, BenchSettings
@@ -38,12 +36,10 @@ from repro.bench.registry import (
     unregister_case,
 )
 from repro.bench.runner import (
-    COMBINED_SCHEMA,
     SCHEMA_VERSION,
     SUITE_SCHEMA,
     CaseResult,
     bench_output_dir,
-    merge_case_result,
     run_case,
     run_suites,
     suite_filename,
@@ -55,7 +51,6 @@ __all__ = [
     "BenchSettings",
     "CaseResult",
     "CompareReport",
-    "COMBINED_SCHEMA",
     "SCHEMA_VERSION",
     "SUITE_SCHEMA",
     "EXIT_OK",
@@ -68,7 +63,6 @@ __all__ = [
     "get_case",
     "load_baseline",
     "load_builtin_suites",
-    "merge_case_result",
     "register_case",
     "robust_stats",
     "run_case",

@@ -9,20 +9,18 @@ numbers for the emitted ``BENCH_*.json`` records.
 :class:`BenchSettings` is the single knob bundle every case shrinks under:
 ``quick`` mode (the CI perf job) keeps the paper's 50x20 grid but cuts the
 Monte Carlo run counts (repeat counts stay at three so compared medians are
-noise-robust), ``paper`` mode (``HEX_BENCH_PAPER=1``) restores the full
+noise-robust), ``paper`` mode (``bench --paper``) restores the full
 published configuration.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["BenchCase", "BenchSettings"]
 
-#: Runs per data point of the default (full) mode -- the historical
-#: ``HEX_BENCH_RUNS`` default of the benchmark suite.
+#: Runs per data point of the default (full) mode.
 DEFAULT_RUNS = 10
 
 #: Runs per data point of quick mode (the CI perf job).
@@ -38,10 +36,10 @@ class BenchSettings:
     quick:
         Shrink run counts and repeats for a CI-sized run.
     runs:
-        Explicit runs-per-point override (the ``HEX_BENCH_RUNS`` knob);
-        ``None`` uses the mode default.
+        Explicit runs-per-point override (``bench --runs``); ``None`` uses
+        the mode default.
     paper:
-        Run the full paper-scale configuration (``HEX_BENCH_PAPER=1``);
+        Run the full paper-scale configuration (``bench --paper``);
         mutually exclusive with ``quick``.
     """
 
@@ -54,30 +52,6 @@ class BenchSettings:
             raise ValueError("quick and paper modes are mutually exclusive")
         if self.runs is not None and self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-
-    @classmethod
-    def from_env(cls, quick: bool = False) -> "BenchSettings":
-        """Settings from the historical environment knobs.
-
-        ``HEX_BENCH_RUNS`` overrides the runs per data point and
-        ``HEX_BENCH_PAPER=1`` selects the full paper-scale configuration,
-        exactly as the pre-harness benchmark conftest honoured them.
-        A ``quick`` request under ``HEX_BENCH_PAPER=1`` is a hard conflict
-        (silently running the hours-long paper configuration instead of a
-        CI-sized one would be far worse than an error).
-        """
-        runs = os.environ.get("HEX_BENCH_RUNS")
-        paper = os.environ.get("HEX_BENCH_PAPER") == "1"
-        if quick and paper:
-            raise ValueError(
-                "quick mode conflicts with HEX_BENCH_PAPER=1; unset the "
-                "environment variable or drop --quick"
-            )
-        return cls(
-            quick=quick,
-            runs=int(runs) if runs else None,
-            paper=paper,
-        )
 
     @property
     def mode(self) -> str:

@@ -2,8 +2,8 @@
 
 Fresh suite payloads are compared case by case against committed baselines:
 a case *regresses* when its fresh median exceeds the baseline median by more
-than the tolerance percentage.  Baselines can be a single combined
-``BENCH_suite.json``, a single per-suite file, or a directory of either.
+than the tolerance percentage.  Baselines are a single per-suite
+``BENCH_<suite>.json`` file or a directory of them.
 
 Exit-code contract (consumed by the CI ``perf`` job):
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.bench.runner import COMBINED_SCHEMA, SUITE_SCHEMA
+from repro.bench.runner import SUITE_SCHEMA
 
 __all__ = [
     "EXIT_OK",
@@ -114,24 +114,21 @@ class CompareReport:
 
 
 def _suites_of(payload: Dict[str, Any], origin: str) -> Dict[str, Dict[str, Any]]:
-    """Suite payloads contained in one JSON document."""
+    """The suite payload of one JSON document, keyed by its suite name."""
     schema = payload.get("schema")
-    if schema == COMBINED_SCHEMA:
-        return dict(payload.get("suites", {}))
     if schema == SUITE_SCHEMA:
         return {payload["suite"]: payload}
     raise ValueError(
-        f"{origin}: not a bench payload (schema {schema!r}; expected "
-        f"{SUITE_SCHEMA!r} or {COMBINED_SCHEMA!r})"
+        f"{origin}: not a bench payload (schema {schema!r}; expected {SUITE_SCHEMA!r})"
     )
 
 
 def load_baseline(path: str) -> Dict[str, Dict[str, Any]]:
     """Load baseline suite payloads from a file or a directory.
 
-    A directory is scanned for ``BENCH_*.json`` files (combined payloads
-    contribute all their suites).  A missing path returns an empty mapping --
-    the comparison then reports every suite as missing rather than crashing.
+    A directory is scanned for ``BENCH_*.json`` files.  A missing path
+    returns an empty mapping -- the comparison then reports every suite as
+    missing rather than crashing.
     """
     baseline_path = Path(path)
     suites: Dict[str, Dict[str, Any]] = {}

@@ -1,24 +1,15 @@
 """The benchmark runner: time cases, compute stats, emit BENCH JSON files.
 
-Output layout (all paths resolved by :func:`bench_output_dir`):
-
-* ``BENCH_<suite>.json`` -- one schema-versioned payload per suite
-  (``hex-repro/bench-suite/v1``);
-* ``BENCH_suite.json`` -- the combined payload over every suite that ran
-  (``hex-repro/bench/v1``), what the CI regression gate archives.
-
-The historical benchmark modules wrote their artifacts to the repository
-root unconditionally; all paths now route through an explicit ``--out``
-directory or the ``BENCH_OUT`` environment variable, with the current
-working directory as the compatibility default (the repo root when invoked
-from a checkout, as CI does).
+Each suite that runs writes one schema-versioned ``BENCH_<suite>.json``
+payload (``hex-repro/bench-suite/v1``) into the directory resolved by
+:func:`bench_output_dir`: the CLI's ``--out``, else the current working
+directory.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
-import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -35,43 +26,25 @@ from repro.checks.schemas import schema
 
 __all__ = [
     "SUITE_SCHEMA",
-    "COMBINED_SCHEMA",
     "SCHEMA_VERSION",
     "CaseResult",
     "bench_output_dir",
     "suite_filename",
     "run_case",
     "run_suites",
-    "merge_case_result",
 ]
 
 #: Schema tag of one suite's payload.
 SUITE_SCHEMA = schema("bench-suite")
 
-#: Schema tag of the combined all-suites payload (``BENCH_suite.json``).
-COMBINED_SCHEMA = schema("bench")
-
-#: Version number shared by both payload kinds.
+#: Version number of the suite payload.
 SCHEMA_VERSION = 1
-
-#: File name of the combined payload.
-COMBINED_FILENAME = "BENCH_suite.json"
 
 
 def bench_output_dir(out: Optional[str] = None) -> Path:
-    """Resolve the benchmark artifact directory.
-
-    Precedence: explicit ``out`` argument (the CLI's ``--out``), then the
-    ``BENCH_OUT`` environment variable, then the current working directory
-    (which preserves the historical repo-root artifacts when invoked from a
-    checkout).
-    """
-    if out:
-        return Path(out)
-    env = os.environ.get("BENCH_OUT")
-    if env:
-        return Path(env)
-    return Path.cwd()
+    """The benchmark artifact directory: ``out`` (the CLI's ``--out``) if
+    given, else the current working directory."""
+    return Path(out) if out else Path.cwd()
 
 
 def suite_filename(suite: str) -> str:
@@ -202,12 +175,11 @@ def run_suites(
 ) -> Dict[str, Dict[str, Any]]:
     """Run (a selection of) registered suites and write their artifacts.
 
-    Returns the per-suite payloads keyed by suite name; the same payloads
-    land on disk as ``BENCH_<suite>.json`` plus the combined
-    ``BENCH_suite.json``.
+    Returns the per-suite payloads keyed by suite name; each one lands on
+    disk as ``BENCH_<suite>.json``.
     """
     load_builtin_suites()
-    settings = settings if settings is not None else BenchSettings.from_env()
+    settings = settings if settings is not None else BenchSettings()
     selected = list(suites) if suites else list(available_suites())
     known = available_suites()
     for suite in selected:
@@ -232,37 +204,4 @@ def run_suites(
         payload = _suite_payload(suite, results, settings)
         payloads[suite] = payload
         _write_json(out_dir / suite_filename(suite), payload)
-    combined = {
-        "schema": COMBINED_SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "mode": settings.mode,
-        "provenance": provenance(settings),
-        "suites": payloads,
-    }
-    _write_json(out_dir / COMBINED_FILENAME, combined)
     return payloads
-
-
-def merge_case_result(
-    out_dir: Path, suite: str, settings: BenchSettings, result: CaseResult
-) -> Path:
-    """Merge one case result into the suite's on-disk payload.
-
-    The pytest wrappers execute cases one test at a time (possibly a ``-k``
-    subset); read-modify-write keeps ``BENCH_<suite>.json`` complete
-    whichever subset ran last, matching the historical behaviour of the
-    topology benchmark module.
-    """
-    path = Path(out_dir) / suite_filename(suite)
-    payload: Dict[str, Any] = {}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            payload = {}
-    if payload.get("schema") != SUITE_SCHEMA or payload.get("mode") != settings.mode:
-        payload = _suite_payload(suite, [], settings)
-    payload["provenance"] = provenance(settings)
-    payload.setdefault("cases", {})[result.case.name] = result.to_json_dict()
-    _write_json(path, payload)
-    return path

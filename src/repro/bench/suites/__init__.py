@@ -1,7 +1,6 @@
 """Built-in benchmark suites (imported for their registration side effects).
 
-Each module ports the workload, shape checks and headline numbers of the
-historical ``benchmarks/test_bench_*.py`` files onto declarative
+Each module declares its workloads, shape checks and headline numbers as
 :class:`~repro.bench.case.BenchCase` objects:
 
 * :mod:`~repro.bench.suites.solver` -- the single-pulse experiment

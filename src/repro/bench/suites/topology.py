@@ -1,7 +1,6 @@
 """Topology suite: neighbour-table cache and per-topology solver runs.
 
-Ports ``benchmarks/test_bench_topology.py`` onto the harness: the
-neighbour-lookup sweep (cached tables vs the historical on-the-fly
+Two cases: the neighbour-lookup sweep (cached tables vs the historical on-the-fly
 reconstruction) and one seeded solver run per registered topology family on
 the paper's 50x20 grid.  The emitted ``BENCH_topology.json`` is the perf
 trajectory of the topology layer.

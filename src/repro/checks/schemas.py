@@ -44,8 +44,6 @@ SCHEMAS: Dict[str, str] = {
     "metrics": "hex-repro/metrics/v1",
     # one benchmark suite's BENCH_<suite>.json artifact (repro.bench)
     "bench-suite": "hex-repro/bench-suite/v1",
-    # the combined BENCH_suite.json artifact (repro.bench)
-    "bench": "hex-repro/bench/v1",
     # `hex-repro check --json` findings documents (repro.checks)
     "check-findings": "hex-repro/check-findings/v1",
     # resumable soak-run checkpoints (repro.experiments.soak)

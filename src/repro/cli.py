@@ -320,6 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI-sized run: fewer Monte Carlo runs per data point",
     )
     bench_parser.add_argument(
+        "--paper",
+        action="store_true",
+        help="use the full paper-scale configuration (hours; excludes --quick)",
+    )
+    bench_parser.add_argument(
         "--suite",
         action="append",
         default=None,
@@ -330,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--runs",
         type=int,
         default=None,
-        help="Monte Carlo runs per data point (the HEX_BENCH_RUNS knob)",
+        help="Monte Carlo runs per data point (default: set by the mode)",
     )
     bench_parser.add_argument(
         "--out",
         default=None,
         metavar="DIR",
-        help="artifact directory for the BENCH_*.json files "
-        "(default: $BENCH_OUT, then the current directory)",
+        help="artifact directory for the BENCH_<suite>.json files "
+        "(default: the current directory)",
     )
     bench_parser.add_argument(
         "--compare",
@@ -832,11 +837,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"  {suite:10s} {names}")
         return 0
 
-    settings = bench.BenchSettings.from_env(quick=args.quick)
-    if args.runs is not None:
-        import dataclasses
-
-        settings = dataclasses.replace(settings, runs=args.runs)
+    settings = bench.BenchSettings(quick=args.quick, runs=args.runs, paper=args.paper)
     out_dir = bench.bench_output_dir(args.out)
     with_metrics = args.metrics or args.metrics_out is not None
     session = obs.enable(metrics=True) if with_metrics else None
@@ -853,10 +854,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if args.metrics_out is not None:
                 session.write_metrics(args.metrics_out)
             obs.disable()
-    print(
-        f"{len(payloads)} suite(s) in {settings.mode} mode -> "
-        f"{out_dir / 'BENCH_suite.json'}"
-    )
+    print(f"{len(payloads)} suite(s) in {settings.mode} mode -> {out_dir}")
     if args.metrics_out is not None:
         print(f"metrics -> {args.metrics_out}")
     if args.compare is None:

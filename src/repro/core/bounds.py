@@ -31,7 +31,7 @@ the default parameters.  Evaluating the theorem's displayed formula
 ``2 d+ + 2 W eps^2 / d+``, the closed form of the earlier conference version.
 Both are provided (:func:`theorem1_uniform_bound` and
 :func:`paper_quoted_theorem1_value`) and the discrepancy is recorded in
-EXPERIMENTS.md; all simulated skews stay far below either value.
+this docstring; all simulated skews stay far below either value.
 """
 
 from __future__ import annotations

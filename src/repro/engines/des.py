@@ -100,8 +100,11 @@ def scenario_stabilization_timeouts(
 ) -> TimeoutConfig:
     """Condition 2 timeouts from the conservative Lemma 5 stable-skew bound.
 
-    Mirrors :func:`repro.experiments.stability.scenario_timeouts` without
-    depending on the experiments layer.  ``extra_hops`` is the topology's
+    The stable skew is the same sum as
+    :func:`repro.core.bounds.lemma5_pulse_skew_bound` with the
+    :func:`scenario_layer0_spread` of ``scenario`` (which is what
+    :func:`repro.experiments.stability.scenario_timeouts` computes), with
+    ``extra_hops`` more ``d+`` terms.  ``extra_hops`` is the topology's
     lateral-trigger margin (see
     :meth:`~repro.core.topology.HexGrid.condition2_extra_hops`); the default
     of 0 keeps every cylinder caller byte-identical.

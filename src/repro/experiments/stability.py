@@ -31,7 +31,9 @@ from repro.campaign.records import stabilization_times
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, SweepSpec
 from repro.clocksource.scenarios import Scenario, parse_scenario
+from repro.core.bounds import lemma5_pulse_skew_bound
 from repro.core.parameters import TimeoutConfig, condition2_timeouts
+from repro.engines.des import scenario_layer0_spread
 from repro.experiments.config import ExperimentConfig
 from repro.faults.models import FaultType
 
@@ -61,13 +63,12 @@ def scenario_timeouts(
     scenario_value = parse_scenario(scenario)
     timing = config.timing
     if stable_skew is None:
-        spread = {
-            Scenario.ZERO: 0.0,
-            Scenario.UNIFORM_DMIN: timing.d_min,
-            Scenario.UNIFORM_DMAX: timing.d_max,
-            Scenario.RAMP: (config.width // 2) * timing.d_max,
-        }[scenario_value]
-        stable_skew = spread + timing.epsilon * config.layers + num_faults * timing.d_max
+        stable_skew = lemma5_pulse_skew_bound(
+            timing,
+            config.layers,
+            num_faults,
+            layer0_spread=scenario_layer0_spread(scenario_value, config.width, timing),
+        )
     return condition2_timeouts(
         timing,
         stable_skew=stable_skew,

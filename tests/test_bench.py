@@ -2,7 +2,8 @@
 
 Covers the acceptance surface of the bench subsystem: case/settings
 round-trips and quick-mode shrink invariants, robust statistics, the
-registry, the runner's schema-versioned artifacts and ``BENCH_OUT`` routing,
+registry, the runner's schema-versioned per-suite artifacts and ``--out``
+routing,
 the baseline comparison exit codes (pass / regress / missing-baseline), the
 ``hex-repro bench`` CLI, and the engine/campaign batching contract --
 ``run_batch`` results bit-identical to per-spec execution.
@@ -28,7 +29,6 @@ from repro.bench import (
     get_case,
     load_baseline,
     load_builtin_suites,
-    merge_case_result,
     register_case,
     robust_stats,
     run_case,
@@ -36,7 +36,7 @@ from repro.bench import (
     suite_filename,
     unregister_case,
 )
-from repro.bench.runner import COMBINED_SCHEMA, SCHEMA_VERSION, SUITE_SCHEMA
+from repro.bench.runner import SCHEMA_VERSION, SUITE_SCHEMA
 from repro.campaign import CampaignRunner, CampaignSpec, SweepSpec
 from repro.campaign.runner import execute_task, execute_task_batch
 from repro.cli import main
@@ -84,15 +84,6 @@ class TestSettings:
     def test_quick_and_paper_are_exclusive(self):
         with pytest.raises(ValueError):
             BenchSettings(quick=True, paper=True)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("HEX_BENCH_RUNS", "5")
-        settings = BenchSettings.from_env(quick=True)
-        assert settings.runs == 5 and settings.quick
-        monkeypatch.setenv("HEX_BENCH_PAPER", "1")
-        assert BenchSettings.from_env().paper
-        with pytest.raises(ValueError, match="HEX_BENCH_PAPER"):
-            BenchSettings.from_env(quick=True)  # conflict is a hard error
 
     def test_configs_shrink_in_quick_mode(self):
         full, quick = BenchSettings(), BenchSettings(quick=True)
@@ -193,45 +184,40 @@ class TestRunner:
             )
         finally:
             unregister_case("io-suite", "stub")
-        suite_file = tmp_path / suite_filename("io-suite")
-        combined_file = tmp_path / "BENCH_suite.json"
-        assert suite_file.exists() and combined_file.exists()
-        payload = json.loads(suite_file.read_text())
+        payload = json.loads((tmp_path / suite_filename("io-suite")).read_text())
         assert payload["schema"] == SUITE_SCHEMA
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["mode"] == "quick"
         assert payload["cases"]["stub"]["stats"]["median_s"] >= 0.0
         assert payload["provenance"]["python"]
-        combined = json.loads(combined_file.read_text())
-        assert combined["schema"] == COMBINED_SCHEMA
-        assert combined["suites"]["io-suite"] == payloads["io-suite"] == payload
+        assert payloads == {"io-suite": payload}
+
+    def test_run_suites_writes_one_file_per_suite_and_nothing_else(self, tmp_path):
+        cases = [_stub_case(suite=suite)[0] for suite in ("one-suite", "two-suite")]
+        for case in cases:
+            register_case(case)
+        try:
+            run_suites(
+                suites=["one-suite", "two-suite"],
+                settings=BenchSettings(quick=True),
+                out=str(tmp_path),
+            )
+        finally:
+            for case in cases:
+                unregister_case(case.suite, case.name)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "BENCH_one-suite.json",
+            "BENCH_two-suite.json",
+        ]
 
     def test_run_suites_rejects_unknown_suite(self, tmp_path):
         with pytest.raises(ValueError, match="unknown bench suite"):
             run_suites(suites=["no-such-suite"], out=str(tmp_path))
 
     def test_bench_output_dir_precedence(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("BENCH_OUT", raising=False)
         assert bench_output_dir(str(tmp_path)) == tmp_path
-        monkeypatch.setenv("BENCH_OUT", str(tmp_path / "env"))
-        assert bench_output_dir() == tmp_path / "env"
-        assert bench_output_dir(str(tmp_path)) == tmp_path  # explicit wins
-
-    def test_merge_case_result_accumulates_cases(self, tmp_path):
-        settings = BenchSettings(quick=True)
-        case_a, _ = _stub_case(name="a", suite="merge-suite")
-        case_b, _ = _stub_case(name="b", suite="merge-suite")
-        merge_case_result(tmp_path, "merge-suite", settings, run_case(case_a, settings))
-        merge_case_result(tmp_path, "merge-suite", settings, run_case(case_b, settings))
-        payload = json.loads((tmp_path / suite_filename("merge-suite")).read_text())
-        assert set(payload["cases"]) == {"a", "b"}
-        # a mode switch resets the payload instead of mixing modes
-        merge_case_result(
-            tmp_path, "merge-suite", BenchSettings(), run_case(case_a, BenchSettings())
-        )
-        payload = json.loads((tmp_path / suite_filename("merge-suite")).read_text())
-        assert payload["mode"] == "full"
-        assert set(payload["cases"]) == {"a"}
+        monkeypatch.chdir(tmp_path)
+        assert bench_output_dir() == tmp_path  # default: the current directory
 
 
 def _payload(suite, medians, mode="quick"):
@@ -305,22 +291,19 @@ class TestCompare:
         assert report.exit_code() == EXIT_REGRESSION
 
     def test_load_baseline_file_directory_and_missing(self, tmp_path):
-        suite_payload = _payload("s", {"c": 1.0})
-        (tmp_path / "BENCH_s.json").write_text(json.dumps(suite_payload))
-        combined = {
-            "schema": COMBINED_SCHEMA,
-            "schema_version": SCHEMA_VERSION,
-            "mode": "quick",
-            "suites": {"t": _payload("t", {"x": 2.0})},
-        }
-        (tmp_path / "BENCH_suite.json").write_text(json.dumps(combined))
-        suites = load_baseline(str(tmp_path))
-        assert set(suites) == {"s", "t"}
-        assert load_baseline(str(tmp_path / "BENCH_s.json")) == {"s": suite_payload}
+        s_payload, t_payload = _payload("s", {"c": 1.0}), _payload("t", {"x": 2.0})
+        (tmp_path / "BENCH_s.json").write_text(json.dumps(s_payload))
+        (tmp_path / "BENCH_t.json").write_text(json.dumps(t_payload))
+        assert load_baseline(str(tmp_path)) == {"s": s_payload, "t": t_payload}
+        assert load_baseline(str(tmp_path / "BENCH_s.json")) == {"s": s_payload}
         assert load_baseline(str(tmp_path / "nope")) == {}
         with pytest.raises(ValueError, match="not a bench payload"):
             (tmp_path / "only.json").write_text("{}")
             load_baseline(str(tmp_path / "only.json"))
+        # a document that is not a suite payload is rejected, not merged
+        (tmp_path / "BENCH_other.json").write_text(json.dumps({"schema": "other"}))
+        with pytest.raises(ValueError, match="not a bench payload"):
+            load_baseline(str(tmp_path))
 
 
 class TestBenchCli:
@@ -339,19 +322,23 @@ class TestBenchCli:
     def test_unknown_suite_is_a_cli_error(self, tmp_path):
         assert main(["bench", "--suite", "no-such", "--out", str(tmp_path)]) == 2
 
+    def test_paper_flag_selects_paper_mode(self, stub_suite, tmp_path):
+        argv = ["bench", "--paper", "--suite", "cli-suite", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        payload = json.loads((tmp_path / suite_filename("cli-suite")).read_text())
+        assert payload["mode"] == "paper"
+        assert main(argv + ["--quick"]) == 2  # quick and paper are exclusive
+
     def test_compare_pass_regress_missing_exit_codes(self, stub_suite, tmp_path):
         fresh_dir = tmp_path / "fresh"
         base_dir = tmp_path / "base"
         argv = ["bench", "--quick", "--suite", "cli-suite", "--out", str(base_dir)]
         assert main(argv) == 0
 
-        # Compare against the per-suite file directly: the directory also
-        # holds the combined BENCH_suite.json, whose entries would shadow
-        # the medians this test edits below.
         baseline_file = base_dir / suite_filename("cli-suite")
         compare = [
             "bench", "--quick", "--suite", "cli-suite", "--out", str(fresh_dir),
-            "--compare", str(baseline_file), "--tolerance", "25",
+            "--compare", str(base_dir), "--tolerance", "25",
         ]
         # missing baseline: point at an empty directory
         missing_dir = tmp_path / "empty"

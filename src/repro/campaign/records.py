@@ -20,12 +20,19 @@ Serialization maps non-finite floats to the sentinel strings ``"NaN"`` /
 lines (bare ``NaN`` tokens would be rejected by ``jq`` and most non-Python
 parsers); ``np.asarray(..., dtype=float)`` parses them back, and a ragged or
 non-numeric payload fails to load.
+
+A record loaded from a campaign store may hold its stored canonical text
+(:attr:`RunRecord._canonical`); :meth:`RunRecord.canonical_json` then returns
+it verbatim instead of re-encoding every float.  The held text is private and
+never compared, and :func:`dataclasses.replace` drops it, so any record whose
+fields change is re-encoded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -110,14 +117,28 @@ def _dense_from_json(values: Any, ndim: int) -> Optional[np.ndarray]:
 
 
 def _decode_json_safe(value: Any) -> Any:
-    """Inverse of :func:`_encode_json_safe` (sentinel strings back to floats)."""
-    if isinstance(value, str) and value in _NONFINITE:
-        return _NONFINITE[value]
+    """Inverse of :func:`_encode_json_safe` (sentinel strings back to floats).
+
+    Dict keys and other strings are interned: the JSON decoder gives every
+    record its own copy of each ``params`` / ``skew`` key and of values such
+    as the engine name, which a loaded store would otherwise hold thousands
+    of times over.
+    """
+    if isinstance(value, str):
+        return _NONFINITE[value] if value in _NONFINITE else sys.intern(value)
     if isinstance(value, dict):
-        return {key: _decode_json_safe(item) for key, item in value.items()}
+        return {sys.intern(key): _decode_json_safe(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_decode_json_safe(item) for item in value]
     return value
+
+
+def _intern_strings(mapping: Dict[str, Any]) -> Dict[str, Any]:
+    """:func:`_decode_json_safe` of a sentinel-free dict, one level deep (no decoding)."""
+    return {
+        sys.intern(key): sys.intern(item) if type(item) is str else item
+        for key, item in mapping.items()
+    }
 
 
 @dataclass
@@ -153,6 +174,10 @@ class RunRecord:
         Total firings across all correct nodes; multi-pulse runs only.
     wall_time_s:
         Host execution time; excluded from the canonical form.
+    _canonical:
+        The stored canonical text of a record loaded from a campaign store
+        (see :meth:`from_json_dict`), returned verbatim by
+        :meth:`canonical_json`; ``None`` for every other record.
     """
 
     key: str
@@ -168,6 +193,7 @@ class RunRecord:
     stabilization_time: Optional[float] = None
     total_firings: Optional[int] = None
     wall_time_s: float = 0.0
+    _canonical: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     # dense-payload accessors
@@ -230,23 +256,43 @@ class RunRecord:
         }
 
     def canonical_json(self) -> str:
-        """Canonical JSON line; byte-identical across re-executions of the task."""
+        """Canonical JSON line; byte-identical across re-executions of the task.
+
+        A record loaded with its stored canonical text returns that text.
+        """
+        if self._canonical is not None:
+            return self._canonical
         return json.dumps(
             self.canonical_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
         )
 
     @classmethod
-    def from_json_dict(cls, payload: Dict[str, Any]) -> "RunRecord":
-        """Rebuild a record from its (canonical or full) JSON representation."""
+    def from_json_dict(
+        cls, payload: Dict[str, Any], canonical: Optional[str] = None
+    ) -> "RunRecord":
+        """Rebuild a record from its (canonical or full) JSON representation.
+
+        ``canonical`` is the record's canonical JSON text as stored; the
+        caller vouches that it encodes ``payload``.  Text free of sentinel
+        strings and escapes skips the recursive sentinel decode of ``params``
+        and ``skew`` (it would change nothing).  The text is held for
+        :meth:`canonical_json` only when ``payload`` has the current
+        :data:`SCHEMA` and exactly the fields :meth:`to_json_dict` writes, so
+        a line from an older writer that omitted a field is re-encoded.
+        """
+        plain = canonical is not None and not (
+            '"NaN"' in canonical or 'Infinity"' in canonical or "\\" in canonical
+        )
+        decode = _intern_strings if plain else _decode_json_safe
         skew = payload.get("skew")
-        return cls(
+        record = cls(
             key=payload["key"],
             kind=payload["kind"],
             cell_index=int(payload["cell_index"]),
             point_index=int(payload["point_index"]),
             run_index=int(payload["run_index"]),
-            params=_decode_json_safe(dict(payload.get("params", {}))),
-            skew=_decode_json_safe(dict(skew)) if skew is not None else None,
+            params=decode(dict(payload.get("params", {}))),
+            skew=decode(dict(skew)) if skew is not None else None,
             faulty_nodes=tuple(
                 (int(layer), int(column)) for layer, column in payload.get("faulty_nodes", [])
             ),
@@ -256,6 +302,19 @@ class RunRecord:
             total_firings=payload.get("total_firings"),
             wall_time_s=float(payload.get("wall_time_s", 0.0)),
         )
+        if (
+            canonical is not None
+            and payload.get("schema") == SCHEMA
+            and payload.keys() == _STORED_FIELDS
+        ):
+            record._canonical = canonical
+        return record
+
+
+#: The fields of a stored record (:meth:`RunRecord.to_json_dict`).
+_STORED_FIELDS = frozenset(
+    RunRecord(key="", kind="", cell_index=0, point_index=0, run_index=0).to_json_dict()
+)
 
 
 # ----------------------------------------------------------------------

@@ -434,6 +434,7 @@ class CampaignRunner:
 
         by_index: Dict[int, RunRecord] = {}
         pending: List[Tuple[int, RunTask]] = []
+        verbatim = 0
         for index, task in enumerate(tasks):
             # Hashing every task is only worthwhile when there is a cache to
             # probe; the executor stamps record keys itself.
@@ -441,11 +442,27 @@ class CampaignRunner:
             if cached:
                 params = task.to_json_dict()
                 hit = cached.get(task_key(params))
-            if hit is not None:
-                # Serve each hit as an independent copy with the *current*
+            if hit is None:
+                pending.append((index, task))
+            elif (hit.cell_index, hit.point_index, hit.run_index, hit.params) == (
+                task.cell_index,
+                task.point_index,
+                task.run_index,
+                params,
+            ):
+                # Unmoved: serve the loaded record itself, with its stored
+                # canonical text if the store line had one.  Coordinates are
+                # unique per task, so no other task takes this path for the
+                # same record.
+                hit.params = params
+                by_index[index] = hit
+                verbatim += hit._canonical is not None
+            else:
+                # Serve a moved hit as an independent copy with the *current*
                 # campaign coordinates: a task may have moved cells between
                 # spec revisions, and two tasks with equal content keys
                 # (cells differing only in label) must not alias one record.
+                # ``replace`` drops the stored text, so the copy re-encodes.
                 by_index[index] = dataclasses.replace(
                     hit,
                     cell_index=task.cell_index,
@@ -453,12 +470,12 @@ class CampaignRunner:
                     run_index=task.run_index,
                     params=params,
                 )
-            else:
-                pending.append((index, task))
 
         if self.progress is not None:
             self.progress.start(cached=len(by_index))
         obs.inc("campaign.cache_hits", len(by_index))
+        obs.inc("campaign.hits_verbatim", verbatim)
+        obs.inc("campaign.hits_reencoded", len(by_index) - verbatim)
         obs.inc("campaign.tasks", len(tasks))
 
         result = CampaignResult(spec=self.spec, cached=len(by_index))

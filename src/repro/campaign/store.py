@@ -19,21 +19,70 @@ and repeat invocations instant:
   match any task are simply ignored.
 * **Last write wins.**  Duplicate keys (e.g. from overlapping appends) are
   collapsed on load, keeping the most recent line.
+* **Canonical by construction.**  :func:`frame` builds every line from the
+  record's canonical JSON: ``{"key":K,"record":<canonical JSON minus its
+  closing brace>,"wall_time_s":X}}`` (``wall_time_s`` sorts last, so the
+  line equals the sorted-key ``json.dumps`` of the full record).  The
+  matching :func:`unframe` slices that canonical text back out of a line in
+  exact writer framing; :meth:`CampaignStore.load` hands it to the record,
+  which serves it verbatim from ``canonical_json()``.
+* **One writer per shard.**  A :class:`ShardWriter` holds an advisory
+  exclusive ``flock`` on its shard while open; a second writer (another
+  sweep on the same store and campaign name) fails at once instead of
+  truncating or interleaving the shard.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro import obs
 from repro.campaign.records import RunRecord
 from repro.campaign.spec import CampaignSpec
 
-__all__ = ["CampaignStore", "ShardWriter"]
+__all__ = ["CampaignStore", "ShardWriter", "frame", "unframe"]
+
+_WALL_TIME = ',"wall_time_s":'
+
+
+def frame(key: str, canonical: str, wall_time_s: float) -> str:
+    """One store line: the record's canonical JSON plus its key and wall time.
+
+    Byte-identical to ``json.dumps({"key": key, "record":
+    record.to_json_dict()}, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)``, because ``wall_time_s`` is the last key of the record.
+    """
+    return (
+        '{"key":' + encode_basestring_ascii(key) + ',"record":' + canonical[:-1]
+        + _WALL_TIME + json.dumps(wall_time_s, sort_keys=True, allow_nan=False) + "}}"
+    )
+
+
+def unframe(line: str, key: Any, record: Dict[str, Any]) -> Optional[str]:
+    """The canonical record text of a parsed store line, or ``None``.
+
+    ``key`` and ``record`` are the line's parsed ``"key"`` and ``"record"``.
+    Only a line in exact :func:`frame` framing yields its text; any other
+    spelling of the same JSON returns ``None`` (the record is re-encoded).
+    """
+    if not isinstance(key, str):
+        return None
+    wall = record.get("wall_time_s")
+    if type(wall) not in (int, float):
+        return None
+    # encode_basestring_ascii is json.dumps of a str; repr is json.dumps of an
+    # int or a finite float (a non-finite one cannot match, as frame rejects it).
+    head = '{"key":' + encode_basestring_ascii(key) + ',"record":'
+    tail = _WALL_TIME + repr(wall) + "}}"
+    if not (line.startswith(head) and line.endswith(tail)):
+        return None
+    return line[len(head) : -len(tail)] + "}"
 
 
 def _cut_torn_tail(path: Path) -> None:
@@ -61,30 +110,44 @@ def _cut_torn_tail(path: Path) -> None:
 class ShardWriter:
     """Incremental writer for one campaign shard (line-buffered, crash-safe).
 
+    The shard is locked (``flock(LOCK_EX | LOCK_NB)``) before anything is
+    cut or truncated; a shard another writer holds raises ``RuntimeError``.
     In append mode a torn final line left by a crash is cut off first;
     otherwise the next record would fuse onto it and be lost on load too.
     """
 
     def __init__(self, path: Path, append: bool = True) -> None:
         self.path = path
+        # Opened without truncation: a shard locked by another writer must
+        # come out of this untouched.
+        self._handle = open(path, "a", encoding="utf-8")
+        try:
+            fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            self._handle.close()
+            raise RuntimeError(
+                f"{path}: shard is locked by another writer (a concurrent sweep "
+                f"with the same store and campaign name?)"
+            ) from None
         if append:
             _cut_torn_tail(path)
-        self._handle = open(path, "a" if append else "w", encoding="utf-8")
+        else:
+            self._handle.truncate(0)
 
     def append(self, record: RunRecord) -> None:
         """Persist one record and flush it to disk immediately."""
-        line = json.dumps(
-            {"key": record.key, "record": record.to_json_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
-        )
-        self._handle.write(line + "\n")
+        self._handle.write(frame(record.key, record.canonical_json(), record.wall_time_s) + "\n")
         self._handle.flush()
 
     def close(self) -> None:
-        """Close the underlying file handle."""
+        """Release the shard lock and close the underlying file handle.
+
+        The lock is released explicitly: it belongs to the open file, which
+        pool workers forked meanwhile share, so closing alone would leave
+        it held until the last of them exits.
+        """
         if not self._handle.closed:
+            fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
             self._handle.close()
 
     def __enter__(self) -> "ShardWriter":
@@ -115,7 +178,8 @@ class CampaignStore:
         Malformed lines (typically a torn final line after an interrupt) are
         skipped, counted as the ``store.lines_skipped`` metric and reported in
         one ``RuntimeWarning`` per load; duplicate keys keep the last
-        occurrence.
+        occurrence.  A line in exact writer framing (:func:`unframe`) passes
+        its canonical text to :meth:`RunRecord.from_json_dict`.
         """
         path = self.shard_path(spec)
         records: Dict[str, RunRecord] = {}
@@ -129,9 +193,11 @@ class CampaignStore:
                     continue
                 try:
                     payload = json.loads(line)
-                    record = RunRecord.from_json_dict(payload["record"])
-                    records[payload["key"]] = record
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    key, fields = payload["key"], payload["record"]
+                    records[key] = RunRecord.from_json_dict(
+                        fields, canonical=unframe(line, key, fields)
+                    )
+                except (AttributeError, KeyError, TypeError, ValueError):
                     skipped += 1
         if skipped:
             obs.inc("store.lines_skipped", skipped)

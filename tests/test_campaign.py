@@ -34,6 +34,7 @@ from repro.campaign import (
     pooled_statistics,
 )
 from repro.campaign.progress import ProgressReporter, format_duration
+from repro.campaign.store import ShardWriter, frame, unframe
 from repro.cli import _experiment_config, main
 from repro.clocksource.scenarios import Scenario, scenario_layer0_times
 from repro.core.pulse_solver import solve_single_pulse
@@ -403,6 +404,255 @@ class TestStoreResume:
             json.loads(line, parse_constant=reject_constant)
         for record in result.records:
             json.loads(record.canonical_json(), parse_constant=reject_constant)
+
+
+def mixed_spec(cells=None) -> CampaignSpec:
+    """Fault-free and faulty solver cells plus a DES multi-pulse cell."""
+    if cells is None:
+        cells = (
+            SweepSpec(
+                layers=8, width=6, scenario=("i", "iii"), num_faults=(0, 2), runs=2,
+                seed_salt=5,
+            ),
+            SweepSpec(
+                layers=6, width=4, scenario="i", num_faults=1, engine="des",
+                kind="multi_pulse", num_pulses=4, runs=2, seed_salt=7,
+            ),
+        )
+    return CampaignSpec(name="mixed", seed=7, cells=cells)
+
+
+def resume_counting_hits(spec, store):
+    """Resume ``spec`` and return ``(result, hits_verbatim, hits_reencoded)``."""
+    with obs.observed(metrics=True) as session:
+        result = CampaignRunner(spec, store=store, resume=True).run()
+        registry = session.registry
+        return (
+            result,
+            registry.counter("campaign.hits_verbatim"),
+            registry.counter("campaign.hits_reencoded"),
+        )
+
+
+class TestCanonicalStore:
+    """Cache hits serve the stored canonical text; every other record re-encodes."""
+
+    def test_frame_is_the_sorted_json_of_the_full_record(self, tmp_path):
+        """The writer's framing equals the historical ``json.dumps`` line byte for byte.
+
+        A record field sorting after ``wall_time_s`` would break the framing
+        (the canonical text would no longer be a prefix of the record) and
+        fail here.
+        """
+        spec = mixed_spec()
+        store = CampaignStore(tmp_path)
+        records = CampaignRunner(spec, store=store).run().records
+        assert any('"NaN"' in record.canonical_json() for record in records)
+        assert any(record.kind == "multi_pulse" for record in records)
+        lines = []
+        for record in records:
+            line = frame(record.key, record.canonical_json(), record.wall_time_s)
+            assert line == json.dumps(
+                {"key": record.key, "record": record.to_json_dict()},
+                sort_keys=True,
+                separators=(",", ":"),
+                allow_nan=False,
+            )
+            payload = json.loads(line)
+            assert unframe(line, payload["key"], payload["record"]) == record.canonical_json()
+            lines.append(line)
+        assert store.shard_path(spec).read_text(encoding="utf-8").splitlines() == lines
+
+    def test_unchanged_resume_serves_every_hit_verbatim(self, tmp_path):
+        spec = mixed_spec()
+        store = CampaignStore(tmp_path)
+        fresh = CampaignRunner(spec, store=store).run()
+        resumed, verbatim, reencoded = resume_counting_hits(spec, store)
+        assert resumed.executed == 0
+        assert (verbatim, reencoded) == (spec.num_tasks, 0)
+        assert [r.canonical_json() for r in resumed.records] == [
+            r.canonical_json() for r in fresh.records
+        ]
+
+    def test_reordered_cells_reencode_their_moved_hits(self, tmp_path):
+        spec = mixed_spec()
+        store = CampaignStore(tmp_path)
+        CampaignRunner(spec, store=store).run()
+        reordered = mixed_spec(cells=spec.cells[::-1])
+        resumed, verbatim, reencoded = resume_counting_hits(reordered, store)
+        assert resumed.executed == 0
+        assert (verbatim, reencoded) == (0, reordered.num_tasks)
+        fresh = CampaignRunner(reordered).run()
+        assert [r.canonical_json() for r in resumed.records] == [
+            r.canonical_json() for r in fresh.records
+        ]
+
+    def test_widened_campaign_reencodes_only_moved_hits(self, tmp_path):
+        """More runs leave the old hits in place; a cell put in front moves them."""
+        store = CampaignStore(tmp_path)
+        CampaignRunner(small_spec(runs=2), store=store).run()
+        more_runs = small_spec(runs=3)
+        resumed, verbatim, reencoded = resume_counting_hits(more_runs, store)
+        assert (resumed.executed, verbatim, reencoded) == (2, 4, 0)
+
+        front = SweepSpec(layers=6, width=4, runs=1, seed_salt=77)
+        shifted = CampaignSpec(
+            name=more_runs.name, seed=more_runs.seed, cells=(front,) + more_runs.cells
+        )
+        resumed, verbatim, reencoded = resume_counting_hits(shifted, store)
+        assert (resumed.executed, verbatim, reencoded) == (1, 0, more_runs.num_tasks)
+        fresh = CampaignRunner(shifted).run()
+        assert [r.canonical_json() for r in resumed.records] == [
+            r.canonical_json() for r in fresh.records
+        ]
+
+    def test_non_writer_framing_is_reencoded(self, tmp_path):
+        """Spaced or reordered lines still load, re-encode, and keep ``--out`` exact."""
+        store = tmp_path / "cache"
+        base = [
+            "sweep", "--layers", "6", "--width", "5", "--scenarios", "i,iii",
+            "--faults", "0,1", "--runs", "2", "--seed", "5", "--name", "t", "--quiet",
+        ]
+        fresh_out = tmp_path / "fresh.jsonl"
+        assert main(base + ["--store", str(store), "--out", str(fresh_out)]) == 0
+        shard = store / "t.jsonl"
+        respelled = []
+        for index, line in enumerate(shard.read_text(encoding="utf-8").splitlines()):
+            payload = json.loads(line)
+            if index % 2:
+                respelled.append(json.dumps(payload, sort_keys=True))
+            else:
+                reordered = {"record": payload["record"], "key": payload["key"]}
+                respelled.append(json.dumps(reordered, separators=(",", ":")))
+        shard.write_text("\n".join(respelled) + "\n", encoding="utf-8")
+
+        loaded = CampaignStore(store).load(dataclasses.replace(small_spec(), name="t"))
+        assert len(loaded) == 8
+        assert all(record._canonical is None for record in loaded.values())
+        resumed_out = tmp_path / "resumed.jsonl"
+        with obs.observed(metrics=True) as session:
+            assert main(base + ["--store", str(store), "--resume", "--out", str(resumed_out)]) == 0
+            assert session.registry.counter("campaign.hits_reencoded") == 8
+            assert session.registry.counter("campaign.hits_verbatim") == 0
+        assert resumed_out.read_bytes() == fresh_out.read_bytes()
+
+    def test_replace_drops_the_stored_text(self, tmp_path):
+        spec = small_spec(runs=1)
+        store = CampaignStore(tmp_path)
+        CampaignRunner(spec, store=store).run()
+        loaded = next(iter(store.load(spec).values()))
+        assert loaded._canonical is not None
+        copy = dataclasses.replace(loaded)
+        assert copy._canonical is None
+        assert copy == loaded
+        assert copy.canonical_json() == loaded.canonical_json()
+
+    @pytest.mark.parametrize(
+        "spelling", ['"NaN"', '"-Infinity"', '"\\u004eaN"'], ids=["nan", "minus-inf", "escaped"]
+    )
+    def test_sentinel_and_escaped_strings_take_the_full_decode(self, tmp_path, spelling):
+        """Only a line free of sentinels and escapes skips the sentinel decode.
+
+        The edited line keeps the exact writer framing, so its text is also
+        what ``canonical_json`` serves: a hand-edited line is served as stored.
+        """
+        spec = small_spec(runs=1, num_faults=0)
+        store = CampaignStore(tmp_path)
+        CampaignRunner(spec, store=store).run()
+        shard = store.shard_path(spec)
+        lines = shard.read_text(encoding="utf-8").splitlines()
+        payload = json.loads(lines[0])
+        stored = json.dumps(payload["record"]["skew"]["inter_max"])
+        lines[0] = lines[0].replace(f'"inter_max":{stored}', f'"inter_max":{spelling}', 1)
+        assert f'"inter_max":{spelling}' in lines[0]
+        shard.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        record = store.load(spec)[payload["key"]]
+        value = record.skew["inter_max"]
+        assert isinstance(value, float) and not math.isfinite(value)
+        assert record.canonical_json() == unframe(
+            lines[0], payload["key"], json.loads(lines[0])["record"]
+        )
+        assert spelling in record.canonical_json()
+
+    def test_framed_line_missing_a_field_is_reencoded(self, tmp_path):
+        """A line in writer framing from an older writer (no ``total_firings``) re-encodes."""
+        spec = small_spec(runs=1)
+        store = CampaignStore(tmp_path)
+        fresh = CampaignRunner(spec, store=store).run().records[0]
+        shard = store.shard_path(spec)
+        lines = shard.read_text(encoding="utf-8").splitlines()
+        payload = json.loads(lines[0])
+        fields = payload["record"]
+        wall_time_s = fields.pop("wall_time_s")
+        del fields["total_firings"]
+        text = json.dumps(fields, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        lines[0] = frame(payload["key"], text, wall_time_s)
+        assert unframe(lines[0], payload["key"], json.loads(lines[0])["record"]) == text
+        shard.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = store.load(spec)[payload["key"]]
+        assert loaded._canonical is None
+        assert loaded.canonical_json() == fresh.canonical_json()
+        assert '"total_firings":null' in loaded.canonical_json()
+
+    def test_non_object_record_is_a_malformed_line(self, tmp_path):
+        spec = small_spec(runs=1)
+        store = CampaignStore(tmp_path)
+        CampaignRunner(spec, store=store).run()
+        with open(store.shard_path(spec), "a", encoding="utf-8") as handle:
+            handle.write('{"key":"deadbeef","record":[1,2]}\n')
+        with pytest.warns(RuntimeWarning, match="skipped 1 malformed line"):
+            assert len(store.load(spec)) == spec.num_tasks
+
+
+class TestShardLock:
+    def test_second_writer_on_a_shard_is_refused(self, tmp_path):
+        shard = tmp_path / "one.jsonl"
+        record = execute_task(small_spec(runs=1).tasks()[0])
+        first = ShardWriter(shard)
+        first.append(record)
+        written = shard.read_bytes()
+        for append in (True, False):
+            with pytest.raises(RuntimeError, match=re.escape(str(shard))):
+                ShardWriter(shard, append=append)
+        assert shard.read_bytes() == written
+        first.close()
+        with ShardWriter(shard, append=False):
+            pass
+        assert shard.read_bytes() == b""
+
+    def test_sweep_into_a_locked_shard_fails_loudly(self, tmp_path):
+        spec = small_spec(runs=1)
+        store = CampaignStore(tmp_path)
+        CampaignRunner(spec, store=store).run()
+        written = store.shard_path(spec).read_bytes()
+        with store.open_writer(spec):
+            with pytest.raises(RuntimeError, match="locked by another writer"):
+                CampaignRunner(spec, store=store).run()
+        assert store.shard_path(spec).read_bytes() == written
+
+    def test_forked_child_does_not_keep_the_lock(self, tmp_path):
+        """A pool worker forked while the shard is open must not pin its lock."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        context = multiprocessing.get_context("fork")
+        forked = context.Event()
+
+        def child_body():
+            forked.set()
+            signal.pause()
+
+        shard = tmp_path / "one.jsonl"
+        writer = ShardWriter(shard)
+        child = context.Process(target=child_body)
+        child.start()
+        try:
+            assert forked.wait(timeout=30)
+            writer.close()
+            with ShardWriter(shard):
+                pass
+        finally:
+            child.terminate()
+            child.join()
 
 
 class TestWorkerDeath:

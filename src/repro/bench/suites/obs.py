@@ -33,12 +33,9 @@ from repro import obs
 from repro.bench.case import BenchCase, BenchSettings
 from repro.bench.registry import register_case
 from repro.campaign import CampaignRunner, CampaignSpec, SweepSpec
-from repro.campaign.runner import execute_task_batch
+from repro.campaign.runner import BATCH_SIZE, execute_task_batch
 
 SUITE = "obs"
-
-#: Serial-path batch size of :class:`CampaignRunner` (its default).
-_BATCH_SIZE = 32
 
 
 def _spec(settings: BenchSettings) -> CampaignSpec:
@@ -57,8 +54,8 @@ def _raw_records(spec: CampaignSpec) -> List[Any]:
     """The reference execution: direct batch calls, no runner orchestration."""
     tasks = spec.tasks()
     records: List[Any] = []
-    for start in range(0, len(tasks), _BATCH_SIZE):
-        records.extend(execute_task_batch(tasks[start : start + _BATCH_SIZE]))
+    for start in range(0, len(tasks), BATCH_SIZE):
+        records.extend(execute_task_batch(tasks[start : start + BATCH_SIZE]))
     return records
 
 
@@ -74,7 +71,7 @@ def _make_runner_overhead(settings: BenchSettings):
         raw = _raw_records(spec)
         raw_wall = time.perf_counter() - start
         start = time.perf_counter()
-        result = CampaignRunner(spec, workers=1, batch_size=_BATCH_SIZE).run()
+        result = CampaignRunner(spec, workers=1).run()
         runner_wall = time.perf_counter() - start
         return {
             "spec": spec,
@@ -267,9 +264,7 @@ def _make_worker_fanin(settings: BenchSettings):
             shutil.rmtree(trace_dir, ignore_errors=True)
         run_id = next(r["span_id"] for r in records if r.get("name") == "campaign.run")
         worker_tasks = [
-            r
-            for r in records
-            if "worker" in r and r.get("name") in ("campaign.task", "campaign.task_batch")
+            r for r in records if "worker" in r and r.get("name") == "campaign.task_batch"
         ]
         return {
             "spec": spec,

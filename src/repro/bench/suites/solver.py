@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-import pytest
-
 from repro.analysis.histograms import tail_fraction
 from repro.bench.case import BenchCase, BenchSettings
 from repro.bench.registry import register_case
@@ -37,7 +35,6 @@ from repro.experiments import (
     table3,
     theorem1,
 )
-from repro.faults.models import FaultType  # noqa: F401  (re-export convenience)
 
 SUITE = "solver"
 
@@ -402,7 +399,7 @@ def _check_fig17(result: Any, settings: BenchSettings) -> None:
     # construction reaches >= 3 d+ (vs ~1 d+ without the fault) and
     # reproduces the "smaller by d+" relation exactly.
     assert summary["max_intra_skew_in_dmax"] >= 3.0
-    assert summary["intra_minus_inter_in_dmax"] == pytest.approx(1.0, abs=0.3)
+    assert abs(summary["intra_minus_inter_in_dmax"] - 1.0) <= 0.3
     assert (
         summary["fault_free_max_intra_skew"]
         <= result.construction.timing.d_max + 1e-6
@@ -507,7 +504,7 @@ def _check_table3(result: Any, settings: BenchSettings) -> None:
         derived = result.from_paper_sigma[scenario].as_row()
         paper = table3.PAPER_TABLE3[scenario]
         for key in ("T_link_min", "T_link_max", "T_sleep_min", "T_sleep_max", "S"):
-            assert derived[key] == pytest.approx(paper[key], abs=0.2), (scenario, key)
+            assert abs(derived[key] - paper[key]) <= 0.2, (scenario, key)
         measured_sigma = result.measured_sigma[scenario]
         assert 0.3 * paper["sigma"] < measured_sigma < 2.5 * paper["sigma"]
 

@@ -45,7 +45,7 @@ from repro.campaign.records import (
     pooled_statistics,
     stabilization_times,
 )
-from repro.campaign.runner import CampaignResult, CampaignRunner, execute_task
+from repro.campaign.runner import CampaignResult, CampaignRunner, execute_task_batch
 from repro.campaign.spec import CampaignSpec, RunTask, SweepSpec
 from repro.campaign.store import CampaignStore
 
@@ -58,7 +58,7 @@ __all__ = [
     "CampaignResult",
     "CampaignStore",
     "ProgressReporter",
-    "execute_task",
+    "execute_task_batch",
     "pooled_statistics",
     "group_by_cell",
     "group_by_point",

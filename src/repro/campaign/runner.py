@@ -1,17 +1,18 @@
 """Campaign execution: serial or process-pool fan-out over run tasks.
 
-:func:`execute_task` is the single entry point that turns a
-:class:`~repro.campaign.spec.RunTask` into a
-:class:`~repro.campaign.records.RunRecord`.  Execution dispatches through the
-engine registry (:func:`repro.engines.get_engine`): the task is translated to
-a :class:`~repro.engines.base.RunSpec` and handed to the engine's ``run``,
-which reproduces the historical per-run bodies exactly -- same generator,
-same draw order (layer-0 times, fault placement, fault behaviour, link delays
-for single-pulse runs; fault placement, pulse schedule, simulation draws for
-multi-pulse runs).  Because a task rebuilds its generator from
-``(entropy, run_index)`` alone, the result is independent of which process
-executes it and in which order: a campaign run with ``workers=8`` produces
-canonically byte-identical records to a serial run.
+:func:`execute_task_batch` is the one executor: it turns a chunk of
+:class:`~repro.campaign.spec.RunTask` objects of one ``(kind, engine)`` into
+:class:`~repro.campaign.records.RunRecord` objects with a single
+``engine.run_batch`` call.  The engine comes from the registry
+(:func:`repro.engines.get_engine`) and reproduces the historical per-run
+bodies exactly -- same generator, same draw order (layer-0 times, fault
+placement, fault behaviour, link delays for single-pulse runs; fault
+placement, pulse schedule, simulation draws for multi-pulse runs).  Because a
+task rebuilds its generator from ``(entropy, run_index)`` alone, and the
+engine contract keeps ``run_batch`` bit-identical to per-spec ``run`` calls,
+the records do not depend on which process executes a task, in which order or
+in which chunk: a campaign run with ``workers=8`` produces canonically
+byte-identical records to a serial run.
 
 :class:`CampaignRunner` expands a spec, consults the optional on-disk store
 for already-completed tasks (``resume=True``), executes the remainder,
@@ -19,15 +20,12 @@ persists results as they complete (so an interrupted campaign resumes where
 it stopped) and returns the records in deterministic task order.
 
 Both execution paths cut the pending tasks into the same chunks: runs of
-consecutive tasks of one ``(kind, engine)``, at most ``batch_size`` long in
-process and ``min(batch_size, ceil(pending / (4 * workers)))`` long on the
-pool.  :func:`execute_chunk` runs a chunk of several single-pulse tasks
-through ``engine.run_batch`` (:func:`execute_task_batch`), so same-grid
+consecutive tasks of one ``(kind, engine)``.  A single-pulse chunk holds at
+most :data:`BATCH_SIZE` tasks in process and
+``min(BATCH_SIZE, ceil(pending / (4 * workers)))`` on the pool, so same-grid
 sweep cells amortize topology construction and the solver's plan-compiled
-sweep; any other chunk runs task by task through :func:`execute_task`.
-Batching is purely a wall-clock optimisation: the engine contract keeps
-batched results bit-identical to per-task execution, so canonical records --
-and therefore the serial/parallel/resume equalities -- are unchanged.
+sweep.  A multi-pulse chunk holds one task, so each slow discrete-event
+record is persisted before the next task starts.
 
 The pool is a :class:`concurrent.futures.ProcessPoolExecutor`.  Each worker
 runs its chunk under a fresh in-memory observability session
@@ -59,57 +57,49 @@ from repro.campaign.spec import CampaignSpec, RunTask, task_key
 from repro.campaign.store import CampaignStore
 from repro.clocksource.scenarios import parse_scenario
 from repro.core.bounds import stable_skew_choice
-from repro.engines import Engine, get_engine
+from repro.engines import get_engine
 from repro.engines.des import scenario_layer0_spread
 from repro.stream import StreamingMoments, StreamingQuantiles
 
 __all__ = [
-    "execute_task",
+    "BATCH_SIZE",
     "execute_task_batch",
-    "execute_chunk",
     "CampaignResult",
     "CampaignRunner",
 ]
 
+#: Most single-pulse tasks one ``engine.run_batch`` call executes; the pool
+#: cuts smaller chunks when that keeps its workers balanced.
+BATCH_SIZE = 32
 
-def _single_pulse_record(task: RunTask, result) -> RunRecord:
+
+def _record(task: RunTask, result) -> RunRecord:
+    """The campaign record of one engine result."""
     fault_model = result.fault_model
-    mask = fault_model.correctness_mask() if fault_model is not None else None
-    # The clock-tree engine reports a sink-array matrix whose shape differs
-    # from the hex grid's; its rows/columns are plain physical adjacency, so
-    # the (wrapping) default applies.  Hex grids report their own wrap flag.
-    wrap = bool(getattr(result.grid, "column_wrap", True))
-    skew_row = SkewStatistics.from_times(result.trigger_times, mask, wrap=wrap).as_row()
     faulty = tuple(fault_model.faulty_nodes()) if fault_model is not None else ()
-    return RunRecord(
+    record = RunRecord(
         key=task.key(),
         kind=task.kind,
         cell_index=task.cell_index,
         point_index=task.point_index,
         run_index=task.run_index,
         params=task.to_json_dict(),
-        skew=skew_row,
         faulty_nodes=faulty,
-        trigger_times=result.trigger_times if task.keep_times else None,
-        layer0_times=result.layer0_times if task.keep_times else None,
     )
+    if task.kind == "single_pulse":
+        mask = fault_model.correctness_mask() if fault_model is not None else None
+        # The clock-tree engine reports a sink-array matrix whose shape differs
+        # from the hex grid's; its rows/columns are plain physical adjacency, so
+        # the (wrapping) default applies.  Hex grids report their own wrap flag.
+        wrap = bool(getattr(result.grid, "column_wrap", True))
+        record.skew = SkewStatistics.from_times(result.trigger_times, mask, wrap=wrap).as_row()
+        if task.keep_times:
+            record.trigger_times = result.trigger_times
+            record.layer0_times = result.layer0_times
+        return record
 
-
-def _execute_single_pulse(task: RunTask, engine: Engine) -> RunRecord:
-    return _single_pulse_record(task, engine.run(task.to_run_spec()))
-
-
-def _execute_multi_pulse(task: RunTask, engine: Engine) -> RunRecord:
-    if "multi_pulse" not in engine.capabilities.kinds:
-        # The engine sweep axis is documented as ignored by multi-pulse
-        # points (the stabilization workload has a single semantics); fall
-        # back to the discrete-event backend as the historical bodies did.
-        engine = get_engine("des")
-    result = engine.run(task.to_run_spec())
     grid = result.grid
     timing = result.timing
-    fault_model = result.fault_model
-
     layer0_spread = scenario_layer0_spread(parse_scenario(task.scenario), grid.width, timing)
     # Lateral-trigger margin of the topology (0 on the cylinder): the sigma
     # bounds are derived for centrally-triggered nodes, and rim/hole-adjacent
@@ -128,105 +118,57 @@ def _execute_multi_pulse(task: RunTask, engine: Engine) -> RunRecord:
         )
 
     estimate = stabilization_time(result, intra_bound)
-    faulty = tuple(fault_model.faulty_nodes()) if fault_model is not None else ()
-    return RunRecord(
-        key=task.key(),
-        kind=task.kind,
-        cell_index=task.cell_index,
-        point_index=task.point_index,
-        run_index=task.run_index,
-        params=task.to_json_dict(),
-        faulty_nodes=faulty,
-        stabilization_time=float(estimate) if estimate is not None else float("nan"),
-        total_firings=result.total_firings(),
-    )
-
-
-def execute_task(task: RunTask) -> RunRecord:
-    """Execute one run task and return its record.
-
-    Deterministic given the task (except for the recorded wall time), whatever
-    process runs it -- the foundation of the serial/parallel equality and of
-    the resumable cache.  The execution backend is resolved through
-    :func:`repro.engines.get_engine`, so an unknown ``task.engine`` fails
-    with the list of registered engines before any simulation work starts.
-    """
-    start = time.perf_counter()
-    with obs.span("campaign.task", engine=task.engine, kind=task.kind) as task_span:
-        usage = obs.resources.snapshot() if obs.enabled() else None
-        engine = get_engine(task.engine)
-        if task.kind == "single_pulse":
-            record = _execute_single_pulse(task, engine)
-        elif task.kind == "multi_pulse":
-            record = _execute_multi_pulse(task, engine)
-        else:
-            raise ValueError(f"unknown task kind {task.kind!r}")
-        if usage is not None:
-            task_span.set(**obs.resources.delta_attrs(usage))
-    record.wall_time_s = time.perf_counter() - start
-    obs.inc("campaign.tasks_executed")
+    record.stabilization_time = float(estimate) if estimate is not None else float("nan")
+    record.total_firings = result.total_firings()
     return record
 
 
 def execute_task_batch(tasks: Sequence[RunTask]) -> List[RunRecord]:
-    """Execute a group of same-engine single-pulse tasks in one engine call.
+    """Execute a chunk of same-``(kind, engine)`` tasks in one engine call.
 
-    Dispatches the whole group through ``engine.run_batch`` (falling back to
-    a per-spec loop for engines without one), so same-grid sweep cells share
-    topology construction and the solver's plan-compiled fast path.  The
-    engine-level batching contract guarantees canonical records identical to
-    per-task execution; only :attr:`RunRecord.wall_time_s` -- which the
-    canonical form excludes -- differs, and is stamped as the group's
-    per-task average.
+    The one executor of campaign tasks: it resolves the engine once (through
+    :func:`repro.engines.get_engine`, so an unknown ``task.engine`` fails
+    with the list of registered engines before any simulation work starts)
+    and hands the whole chunk to ``engine.run_batch``, so same-grid sweep
+    cells share topology construction and the solver's plan-compiled fast
+    path.  The engine contract keeps batched results bit-identical to
+    per-spec ``run`` calls, and every task rebuilds its generator from its
+    seed coordinates, so the records are deterministic given the tasks,
+    whatever process runs them and however they are chunked.  Only
+    :attr:`RunRecord.wall_time_s` -- which the canonical form excludes --
+    depends on the chunk: it is stamped as the chunk's per-task average.
     """
     if not tasks:
         return []
-    engine_name = tasks[0].engine
+    kind, engine_name = tasks[0].kind, tasks[0].engine
     for task in tasks:
-        if task.kind != "single_pulse" or task.engine != engine_name:
+        if (task.kind, task.engine) != (kind, engine_name):
             raise ValueError(
-                "execute_task_batch needs same-engine single-pulse tasks; got "
+                "execute_task_batch needs tasks of one kind and engine; got "
                 f"kind={task.kind!r} engine={task.engine!r} in a "
-                f"{engine_name!r} batch"
+                f"{kind!r}/{engine_name!r} batch"
             )
     start = time.perf_counter()
-    with obs.span("campaign.task_batch", engine=engine_name, size=len(tasks)) as batch_span:
+    with obs.span(
+        "campaign.task_batch", engine=engine_name, kind=kind, size=len(tasks)
+    ) as batch_span:
         usage = obs.resources.snapshot() if obs.enabled() else None
         engine = get_engine(engine_name)
-        batch_run = getattr(engine, "run_batch", None)
-        specs = [task.to_run_spec() for task in tasks]
-        if batch_run is not None:
-            results = batch_run(specs)
-        else:
-            results = [engine.run(spec) for spec in specs]
-        records = [
-            _single_pulse_record(task, result) for task, result in zip(tasks, results)
-        ]
+        if kind == "multi_pulse" and "multi_pulse" not in engine.capabilities.kinds:
+            # The engine sweep axis is documented as ignored by multi-pulse
+            # points (the stabilization workload has a single semantics); fall
+            # back to the discrete-event backend as the historical bodies did.
+            engine = get_engine("des")
+        results = engine.run_batch([task.to_run_spec() for task in tasks])
+        records = [_record(task, result) for task, result in zip(tasks, results)]
         if usage is not None:
             batch_span.set(**obs.resources.delta_attrs(usage))
     share = (time.perf_counter() - start) / len(tasks)
     for record in records:
         record.wall_time_s = share
     obs.inc("campaign.batches")
-    obs.inc("campaign.batched_tasks", len(tasks))
     obs.inc("campaign.tasks_executed", len(tasks))
     return records
-
-
-def execute_chunk(tasks: Sequence[RunTask]) -> Iterator[RunRecord]:
-    """Execute one chunk of same-``(kind, engine)`` tasks, yielding records in order.
-
-    Several single-pulse tasks go through :func:`execute_task_batch` in one
-    engine call; anything else runs task by task through :func:`execute_task`,
-    yielding each record as soon as it exists so the serial path can persist
-    it before starting the next (slow multi-pulse) task.  Both helpers are
-    looked up through the module, so tests can monkeypatch them.
-    """
-    if len(tasks) > 1 and tasks[0].kind == "single_pulse":
-        yield from execute_task_batch(tasks)
-    else:
-        for task in tasks:
-            yield execute_task(task)
 
 
 WorkerResult = Tuple[List[RunRecord], List[Dict[str, Any]], Optional[Dict[str, Any]]]
@@ -237,19 +179,24 @@ def _execute_chunk_in_worker(
 ) -> WorkerResult:
     """Pool entry point: one chunk's ``(records, spans, metrics snapshot)``."""
     with obs.worker_session(telemetry) as session:
-        records = list(execute_chunk(tasks))
+        records = execute_task_batch(tasks)
     return records, session.spans, session.metrics
 
 
 def _chunks(
     pending: Sequence[Tuple[int, RunTask]], size: int
 ) -> Iterator[List[Tuple[int, RunTask]]]:
-    """Cut ``pending`` into runs of consecutive same-``(kind, engine)`` tasks."""
+    """Cut ``pending`` into runs of consecutive same-``(kind, engine)`` tasks.
+
+    Single-pulse chunks hold at most ``size`` tasks; a multi-pulse chunk
+    holds one, so each slow DES record is persisted before the next starts.
+    """
     chunk: List[Tuple[int, RunTask]] = []
     for index, task in pending:
         if chunk:
             last = chunk[-1][1]
-            if len(chunk) >= size or (task.kind, task.engine) != (last.kind, last.engine):
+            limit = size if last.kind == "single_pulse" else 1
+            if len(chunk) >= limit or (task.kind, task.engine) != (last.kind, last.engine):
                 yield chunk
                 chunk = []
         chunk.append((index, task))
@@ -377,16 +324,6 @@ class CampaignRunner:
     progress:
         ``True`` for a stderr progress/ETA line, a ready-made
         :class:`ProgressReporter`, or ``None``/``False`` for silence.
-    batch_size:
-        Maximum length of a chunk: the number of consecutive same-engine
-        single-pulse tasks handed to one ``engine.run_batch`` call (see
-        :func:`execute_chunk`); sweep cells on the same grid then share
-        topology construction and the solver fast path.  The pool path caps
-        chunks further at ``ceil(pending / (4 * workers))`` so the workers
-        stay balanced.  ``1`` disables batching and restores strict per-task
-        execution through the module-level :func:`execute_task` hook (which
-        tests monkeypatch).  Records are persisted as each chunk completes,
-        so an interrupt loses at most the chunks in flight.
     """
 
     def __init__(
@@ -396,15 +333,11 @@ class CampaignRunner:
         store: Optional[Union[CampaignStore, str]] = None,
         resume: bool = False,
         progress: Union[bool, ProgressReporter, None] = None,
-        batch_size: int = 32,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.spec = spec
         self.workers = workers
-        self.batch_size = batch_size
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self.store = store
@@ -522,8 +455,8 @@ class CampaignRunner:
         if not pending:
             return
         if self.workers == 1 or len(pending) == 1:
-            for chunk in _chunks(pending, self.batch_size):
-                records = execute_chunk([task for _, task in chunk])
+            for chunk in _chunks(pending, BATCH_SIZE):
+                records = execute_task_batch([task for _, task in chunk])
                 yield from zip((index for index, _ in chunk), records)
             return
         # Imported here: serial runs (and resumes, and soaks) never pay for
@@ -532,7 +465,7 @@ class CampaignRunner:
         from concurrent.futures.process import BrokenProcessPool
 
         workers = min(self.workers, len(pending))
-        size = min(self.batch_size, math.ceil(len(pending) / (workers * 4)))
+        size = min(BATCH_SIZE, math.ceil(len(pending) / (workers * 4)))
         telemetry = obs.worker_telemetry()
         pool = ProcessPoolExecutor(max_workers=workers)
         try:

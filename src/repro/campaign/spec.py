@@ -38,12 +38,9 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.adversary.schedule import FaultSchedule
 from repro.clocksource.scenarios import Scenario
-from repro.core.parameters import TimeoutConfig, TimingConfig
-from repro.core.topology import HexGrid
+from repro.core.parameters import TimingConfig
 from repro.engines import RunSpec, available_engines, get_engine
 from repro.engines.base import (
     DELAY_MODELS,
@@ -57,7 +54,6 @@ from repro.engines.base import (
     canonical_timer_policy,
     content_key,
     require_exactness,
-    timeouts_from_tuple,
 )
 from repro.faults.models import FaultType
 from repro.simulation.network import TimerPolicy
@@ -673,23 +669,12 @@ class RunTask:
         """Content-address of the task (cache lookup key, see :func:`task_key`)."""
         return task_key(self.to_json_dict())
 
-    # ------------------------------------------------------------------
-    # reconstruction helpers (used by the executor)
-    # ------------------------------------------------------------------
-    def rng(self) -> np.random.Generator:
-        """The run's generator, identical to ``spawn_rngs(runs, salt)[run_index]``.
-
-        Delegates to :meth:`~repro.engines.base.RunSpec.rng` so the
-        seed-derivation code exists exactly once.
-        """
-        return self.to_run_spec().rng()
-
     def to_run_spec(self) -> RunSpec:
         """The engine-facing :class:`~repro.engines.base.RunSpec` of this task.
 
         Field-for-field translation -- in particular the seed coordinates
-        ``(entropy, run_index)`` carry over unchanged, so
-        ``spec.rng()`` and :meth:`rng` produce the same stream and engine
+        ``(entropy, run_index)`` carry over unchanged, so ``spec.rng()`` is
+        the historical ``spawn_rngs(runs, salt)[run_index]`` stream and engine
         execution is bit-identical to the historical per-run bodies.
 
         The explicit ``timeouts`` override is forwarded for multi-pulse tasks
@@ -721,20 +706,3 @@ class RunTask:
             initial_states=self.initial_states,
             topology=self.topology,
         )
-
-    def make_grid(self) -> HexGrid:
-        """The task's grid."""
-        return self.to_run_spec().make_grid()
-
-    def make_timing(self) -> TimingConfig:
-        """The task's timing configuration."""
-        return self.to_run_spec().make_timing()
-
-    def make_timeouts(self) -> Optional[TimeoutConfig]:
-        """The explicit timeout override, if any.
-
-        Not routed through :meth:`to_run_spec` -- the task-to-spec
-        translation deliberately drops single-pulse overrides, while this
-        accessor reports the raw task field.
-        """
-        return timeouts_from_tuple(self.timeouts)

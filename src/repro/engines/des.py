@@ -6,7 +6,7 @@ cross-validation against the analytic solver) and the multi-pulse
 stabilization workload of Section 4.4.
 
 Draw order (the reproducibility contract, identical to the historical
-``execute_task`` bodies):
+per-run campaign bodies):
 
 * single-pulse -- layer-0 firing times, fault placement/behaviour, then link
   delays and timer draws inside the simulation;

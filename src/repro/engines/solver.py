@@ -6,7 +6,7 @@ plan-compiled sweep :func:`~repro.core.pulse_solver.solve_single_pulse`,
 faulty or not.
 
 Draw order (the reproducibility contract, identical to the historical
-``execute_task`` single-pulse body): layer-0 firing times, then fault
+per-run single-pulse body): layer-0 firing times, then fault
 placement and behaviour, then the per-link delays -- which
 :class:`~repro.simulation.links.UniformRandomDelays` draws lazily, in the
 solver's link traversal order, through its buffered draw stream.

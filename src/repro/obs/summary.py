@@ -98,9 +98,9 @@ def _summarize_metrics(path: Path) -> Dict[str, Any]:
     }
 
 
-#: Span names counted as "tasks" in per-worker rollups of parallel traces
-#: (a ``campaign.task_batch`` span counts its ``size`` tasks).
-_TASK_SPAN_NAMES = ("campaign.task", "campaign.task_batch")
+#: Span name counted as "tasks" in per-worker rollups of parallel traces
+#: (each span counts its ``size`` tasks).
+_TASK_SPAN_NAME = "campaign.task_batch"
 
 
 def _summarize_trace(path: Path) -> Dict[str, Any]:
@@ -136,7 +136,7 @@ def _summarize_trace(path: Path) -> Dict[str, Any]:
                 rss = attrs.get("max_rss_bytes")
                 if isinstance(rss, (int, float)):
                     rollup["max_rss_bytes"] = max(rollup["max_rss_bytes"], int(rss))
-                if name in _TASK_SPAN_NAMES:
+                if name == _TASK_SPAN_NAME:
                     rollup["tasks"] += int(attrs.get("size", 1))
                     rollup["task_values"].append(duration)
         elif kind == "event":

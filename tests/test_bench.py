@@ -12,10 +12,16 @@ the baseline comparison exit codes (pass / regress / missing-baseline), the
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+import repro.campaign.runner as campaign_runner
 from repro.bench import (
     EXIT_MISSING_BASELINE,
     EXIT_OK,
@@ -38,7 +44,6 @@ from repro.bench import (
 )
 from repro.bench.runner import SCHEMA_VERSION, SUITE_SCHEMA
 from repro.campaign import CampaignRunner, CampaignSpec, SweepSpec
-from repro.campaign.runner import execute_task, execute_task_batch
 from repro.cli import main
 from repro.engines import RunSpec, generic_run_batch, get_engine
 
@@ -319,6 +324,26 @@ class TestBenchCli:
         output = capsys.readouterr().out
         assert "solver" in output and "batch" in output
 
+    def test_list_runs_without_test_only_packages(self):
+        """``bench`` loads every suite with the runtime dependencies alone."""
+        script = (
+            "import runpy, sys\n"
+            "for name in ('pytest', 'hypothesis', 'networkx'):\n"
+            "    sys.modules[name] = None\n"
+            "sys.argv = ['repro', 'bench', '--list']\n"
+            "runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "solver" in proc.stdout
+
     def test_unknown_suite_is_a_cli_error(self, tmp_path):
         assert main(["bench", "--suite", "no-such", "--out", str(tmp_path)]) == 2
 
@@ -457,34 +482,59 @@ class TestCampaignBatching:
         defaults.update(kwargs)
         return CampaignSpec(name="batching", seed=31, cells=(SweepSpec(**defaults),))
 
-    def test_batched_serial_records_match_per_task_execution(self):
+    def _per_task_records(self, spec, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(campaign_runner, "BATCH_SIZE", 1)
+            return CampaignRunner(spec).run().records
+
+    def test_batched_serial_records_match_per_task_execution(self, monkeypatch):
         spec = self._spec()
-        batched = CampaignRunner(spec, batch_size=5).run()
-        per_task = CampaignRunner(spec, batch_size=1).run()
+        batched = CampaignRunner(spec).run()
         assert [r.canonical_json() for r in batched.records] == [
-            r.canonical_json() for r in per_task.records
+            r.canonical_json() for r in self._per_task_records(spec, monkeypatch)
         ]
 
-    def test_mixed_engine_cells_split_into_groups(self):
+    def test_mixed_engine_cells_split_into_groups(self, monkeypatch):
         spec = self._spec(engine=("solver", "clocktree"), num_faults=0, layers=8)
         batched = CampaignRunner(spec).run()
-        per_task = CampaignRunner(spec, batch_size=1).run()
         assert [r.canonical_json() for r in batched.records] == [
-            r.canonical_json() for r in per_task.records
+            r.canonical_json() for r in self._per_task_records(spec, monkeypatch)
         ]
 
     def test_execute_task_batch_matches_execute_task(self):
         tasks = self._spec().tasks()
-        batched = execute_task_batch(tasks)
+        batched = campaign_runner.execute_task_batch(tasks)
         for task, record in zip(tasks, batched):
-            assert record.canonical_json() == execute_task(task).canonical_json()
+            single = campaign_runner.execute_task_batch([task])[0]
+            assert record.canonical_json() == single.canonical_json()
 
     def test_execute_task_batch_rejects_mixed_groups(self):
         tasks = self._spec().tasks()
         multi = self._spec(kind="multi_pulse", num_faults=0, scenario="i", layers=8)
-        with pytest.raises(ValueError, match="same-engine single-pulse"):
-            execute_task_batch([tasks[0], multi.tasks()[0]])
+        with pytest.raises(ValueError, match="one kind and engine"):
+            campaign_runner.execute_task_batch([tasks[0], multi.tasks()[0]])
 
-    def test_batch_size_validation(self):
-        with pytest.raises(ValueError):
-            CampaignRunner(self._spec(), batch_size=0)
+    def test_chunks_keep_one_kind_and_engine_and_cap_their_length(self):
+        cells = (
+            SweepSpec(layers=6, width=4, engine=("solver", "clocktree"), runs=20),
+            SweepSpec(
+                layers=6, width=4, engine="des", kind="multi_pulse", num_pulses=2, runs=3,
+            ),
+            SweepSpec(layers=6, width=4, runs=40),
+        )
+        pending = list(enumerate(CampaignSpec(name="chunks", seed=1, cells=cells).tasks()))
+        for size in (campaign_runner.BATCH_SIZE, 5):
+            tail = [size] * (40 // size) + [40 % size] * (40 % size > 0)
+            chunks = list(campaign_runner._chunks(pending, size))
+            assert [index for chunk in chunks for index, _ in chunk] == list(
+                range(len(pending))
+            )
+            shapes = []
+            for chunk in chunks:
+                ((kind, _),) = {(task.kind, task.engine) for _, task in chunk}
+                shapes.append((kind, len(chunk)))
+            single = [n for kind, n in shapes if kind == "single_pulse"]
+            assert max(single) == size
+            assert sum(single) == 20 + 20 + 40
+            assert [n for kind, n in shapes if kind == "multi_pulse"] == [1, 1, 1]
+            assert [n for _, n in shapes[-len(tail) :]] == tail

@@ -30,7 +30,7 @@ from repro.campaign import (
     CampaignStore,
     RunRecord,
     SweepSpec,
-    execute_task,
+    execute_task_batch,
     pooled_statistics,
 )
 from repro.campaign.progress import ProgressReporter, format_duration
@@ -76,7 +76,7 @@ class TestSpecExpansion:
         reference = config.spawn_rngs(4, salt=11 + 1)
         for task, expected in zip(tasks, reference):
             assert task.entropy == 99 + 11 + 1
-            assert task.rng().random(5) == pytest.approx(expected.random(5))
+            assert task.to_run_spec().rng().random(5) == pytest.approx(expected.random(5))
 
     def test_scenario_and_enum_canonicalization(self):
         cell = SweepSpec(scenario=("(iii)", "ramp"), fault_type=FaultType.FAIL_SILENT)
@@ -141,7 +141,7 @@ class TestExecutionDeterminism:
         config = ExperimentConfig(layers=8, width=6, runs=1, seed=99)
         spec = small_spec(runs=1, scenario="iii", num_faults=2)
         task = spec.tasks()[0]
-        record = execute_task(task)
+        record = execute_task_batch([task])[0]
 
         grid = config.make_grid()
         rng = config.spawn_rngs(1, salt=11)[0]
@@ -212,47 +212,72 @@ class TestExecutionDeterminism:
 
 class TestStoreResume:
     def test_resume_after_interrupt_skips_completed_tasks(self, tmp_path, monkeypatch):
-        # batch_size=1 forces strict per-task execution through the
-        # module-level execute_task hook this test monkeypatches.
+        # One-task chunks, so the interrupt lands between tasks; the runner
+        # looks the executor up through the module this test monkeypatches.
+        monkeypatch.setattr(campaign_runner, "BATCH_SIZE", 1)
         spec = small_spec(runs=3)
         store = CampaignStore(tmp_path / "cache")
 
         # Simulate an interrupt: execute only the first 4 tasks, then die.
-        real_execute = campaign_runner.execute_task
+        real_execute = campaign_runner.execute_task_batch
         calls = {"n": 0}
 
-        def dying_execute(task):
+        def dying_execute(tasks):
             if calls["n"] >= 4:
                 raise KeyboardInterrupt
-            calls["n"] += 1
-            return real_execute(task)
+            calls["n"] += len(tasks)
+            return real_execute(tasks)
 
-        monkeypatch.setattr(campaign_runner, "execute_task", dying_execute)
+        monkeypatch.setattr(campaign_runner, "execute_task_batch", dying_execute)
         with pytest.raises(KeyboardInterrupt):
-            CampaignRunner(spec, store=store, resume=True, batch_size=1).run()
+            CampaignRunner(spec, store=store, resume=True).run()
         assert len(store.load(spec)) == 4
 
         # Resume: only the remaining tasks execute.
         executed = {"n": 0}
 
-        def counting_execute(task):
-            executed["n"] += 1
-            return real_execute(task)
+        def counting_execute(tasks):
+            executed["n"] += len(tasks)
+            return real_execute(tasks)
 
-        monkeypatch.setattr(campaign_runner, "execute_task", counting_execute)
-        result = CampaignRunner(spec, store=store, resume=True, batch_size=1).run()
+        monkeypatch.setattr(campaign_runner, "execute_task_batch", counting_execute)
+        result = CampaignRunner(spec, store=store, resume=True).run()
         assert executed["n"] == spec.num_tasks - 4
         assert result.cached == 4
         assert result.executed == spec.num_tasks - 4
 
         # Re-invocation is a pure cache read and yields the same records.
-        monkeypatch.setattr(campaign_runner, "execute_task", real_execute)
+        monkeypatch.setattr(campaign_runner, "execute_task_batch", real_execute)
         repeat = CampaignRunner(spec, store=store, resume=True).run()
         assert repeat.executed == 0
         assert repeat.cached == spec.num_tasks
         assert [r.canonical_json() for r in repeat.records] == [
             r.canonical_json() for r in result.records
         ]
+
+    def test_interrupted_multi_pulse_campaign_keeps_finished_records(
+        self, tmp_path, monkeypatch
+    ):
+        """A serial multi-pulse campaign persists each record before the next task."""
+        cell = SweepSpec(
+            layers=6, width=4, scenario="i", num_faults=1, engine="des",
+            kind="multi_pulse", num_pulses=4, runs=3, seed_salt=7,
+        )
+        spec = CampaignSpec(name="mp-interrupt", seed=7, cells=(cell,))
+        store = CampaignStore(tmp_path)
+        real_execute = campaign_runner.execute_task_batch
+        calls = {"n": 0}
+
+        def dying_execute(tasks):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise KeyboardInterrupt
+            return real_execute(tasks)
+
+        monkeypatch.setattr(campaign_runner, "execute_task_batch", dying_execute)
+        with pytest.raises(KeyboardInterrupt):
+            CampaignRunner(spec, store=store).run()
+        assert list(store.load(spec)) == [spec.tasks()[0].key()]
 
     def test_cached_records_match_fresh_execution(self, tmp_path):
         spec = small_spec(runs=2)
@@ -607,7 +632,7 @@ class TestCanonicalStore:
 class TestShardLock:
     def test_second_writer_on_a_shard_is_refused(self, tmp_path):
         shard = tmp_path / "one.jsonl"
-        record = execute_task(small_spec(runs=1).tasks()[0])
+        record = execute_task_batch(small_spec(runs=1).tasks())[0]
         first = ShardWriter(shard)
         first.append(record)
         written = shard.read_bytes()
@@ -670,7 +695,7 @@ class TestWorkerDeath:
             pytest.skip("workers inherit the monkeypatched executor only under fork")
         spec = small_spec(runs=4)
         store = CampaignStore(tmp_path)
-        real_chunk = campaign_runner.execute_chunk
+        real_chunk = campaign_runner.execute_task_batch
 
         def killing_chunk(tasks):
             if any(task.run_index == 2 for task in tasks):
@@ -680,7 +705,7 @@ class TestWorkerDeath:
         def hung(signum, frame):
             raise TimeoutError("campaign still running 60 s after a worker died")
 
-        monkeypatch.setattr(campaign_runner, "execute_chunk", killing_chunk)
+        monkeypatch.setattr(campaign_runner, "execute_task_batch", killing_chunk)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
@@ -701,7 +726,7 @@ class TestWorkerDeath:
         assert named == {i for i, task in enumerate(tasks) if task.key() not in stored}
         assert {i for i, task in enumerate(tasks) if task.run_index == 2} <= named
 
-        monkeypatch.setattr(campaign_runner, "execute_chunk", real_chunk)
+        monkeypatch.setattr(campaign_runner, "execute_task_batch", real_chunk)
         resumed = CampaignRunner(spec, workers=2, store=store, resume=True).run()
         assert resumed.cached == len(stored)
         assert resumed.executed == lost

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.runner import CampaignRunner, execute_task
+from repro.campaign.runner import CampaignRunner, execute_task_batch
 from repro.campaign.spec import CampaignSpec, SweepSpec
 from repro.cli import main
 from repro.clocksource.scenarios import scenario_layer0_times
@@ -311,9 +311,9 @@ class TestCampaignIntegration:
         base = SweepSpec(layers=5, width=4, engine="des", runs=1)
         with_override = SweepSpec(layers=5, width=4, engine="des", runs=1,
                                   timeouts=override)
-        record_a = execute_task(CampaignSpec(name="a", seed=11, cells=(base,)).tasks()[0])
-        record_b = execute_task(
-            CampaignSpec(name="b", seed=11, cells=(with_override,)).tasks()[0]
+        (record_a,) = execute_task_batch(CampaignSpec(name="a", seed=11, cells=(base,)).tasks())
+        (record_b,) = execute_task_batch(
+            CampaignSpec(name="b", seed=11, cells=(with_override,)).tasks()
         )
         assert record_a.skew == record_b.skew
         np.testing.assert_array_equal(
@@ -333,7 +333,7 @@ class TestCampaignIntegration:
 
         broken = dataclasses.replace(task, engine="vhdl")
         with pytest.raises(ValueError, match="unknown engine"):
-            execute_task(broken)
+            execute_task_batch([broken])
 
     def test_array_engine_axis_serial_parallel_resumed_bit_identity(self, tmp_path):
         """Campaign determinism with the dense engine on the engine axis.
@@ -370,8 +370,8 @@ class TestCampaignIntegration:
         array_tasks = [task for task in spec.tasks() if task.engine == "array"]
         assert len(array_tasks) == len(serial.records) // 2
         for task in array_tasks:
-            array_record = execute_task(task)
-            solver_record = execute_task(dataclasses.replace(task, engine="solver"))
+            array_record = execute_task_batch([task])[0]
+            solver_record = execute_task_batch([dataclasses.replace(task, engine="solver")])[0]
             np.testing.assert_array_equal(
                 np.asarray(array_record.trigger_times),
                 np.asarray(solver_record.trigger_times),

@@ -359,7 +359,7 @@ class TestBitIdentity:
         assert {r["name"] for r in worker_spans} >= {"engine.run"}
         # ...with every worker task span parented under campaign.run.
         campaign_span = next(r for r in records if r.get("name") == "campaign.run")
-        task_spans = [r for r in worker_spans if r["name"] in _TASK_SPANS]
+        task_spans = [r for r in worker_spans if r["name"] == "campaign.task_batch"]
         assert task_spans
         assert all(r["parent_id"] == campaign_span["span_id"] for r in task_spans)
         assert all(r["depth"] == campaign_span["depth"] + 1 for r in task_spans)
@@ -384,10 +384,6 @@ class TestBitIdentity:
 # ----------------------------------------------------------------------
 # cross-process fan-in: telemetry rides the pool's result channel
 # ----------------------------------------------------------------------
-#: Span names a pool worker wraps its tasks in.
-_TASK_SPANS = ("campaign.task", "campaign.task_batch")
-
-
 def _assert_unique_span_ids(records) -> None:
     ids = [r["span_id"] for r in records if r.get("type") == "span"]
     assert len(ids) == len(set(ids)), "span ids repeat (duplicated trace lines?)"
@@ -415,10 +411,10 @@ class TestCrossProcess:
 
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {start_method!r} not available")
-        from repro.campaign.runner import _execute_chunk_in_worker, execute_chunk
+        from repro.campaign.runner import _execute_chunk_in_worker, execute_task_batch
 
         tasks = _parallel_spec(f"obs-{start_method}", runs=3).tasks()
-        expected = [r.canonical_json() for r in execute_chunk(tasks)]
+        expected = [r.canonical_json() for r in execute_task_batch(tasks)]
         with obs.observed(trace=tmp_path / f"{start_method}.jsonl"):
             telemetry = obs.worker_telemetry()
             context = multiprocessing.get_context(start_method)
@@ -503,15 +499,14 @@ class TestCrossProcess:
             assert serial[f"solver.{name}"] == parallel[f"worker.solver.{name}"]
 
     def test_resource_attrs_stamped_on_task_spans(self, tmp_path):
-        from repro.campaign.runner import execute_task
+        from repro.campaign.runner import execute_task_batch
 
         spec = _parallel_spec("obs-resources", runs=1)
-        task = spec.tasks()[0]
         trace = tmp_path / "res.jsonl"
         with obs.observed(trace=trace):
-            execute_task(task)
+            execute_task_batch(spec.tasks())
         records = obs.load_trace_records(trace)
-        task_span = next(r for r in records if r.get("name") == "campaign.task")
+        task_span = next(r for r in records if r.get("name") == "campaign.task_batch")
         attrs = task_span["attrs"]
         for key in ("cpu_user_s", "cpu_system_s", "gc_collections", "max_rss_bytes"):
             assert key in attrs

@@ -425,9 +425,9 @@ class TestTopologyCampaigns:
                 topology=topology,
             )
             task = CampaignSpec(name="s", seed=5, cells=(cell,)).tasks()[0]
-            from repro.campaign.runner import execute_task
+            from repro.campaign.runner import execute_task_batch
 
-            record = execute_task(task)
+            record = execute_task_batch([task])[0]
             assert np.isfinite(record.stabilization_time), topology
 
     def test_mixed_topology_pooling_uses_per_record_wrap(self):

@@ -30,6 +30,14 @@ per-grid :class:`SolverPlan`.  Faults are static within one pulse (faulty
 nodes never fire), so a faulty run only overlays a few rebuilt link lists
 and its stuck-at-1 seed arrivals on the shared plan.
 
+The sweep queries every correct link exactly once, in finalization order.
+So for a delay model that offers block draws (an unused
+:class:`~repro.simulation.links.UniformRandomDelays`) the ``k``-th query
+takes the ``k``-th draw: the sweep reads one block of draws up front, takes
+the link delays from it in query order and hands the model the block and
+the query order, from which it fills its per-link cache lazily.  Records
+are bit-identical to querying the model link by link.
+
 The solver is deliberately defensive about *who* may fire: layer-0 nodes fire
 exactly at the externally supplied times, faulty nodes never fire (their
 outgoing links behave according to the fault model instead), and nodes whose
@@ -41,8 +49,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from functools import lru_cache, partial
+from operator import length_hint
+from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +77,9 @@ class LinkDelayProvider(Protocol):
     small class with ``rng = None`` works just as well for analytic
     constructions.  ``rng`` is the generator the provider draws from
     (``None`` when it draws nothing); given ``uniform``, it draws through
-    that instead of ``rng``.
+    that instead of ``rng``.  A provider may also offer block draws through
+    ``block_draw_bounds()`` and ``adopt_block(links, values)``, as
+    :class:`~repro.simulation.links.DelayModel` documents.
     """
 
     rng: Optional[np.random.Generator]
@@ -197,6 +208,9 @@ class SolverPlan:
         absent are excluded.
     present_sources:
         The layer-0 columns whose source node is structurally present.
+    distinct_links:
+        Whether no node has two out-links to one destination.  Only then is
+        every delay query of a sweep a first query, which block draws need.
     """
 
     num_nodes: int
@@ -205,6 +219,7 @@ class SolverPlan:
     nodes: Tuple[NodeId, ...]
     out_links: Tuple[Tuple[OutLink, ...], ...]
     present_sources: Tuple[int, ...]
+    distinct_links: bool
 
     @classmethod
     def compile(cls, grid: HexGrid) -> "SolverPlan":
@@ -248,6 +263,9 @@ class SolverPlan:
             nodes=nodes,
             out_links=tuple(out_links),
             present_sources=present_sources,
+            distinct_links=all(
+                len({link[0] for link in links}) == len(links) for links in out_links
+            ),
         )
 
 
@@ -318,6 +336,18 @@ def _fault_overlay(
     return out_links, seeds, sources
 
 
+def _query_order(
+    nodes: Sequence[NodeId],
+    out_links: Sequence[Tuple[OutLink, ...]],
+    order: Sequence[int],
+) -> Iterator[Tuple[NodeId, NodeId]]:
+    """The links a sweep queried: each finalized node's out-links, in ``order``."""
+    for source_index in order:
+        source = nodes[source_index]
+        for link in out_links[source_index]:
+            yield source, nodes[link[0]]
+
+
 # ----------------------------------------------------------------------
 # the sweep
 # ----------------------------------------------------------------------
@@ -338,6 +368,13 @@ def solve_single_pulse(
     first query.  Queries draw through one :class:`~repro.core.draws.DrawStream`
     over ``delays.rng``, rewound when the sweep ends (also on an exception),
     so the generator stands where scalar ``rng.uniform`` calls would leave it.
+
+    When ``delays.block_draw_bounds()`` offers bounds, the generator is
+    PCG64 or PCG64DXSM and the plan's links are distinct, the sweep skips
+    the per-link ``delay`` calls: it reads one block of draws (one per
+    correct link), takes the ``k``-th as the ``k``-th queried delay, hands
+    the unread tail back on rewind and passes the block and the query order
+    to ``delays.adopt_block``, whose cache then fills lazily on first read.
 
     Parameters
     ----------
@@ -392,6 +429,14 @@ def solve_single_pulse(
     link_delay = delays.delay
     stream = DrawStream(delays.rng) if delays.rng is not None else None
     uniform = stream.uniform if stream is not None else None
+    block_bounds = getattr(delays, "block_draw_bounds", None)
+    bounds = None
+    if block_bounds is not None and stream is not None and stream.reads_ahead:
+        bounds = block_bounds() if plan.distinct_links else None
+    # Finalized nodes in finalization order (the delay query order).
+    order: List[int] = []
+    block: Optional[List[float]] = None
+    next_delay = None
 
     # Stuck-at-1 links set the receiver's flag at ``byzantine_high_time``;
     # push every guard they complete on their own, once.
@@ -408,7 +453,10 @@ def solve_single_pulse(
     def deliver(source_index: int, fire_time: float) -> None:
         source = node_tuples[source_index]
         for dest_index, direction, dest_layer, dest_column in out_links[source_index]:
-            arrival = fire_time + link_delay(source, node_tuples[dest_index], uniform)
+            if next_delay is None:
+                arrival = fire_time + link_delay(source, node_tuples[dest_index], uniform)
+            else:
+                arrival = fire_time + next_delay()
             base = dest_index * 4
             arrivals[base + direction] = arrival
             # Push exactly the guards this arrival completes.  Heap tuples are
@@ -487,10 +535,15 @@ def solve_single_pulse(
                     )
 
     try:
+        if bounds is not None:
+            block = stream.block(*bounds, sum(map(len, out_links)))
+            unread = iter(block)
+            next_delay = unread.__next__
         for column in sources:
             fire_time = float(layer0[column])
             trigger_flat[column] = fire_time
             finalized[column] = 1
+            order.append(column)
             deliver(column, fire_time)
 
         while heap:
@@ -501,10 +554,13 @@ def solve_single_pulse(
             finalized[index] = 1
             trigger_flat[index] = candidate
             guard_flat[index] = guard_value
+            order.append(index)
             deliver(index, candidate)
     finally:
         if stream is not None:
-            stream.rewind()
+            stream.rewind(length_hint(unread) if block is not None else 0)
+    if block is not None:
+        delays.adopt_block(partial(_query_order, node_tuples, out_links, order), block)
 
     # Post-hoc work accounting over the flat arrival slots (O(n), outside the
     # sweep).  A guard counts as one heap push when both of its arrivals

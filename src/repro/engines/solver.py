@@ -7,9 +7,11 @@ faulty or not.
 
 Draw order (the reproducibility contract, identical to the historical
 per-run single-pulse body): layer-0 firing times, then fault
-placement and behaviour, then the per-link delays -- which
-:class:`~repro.simulation.links.UniformRandomDelays` draws lazily, in the
-solver's link traversal order, through its buffered draw stream.
+placement and behaviour, then the per-link delays, in the solver's link
+query order.  A fresh :class:`~repro.simulation.links.UniformRandomDelays`
+has them read as one block of draws in that order, and fills its per-link
+cache from the block lazily, on first read; the values are those of one
+scalar draw per link.
 """
 
 from __future__ import annotations

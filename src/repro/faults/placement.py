@@ -26,6 +26,7 @@ This module provides:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -59,8 +60,13 @@ def condition1_violations(
         list means Condition 1 holds.
     """
     faulty = {grid.validate_node(node) for node in faulty_nodes}
+    # Only an out-neighbour of a faulty node has a faulty in-neighbour;
+    # sorted, they come in ``grid.nodes()`` (layer, column) order.
+    suspects = {
+        destination for node in faulty for destination in grid.out_neighbors(node).values()
+    }
     violations: List[Tuple[NodeId, List[NodeId]]] = []
-    for node in grid.nodes():
+    for node in sorted(suspects):
         faulty_in = sorted(
             neighbor for neighbor in grid.in_neighbors(node).values() if neighbor in faulty
         )
@@ -102,9 +108,10 @@ def place_faults(
 
     The placement mimics the paper's experiments: "f faulty nodes were placed
     uniformly at random under the constraint that Condition 1 held".  Nodes are
-    drawn one at a time uniformly among the still-admissible candidates; if the
-    admissible set becomes empty before all faults are placed, the whole
-    placement is retried (up to ``max_attempts`` times).
+    drawn one at a time uniformly among the still-admissible candidates (kept
+    as one sorted list, from which each fault drops itself and its forbidden
+    region); if the admissible set becomes empty before all faults are
+    placed, the whole placement is retried (up to ``max_attempts`` times).
 
     Parameters
     ----------
@@ -120,7 +127,9 @@ def place_faults(
         this defaults to ``False``.
     exclude:
         Additional nodes that must stay correct (e.g. deterministic fault
-        positions already fixed by the experiment).
+        positions already fixed by the experiment); any iterable, in any
+        (column-wrapped) form :meth:`~repro.core.topology.HexGrid.validate_node`
+        accepts.
     max_attempts:
         Safety bound on whole-placement retries.
 
@@ -140,37 +149,34 @@ def place_faults(
     if num_faults == 0:
         return []
 
-    base_candidates = [
+    excluded = {grid.validate_node(node) for node in exclude}
+    base_candidates = sorted(
         node
         for node in grid.nodes()
-        if (include_layer0 or node[0] > 0) and grid.validate_node(node) not in set(exclude)
-    ]
+        if (include_layer0 or node[0] > 0) and node not in excluded
+    )
     if num_faults > len(base_candidates):
         raise ValueError(
             f"cannot place {num_faults} faults among {len(base_candidates)} candidate nodes"
         )
 
     for _attempt in range(max_attempts):
-        admissible = set(base_candidates)
+        admissible = list(base_candidates)
         placed: List[NodeId] = []
-        failed = False
         for _ in range(num_faults):
             if not admissible:
-                failed = True
                 break
-            pool = sorted(admissible)
-            choice = pool[int(rng.integers(0, len(pool)))]
+            choice = admissible[int(rng.integers(0, len(admissible)))]
             placed.append(choice)
-            # Remove the forbidden region of the new fault, the fault itself,
-            # and every node whose forbidden region contains an already placed
-            # fault (symmetric condition).
-            admissible.discard(choice)
-            for banned in forbidden_region(grid, choice):
-                admissible.discard(banned)
-        if failed:
-            continue
-        assert check_condition1(grid, placed), "internal error: placement violates Condition 1"
-        return sorted(placed)
+            # Remove the fault itself and its forbidden region: every node
+            # whose forbidden region contains the fault (symmetric condition).
+            for banned in forbidden_region(grid, choice) | {choice}:
+                position = bisect_left(admissible, banned)
+                if position < len(admissible) and admissible[position] == banned:
+                    del admissible[position]
+        else:
+            assert check_condition1(grid, placed), "internal error: placement violates Condition 1"
+            return sorted(placed)
     # Compute the topology's deterministic packing bound only on the failure
     # path (it is O(n) forbidden-region sweeps) to make the error actionable:
     # minimum-size and rim-heavy grids used to fail here with no hint of what

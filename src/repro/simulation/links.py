@@ -22,12 +22,21 @@ solver (and the DES, when that is the run's generator) passes the
 ``uniform`` of a :class:`~repro.core.draws.DrawStream` over it to ``delay``
 / ``sample``, and the model draws through that.  Deterministic models
 ignore ``uniform``.
+
+A model whose next ``n`` per-link queries would simply take the next ``n``
+draws of ``uniform(low, high)`` says so through
+:meth:`DelayModel.block_draw_bounds`.  :class:`UniformRandomDelays` does
+while it has drawn nothing, so the solver reads one block of draws in its
+query order instead of calling ``delay`` per link, and hands the model the
+block with :meth:`UniformRandomDelays.adopt_block`.  The model fills its
+per-link cache from it lazily, on the first read, into exactly the dict the
+per-link queries would have built.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +74,16 @@ class DelayModel(abc.ABC):
         override this.  ``uniform`` is as for :meth:`delay`.
         """
         return self.delay(source, destination, uniform)
+
+    def block_draw_bounds(self) -> Optional[Tuple[float, float]]:
+        """``(low, high)`` if the next link queries take consecutive draws.
+
+        Non-``None`` promises that the ``k``-th query of a distinct link
+        returns the ``k``-th ``uniform(low, high)`` draw, so a caller may
+        read the draws in one block and hand them over with ``adopt_block``.
+        Defaults to ``None``: query link by link.
+        """
+        return None
 
     def validate_against(self, timing: TimingConfig, grid: HexGrid) -> bool:
         """Check that every link delay of ``grid`` lies within ``[d-, d+]``.
@@ -148,27 +167,63 @@ class UniformRandomDelays(DelayModel):
     experiments (each run draws one delay per link) and guarantees that the
     analytic solver and the discrete-event simulator agree exactly when given
     the same model instance.
+
+    Until the first draw, :meth:`block_draw_bounds` offers ``[d-, d+]``: the
+    solver then reads its delays as one block in query order and hands it
+    over with :meth:`adopt_block`, and the first read of the cache settles
+    it into the dict the per-link queries would have built (same links,
+    values and insertion order).
     """
 
     def __init__(self, timing: TimingConfig, rng: np.random.Generator) -> None:
         self._timing = timing
         self.rng = rng
-        self._cache: Dict[LinkId, float] = {}
+        self._links: Dict[LinkId, float] = {}
+        # An adopted block not yet settled into ``_links``.
+        self._block: Optional[Tuple[Callable[[], Iterable[LinkId]], List[float]]] = None
 
     @property
     def timing(self) -> TimingConfig:
         """The delay bounds the model draws from."""
         return self._timing
 
+    @property
+    def _cache(self) -> Dict[LinkId, float]:
+        """The per-link delays drawn so far, in draw order."""
+        if self._block is not None:
+            links, values = self._block
+            self._block = None
+            self._links = dict(zip(links(), values))
+        return self._links
+
+    def block_draw_bounds(self) -> Optional[Tuple[float, float]]:
+        if self._links or self._block is not None:
+            return None
+        return (self._timing.d_min, self._timing.d_max)
+
+    def adopt_block(self, links: Callable[[], Iterable[LinkId]], values: List[float]) -> None:
+        """Take ``values[k]`` as the delay of the ``k``-th link of ``links()``.
+
+        The values are the model's first draws, read as one block in query
+        order (see :meth:`block_draw_bounds`); the links must be distinct.
+        ``links`` is called on the first read of the cache.
+        """
+        if self.block_draw_bounds() is None:
+            raise RuntimeError("a block can only be adopted before any delay is drawn")
+        self._block = (links, values)
+
     def sample(
         self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None
     ) -> float:
         key = (source, destination)
-        value = self._cache.get(key)
+        value = self._links.get(key)
         if value is None:
-            draw = uniform if uniform is not None else self.rng.uniform
-            value = float(draw(self._timing.d_min, self._timing.d_max))
-            self._cache[key] = value
+            cache = self._cache
+            value = cache.get(key)
+            if value is None:
+                draw = uniform if uniform is not None else self.rng.uniform
+                value = float(draw(self._timing.d_min, self._timing.d_max))
+                cache[key] = value
         return value
 
     delay = sample

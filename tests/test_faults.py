@@ -14,6 +14,7 @@ from repro.faults.placement import (
     forbidden_region,
     place_faults,
 )
+from repro.topologies import available_topologies, build_topology
 
 
 class TestNodeFault:
@@ -123,6 +124,19 @@ class TestFaultModel:
         assert "byzantine" in text and "crash" in text
 
 
+def _all_nodes_violations(grid, faulty_nodes):
+    """Condition 1 violations by scanning every node's in-neighbours."""
+    faulty = {grid.validate_node(node) for node in faulty_nodes}
+    violations = []
+    for node in grid.nodes():
+        faulty_in = sorted(
+            neighbor for neighbor in grid.in_neighbors(node).values() if neighbor in faulty
+        )
+        if len(faulty_in) > 1:
+            violations.append((node, faulty_in))
+    return violations
+
+
 class TestCondition1:
     def test_far_apart_faults_satisfy_condition(self, medium_grid):
         assert check_condition1(medium_grid, [(3, 1), (10, 6)])
@@ -148,6 +162,21 @@ class TestCondition1:
         # Every member of the region indeed shares an out-neighbour's in-set.
         for other in region:
             assert not check_condition1(medium_grid, [(7, 4), other])
+
+    @pytest.mark.parametrize("family", available_topologies())
+    def test_violations_match_an_all_nodes_scan(self, family):
+        spec = "degraded:nodes=4,links=6,seed=3" if family == "degraded" else family
+        grid = build_topology(spec, layers=6, width=7)
+        nodes = list(grid.nodes())
+        rng = np.random.default_rng(11)
+        violating = 0
+        for _ in range(200):
+            picks = rng.choice(len(nodes), size=int(rng.integers(1, 7)), replace=False)
+            faulty = [nodes[int(index)] for index in picks]
+            expected = _all_nodes_violations(grid, faulty)
+            assert condition1_violations(grid, faulty) == expected
+            violating += bool(expected)
+        assert 0 < violating < 200
 
     def test_forbidden_region_members_are_exactly_the_violators(self, medium_grid):
         fault = (7, 4)
@@ -184,6 +213,16 @@ class TestPlacement:
         for _ in range(10):
             placed = place_faults(medium_grid, 3, rng, exclude=exclude)
             assert not set(placed) & set(exclude)
+
+    def test_exclusions_hold_for_iterators_and_wrapped_nodes(self):
+        # Only (2, 1) is admissible once the other forwarding nodes are out.
+        grid = HexGrid(layers=3, width=4)
+        others = [node for node in grid.forwarding_nodes() if node != (2, 1)]
+        wrapped = [(layer, column + grid.width) for layer, column in others]
+        for seed in range(10):
+            for exclude in (iter(others), wrapped):
+                placed = place_faults(grid, 1, np.random.default_rng(seed), exclude=exclude)
+                assert placed == [(2, 1)]
 
     def test_zero_faults(self, medium_grid, rng):
         assert place_faults(medium_grid, 0, rng) == []

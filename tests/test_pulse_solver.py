@@ -11,12 +11,14 @@ from repro.core.algorithm import GuardKind
 from repro.core.pulse_solver import solve_single_pulse
 from repro.core.topology import Direction, HexGrid
 from repro.faults.models import FaultModel, LinkBehavior, NodeFault
+from repro.faults.placement import place_faults
 from repro.simulation.links import (
     ConstantDelays,
     DelayModel,
     TableDelays,
     UniformRandomDelays,
 )
+from repro.topologies import build_topology
 
 
 class TestFaultFreePropagation:
@@ -233,6 +235,60 @@ class _FailsAfterDraws(DelayModel):
             raise LookupError("no delay for this link")
         self._left -= 1
         return uniform(1.0, 2.0)
+
+
+class _PerLinkUniformDelays(UniformRandomDelays):
+    """Uniform delays without block draws: the solver queries link by link."""
+
+    def block_draw_bounds(self):
+        return None
+
+
+def _block_draw_case(name):
+    """``(grid, fault_model)`` of one block-draw equivalence case."""
+    if name == "degraded":
+        return build_topology("degraded:nodes=12,links=20,seed=5", layers=20, width=10), None
+    grid = HexGrid(layers=20, width=10)
+    if name == "fault-free":
+        return grid, None
+    rng = np.random.default_rng(3)
+    positions = place_faults(grid, 2, rng)
+    if name == "byzantine":
+        faults = [NodeFault.byzantine(grid, node, rng=rng) for node in positions]
+    else:
+        faults = [NodeFault.fail_silent(grid, node) for node in positions]
+    return grid, FaultModel(grid, faults)
+
+
+class TestBlockDraws:
+    """An unused UniformRandomDelays is read as one block, bit-identically."""
+
+    @pytest.mark.parametrize("case", ["fault-free", "byzantine", "fail-silent", "degraded"])
+    def test_block_path_matches_per_link_path(self, timing, case):
+        grid, faults = _block_draw_case(case)
+        layer0 = np.random.default_rng(4).uniform(0.0, timing.d_max, grid.width)
+        block_rng, per_link_rng = np.random.default_rng(2013), np.random.default_rng(2013)
+        block = UniformRandomDelays(timing, block_rng)
+        per_link = _PerLinkUniformDelays(timing, per_link_rng)
+        queries = []
+        block.delay = lambda *link: queries.append(link)  # the block path never calls it
+        for second in (False, True):
+            if second:
+                # Both models are drawn now, so both query link by link.
+                del block.delay
+                assert block.block_draw_bounds() is None
+            ours = solve_single_pulse(grid, layer0, block, faults)
+            theirs = solve_single_pulse(grid, layer0, per_link, faults)
+            assert np.array_equal(ours.trigger_times, theirs.trigger_times, equal_nan=True)
+            assert np.array_equal(ours.guards, theirs.guards)
+            assert ours.work == theirs.work
+            assert list(block._cache.items()) == list(per_link._cache.items())
+            assert block_rng.bit_generator.state == per_link_rng.bit_generator.state
+        assert queries == []
+        assert len(per_link._cache) > 256  # crosses a stream refill
+        # Both generators stand at the same draw, so a new link gets one delay.
+        extra = (grid.layers + 1, 0), (grid.layers + 1, 1)
+        assert block.delay(*extra) == per_link.delay(*extra)
 
 
 class TestDrawStreamContract:

@@ -170,3 +170,29 @@ class TestDrawStream:
         rng.random()
         with pytest.raises(RuntimeError):
             stream.rewind()
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS[:2], ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize("head, count", [(0, 400), (10, 20), (250, 400)])
+    @pytest.mark.parametrize("unread", [0, 5])
+    def test_block_matches_scalar_uniform_and_hands_back_its_tail(
+        self, bit_generator, head, count, unread
+    ):
+        scalar, buffered, replay = (np.random.Generator(bit_generator(8)) for _ in range(3))
+        for rng in (scalar, buffered, replay):
+            rng.integers(0, 2)
+        stream = DrawStream(buffered)
+        assert [stream.uniform(0.0, 1.0) for _ in range(head)] == [
+            float(scalar.uniform(0.0, 1.0)) for _ in range(head)
+        ]
+        assert stream.block(7.161, 8.197, count) == [
+            float(scalar.uniform(7.161, 8.197)) for _ in range(count)
+        ]
+        stream.rewind(unread=unread)
+        replay.random(head + count - unread)
+        assert buffered.bit_generator.state == replay.bit_generator.state
+
+    def test_block_needs_a_generator_that_rewinds(self):
+        stream = DrawStream(np.random.Generator(np.random.MT19937(1)))
+        assert not stream.reads_ahead
+        with pytest.raises(ValueError):
+            stream.block(0.0, 1.0, 3)

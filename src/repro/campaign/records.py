@@ -21,11 +21,16 @@ lines (bare ``NaN`` tokens would be rejected by ``jq`` and most non-Python
 parsers); ``np.asarray(..., dtype=float)`` parses them back, and a ragged or
 non-numeric payload fails to load.
 
-A record loaded from a campaign store may hold its stored canonical text
-(:attr:`RunRecord._canonical`); :meth:`RunRecord.canonical_json` then returns
-it verbatim instead of re-encoding every float.  The held text is private and
-never compared, and :func:`dataclasses.replace` drops it, so any record whose
-fields change is re-encoded.
+A record holds its canonical text (:attr:`RunRecord._canonical`) once it has
+one: :meth:`RunRecord.canonical_json` keeps what its first call encodes, and
+a record loaded from a campaign store may arrive with its stored text.  Later
+calls return the held text instead of re-encoding every float.  The rule that
+keeps the text true: a record's text is fixed at its first encode or load, so
+a record is changed with :func:`dataclasses.replace` (which drops the held
+text, so the copy encodes afresh) and never by assigning to the fields of a
+record that may already hold text.  The held text is private and never
+compared; only :attr:`RunRecord.wall_time_s`, which the canonical form
+excludes, may be assigned at any time.
 """
 
 from __future__ import annotations
@@ -175,9 +180,10 @@ class RunRecord:
     wall_time_s:
         Host execution time; excluded from the canonical form.
     _canonical:
-        The stored canonical text of a record loaded from a campaign store
-        (see :meth:`from_json_dict`), returned verbatim by
-        :meth:`canonical_json`; ``None`` for every other record.
+        The record's canonical text, returned verbatim by
+        :meth:`canonical_json`: kept from its first call, or the stored text
+        of a record loaded from a campaign store (see :meth:`from_json_dict`);
+        ``None`` until then.
     """
 
     key: str
@@ -258,13 +264,14 @@ class RunRecord:
     def canonical_json(self) -> str:
         """Canonical JSON line; byte-identical across re-executions of the task.
 
-        A record loaded with its stored canonical text returns that text.
+        The first call encodes and keeps the text; later calls, and a record
+        loaded with its stored canonical text, return the held text.
         """
-        if self._canonical is not None:
-            return self._canonical
-        return json.dumps(
-            self.canonical_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        if self._canonical is None:
+            self._canonical = json.dumps(
+                self.canonical_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
+            )
+        return self._canonical
 
     @classmethod
     def from_json_dict(

@@ -32,10 +32,14 @@ runs its chunk under a fresh in-memory observability session
 (:class:`repro.obs.worker_session`) and returns ``(records, spans,
 metrics)`` on the one result channel; the parent folds the telemetry into
 its own trace and registry (:func:`repro.obs.absorb_worker`) and appends the
-records to the store.  A worker that dies (killed by a signal or the OOM
-killer) breaks the pool: the runner keeps every record that did come back
-and raises a :class:`RuntimeError` naming the lost tasks, so a ``resume``
-run finishes them instead of the campaign hanging.
+records to the store.  When the runner has a store, each worker encodes its
+records' canonical text before returning them (:meth:`RunRecord.canonical_json`
+keeps it), so every record is encoded once, in the process that ran it, and
+the parent's store append and ``--out`` write only copy strings.  A worker
+that dies (killed by a signal or the OOM killer) breaks the pool: the runner
+keeps every record that did come back and raises a :class:`RuntimeError`
+naming the lost tasks, so a ``resume`` run finishes them instead of the
+campaign hanging.
 """
 
 from __future__ import annotations
@@ -77,13 +81,14 @@ def _record(task: RunTask, result) -> RunRecord:
     """The campaign record of one engine result."""
     fault_model = result.fault_model
     faulty = tuple(fault_model.faulty_nodes()) if fault_model is not None else ()
+    params = task.to_json_dict()
     record = RunRecord(
-        key=task.key(),
+        key=task_key(params),
         kind=task.kind,
         cell_index=task.cell_index,
         point_index=task.point_index,
         run_index=task.run_index,
-        params=task.to_json_dict(),
+        params=params,
         faulty_nodes=faulty,
     )
     if task.kind == "single_pulse":
@@ -175,11 +180,19 @@ WorkerResult = Tuple[List[RunRecord], List[Dict[str, Any]], Optional[Dict[str, A
 
 
 def _execute_chunk_in_worker(
-    tasks: Sequence[RunTask], telemetry: Optional[obs.WorkerTelemetry]
+    tasks: Sequence[RunTask], telemetry: Optional[obs.WorkerTelemetry], encode: bool
 ) -> WorkerResult:
-    """Pool entry point: one chunk's ``(records, spans, metrics snapshot)``."""
+    """Pool entry point: one chunk's ``(records, spans, metrics snapshot)``.
+
+    With ``encode`` every record encodes its canonical text here, in the
+    worker; the text travels back with the record, so the parent's store
+    append and ``--out`` write copy it instead of encoding.
+    """
     with obs.worker_session(telemetry) as session:
         records = execute_task_batch(tasks)
+        if encode:
+            for record in records:
+                record.canonical_json()
     return records, session.spans, session.metrics
 
 
@@ -467,11 +480,14 @@ class CampaignRunner:
         workers = min(self.workers, len(pending))
         size = min(BATCH_SIZE, math.ceil(len(pending) / (workers * 4)))
         telemetry = obs.worker_telemetry()
+        # A campaign with a store serializes every record it executes, so its
+        # workers encode; one without a store may never serialize.
+        encode = self.store is not None
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures = {
                 pool.submit(
-                    _execute_chunk_in_worker, [task for _, task in chunk], telemetry
+                    _execute_chunk_in_worker, [task for _, task in chunk], telemetry, encode
                 ): [index for index, _ in chunk]
                 for chunk in _chunks(pending, size)
             }

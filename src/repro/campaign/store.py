@@ -135,7 +135,12 @@ class ShardWriter:
             self._handle.truncate(0)
 
     def append(self, record: RunRecord) -> None:
-        """Persist one record and flush it to disk immediately."""
+        """Persist one record and flush it to disk immediately.
+
+        The line frames ``record.canonical_json()``, which the record keeps
+        (or already held, when a pool worker encoded it), so writing the
+        record again, e.g. to ``--out``, copies the text.
+        """
         self._handle.write(frame(record.key, record.canonical_json(), record.wall_time_s) + "\n")
         self._handle.flush()
 

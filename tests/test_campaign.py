@@ -628,6 +628,33 @@ class TestCanonicalStore:
         with pytest.warns(RuntimeWarning, match="skipped 1 malformed line"):
             assert len(store.load(spec)) == spec.num_tasks
 
+    def test_sweep_encodes_each_executed_record_once(self, tmp_path, monkeypatch):
+        """The store append encodes, ``--out`` reuses the text; pool workers encode.
+
+        Forked pool workers inherit the patched encoder, but their calls
+        count in their own memory, so ``calls`` sees the parent's alone.
+        """
+        calls = []
+        encode = RunRecord.canonical_dict
+
+        def counting(record):
+            calls.append(record.key)
+            return encode(record)
+
+        monkeypatch.setattr(RunRecord, "canonical_dict", counting)
+        base = [
+            "sweep", "--layers", "6", "--width", "5", "--scenarios", "i,iii",
+            "--faults", "0,1", "--runs", "2", "--seed", "5", "--name", "t", "--quiet",
+        ]
+        serial_out, pooled_out = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+        assert main(base + ["--store", str(tmp_path / "a"), "--out", str(serial_out)]) == 0
+        assert len(calls) == 8 and len(set(calls)) == 8
+        calls.clear()
+        pooled = ["--workers", "2", "--store", str(tmp_path / "b"), "--out", str(pooled_out)]
+        assert main(base + pooled) == 0
+        assert calls == []
+        assert pooled_out.read_bytes() == serial_out.read_bytes()
+
 
 class TestShardLock:
     def test_second_writer_on_a_shard_is_refused(self, tmp_path):

@@ -10,8 +10,10 @@ canonical JSON, for one campaign that mixes
 * one DES multi-pulse (stabilization) cell,
 
 replayed in-process (``workers=1``, batched chunks) and on a two-worker
-pool (``workers=2``).  The manifest lives in ``data/golden_campaign.json``;
-an intended output change shows up as an edit of it.  Regenerate with::
+pool (``workers=2``), each with and without a store (with one, pool workers
+encode the canonical text the parent stores and serves).  The manifest
+lives in ``data/golden_campaign.json``; an intended output change shows up
+as an edit of it.  Regenerate with::
 
     PYTHONPATH=src python tests/test_golden_campaign.py --write
 """
@@ -19,6 +21,7 @@ an intended output change shows up as an edit of it.  Regenerate with::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -71,9 +74,25 @@ def _load_manifest() -> Dict[str, str]:
     return payload["records"]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_campaign_records_match_golden(workers):
-    result = CampaignRunner(golden_spec(), workers=workers).run()
+@pytest.mark.parametrize(
+    "workers, stored",
+    [
+        pytest.param(1, False, id="1"),
+        pytest.param(2, False, id="2"),
+        pytest.param(1, True, id="1-store"),
+        pytest.param(2, True, id="2-store"),
+    ],
+)
+def test_campaign_records_match_golden(workers, stored, tmp_path):
+    store = tmp_path if stored else None
+    result = CampaignRunner(golden_spec(), workers=workers, store=store).run()
+    if stored:
+        # Every record arrives holding the text its store line was framed
+        # from (encoded in the pool worker when workers > 1), and that text
+        # equals a fresh encode of its fields.
+        for r in result.records:
+            assert r._canonical is not None
+            assert r.canonical_json() == dataclasses.replace(r).canonical_json()
     assert record_digests(result.records) == _load_manifest()
 
 

@@ -404,8 +404,9 @@ class TestCrossProcess:
     def test_context_propagates_under_both_start_methods(self, tmp_path, start_method):
         """The pool's chunk function must work when workers inherit the
         parent state (fork) AND when they start from a fresh interpreter
-        (spawn, the macOS/Windows default): same records as in-process, and
-        the requested telemetry comes back with them."""
+        (spawn, the macOS/Windows default): same records as in-process, with
+        their worker-encoded text, and the requested telemetry comes back
+        with them."""
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -420,9 +421,10 @@ class TestCrossProcess:
             context = multiprocessing.get_context(start_method)
             with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
                 records, spans, metrics = pool.submit(
-                    _execute_chunk_in_worker, tasks, telemetry
+                    _execute_chunk_in_worker, tasks, telemetry, True
                 ).result()
-        assert [r.canonical_json() for r in records] == expected
+        # The worker encoded each record; its text came back with it.
+        assert [r._canonical for r in records] == expected
         batch_span = next(r for r in spans if r["name"] == "campaign.task_batch")
         assert batch_span["parent_id"] is None  # a root until the parent adopts it
         assert batch_span["attrs"]["size"] == len(tasks)

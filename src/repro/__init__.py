@@ -54,9 +54,9 @@ repository root for the full inventory):
     The baseline of the title: an H-tree clock distribution model used for the
     HEX-vs-clock-tree scaling comparison.
 
-``repro.multiplication`` and ``repro.embedding``
-    The Section 5 extensions: frequency multiplication and physical embedding
-    (flattened cylinder and doubling-layer topologies).
+``repro.multiplication``
+    The Section 5 extension: frequency multiplication of the HEX pulses by
+    start/stoppable local oscillators.
 
 ``repro.campaign``
     Parallel sweep and Monte Carlo campaign orchestration: declarative

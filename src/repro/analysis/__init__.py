@@ -22,13 +22,11 @@ from repro.analysis.skew import (
     inter_layer_skews,
     intra_layer_skews,
     per_layer_inter_stats,
-    per_layer_intra_stats,
 )
 from repro.analysis.stabilization import PulseAssignment, assign_pulses, stabilization_time
 from repro.analysis.streaming import pulse_skew_series
 from repro.analysis.traces import (
     event_trace_times,
-    layer_series,
     load_event_trace,
     load_trace,
     save_trace,
@@ -41,7 +39,6 @@ __all__ = [
     "inter_layer_skews",
     "aggregate",
     "per_layer_inter_stats",
-    "per_layer_intra_stats",
     "cumulative_histogram",
     "skew_histograms",
     "exclusion_mask",
@@ -52,7 +49,6 @@ __all__ = [
     "stabilization_time",
     "pulse_skew_series",
     "wave_rows",
-    "layer_series",
     "save_trace",
     "load_trace",
     "load_event_trace",

@@ -29,7 +29,6 @@ __all__ = [
     "aggregate",
     "SkewStatistics",
     "per_layer_inter_stats",
-    "per_layer_intra_stats",
     "collect_intra_values",
     "collect_inter_values",
 ]
@@ -300,38 +299,3 @@ def per_layer_inter_stats(
         "q95": np.nanmean(per_run_q95, axis=0),
     }
 
-
-def per_layer_intra_stats(
-    runs: Sequence[np.ndarray],
-    masks: Optional[Sequence[Optional[np.ndarray]]] = None,
-    max_layer: Optional[int] = None,
-) -> Dict[str, np.ndarray]:
-    """Per-layer intra-layer skew statistics over a run set.
-
-    Same structure as :func:`per_layer_inter_stats` but for the absolute
-    intra-layer skews (used to study how quickly large layer-0 skews are
-    smoothed out, cf. Lemma 3 and Fig. 12's discussion).
-    """
-    if not runs:
-        raise ValueError("at least one run is required")
-    num_layers = runs[0].shape[0]
-    top = num_layers - 1 if max_layer is None else min(max_layer, num_layers - 1)
-    layers = np.arange(1, top + 1)
-    per_run_avg = np.full((len(runs), layers.size), np.nan)
-    per_run_max = np.full((len(runs), layers.size), np.nan)
-    for run_index, times in enumerate(runs):
-        mask = masks[run_index] if masks is not None else None
-        skews = intra_layer_skews(times, mask)
-        for layer_pos, layer in enumerate(layers):
-            values = skews[layer, :]
-            values = values[np.isfinite(values)]
-            if values.size == 0:
-                continue
-            per_run_avg[run_index, layer_pos] = values.mean()
-            per_run_max[run_index, layer_pos] = values.max()
-    return {
-        "layer": layers,
-        "avg": np.nanmean(per_run_avg, axis=0),
-        "max": np.nanmean(per_run_max, axis=0),
-        "std": np.nanstd(per_run_max, axis=0),
-    }

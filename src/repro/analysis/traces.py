@@ -3,8 +3,8 @@
 The 3D wave plots of the paper show, for one run, the firing time ``t_{l,i}``
 of every node over the ``(layer, column)`` plane.  This module provides the
 small data-wrangling helpers needed to regenerate those series without any
-plotting dependency: flat row dumps (for CSV export / external plotting),
-per-layer series, and ``.npz`` persistence of whole run sets.
+plotting dependency: flat row dumps (for CSV export / external plotting) and
+``.npz`` persistence of whole run sets.
 
 Captured DES event traces (``hex-repro simulate --trace run.jsonl
 --trace-events``) feed the same pipeline: :func:`load_event_trace` filters
@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "wave_rows",
-    "layer_series",
     "save_trace",
     "load_trace",
     "load_event_trace",
@@ -64,14 +63,6 @@ def wave_rows(
                 }
             )
     return rows
-
-
-def layer_series(times: np.ndarray, layer: int) -> np.ndarray:
-    """The firing times of one layer (a single "ridge" of the wave plot)."""
-    times = np.asarray(times, dtype=float)
-    if not 0 <= layer < times.shape[0]:
-        raise ValueError(f"layer {layer} out of range [0, {times.shape[0] - 1}]")
-    return times[layer, :].copy()
 
 
 def save_trace(

@@ -40,7 +40,6 @@ from __future__ import annotations
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.records import (
     RunRecord,
-    group_by_cell,
     group_by_point,
     pooled_statistics,
     stabilization_times,
@@ -60,7 +59,6 @@ __all__ = [
     "ProgressReporter",
     "execute_task_batch",
     "pooled_statistics",
-    "group_by_cell",
     "group_by_point",
     "stabilization_times",
 ]

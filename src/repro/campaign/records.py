@@ -56,7 +56,6 @@ __all__ = [
     "stand_in_fault_model",
     "record_mask",
     "pooled_statistics",
-    "group_by_cell",
     "group_by_point",
     "stabilization_times",
 ]
@@ -372,14 +371,6 @@ def pooled_statistics(records: Sequence[RunRecord], hops: int = 0) -> SkewStatis
     return SkewStatistics.from_values(
         np.concatenate(intra_chunks), np.concatenate(inter_chunks), num_runs=len(records)
     )
-
-
-def group_by_cell(records: Iterable[RunRecord]) -> Dict[int, List[RunRecord]]:
-    """Records grouped by cell index (insertion-ordered, runs in task order)."""
-    grouped: Dict[int, List[RunRecord]] = {}
-    for record in records:
-        grouped.setdefault(record.cell_index, []).append(record)
-    return grouped
 
 
 def group_by_point(records: Iterable[RunRecord]) -> Dict[Tuple[int, int], List[RunRecord]]:

@@ -3,8 +3,8 @@
 The architecture contract (see DESIGN.md "Layering"):
 
 * the simulation core (``core``, ``simulation``, ``faults``, ``topologies``,
-  ``clocksource``, ``clocktree``, ``embedding``, ``multiplication``) imports
-  nothing from the execution/orchestration layers above it;
+  ``clocksource``, ``clocktree``, ``multiplication``) imports nothing from
+  the execution/orchestration layers above it;
 * ``engines`` builds on the core (plus the ``adversary`` value objects) and is
   the only execution surface;
 * ``campaign``, ``experiments`` and ``bench`` build on ``engines``;
@@ -48,7 +48,6 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
     "topologies": frozenset({"core"}),
     "clocksource": frozenset({"core"}),
     "clocktree": frozenset({"core"}),
-    "embedding": frozenset({"core"}),
     "multiplication": frozenset({"core"}),
     "simulation": frozenset({"core", "faults"}),
     # -- adversary value objects (consumed by engines and campaigns) ----

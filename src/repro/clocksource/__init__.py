@@ -9,13 +9,12 @@ FATAL+ as suitable implementations.  This subpackage provides
   (iii) uniform in ``[0, d+]``, (iv) a ramp of ``+-d+`` per column;
 * :mod:`repro.clocksource.generator` -- multi-pulse schedules with pulse
   separation ``S`` and per-pulse scenario offsets, used by the stabilization
-  experiments;
-* :mod:`repro.clocksource.fatal` -- a deliberately simplified, quorum-based,
-  self-stabilizing pulse synchronizer standing in for FATAL+/DARTS, showing how
-  HEX integrates with a distributed multi-source clock generation layer.
+  experiments.
+
+Every run drives layer 0 from these scenarios; the layer-0 synchronizer
+itself (FATAL+, DARTS) is outside the model.
 """
 
-from repro.clocksource.fatal import QuorumPulseSynchronizer, SynchronizerConfig
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.clocksource.scenarios import (
     SCENARIOS,
@@ -33,6 +32,4 @@ __all__ = [
     "scenario_label",
     "generate_pulse_schedule",
     "PulseScheduleConfig",
-    "QuorumPulseSynchronizer",
-    "SynchronizerConfig",
 ]

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.clocksource.scenarios import Scenario, scenario_layer0_times
-from repro.core.parameters import TimeoutConfig, TimingConfig
+from repro.core.parameters import TimingConfig
 
 __all__ = ["PulseScheduleConfig", "generate_pulse_schedule"]
 
@@ -96,23 +96,3 @@ def generate_pulse_schedule(
         schedule[pulse, :] = base + offsets
         base = float(schedule[pulse, :].max()) + config.separation + config.extra_separation
     return schedule
-
-
-def schedule_from_timeouts(
-    scenario: Union[Scenario, str],
-    num_pulses: int,
-    timeouts: TimeoutConfig,
-    width: int,
-    timing: TimingConfig,
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
-    extra_separation: float = 0.0,
-) -> np.ndarray:
-    """Convenience wrapper: build a schedule using the ``S`` of a :class:`TimeoutConfig`."""
-    config = PulseScheduleConfig(
-        scenario=scenario,
-        num_pulses=num_pulses,
-        separation=timeouts.pulse_separation,
-        extra_separation=extra_separation,
-    )
-    return generate_pulse_schedule(config, width, timing, rng=rng, seed=seed)

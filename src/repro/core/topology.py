@@ -25,11 +25,11 @@ and for ``l < L`` the *outgoing* links (besides the intra-layer ones) lead to
 The six neighbours of an interior node form a hexagon, hence the name.
 
 The module exposes :class:`HexGrid`, the single source of truth for neighbour
-relations used by the analytic solver, the discrete-event simulator, the fault
-placement logic (Condition 1) and the embedding/wire-length studies.  Node
-identities are plain ``(layer, column)`` tuples so they can be used as numpy
-indices directly (guide idiom: keep the hot data in dense arrays indexed by
-``(layer, column)`` rather than in per-node Python objects).
+relations used by the analytic solver, the discrete-event simulator and the
+fault placement logic (Condition 1).  Node identities are plain
+``(layer, column)`` tuples so they can be used as numpy indices directly: the
+hot data lives in dense arrays indexed by ``(layer, column)`` rather than in
+per-node Python objects.
 """
 
 from __future__ import annotations

@@ -8,11 +8,9 @@ any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, List, Mapping, Optional, Sequence
 
-__all__ = ["format_table", "format_comparison", "format_kv"]
-
-Number = Union[int, float]
+__all__ = ["format_table", "format_kv"]
 
 
 def _format_cell(value: object, precision: int) -> str:
@@ -43,31 +41,6 @@ def format_table(
     for row in materialized:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_comparison(
-    labels: Sequence[str],
-    measured: Mapping[str, Number],
-    paper: Mapping[str, Number],
-    precision: int = 3,
-    title: Optional[str] = None,
-) -> str:
-    """Render a measured-vs-paper comparison for a set of named quantities."""
-    rows = []
-    for label in labels:
-        measured_value = measured.get(label, float("nan"))
-        paper_value = paper.get(label, float("nan"))
-        ratio = (
-            measured_value / paper_value
-            if isinstance(measured_value, (int, float))
-            and isinstance(paper_value, (int, float))
-            and paper_value not in (0, 0.0)
-            else float("nan")
-        )
-        rows.append([label, measured_value, paper_value, ratio])
-    return format_table(
-        ["quantity", "measured", "paper", "ratio"], rows, precision=precision, title=title
-    )
 
 
 def format_kv(values: Mapping[str, object], precision: int = 3, title: Optional[str] = None) -> str:

@@ -37,7 +37,6 @@ __all__ = [
     "scenario_set_spec",
     "run_set_from_records",
     "run_scenario_set",
-    "scenario_statistics",
 ]
 
 
@@ -225,25 +224,3 @@ def run_scenario_set(
         config, campaign.records, scenario, num_faults, fault_type, topology=topology
     )
 
-
-def scenario_statistics(
-    config: ExperimentConfig,
-    scenario: Union[Scenario, str],
-    num_faults: int = 0,
-    fault_type: Optional[FaultType] = FaultType.BYZANTINE,
-    hops: int = 0,
-    runs: Optional[int] = None,
-    seed_salt: int = 0,
-    workers: int = 1,
-) -> SkewStatistics:
-    """Convenience wrapper: run a scenario set and return its pooled statistics."""
-    run_set = run_scenario_set(
-        config,
-        scenario,
-        num_faults=num_faults,
-        fault_type=fault_type,
-        runs=runs,
-        seed_salt=seed_salt,
-        workers=workers,
-    )
-    return run_set.statistics(hops=hops)

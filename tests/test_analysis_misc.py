@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.histograms import cumulative_histogram, skew_histograms, tail_fraction
 from repro.analysis.locality import excluded_nodes, exclusion_mask, inclusion_mask, skew_vs_distance
-from repro.analysis.traces import layer_series, load_trace, save_trace, wave_rows
+from repro.analysis.traces import load_trace, save_trace, wave_rows
 from repro.core.pulse_solver import solve_single_pulse
 from repro.faults.models import FaultModel, NodeFault
 from repro.simulation.links import UniformRandomDelays
@@ -66,12 +66,6 @@ class TestTraces:
         rows = wave_rows(times)
         assert np.isnan(rows[1]["time"])
         assert np.isnan(rows[3]["time"])
-
-    def test_layer_series(self):
-        times = np.arange(12, dtype=float).reshape(4, 3)
-        assert np.array_equal(layer_series(times, 2), [6.0, 7.0, 8.0])
-        with pytest.raises(ValueError):
-            layer_series(times, 4)
 
     def test_save_and_load_roundtrip(self, tmp_path):
         times = np.arange(6, dtype=float).reshape(2, 3)

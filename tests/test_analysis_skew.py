@@ -13,7 +13,6 @@ from repro.analysis.skew import (
     inter_layer_skews,
     intra_layer_skews,
     per_layer_inter_stats,
-    per_layer_intra_stats,
 )
 
 
@@ -144,14 +143,6 @@ class TestPerLayerStats:
         assert np.all(stats["avg"] >= stats["min"] - 1e-9)
         assert np.all(stats["avg"] <= stats["max"] + 1e-9)
 
-    def test_intra_stats_structure(self, tiny_times):
-        stats = per_layer_intra_stats([tiny_times])
-        assert list(stats["layer"]) == [1, 2]
-        assert stats["max"][0] == pytest.approx(2.0)
-        assert stats["max"][1] == pytest.approx(2.0)
-
     def test_requires_at_least_one_run(self):
         with pytest.raises(ValueError):
             per_layer_inter_stats([])
-        with pytest.raises(ValueError):
-            per_layer_intra_stats([])

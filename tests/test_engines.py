@@ -665,7 +665,8 @@ class TestContractDrivenAgreement:
                 pad = (capabilities.tolerance - 1.0) / 2.0
                 times = result.trigger_times
                 finite = np.isfinite(low) & np.isfinite(high)
-                slack = pad * np.where(finite, high - low, 0.0) + 1e-9
+                span = np.subtract(high, low, out=np.zeros_like(high), where=finite)
+                slack = pad * span + 1e-9
                 inside = (times >= low - slack) & (times <= high + slack)
                 same = (times == low) | (np.isnan(times) & np.isnan(low))
                 assert np.all(np.where(finite, inside, same)), name

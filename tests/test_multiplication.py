@@ -1,4 +1,4 @@
-"""Tests for the Section 5 extensions: frequency multiplication and embedding."""
+"""Tests for the Section 5 extension: frequency multiplication."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.topology import HexGrid
-from repro.embedding.doubling import build_doubling_layout
-from repro.embedding.planar import FlattenedEmbedding, planar_wire_length_stats
 from repro.multiplication.fastclock import (
     FrequencyMultiplier,
     MultiplierConfig,
@@ -93,78 +91,3 @@ class TestFrequencyMultiplication:
         with pytest.raises(ValueError):
             multiplier.fast_ticks_from_matrix(np.zeros((2, 2)))
 
-
-class TestPlanarEmbedding:
-    def test_link_lengths_are_bounded_by_a_few_pitches(self, medium_grid):
-        embedding = FlattenedEmbedding(medium_grid)
-        stats = planar_wire_length_stats(embedding)
-        assert stats["max_link_length"] <= 3.0
-        assert stats["min_link_length"] > 0.0
-        assert stats["length_ratio"] < 10.0
-
-    def test_positions_distinguish_halves(self, medium_grid):
-        embedding = FlattenedEmbedding(medium_grid)
-        assert not embedding.is_back_half(0)
-        assert embedding.is_back_half(medium_grid.width - 1)
-        front = embedding.position((3, 0))
-        back = embedding.position((3, medium_grid.width - 1))
-        # Column W-1 folds back under column 0: physically close.
-        assert abs(front[0] - back[0]) <= embedding.fold_offset + 1e-9
-
-    def test_cross_half_pairs_are_physically_close_but_grid_distant(self, medium_grid):
-        embedding = FlattenedEmbedding(medium_grid)
-        pairs = embedding.closest_cross_half_pairs(top_k=3)
-        assert len(pairs) == 3
-        for _front, _back, distance, hops in pairs:
-            assert distance <= 1.0
-            assert hops >= 1
-        # The interesting case: some physically adjacent pair is >= 2 grid hops apart.
-        assert max(hops for *_rest, hops in pairs) >= 2
-
-    def test_validation(self, medium_grid):
-        with pytest.raises(ValueError):
-            FlattenedEmbedding(medium_grid, pitch=0.0)
-        with pytest.raises(ValueError):
-            FlattenedEmbedding(medium_grid, fold_offset=-1.0)
-
-
-class TestDoublingLayout:
-    def test_ring_sizes_double_at_doubling_rings(self):
-        layout = build_doubling_layout(num_rings=8, initial_ring_size=4)
-        for ring in range(1, layout.num_rings):
-            ratio = layout.ring_sizes[ring] / layout.ring_sizes[ring - 1]
-            if ring in layout.doubling_rings:
-                assert ratio == 2
-            else:
-                assert ratio == 1
-        assert layout.doubling_rings  # doubling does happen
-
-    def test_doubling_becomes_less_frequent(self):
-        """Fig. 21: doubling layers become less frequent away from the centre."""
-        layout = build_doubling_layout(num_rings=16, initial_ring_size=4)
-        gaps = np.diff(layout.doubling_rings)
-        assert len(gaps) >= 1
-        assert gaps[-1] >= gaps[0]
-
-    def test_link_structure_counts(self):
-        layout = build_doubling_layout(num_rings=5, initial_ring_size=4)
-        # Every node of ring r (r < last) has exactly two out-links to ring r+1.
-        inter_ring = [
-            (s, d) for (s, d) in layout.links if d[0] == s[0] + 1
-        ]
-        expected = 2 * sum(layout.ring_sizes[:-1])
-        assert len(inter_ring) == expected
-
-    def test_wire_lengths_stay_nearly_uniform(self):
-        layout = build_doubling_layout(num_rings=12, initial_ring_size=4)
-        stats = layout.wire_length_stats()
-        assert stats["length_ratio"] < 4.0
-        assert stats["min_link_length"] > 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            build_doubling_layout(num_rings=1)
-        with pytest.raises(ValueError):
-            build_doubling_layout(num_rings=3, initial_ring_size=2)
-        with pytest.raises(ValueError):
-            build_doubling_layout(num_rings=3, target_pitch=0.0)

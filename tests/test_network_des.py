@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.adversary import FaultSchedule
 from repro.adversary.runtime import HealNode, InjectFault, ScheduledAdversary
+from repro.analysis.stabilization import assign_pulses
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
+from repro.core.parameters import condition2_timeouts
 from repro.core.topology import Direction, HexGrid
 from repro.engines import get_engine
 from repro.engines.des import single_pulse_default_timeouts as default_timeouts
@@ -225,6 +228,61 @@ class TestRunnerInterfaces:
         for node in grid.forwarding_nodes():
             firings = [t for t in result.firings_of(node) if t >= last_window_start]
             assert len(firings) == 1
+
+    @pytest.mark.parametrize("declare_silent", [True, False], ids=["fail-silent", "nan-only"])
+    def test_nan_sources_and_burst_recover(self, timing, declare_silent):
+        """Dead layer-0 columns plus a mid-run grid burst, healed two windows later.
+
+        Columns 2 and 6 of the source schedule are ``nan``.  With
+        ``declare_silent`` their sources are also fail-silent in the fault
+        model; without it only the network's ``nan`` skip keeps them quiet.
+        After the heal every correct forwarding node fires exactly once in the
+        last pulse window.
+        """
+        grid = HexGrid(layers=8, width=8)
+        dead_columns = [2, 6]  # non-adjacent, so Condition 1 holds at layer 1
+        stable_skew = timing.d_max + timing.epsilon * grid.layers + 2 * timing.d_max
+        timeouts = condition2_timeouts(
+            timing, stable_skew=stable_skew, layers=grid.layers, num_faults=2
+        )
+        schedule = generate_pulse_schedule(
+            PulseScheduleConfig(scenario="iii", num_pulses=6, separation=400.0),
+            grid.width,
+            timing,
+            rng=np.random.default_rng(2013),
+        )
+        schedule[:, dead_columns] = np.nan
+
+        window = float(np.nanmin(schedule[1])) - float(np.nanmin(schedule[0]))
+        burst = FaultSchedule.burst(
+            time=float(np.nanmin(schedule[1])) + 0.5 * window,
+            count=2,
+            duration=2.0 * window,
+        )
+        run_rng = np.random.default_rng(99)
+        adversary = burst.materialize(
+            grid, run_rng, exclude=[(0, column) for column in dead_columns]
+        )
+        silent = [NodeFault.fail_silent(grid, (0, column)) for column in dead_columns]
+        fault_model = FaultModel(grid, silent) if declare_silent else None
+        result = get_engine("des").multi_pulse(
+            grid,
+            timing,
+            timeouts,
+            schedule,
+            rng=run_rng,
+            fault_model=fault_model,
+            random_initial_states=False,
+            adversary=adversary,
+        )
+
+        for column in dead_columns:
+            assert result.firings_of((0, column)) == []
+        assignment = assign_pulses(result)
+        counts = assignment.counts[assignment.num_pulses - 1]
+        mask = (result.fault_model or FaultModel(grid, [])).correctness_mask()
+        mask[0, :] = False  # sources are assigned by schedule, not counted here
+        assert np.all(counts[mask] == 1)
 
     def test_multi_pulse_bad_schedule_shape(self, grid, timing, timeouts, rng):
         with pytest.raises(ValueError):

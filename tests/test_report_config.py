@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import DEFAULT_RUNS, PAPER_RUNS, ExperimentConfig
-from repro.experiments.report import format_comparison, format_kv, format_table
+from repro.experiments.report import format_kv, format_table
 
 
 class TestExperimentConfig:
@@ -71,19 +71,6 @@ class TestReportFormatting:
 
     def test_format_table_handles_nan(self):
         text = format_table(["x"], [[float("nan")]])
-        assert "nan" in text
-
-    def test_format_comparison_includes_ratio(self):
-        text = format_comparison(
-            ["skew"], measured={"skew": 2.0}, paper={"skew": 4.0}
-        )
-        assert "0.500" in text
-        assert "measured" in text and "paper" in text
-
-    def test_format_comparison_missing_and_zero_paper_value(self):
-        text = format_comparison(
-            ["a", "b"], measured={"a": 1.0, "b": 1.0}, paper={"a": 0.0}
-        )
         assert "nan" in text
 
     def test_format_kv(self):

@@ -75,6 +75,9 @@ class MaxSkewDelays(DelayModel):
             return self._timing.d_max
         return self._timing.d_min
 
+    def min_delay(self) -> Optional[float]:
+        return self._timing.d_min
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"MaxSkewDelays([{self._timing.d_min}, {self._timing.d_max}], "
@@ -122,6 +125,9 @@ class BiasedLinkDelays(DelayModel):
             value = float(draw(self._timing.d_min, self._timing.d_max))
             self._bias[key] = value
         return value
+
+    def min_delay(self) -> Optional[float]:
+        return self._timing.d_min
 
     def sample(
         self, source: NodeId, destination: NodeId, uniform: Optional[Uniform] = None

@@ -605,7 +605,7 @@ _case(
 # The paper's scaling argument is about *million-node* dies; these cases keep
 # the dense numpy-frontier engine honest at that scale.  The timed workload is
 # always the array engine (so the tracked baseline follows its performance);
-# the shape checks replay the same specs on the reference heap solver to pin
+# the shape checks replay the same specs on the reference solver to pin
 # the exactness contract (bit-identical under deterministic delays) and the
 # >= 10x speedup the engine exists for.  All checks run in quick mode too:
 # they are deterministic, and the CI perf job is exactly where a perf or
@@ -655,7 +655,7 @@ def _check_dense256(results: Any, settings: BenchSettings) -> None:
     from repro.engines import get_engine
 
     # Exactness contract at scale: under the deterministic max_skew delay
-    # model the dense frontier must reproduce the heap solver bit for bit
+    # model the dense frontier must reproduce the solver bit for bit
     # (the solver replay covers one spec of the sweep; all must fire fully).
     assert all(result.all_correct_triggered() for result in results)
     result = results[0]
@@ -706,7 +706,7 @@ def _check_dense512(results: Any, settings: BenchSettings) -> None:
     )
     speedup = solver_per_spec / array_per_spec
     assert speedup >= 10.0, (
-        f"dense array engine no longer >= 10x the heap solver on a fault-free "
+        f"dense array engine no longer >= 10x the solver on a fault-free "
         f"512x512 sweep: {speedup:.1f}x "
         f"(solver {solver_per_spec:.3f}s/spec, array {array_per_spec:.3f}s/spec)"
     )

@@ -288,7 +288,7 @@ def _build_golden_specs() -> Dict[str, Tuple[Callable[[], str], str]]:
 
     def array_sweep() -> SweepSpec:
         # The canonical array-engine comparison cell: engine axis pairing the
-        # heap solver with the dense frontier, deterministic delay models,
+        # solver with the dense frontier, deterministic delay models,
         # and an explicit bit-identity requirement.  Pins both the engine
         # name's spelling in the axis and the require_exactness field.
         return SweepSpec(

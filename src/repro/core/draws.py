@@ -65,8 +65,8 @@ class DrawStream:
         self._next = index + 1
         return low + (high - low) * self._buffer[index]
 
-    def block(self, low: float, high: float, count: int) -> List[float]:
-        """The next ``count`` draws, scaled to ``[low, high)``.
+    def block(self, low: float, high: float, count: int) -> np.ndarray:
+        """The next ``count`` draws, scaled to ``[low, high)``, as a float64 array.
 
         Bit-identical to ``count`` calls of :meth:`uniform`; all of them
         count as consumed until ``rewind(unread=...)`` hands a tail back.
@@ -84,7 +84,7 @@ class DrawStream:
             self._next = 0
             fresh = self._draw(count - len(head))
             raw = np.concatenate((head, fresh)) if head else fresh
-        return (low + (high - low) * raw).tolist()
+        return low + (high - low) * raw
 
     def _refill(self) -> None:
         self._consumed += len(self._buffer)

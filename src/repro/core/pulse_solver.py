@@ -16,27 +16,44 @@ where ``arrival_x = t_x + delay(x -> v)`` for a correct in-neighbour ``x``,
 stuck-at-1 Byzantine link, which sets the receiver's memory flag as soon as the
 run starts.
 
-Because all link delays are strictly positive this fixed point can be computed
-with a Dijkstra-style sweep: firing times are finalized in non-decreasing
-order, and every candidate generated from a finalized neighbour is at least
-that neighbour's firing time plus ``d-``.  This makes the solver exact and
-O(n log n); it is the engine used for the large single-pulse statistical sweeps
+Every link delay is at least ``d-`` > 0, so the fixed point is computed by a
+window sweep.  Let ``T`` be the smallest pending firing candidate (the
+earliest completed guard of a node that has not fired).  A candidate only
+falls when a message arrives, and a node firing at ``T`` or later sends
+messages that arrive at ``T + d-`` or later.  So every pending node whose
+candidate lies below ``T + d-`` is final: the sweep fires all of them in one
+step, in (candidate, row-major index) order, delivers their messages,
+recomputes the candidates they touched and repeats.  Floating-point addition
+is monotone, so the argument holds for the rounded sums too.  Those steps
+fire the nodes in exactly the order a heap of ``(time, layer, column,
+guard)`` entries would pop them, and each node's guard is the first minimal
+of its three, as the heap's tie-break picks it.  The window is as wide as the
+delay model's own lower bound (``min_delay()``; the block draws' ``low``).  A
+model that reports none gets windows of exact ties, which is still exact.
+The sweep never assumes the bound: a queried delay below it (or one that
+does not advance its sender's firing time) raises :class:`ValueError`.
+
+The solver is the engine of the large single-pulse statistical sweeps
 (Tables 1-2, Figs. 8-16), while the discrete-event simulator in
 :mod:`repro.simulation` handles multi-pulse and stabilization experiments.
 The two engines are cross-validated against each other in the test suite.
 
-There is one sweep, :func:`solve_single_pulse`, over the flat arrays of a
-per-grid :class:`SolverPlan`.  Faults are static within one pulse (faulty
-nodes never fire), so a faulty run only overlays a few rebuilt link lists
-and its stuck-at-1 seed arrivals on the shared plan.
+:func:`solve_pulse_batch` sweeps several runs on one grid in lock step: each
+step fires every run's window with the same array operations, over the
+padded link table of the grid's cached :class:`SolverPlan`.
+:func:`solve_single_pulse` is a batch of one.  Faults are static within one
+pulse (faulty nodes never fire), so a faulty run only masks some links of
+the shared table and adds its stuck-at-1 seed arrivals.
 
-The sweep queries every correct link exactly once, in finalization order.
-So for a delay model that offers block draws (an unused
+Each run queries every correct link of a node that fires exactly once, node
+by node in firing order and each node's links in plan order.  So for a delay
+model that offers block draws (an unused
 :class:`~repro.simulation.links.UniformRandomDelays`) the ``k``-th query
-takes the ``k``-th draw: the sweep reads one block of draws up front, takes
-the link delays from it in query order and hands the model the block and
-the query order, from which it fills its per-link cache lazily.  Records
-are bit-identical to querying the model link by link.
+takes the ``k``-th draw: the sweep reads one block of draws per run up
+front, takes the link delays from it at a running offset and hands the
+model the block and the query order, from which it fills its per-link cache
+lazily.  Other models answer ``delay()`` link by link in that same order.
+Records are bit-identical to querying the model link by link.
 
 The solver is deliberately defensive about *who* may fire: layer-0 nodes fire
 exactly at the externally supplied times, faulty nodes never fire (their
@@ -46,12 +63,10 @@ guard is never satisfied keep a firing time of ``+inf``.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from operator import length_hint
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from functools import cached_property, lru_cache, partial
+from typing import Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -62,8 +77,10 @@ from repro.faults.models import FaultModel, LinkBehavior
 
 __all__ = [
     "LinkDelayProvider",
+    "PulseRun",
     "PulseSolution",
     "SolverPlan",
+    "solve_pulse_batch",
     "solve_single_pulse",
     "solver_plan",
 ]
@@ -77,9 +94,10 @@ class LinkDelayProvider(Protocol):
     small class with ``rng = None`` works just as well for analytic
     constructions.  ``rng`` is the generator the provider draws from
     (``None`` when it draws nothing); given ``uniform``, it draws through
-    that instead of ``rng``.  A provider may also offer block draws through
-    ``block_draw_bounds()`` and ``adopt_block(links, values)``, as
-    :class:`~repro.simulation.links.DelayModel` documents.
+    that instead of ``rng``.  A provider may also offer ``min_delay()``, a
+    lower bound of every delay it returns (wider sweep windows), and block
+    draws through ``block_draw_bounds()`` and ``adopt_block(links, values)``,
+    as :class:`~repro.simulation.links.DelayModel` documents.
     """
 
     rng: Optional[np.random.Generator]
@@ -113,12 +131,13 @@ class PulseSolution:
         The layer-0 firing times the solution was computed from (length ``W``;
         faulty sources carry ``nan``).
     work:
-        Deterministic work counters of the sweep: ``heap_pushes`` (guards that
-        completed, each pushed exactly once), ``frontier_advances``
-        (forwarding nodes finalized) and ``messages_delivered`` (trigger
-        arrivals that landed, including Byzantine stuck-at-1 seeds).  Pure
-        functions of topology, delays and faults -- bit-deterministic across
-        runs and machines.
+        Deterministic work counters of the sweep: ``heap_pushes`` (guards
+        that completed: both of their arrivals landed; the name is the one
+        the counter had when a heap finalized the nodes), ``frontier_advances``
+        (forwarding nodes fired) and ``messages_delivered`` (trigger arrivals
+        that landed, including Byzantine stuck-at-1 seeds).  Pure functions
+        of topology, delays and faults -- bit-deterministic across runs and
+        machines.
     """
 
     grid: HexGrid
@@ -183,29 +202,27 @@ _IN_INDEX = {
 OutLink = Tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverPlan:
-    """RNG-free scaffolding of :func:`solve_single_pulse`.
+    """RNG-free scaffolding of the sweep.
 
-    A plan compiles a grid's neighbour tables into flat Python lists indexed
-    by the row-major node index, so the sweep's inner loop touches no dicts,
-    no ``(layer, column)`` tuples and no :class:`Direction` enums.  Plans
-    contain only topology-derived data (no randomness, no per-run state), so
-    one plan serves every run on an equal grid; :func:`solver_plan` caches
-    them by grid identity.  Faulty runs overlay a few rebuilt link lists on
-    it (see :func:`_fault_overlay`) and never modify it.
+    A plan compiles a grid's neighbour tables into flat tables indexed by the
+    row-major node index, so the sweep touches no dicts, no ``(layer,
+    column)`` tuples and no :class:`Direction` enums.  Plans contain only
+    topology-derived data (no randomness, no per-run state), so one plan
+    serves every run on an equal grid; :func:`solver_plan` caches them by
+    grid identity.  Faulty runs mask some of its links (see
+    :func:`_fault_overlay`) and never modify it.
 
     Attributes
     ----------
-    nodes:
-        Node index -> ``(layer, column)`` tuple (the form delay models and
-        result matrices expect).
-    out_links:
-        Node index -> list of ``(dest_index, in_direction_index, dest_layer,
-        dest_column)`` tuples, in the exact iteration order of
+    out_slots:
+        ``(num_nodes, 4)`` link table: ``dest_index * 4 + in_direction_index``
+        of each out-link, in the exact iteration order of
         ``grid.out_neighbors(node).values()`` (the order in which the sweep
-        queries the delay model); destinations on layer 0 or structurally
-        absent are excluded.
+        queries the delay model), padded with -1 (a HEX node has at most four
+        out-links).  Destinations on layer 0 or structurally absent are
+        excluded.
     present_sources:
         The layer-0 columns whose source node is structurally present.
     distinct_links:
@@ -216,8 +233,7 @@ class SolverPlan:
     num_nodes: int
     width: int
     layers: int
-    nodes: Tuple[NodeId, ...]
-    out_links: Tuple[Tuple[OutLink, ...], ...]
+    out_slots: np.ndarray
     present_sources: Tuple[int, ...]
     distinct_links: bool
 
@@ -226,46 +242,51 @@ class SolverPlan:
         """Compile the plan of one grid (any registered topology family)."""
         width = grid.width
         presence = grid.presence_mask()
-        # Enumerate every row-major slot, including structurally absent ones
+        # Every row-major slot gets a row, including structurally absent ones
         # (``grid.nodes()`` skips holes on degraded grids); absent slots keep
-        # an empty link list and are never finalized.
-        nodes = tuple(
-            (layer, column)
-            for layer in range(grid.layers + 1)
-            for column in range(width)
-        )
-        out_links: List[Tuple[OutLink, ...]] = []
-        for node in nodes:
-            layer, column = node
-            links: List[OutLink] = []
-            if presence[layer, column]:
-                for destination in grid.out_neighbors(node).values():
-                    dest_layer, dest_column = destination
-                    if dest_layer == 0 or not presence[dest_layer, dest_column]:
-                        continue
-                    direction = grid.direction_between(node, destination)
-                    links.append(
-                        (
-                            dest_layer * width + dest_column,
-                            _IN_INDEX[direction],
-                            dest_layer,
-                            dest_column,
-                        )
-                    )
-            out_links.append(tuple(links))
-        present_sources = tuple(
-            column for column in range(width) if presence[0, column]
-        )
+        # no links and never fire.
+        num_slots = (grid.layers + 1) * width
+        out_slots = np.full((num_slots, 4), -1, dtype=np.intp)
+        distinct_links = True
+        for index in range(num_slots):
+            node = divmod(index, width)
+            if not presence[node]:
+                continue
+            destinations: List[int] = []
+            for destination in grid.out_neighbors(node).values():
+                if destination[0] == 0 or not presence[destination]:
+                    continue
+                direction = _IN_INDEX[grid.direction_between(node, destination)]
+                dest_index = destination[0] * width + destination[1]
+                out_slots[index, len(destinations)] = dest_index * 4 + direction
+                distinct_links = distinct_links and dest_index not in destinations
+                destinations.append(dest_index)
+        out_slots.flags.writeable = False
         return cls(
             num_nodes=grid.num_nodes,
             width=width,
             layers=grid.layers,
-            nodes=nodes,
-            out_links=tuple(out_links),
-            present_sources=present_sources,
-            distinct_links=all(
-                len({link[0] for link in links}) == len(links) for links in out_links
+            out_slots=out_slots,
+            present_sources=tuple(
+                column for column in range(width) if presence[0, column]
             ),
+            distinct_links=distinct_links,
+        )
+
+    @cached_property
+    def nodes(self) -> Tuple[NodeId, ...]:
+        """Node index -> ``(layer, column)`` tuple (the form delay models take)."""
+        return tuple(divmod(index, self.width) for index in range(len(self.out_slots)))
+
+    @cached_property
+    def out_links(self) -> Tuple[Tuple[OutLink, ...], ...]:
+        """Node index -> its ``(dest_index, in_direction_index, dest_layer,
+        dest_column)`` out-links, in ``out_slots`` order (for the
+        discrete-event simulator; built on first use)."""
+        width = self.width
+        return tuple(
+            tuple((slot >> 2, slot & 3, *divmod(slot >> 2, width)) for slot in slots if slot >= 0)
+            for slots in self.out_slots.tolist()
         )
 
 
@@ -284,37 +305,28 @@ def _fault_overlay(
     plan: SolverPlan,
     faults: FaultModel,
     correct_mask: np.ndarray,
-) -> Tuple[Sequence[Tuple[OutLink, ...]], List[Tuple[int, int]], Tuple[int, ...]]:
+) -> Tuple[np.ndarray, List[Tuple[int, int]], Tuple[int, ...]]:
     """Per-run view of ``plan`` under a static fault model.
 
     Faults are static within one pulse: faulty nodes never fire, so the
     ``time`` argument of :meth:`FaultModel.link_behavior` never matters, and
     a correct source's links are fixed for the whole run.  Returns
 
-    * the out-link table, with the lists of the in-neighbours of faulty
-      nodes and of the sources of faulty links rebuilt to drop faulty
-      destinations and links that are not ``CORRECT`` (so the sweep never
-      queries their delay);
+    * the run's copy of :attr:`SolverPlan.out_slots`, with the links of
+      faulty nodes, the links into faulty nodes and the link faults (none
+      is ``CORRECT``) set to -1, so the sweep never queries their delay;
     * the stuck-at-1 seed arrivals as ``(dest_index, in_direction_index)``;
     * the correct layer-0 source columns.
     """
-    out_links: List[Tuple[OutLink, ...]] = list(plan.out_links)
+    correct = correct_mask.ravel()
+    links = plan.out_slots
+    keep = (links >= 0) & correct[links >> 2] & correct[:, None]
     faulty_nodes = faults.faulty_nodes()
     faulty_links = faults.faulty_links()
     # A registered link fault is never CORRECT (``add_link_fault`` drops those).
-    silent = {
-        (grid.node_index(source), grid.node_index(destination))
-        for source, destination in faulty_links
-    }
-    rebuild = {source for source, _destination in silent}
-    for node in faulty_nodes:
-        rebuild.update(grid.node_index(source) for source in grid.in_neighbors(node).values())
-    for source_index in rebuild:
-        out_links[source_index] = tuple(
-            link
-            for link in plan.out_links[source_index]
-            if correct_mask[link[2], link[3]] and (source_index, link[0]) not in silent
-        )
+    for source, destination in faulty_links:
+        source_index = grid.node_index(source)
+        keep[source_index] &= links[source_index] >> 2 != grid.node_index(destination)
 
     seeds: List[Tuple[int, int]] = []
     seed_links = [
@@ -327,30 +339,449 @@ def _fault_overlay(
         if faults.link_behavior((source, destination)) is not LinkBehavior.CONSTANT_ONE:
             continue
         dest_index = grid.node_index(destination)
-        for link in plan.out_links[grid.node_index(source)]:
-            if link[0] == dest_index and correct_mask[link[2], link[3]]:
-                seeds.append((dest_index, link[1]))
+        for slot in links[grid.node_index(source)].tolist():
+            if slot >= 0 and slot >> 2 == dest_index and correct[dest_index]:
+                seeds.append((dest_index, slot & 3))
                 break
 
-    sources = tuple(column for column in plan.present_sources if correct_mask[0, column])
-    return out_links, seeds, sources
+    sources = tuple(column for column in plan.present_sources if correct[column])
+    return np.where(keep, links, -1), seeds, sources
+
+
+def _firing_order(sources: Sequence[int], trigger: np.ndarray, width: int) -> np.ndarray:
+    """The nodes of a run in the order they fired (compact ``int32``).
+
+    The sources fire first, in column order.  Forwarding nodes then fire in
+    increasing ``(trigger time, index)`` order: within a window by
+    construction, and every window's times lie below the next window's
+    start.  So the order follows from the flat trigger times.
+    """
+    forwarding = np.flatnonzero(np.isfinite(trigger[width:])) + width
+    by_time = forwarding[trigger[forwarding].argsort(kind="stable")]
+    return np.concatenate((np.asarray(sources, dtype=np.intp), by_time)).astype(np.int32)
 
 
 def _query_order(
-    nodes: Sequence[NodeId],
-    out_links: Sequence[Tuple[OutLink, ...]],
-    order: Sequence[int],
+    plan: SolverPlan, links: np.ndarray, order: np.ndarray
 ) -> Iterator[Tuple[NodeId, NodeId]]:
-    """The links a sweep queried: each finalized node's out-links, in ``order``."""
-    for source_index in order:
-        source = nodes[source_index]
-        for link in out_links[source_index]:
-            yield source, nodes[link[0]]
+    """The links a sweep queried: each fired node's ``links``, in firing ``order``."""
+    rows = links.take(order, axis=0)
+    present = rows >= 0
+    senders = order.repeat(present.sum(axis=1)).tolist()
+    destinations = (rows[present] >> 2).tolist()
+    nodes = plan.nodes
+    return zip(map(nodes.__getitem__, senders), map(nodes.__getitem__, destinations))
 
 
 # ----------------------------------------------------------------------
 # the sweep
 # ----------------------------------------------------------------------
+class PulseRun(NamedTuple):
+    """The inputs of one run of :func:`solve_pulse_batch`.
+
+    The same as the arguments of :func:`solve_single_pulse`: layer-0 firing
+    times, a link delay provider and an optional static fault model.
+    """
+
+    layer0_times: Sequence[float]
+    delays: LinkDelayProvider
+    fault_model: Optional[FaultModel] = None
+
+
+class _Run(NamedTuple):
+    """One run, checked and laid over the plan."""
+
+    layer0: np.ndarray
+    delays: LinkDelayProvider
+    correct_mask: np.ndarray
+    links: np.ndarray
+    seeds: List[Tuple[int, int]]
+    sources: Tuple[int, ...]
+
+
+def _prepare(grid: HexGrid, plan: SolverPlan, run: PulseRun) -> _Run:
+    """Check one run's inputs and lay its faults over ``plan``."""
+    layer0 = np.asarray(run.layer0_times, dtype=float)
+    if layer0.shape != (grid.width,):
+        raise ValueError(
+            f"layer0_times must have shape ({grid.width},), got {layer0.shape}"
+        )
+    fault_model = run.fault_model
+    if fault_model is not None and fault_model.grid != grid:
+        raise ValueError("fault model belongs to a different grid")
+    # Structurally absent nodes (punctured slots of a degraded topology) are
+    # excluded like faulty nodes: nan trigger time, masked out of statistics.
+    correct_mask = grid.presence_mask().copy()
+    links, seeds, sources = plan.out_slots, [], plan.present_sources
+    if fault_model is not None and (fault_model.faulty_nodes() or fault_model.faulty_links()):
+        correct_mask &= fault_model.correctness_mask()
+        links, seeds, sources = _fault_overlay(grid, plan, fault_model, correct_mask)
+    if not np.isfinite(layer0[list(sources)]).all():
+        raise ValueError("the layer-0 firing times of correct sources must be finite")
+    return _Run(layer0, run.delays, correct_mask, links, seeds, sources)
+
+
+def _block_bounds(
+    delays: LinkDelayProvider, stream: Optional[DrawStream], plan: SolverPlan
+) -> Optional[Tuple[float, float]]:
+    """The ``(low, high)`` of a run's block draws; ``None``: query link by link."""
+    offer = getattr(delays, "block_draw_bounds", None)
+    if offer is None or stream is None or not stream.reads_ahead or not plan.distinct_links:
+        return None
+    bounds = offer()
+    return bounds if bounds is not None and bounds[0] > 0 else None
+
+
+def _min_delay(delays: LinkDelayProvider) -> float:
+    """The provider's positive, finite lower bound on delays; 0 if it has none."""
+    report = getattr(delays, "min_delay", None)
+    bound = report() if report is not None else None
+    return bound if bound is not None and 0 < bound < math.inf else 0.0
+
+
+class _BatchSweep:
+    """The window sweep of several runs on one plan, in lock step.
+
+    Run ``r`` owns the global node ids ``r * n .. r * n + n - 1`` and the
+    arrival slots ``4 * id .. 4 * id + 3``, so one flat array holds each
+    quantity of every run and one step's selection of all runs is one index
+    array, grouped by run.  Row gathers use ``take``, which is several times
+    cheaper than fancy indexing on the small selections of one step.
+    """
+
+    def __init__(self, plan: SolverPlan, runs: Sequence[_Run], byzantine_high_time: float):
+        size, n = len(runs), plan.num_nodes
+        self.plan, self.runs, self.size, self.n = plan, runs, size, n
+        self.byzantine_high_time = byzantine_high_time
+        if size == 1:
+            self.links = runs[0].links
+        else:
+            # Run-local slots, in the narrowest type that holds them.
+            local = np.int16 if 4 * n <= np.iinfo(np.int16).max else np.int32
+            self.links = np.concatenate([run.links for run in runs]).astype(local)
+        # Links of each node, for the repeat of its firing time.
+        self.senders = (self.links >= 0).sum(axis=1, dtype=np.uint8)
+        self.arrival = np.full(4 * n * size, math.inf)
+        self.arrival4 = self.arrival.reshape(n * size, 4)
+        # Firing candidate of each node (+inf: no guard complete, or fired).
+        self.candidate = np.full(n * size, math.inf)
+        self.fired = np.zeros(n * size, dtype=bool)
+
+        self.streams = [
+            DrawStream(run.delays.rng) if run.delays.rng is not None else None for run in runs
+        ]
+        self.uniforms = [stream.uniform if stream is not None else None for stream in self.streams]
+        self.block_bounds = [
+            _block_bounds(run.delays, stream, plan) for run, stream in zip(runs, self.streams)
+        ]
+        # Window width per run; 0 means a window of exact ties.
+        self.low = np.array(
+            [
+                bounds[0] if bounds is not None else _min_delay(run.delays)
+                for run, bounds in zip(runs, self.block_bounds)
+            ]
+        )
+        self.ties = self.low <= 0
+        self.per_link = np.array([bounds is None for bounds in self.block_bounds])
+        self.any_per_link = bool(self.per_link.any())
+        self.any_block = not self.per_link.all()
+        # Block draws of all runs in one pool: run r's block is the
+        # ``block_size[r]`` draws from ``block_start[r]`` on, and its next
+        # delay is ``pool[block_next[r]]``.
+        self.pool = np.empty(0)
+        self.block_size = np.zeros(size, dtype=np.intp)
+        self.block_start = np.zeros(size, dtype=np.intp)
+        self.block_next = np.zeros(size, dtype=np.intp)
+
+    # ------------------------------------------------------------------
+    def run(self) -> None:
+        self._read_blocks()
+        self._seed()
+        runs, n = self.runs, self.n
+        sources = np.concatenate(
+            [np.asarray(run.sources, dtype=np.intp) + index * n for index, run in enumerate(runs)]
+        )
+        times = np.concatenate([run.layer0[list(run.sources)] for run in runs])
+        # Sources fire first, in column order, whatever their times.
+        self._fire(sources, times, np.full(self.size, -math.inf))
+        candidate, smallest = self.candidate, np.minimum.reduce
+        if self.size == 1:
+            low, ties = float(self.low[0]), bool(self.ties[0])
+            limits = np.empty(1)
+            while True:
+                start = smallest(candidate)
+                if start == math.inf:
+                    break
+                limit = np.nextafter(start, math.inf) if ties else start + low
+                chosen = (candidate < limit).nonzero()[0]
+                times = candidate[chosen]
+                if len(chosen) > 1:
+                    by_time = times.argsort(kind="stable")
+                    chosen, times = chosen[by_time], times[by_time]
+                limits[0] = limit
+                self._fire(chosen, times, limits)
+            return
+        rows = candidate.reshape(self.size, n)
+        while True:
+            starts = smallest(rows, axis=1)
+            if smallest(starts) == math.inf:
+                break
+            limits = starts + self.low
+            if self.ties.any():
+                limits = np.where(self.ties, np.nextafter(starts, math.inf), limits)
+            chosen = (rows < limits[:, None]).ravel().nonzero()[0]
+            times = candidate[chosen]
+            by_time = np.lexsort((times, chosen // n))
+            self._fire(chosen[by_time], times[by_time], limits)
+
+    def _read_blocks(self) -> None:
+        """Read each block run's draws, one per link it may query."""
+        if not self.any_block:
+            return
+        n = self.n
+        sizes = np.array(
+            [
+                self.senders[index * n : index * n + n].sum() if bounds is not None else 0
+                for index, bounds in enumerate(self.block_bounds)
+            ],
+            dtype=np.intp,
+        )
+        self.block_start = np.cumsum(sizes) - sizes
+        self.block_next = self.block_start.copy()
+        self.pool = np.empty(int(sizes.sum()))
+        for index, bounds in enumerate(self.block_bounds):
+            if bounds is not None:
+                start, size = self.block_start[index], int(sizes[index])
+                self.pool[start : start + size] = self.streams[index].block(*bounds, size)
+                self.block_size[index] = size
+
+    def _seed(self) -> None:
+        # Stuck-at-1 links set the receiver's flag at ``byzantine_high_time``.
+        slots = [
+            4 * (index * self.n + dest_index) + direction
+            for index, run in enumerate(self.runs)
+            for dest_index, direction in run.seeds
+        ]
+        if slots:
+            landed = np.asarray(slots, dtype=np.intp)
+            self.arrival[landed] = self.byzantine_high_time
+            self._update(landed >> 2)
+
+    def _fire(self, chosen: np.ndarray, times: np.ndarray, limits: np.ndarray) -> None:
+        """Fire ``chosen`` (global ids, in firing order) at ``times``.
+
+        ``limits`` holds each run's window end: every arrival the firing
+        sends must land at or after it.
+        """
+        self.candidate[chosen] = math.inf
+        self.fired[chosen] = True
+        rows = self.links.take(chosen, axis=0)
+        if self.size > 1:
+            # Run-local slots to global ones.
+            present = rows >= 0
+            rows = rows + 4 * (chosen - chosen % self.n)[:, None]
+            slots = rows[present]
+        else:
+            rows = rows.ravel()
+            slots = rows.compress(rows >= 0)
+        if len(slots):
+            senders = self.senders[chosen]
+            fire = times.repeat(senders)
+            destinations = slots >> 2
+            self.arrival[slots] = self._arrivals(chosen, senders, slots, destinations, fire, limits)
+            self._update(destinations)
+
+    def _update(self, nodes: np.ndarray) -> None:
+        """Recompute the candidates of ``nodes`` from their arrivals."""
+        arrivals = self.arrival4.take(nodes, axis=0)
+        lower_left = arrivals[:, 1]
+        lower_right = arrivals[:, 2]
+        best = np.minimum(
+            np.minimum(
+                np.maximum(arrivals[:, 0], lower_left), np.maximum(lower_left, lower_right)
+            ),
+            np.maximum(lower_right, arrivals[:, 3]),
+        )
+        self.candidate[nodes] = np.where(self.fired[nodes], math.inf, best)
+
+    def _arrivals(
+        self,
+        chosen: np.ndarray,
+        senders: np.ndarray,
+        slots: np.ndarray,
+        destinations: np.ndarray,
+        fire: np.ndarray,
+        limits: np.ndarray,
+    ) -> np.ndarray:
+        """The arrival times of the messages on ``slots``, sent at ``fire``."""
+        count = len(slots)
+        if self.size == 1:
+            if self.any_per_link:
+                return self._query(None, chosen.repeat(senders), destinations, fire, limits)
+            start = self.block_next[0]
+            self.block_next[0] = start + count
+            return fire + self.pool[start : start + count]
+        link_run = slots // (4 * self.n)
+        per_run = np.bincount(link_run, minlength=self.size)
+        first = np.cumsum(per_run) - per_run
+        positions = np.arange(count) + (self.block_next - first)[link_run]
+        self.block_next += per_run
+        if not self.any_per_link:
+            return fire + self.pool[positions]
+        # Runs without a block keep a cursor too; their positions are clipped
+        # garbage, overwritten below.
+        arrivals = fire + self.pool.take(positions, mode="clip") if len(self.pool) else fire.copy()
+        picked = (self.per_link[link_run]).nonzero()[0]
+        if len(picked):
+            arrivals[picked] = self._query(
+                link_run[picked],
+                chosen.repeat(senders)[picked],
+                destinations[picked],
+                fire[picked],
+                limits,
+            )
+        return arrivals
+
+    def _query(
+        self,
+        link_run: Optional[np.ndarray],
+        sources: np.ndarray,
+        destinations: np.ndarray,
+        fire: np.ndarray,
+        limits: np.ndarray,
+    ) -> np.ndarray:
+        """Ask the delay models link by link; check them and return the arrivals.
+
+        ``link_run`` names each link's run; ``None`` in a batch of one.
+        """
+        n, nodes = self.n, self.plan.nodes
+        if link_run is None:
+            delay, uniform = self.runs[0].delays.delay, self.uniforms[0]
+            answers = [
+                delay(nodes[source], nodes[destination], uniform)
+                for source, destination in zip(sources.tolist(), destinations.tolist())
+            ]
+            low, limit = self.low[0], limits[0]
+        else:
+            runs, uniforms = self.runs, self.uniforms
+            answers = [
+                runs[index].delays.delay(nodes[source], nodes[destination], uniforms[index])
+                for index, source, destination in zip(
+                    link_run.tolist(), (sources % n).tolist(), (destinations % n).tolist()
+                )
+            ]
+            low, limit = self.low[link_run], limits[link_run]
+        values = np.array(answers, dtype=float)
+        arrivals = fire + values
+        if link_run is None:
+            # A delay of at least ``low`` > 0 lands at or after the window
+            # end by itself; a window of ties needs each arrival after it.
+            fine = values.min() >= low if low > 0 else arrivals.min() >= limit
+        else:
+            fine = (values >= low).all() and (arrivals >= limit).all()
+        if fine and arrivals.max() < math.inf:
+            return arrivals
+        bad = int((~((values >= low) & (arrivals >= limit) & (values < math.inf))).nonzero()[0][0])
+        raise ValueError(
+            f"delay model returned {values[bad]!r} for link "
+            f"{nodes[sources[bad] % n]} -> {nodes[destinations[bad] % n]}: the sweep "
+            f"needs finite delays of at least the model's min_delay() "
+            f"({np.broadcast_to(low, values.shape)[bad]!r}) that advance the "
+            "sender's firing time"
+        )
+
+    def rewind(self) -> None:
+        """Rewind every run's stream by its unread tail; raise the first failure."""
+        unread = self.block_start + self.block_size - self.block_next
+        errors = []
+        for index, stream in enumerate(self.streams):
+            try:
+                if stream is not None:
+                    stream.rewind(int(unread[index]) if self.block_bounds[index] else 0)
+            except (RuntimeError, ValueError) as error:  # the rewind contract's errors
+                errors.append(error)
+        if errors:
+            raise errors[0]
+
+    # ------------------------------------------------------------------
+    def solutions(self, grid: HexGrid) -> List[PulseSolution]:
+        plan, n = self.plan, self.n
+        shape = (plan.layers + 1, plan.width)
+        solutions = []
+        for index, run in enumerate(self.runs):
+            span = slice(index * n, index * n + n)
+            arrivals = self.arrival4[span]
+            # A node fired at its smallest completed guard, the first one of
+            # that value; guards completed later are larger (they complete
+            # from messages of its window or later), so the final arrivals
+            # give both back.
+            guard_times = np.maximum(arrivals[:, :3], arrivals[:, 1:])
+            fired = self.fired[span]
+            trigger = np.where(fired, guard_times.min(axis=1), math.inf)
+            guards = np.where(fired, guard_times.argmin(axis=1), -1).astype(np.int8)
+            sources = list(run.sources)
+            trigger[sources] = run.layer0[sources]
+            guards[sources] = -1
+            landed = arrivals < math.inf
+            work = {
+                "heap_pushes": int(np.count_nonzero(landed[:, :3] & landed[:, 1:])),
+                "frontier_advances": int(np.count_nonzero(fired)) - len(sources),
+                "messages_delivered": int(np.count_nonzero(landed)),
+            }
+            trigger_times = trigger.reshape(shape)
+            # Faulty and absent nodes never fire: nan, guard -1.
+            trigger_times[~run.correct_mask] = math.nan
+            bounds = self.block_bounds[index]
+            if bounds is not None:
+                # The block is a view: the pool lives as long as the batch's
+                # delay models.
+                order = _firing_order(run.sources, trigger, plan.width)
+                run.delays.adopt_block(
+                    partial(_query_order, plan, run.links, order),
+                    self.pool[self.block_start[index] : self.block_next[index]],
+                )
+            solutions.append(
+                PulseSolution(
+                    grid=grid,
+                    trigger_times=trigger_times,
+                    guards=guards.reshape(shape),
+                    correct_mask=run.correct_mask,
+                    layer0_times=trigger_times[0, :].copy(),
+                    work=work,
+                )
+            )
+        return solutions
+
+
+def solve_pulse_batch(
+    grid: HexGrid,
+    runs: Sequence[PulseRun],
+    byzantine_high_time: float = 0.0,
+) -> List[PulseSolution]:
+    """Solve several single-pulse runs on one grid in one lock-step sweep.
+
+    Each solution is bit-identical to ``solve_single_pulse`` of that run
+    alone, and so are the delay models and generators it leaves behind: a
+    run's delay queries come in its own firing order, whatever else shares
+    the batch.  Runs must therefore not share a generator.  When a delay
+    query raises, every run's stream is rewound and the error propagates.
+    """
+    if not math.isfinite(byzantine_high_time):
+        raise ValueError("byzantine_high_time must be finite")
+    if not runs:
+        return []
+    generators = [run.delays.rng for run in runs if run.delays.rng is not None]
+    if len({id(generator) for generator in generators}) != len(generators):
+        raise ValueError("the runs of one batch must not share a generator")
+    plan = solver_plan(grid)
+    sweep = _BatchSweep(plan, [_prepare(grid, plan, run) for run in runs], byzantine_high_time)
+    try:
+        sweep.run()
+    finally:
+        sweep.rewind()
+    return sweep.solutions(grid)
+
+
 def solve_single_pulse(
     grid: HexGrid,
     layer0_times: Sequence[float],
@@ -360,12 +791,12 @@ def solve_single_pulse(
 ) -> PulseSolution:
     """Compute the firing time of every node for a single pulse wave.
 
-    Runs a Dijkstra sweep over the flat arrays of the grid's cached
-    :class:`SolverPlan`.  The delay model is queried lazily, once per
-    correct link from a correct source that fires, in finalization order --
-    that order is part of the reproducibility contract, since delay models
-    such as :class:`~repro.simulation.links.UniformRandomDelays` draw on
-    first query.  Queries draw through one :class:`~repro.core.draws.DrawStream`
+    A batch of one of :func:`solve_pulse_batch`.  The delay model is queried
+    lazily, once per correct link from a correct source that fires, in
+    firing order -- that order is part of the reproducibility contract,
+    since delay models such as
+    :class:`~repro.simulation.links.UniformRandomDelays` draw on first
+    query.  Queries draw through one :class:`~repro.core.draws.DrawStream`
     over ``delays.rng``, rewound when the sweep ends (also on an exception),
     so the generator stands where scalar ``rng.uniform`` calls would leave it.
 
@@ -383,7 +814,8 @@ def solve_single_pulse(
     layer0_times:
         Firing times of the ``W`` layer-0 clock sources (scenario-dependent;
         see :mod:`repro.clocksource.scenarios`).  Faulty layer-0 nodes are
-        handled through the fault model; their entry here is ignored.
+        handled through the fault model; their entry here is ignored.  The
+        others must be finite.
     delays:
         Link delay provider (see :class:`LinkDelayProvider`).  Only consulted
         for links that behave correctly.
@@ -398,201 +830,5 @@ def solve_single_pulse(
     -------
     PulseSolution
     """
-    layer0 = np.asarray(layer0_times, dtype=float)
-    if layer0.shape != (grid.width,):
-        raise ValueError(
-            f"layer0_times must have shape ({grid.width},), got {layer0.shape}"
-        )
-    if fault_model is not None and fault_model.grid != grid:
-        raise ValueError("fault model belongs to a different grid")
-    plan = solver_plan(grid)
-    # Structurally absent nodes (punctured slots of a degraded topology) are
-    # excluded like faulty nodes: nan trigger time, masked out of statistics.
-    correct_mask = grid.presence_mask().copy()
-    out_links: Sequence[Tuple[OutLink, ...]] = plan.out_links
-    seeds: List[Tuple[int, int]] = []
-    sources = plan.present_sources
-    if fault_model is not None and (fault_model.faulty_nodes() or fault_model.faulty_links()):
-        correct_mask &= fault_model.correctness_mask()
-        out_links, seeds, sources = _fault_overlay(grid, plan, fault_model, correct_mask)
-
-    num_nodes, width = plan.num_nodes, plan.width
-    trigger_flat = [math.inf] * num_nodes
-    guard_flat = [-1] * num_nodes
-    # arrivals[node * 4 + direction_index]; None = no message yet.
-    arrivals: List[Optional[float]] = [None] * (num_nodes * 4)
-    finalized = bytearray(num_nodes)
-    heap: List[Tuple[float, int, int, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    node_tuples = plan.nodes
-    link_delay = delays.delay
-    stream = DrawStream(delays.rng) if delays.rng is not None else None
-    uniform = stream.uniform if stream is not None else None
-    block_bounds = getattr(delays, "block_draw_bounds", None)
-    bounds = None
-    if block_bounds is not None and stream is not None and stream.reads_ahead:
-        bounds = block_bounds() if plan.distinct_links else None
-    # Finalized nodes in finalization order (the delay query order).
-    order: List[int] = []
-    block: Optional[List[float]] = None
-    next_delay = None
-
-    # Stuck-at-1 links set the receiver's flag at ``byzantine_high_time``;
-    # push every guard they complete on their own, once.
-    for dest_index, direction in seeds:
-        arrivals[dest_index * 4 + direction] = byzantine_high_time
-    for dest_index in sorted({dest_index for dest_index, _direction in seeds}):
-        base = dest_index * 4
-        dest_layer, dest_column = node_tuples[dest_index]
-        for guard_value in range(3):
-            first, second = arrivals[base + guard_value], arrivals[base + guard_value + 1]
-            if first is not None and second is not None:
-                push(heap, (max(first, second), dest_layer, dest_column, guard_value))
-
-    def deliver(source_index: int, fire_time: float) -> None:
-        source = node_tuples[source_index]
-        for dest_index, direction, dest_layer, dest_column in out_links[source_index]:
-            if next_delay is None:
-                arrival = fire_time + link_delay(source, node_tuples[dest_index], uniform)
-            else:
-                arrival = fire_time + next_delay()
-            base = dest_index * 4
-            arrivals[base + direction] = arrival
-            # Push exactly the guards this arrival completes.  Heap tuples are
-            # totally ordered, so re-pushing an already-complete guard (same
-            # tuple) could never change the pop sequence -- and thus neither
-            # the finalization nor the delay-query order.
-            if direction == 0:
-                other = arrivals[base + 1]
-                if other is not None:
-                    push(
-                        heap,
-                        (
-                            arrival if arrival > other else other,
-                            dest_layer,
-                            dest_column,
-                            0,
-                        ),
-                    )
-            elif direction == 1:
-                other = arrivals[base]
-                if other is not None:
-                    push(
-                        heap,
-                        (
-                            arrival if arrival > other else other,
-                            dest_layer,
-                            dest_column,
-                            0,
-                        ),
-                    )
-                other = arrivals[base + 2]
-                if other is not None:
-                    push(
-                        heap,
-                        (
-                            arrival if arrival > other else other,
-                            dest_layer,
-                            dest_column,
-                            1,
-                        ),
-                    )
-            elif direction == 2:
-                other = arrivals[base + 1]
-                if other is not None:
-                    push(
-                        heap,
-                        (
-                            arrival if arrival > other else other,
-                            dest_layer,
-                            dest_column,
-                            1,
-                        ),
-                    )
-                other = arrivals[base + 3]
-                if other is not None:
-                    push(
-                        heap,
-                        (
-                            arrival if arrival > other else other,
-                            dest_layer,
-                            dest_column,
-                            2,
-                        ),
-                    )
-            else:
-                other = arrivals[base + 2]
-                if other is not None:
-                    push(
-                        heap,
-                        (
-                            arrival if arrival > other else other,
-                            dest_layer,
-                            dest_column,
-                            2,
-                        ),
-                    )
-
-    try:
-        if bounds is not None:
-            block = stream.block(*bounds, sum(map(len, out_links)))
-            unread = iter(block)
-            next_delay = unread.__next__
-        for column in sources:
-            fire_time = float(layer0[column])
-            trigger_flat[column] = fire_time
-            finalized[column] = 1
-            order.append(column)
-            deliver(column, fire_time)
-
-        while heap:
-            candidate, layer, column, guard_value = pop(heap)
-            index = layer * width + column
-            if finalized[index]:
-                continue
-            finalized[index] = 1
-            trigger_flat[index] = candidate
-            guard_flat[index] = guard_value
-            order.append(index)
-            deliver(index, candidate)
-    finally:
-        if stream is not None:
-            stream.rewind(length_hint(unread) if block is not None else 0)
-    if block is not None:
-        delays.adopt_block(partial(_query_order, node_tuples, out_links, order), block)
-
-    # Post-hoc work accounting over the flat arrival slots (O(n), outside the
-    # sweep).  A guard counts as one heap push when both of its arrivals
-    # landed -- exactly when the sweep (or the seeding) pushed it.
-    messages_delivered = 0
-    heap_pushes = 0
-    for base in range(0, 4 * num_nodes, 4):
-        has_left = arrivals[base] is not None
-        has_lower_left = arrivals[base + 1] is not None
-        has_lower_right = arrivals[base + 2] is not None
-        has_right = arrivals[base + 3] is not None
-        messages_delivered += has_left + has_lower_left + has_lower_right + has_right
-        heap_pushes += (
-            (has_left and has_lower_left)
-            + (has_lower_left and has_lower_right)
-            + (has_lower_right and has_right)
-        )
-    work = {
-        "heap_pushes": heap_pushes,
-        "frontier_advances": sum(finalized) - len(sources),
-        "messages_delivered": messages_delivered,
-    }
-
-    trigger_times = np.array(trigger_flat, dtype=float).reshape(plan.layers + 1, width)
-    guards = np.array(guard_flat, dtype=np.int8).reshape(plan.layers + 1, width)
-    # Faulty and absent nodes never fire: nan, guard -1.
-    trigger_times[~correct_mask] = math.nan
-    return PulseSolution(
-        grid=grid,
-        trigger_times=trigger_times,
-        guards=guards,
-        correct_mask=correct_mask,
-        layer0_times=trigger_times[0, :].copy(),
-        work=work,
-    )
+    runs = [PulseRun(layer0_times, delays, fault_model)]
+    return solve_pulse_batch(grid, runs, byzantine_high_time)[0]

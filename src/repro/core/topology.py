@@ -226,9 +226,9 @@ class HexGrid:
     def _build_neighbor_tables(self) -> None:
         """Precompute per-node neighbour tables and the link-direction index.
 
-        The DES broadcast loop and the solver's Dijkstra sweep query
+        The DES broadcast loop and the solver's plan compilation query
         ``in_neighbors`` / ``out_neighbors`` / ``direction_between`` once per
-        message; recomputing the wrap arithmetic there dominated the hot
+        message or link; recomputing the wrap arithmetic there dominated the hot
         loops.  The tables are built once (lazily, at the first accessor
         call) from the subclass's :meth:`_raw_neighbor` rule and returned *by
         reference* -- callers must treat the dicts as immutable.  Insertion

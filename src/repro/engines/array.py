@@ -9,7 +9,7 @@ this engine computes the analytic fixed point
     ``t_v = min over guards {(left, lower-left), (lower-left, lower-right),
     (lower-right, right)} of max(arrival_a, arrival_b)``
 
-with whole-row vectorized relaxation instead of the heap sweep of
+with whole-row vectorized relaxation instead of the window sweep of
 :mod:`repro.core.pulse_solver`:
 
 * trigger times live in a dense ``(layers + 1, width)`` float array (``+inf``
@@ -31,7 +31,7 @@ Exactness contract
 ------------------
 Starting from ``+inf`` the relaxation is monotone non-increasing, so it
 converges to the *greatest* fixed point -- which, with strictly positive
-delays, is the unique fixed point the solver's Dijkstra sweep finalizes.  At
+delays, is the unique fixed point the solver's window sweep fires.  At
 the fixed point every value is produced by the same IEEE ``min`` / ``max`` /
 ``add`` operations on the same operands as the solver's winning guard, so
 whenever both engines see the same per-link delay *values* the results are
@@ -367,7 +367,7 @@ class ArrayEngine:
 
     Same fixed point as the analytic solver, computed as whole-row numpy
     relaxation -- the ``shift_array`` idiom on a ``(layers + 1, width)``
-    frontier.  Orders of magnitude faster than the heap sweep on big
+    frontier.  Orders of magnitude faster than the window sweep on big
     fault-free grids (million-node grids complete in seconds) and the
     stepping stone towards numba/GPU backends.
     """

@@ -1,9 +1,13 @@
 """The analytic single-pulse solver as an execution engine.
 
-Every path -- :meth:`SolverEngine.run`, :meth:`SolverEngine.run_batch` and
-the explicit-input :meth:`SolverEngine.single_pulse` -- runs the one
-plan-compiled sweep :func:`~repro.core.pulse_solver.solve_single_pulse`,
-faulty or not.
+Every path runs the one window sweep of :mod:`repro.core.pulse_solver`,
+faulty or not.  :meth:`SolverEngine.run_batch` sweeps the specs of one grid
+together, in lock-step sub-batches of up to :data:`SWEEP_NODES` nodes
+(:func:`~repro.core.pulse_solver.solve_pulse_batch`);
+:meth:`SolverEngine.run` and the explicit-input
+:meth:`SolverEngine.single_pulse` are batches of one.  Each spec draws its
+inputs from its own generator just before its sub-batch runs, so a result
+does not depend on the batch it ran in.
 
 Draw order (the reproducibility contract, identical to the historical
 per-run single-pulse body): layer-0 firing times, then fault
@@ -16,14 +20,14 @@ scalar draw per link.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.clocksource.scenarios import scenario_layer0_times
 from repro.core.parameters import TimeoutConfig, TimingConfig
-from repro.core.pulse_solver import solve_single_pulse
+from repro.core.pulse_solver import PulseRun, PulseSolution, solve_pulse_batch, solve_single_pulse
 from repro.core.topology import HexGrid
 from repro.engines.base import (
     EngineCapabilities,
@@ -41,7 +45,13 @@ from repro.faults.placement import build_fault_model
 from repro.simulation.links import DelayModel, UniformRandomDelays
 from repro.simulation.network import TimerPolicy
 
-__all__ = ["SolverEngine"]
+__all__ = ["SWEEP_NODES", "SolverEngine"]
+
+#: Most nodes (runs x grid nodes) one lock-step sweep of ``run_batch``
+#: holds; larger groups of same-grid specs are swept in sub-batches.  A run
+#: keeps about 90 bytes of sweep state per node, so a sub-batch stays near
+#: 3 MB: 32 runs of a 50x20 grid, a campaign chunk.
+SWEEP_NODES = 32768
 
 
 def _record_solver_work(solution) -> None:
@@ -80,47 +90,75 @@ class SolverEngine:
         """Execute a declarative single-pulse run (scenario-driven draws)."""
         with obs.span("engine.run", engine=self.name, kind=spec.kind):
             obs.inc("engine.solver.runs")
-            return self._run(spec, rng if rng is not None else spec.rng())
+            self._check(spec)
+            generator = rng if rng is not None else spec.rng()
+            return self._solve(shared_grid(*batch_key(spec)), [spec], [generator])[0]
 
     def run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Execute several single-pulse runs.
 
         Bit-identical to ``[run(spec) for spec in specs]`` (pinned by the
-        test suite): both take the same path, one sweep per spec.  Runs on
-        equal ``(topology, layers, width)`` share one grid -- and so its
-        neighbour tables and compiled
-        :class:`~repro.core.pulse_solver.SolverPlan` -- across calls.  Grid
-        construction and plan compilation consume no randomness, so the
-        sharing cannot perturb seeded draws.
+        test suite).  Specs with equal ``(topology, layers, width)`` share
+        one grid, its compiled :class:`~repro.core.pulse_solver.SolverPlan`
+        and, up to :data:`SWEEP_NODES` nodes at a time, one lock-step sweep
+        of :func:`~repro.core.pulse_solver.solve_pulse_batch`.  Each spec draws
+        from its own generator, and grids and plans consume no randomness,
+        so the grouping cannot perturb seeded draws.
         """
         with obs.span("engine.run_batch", engine=self.name, size=len(specs)):
             obs.inc("engine.solver.runs", len(specs))
-            return [self._run(spec, spec.rng()) for spec in specs]
+            groups: Dict[Tuple[str, int, int], List[int]] = {}
+            for index, spec in enumerate(specs):
+                self._check(spec)
+                groups.setdefault(batch_key(spec), []).append(index)
+            results: List[Optional[RunResult]] = [None] * len(specs)
+            for key, indices in groups.items():
+                grid = shared_grid(*key)
+                size = max(1, SWEEP_NODES // grid.num_nodes)
+                for start in range(0, len(indices), size):
+                    chunk = indices[start : start + size]
+                    group = [specs[index] for index in chunk]
+                    solved = self._solve(grid, group, [spec.rng() for spec in group])
+                    for index, result in zip(chunk, solved):
+                        results[index] = result
+            return results  # type: ignore[return-value]
 
-    def _run(self, spec: RunSpec, generator: np.random.Generator) -> RunResult:
+    def _check(self, spec: RunSpec) -> None:
         require_kind(self, spec)
         require_schedule_support(self, spec)
         require_topology_support(self, spec)
-        grid = shared_grid(*batch_key(spec))
-        timing = spec.make_timing()
-        layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=generator)
-        fault_model = build_fault_model(
-            grid,
-            spec.num_faults,
-            spec.make_fault_type(),
-            generator,
-            fixed_positions=spec.fixed_fault_positions,
-        )
-        result = self.single_pulse(
-            grid,
-            timing,
-            layer0,
-            rng=generator,
-            fault_model=fault_model,
-            delays=spec.make_delays(timing, generator, kind_default="uniform"),
-        )
-        result.spec = spec
-        return result
+
+    def _solve(
+        self,
+        grid: HexGrid,
+        specs: Sequence[RunSpec],
+        generators: Sequence[np.random.Generator],
+    ) -> List[RunResult]:
+        """Draw the inputs of ``specs`` on ``grid`` and sweep them together.
+
+        The delay models exist only while this sub-batch runs.
+        """
+        timings, runs = [], []
+        for spec, generator in zip(specs, generators):
+            timing = spec.make_timing()
+            layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=generator)
+            fault_model = build_fault_model(
+                grid,
+                spec.num_faults,
+                spec.make_fault_type(),
+                generator,
+                fixed_positions=spec.fixed_fault_positions,
+            )
+            delays = spec.make_delays(timing, generator, kind_default="uniform")
+            timings.append(timing)
+            runs.append(PulseRun(validate_layer0(grid, layer0), delays, fault_model))
+        solutions = solve_pulse_batch(grid, runs)
+        results = []
+        for spec, timing, run, solution in zip(specs, timings, runs, solutions):
+            result = self._result(grid, timing, solution, run.fault_model)
+            result.spec = spec
+            results.append(result)
+        return results
 
     def single_pulse(
         self,
@@ -143,6 +181,15 @@ class SolverEngine:
         if delays is None:
             delays = UniformRandomDelays(timing, rng)
         solution = solve_single_pulse(grid, layer0, delays, fault_model=fault_model)
+        return self._result(grid, timing, solution, fault_model)
+
+    def _result(
+        self,
+        grid: HexGrid,
+        timing: TimingConfig,
+        solution: PulseSolution,
+        fault_model: Optional[FaultModel],
+    ) -> RunResult:
         _record_solver_work(solution)
         return RunResult(
             engine=self.name,

@@ -23,20 +23,25 @@ solver (and the DES, when that is the run's generator) passes the
 / ``sample``, and the model draws through that.  Deterministic models
 ignore ``uniform``.
 
+Every model reports a lower bound of its delays through
+:meth:`DelayModel.min_delay` (``d-`` for the random models, the value or
+the table's minimum for the deterministic ones); the solver fires every node
+whose candidate lies within that bound of the earliest one in one step.
+
 A model whose next ``n`` per-link queries would simply take the next ``n``
 draws of ``uniform(low, high)`` says so through
 :meth:`DelayModel.block_draw_bounds`.  :class:`UniformRandomDelays` does
 while it has drawn nothing, so the solver reads one block of draws in its
 query order instead of calling ``delay`` per link, and hands the model the
-block with :meth:`UniformRandomDelays.adopt_block`.  The model fills its
-per-link cache from it lazily, on the first read, into exactly the dict the
-per-link queries would have built.
+float64 block with :meth:`UniformRandomDelays.adopt_block`.  The model
+fills its per-link cache from it lazily, on the first read, into exactly the
+dict the per-link queries would have built.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +79,15 @@ class DelayModel(abc.ABC):
         override this.  ``uniform`` is as for :meth:`delay`.
         """
         return self.delay(source, destination, uniform)
+
+    def min_delay(self) -> Optional[float]:
+        """A lower bound of every delay the model returns; ``None`` if unknown.
+
+        The solver's sweep fires every node whose candidate lies within this
+        bound of the earliest one in one step, so a larger bound means fewer
+        steps.  The sweep checks every delay against it.
+        """
+        return None
 
     def block_draw_bounds(self) -> Optional[Tuple[float, float]]:
         """``(low, high)`` if the next link queries take consecutive draws.
@@ -119,6 +133,9 @@ class ConstantDelays(DelayModel):
     ) -> float:
         return self._value
 
+    def min_delay(self) -> Optional[float]:
+        return self._value
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"ConstantDelays({self._value})"
 
@@ -155,6 +172,9 @@ class TableDelays(DelayModel):
     ) -> float:
         return self._table.get((source, destination), self._default)
 
+    def min_delay(self) -> Optional[float]:
+        return min(self._default, min(self._table.values(), default=self._default))
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"TableDelays({len(self._table)} entries, default={self._default})"
 
@@ -180,7 +200,7 @@ class UniformRandomDelays(DelayModel):
         self.rng = rng
         self._links: Dict[LinkId, float] = {}
         # An adopted block not yet settled into ``_links``.
-        self._block: Optional[Tuple[Callable[[], Iterable[LinkId]], List[float]]] = None
+        self._block: Optional[Tuple[Callable[[], Iterable[LinkId]], np.ndarray]] = None
 
     @property
     def timing(self) -> TimingConfig:
@@ -193,20 +213,24 @@ class UniformRandomDelays(DelayModel):
         if self._block is not None:
             links, values = self._block
             self._block = None
-            self._links = dict(zip(links(), values))
+            self._links = dict(zip(links(), values.tolist()))
         return self._links
+
+    def min_delay(self) -> Optional[float]:
+        return self._timing.d_min
 
     def block_draw_bounds(self) -> Optional[Tuple[float, float]]:
         if self._links or self._block is not None:
             return None
         return (self._timing.d_min, self._timing.d_max)
 
-    def adopt_block(self, links: Callable[[], Iterable[LinkId]], values: List[float]) -> None:
+    def adopt_block(self, links: Callable[[], Iterable[LinkId]], values: np.ndarray) -> None:
         """Take ``values[k]`` as the delay of the ``k``-th link of ``links()``.
 
-        The values are the model's first draws, read as one block in query
-        order (see :meth:`block_draw_bounds`); the links must be distinct.
-        ``links`` is called on the first read of the cache.
+        The values are the model's first draws, read as one float64 block in
+        query order (see :meth:`block_draw_bounds`); the links must be
+        distinct.  ``links`` is called, and the block converted to Python
+        floats, on the first read of the cache.
         """
         if self.block_draw_bounds() is None:
             raise RuntimeError("a block can only be adopted before any delay is drawn")
@@ -263,6 +287,9 @@ class FreshUniformDelays(DelayModel):
         return float(draw(self._timing.d_min, self._timing.d_max))
 
     delay = sample
+
+    def min_delay(self) -> Optional[float]:
+        return self._timing.d_min
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"FreshUniformDelays([{self._timing.d_min}, {self._timing.d_max}])"

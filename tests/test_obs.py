@@ -636,6 +636,18 @@ class TestCli:
         assert excinfo.value.code == 0
         assert "hex-repro" in capsys.readouterr().out
 
+    def test_build_parser_does_not_resolve_the_version(self, monkeypatch):
+        import importlib.metadata
+
+        from repro.cli import build_parser
+
+        def version(name):
+            raise AssertionError(f"build_parser looked up the version of {name}")
+
+        monkeypatch.setattr(importlib.metadata, "version", version)
+        parser = build_parser()
+        assert parser.parse_args(["list"]).command == "list"
+
     def test_sweep_trace_metrics_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
 

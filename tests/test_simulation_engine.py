@@ -184,7 +184,7 @@ class TestDrawStream:
         assert [stream.uniform(0.0, 1.0) for _ in range(head)] == [
             float(scalar.uniform(0.0, 1.0)) for _ in range(head)
         ]
-        assert stream.block(7.161, 8.197, count) == [
+        assert stream.block(7.161, 8.197, count).tolist() == [
             float(scalar.uniform(7.161, 8.197)) for _ in range(count)
         ]
         stream.rewind(unread=unread)

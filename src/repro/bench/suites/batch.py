@@ -2,12 +2,11 @@
 
 A serial 100-cell single-pulse sweep on the paper's 50x20 grid (25 cells
 per scenario), run once through a per-spec ``engine.run()`` loop and once
-through ``engine.run_batch``.  Both paths run the solver's one window sweep
-on one grid per ``(topology, layers, width)``: ``run()`` as a batch of one,
-``run_batch`` in lock step across its specs.  The check pins that the
-batching pays and changes nothing: results bit-identical, and the ``run()``
-loop at least :data:`MIN_RUN_OVER_BATCH` times the ``run_batch`` wall
-clock (fastest repeat of each).
+through ``engine.run_batch``.  Both paths share one sweep and one grid per
+``(topology, layers, width)``, so the check pins that there is no slow
+per-spec path: results bit-identical, and the ``run()`` loop at most
+:data:`MAX_RUN_OVER_BATCH` times the ``run_batch`` wall clock (fastest
+repeat of each).
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from repro.engines import RunResult, RunSpec, get_engine
 
 SUITE = "batch"
 
-#: How much slower than ``run_batch`` the per-spec ``run()`` loop must be
-#: at least: the lock-step sweep's gain over batches of one.
-MIN_RUN_OVER_BATCH = 1.25
+#: How much slower than ``run_batch`` the per-spec ``run()`` loop may be.
+MAX_RUN_OVER_BATCH = 1.25
 
 
 def _sweep_specs(settings: BenchSettings) -> List[RunSpec]:
@@ -103,10 +101,10 @@ def _check(result: Dict[str, Any], settings: BenchSettings) -> None:
         assert np.array_equal(
             per_spec.layer0_times, batched.layer0_times, equal_nan=True
         )
-    assert result["run_over_batch"] >= MIN_RUN_OVER_BATCH, (
+    assert result["run_over_batch"] <= MAX_RUN_OVER_BATCH, (
         f"the per-spec run() loop takes {result['run_over_batch']:.2f}x the "
-        f"run_batch time on the {len(result['specs'])}-cell sweep (at least "
-        f"{MIN_RUN_OVER_BATCH}x): run_batch no longer sweeps its specs in lock step"
+        f"run_batch time on the {len(result['specs'])}-cell sweep (at most "
+        f"{MAX_RUN_OVER_BATCH}x): run() has left the shared kernel or grid"
     )
 
 

@@ -4,8 +4,8 @@ One case per table/figure of the paper's single-pulse evaluation, each
 carrying shape checks: the measured numbers must stay in the published
 regime, not merely execute.  All cases run the analytic solver engine
 through the experiments layer on the paper's 50x20 grid; quick mode shrinks
-the Monte Carlo run counts only.  The heap-sweep cases report ``ns_per_message`` over the
-engine's ``solver.messages_delivered`` (fig05, fig13, fig14 and fig17 call
+the Monte Carlo run counts only.  The engine-backed cases report ``ns_per_message`` over
+the engine's ``solver.messages_delivered`` (fig05, fig13, fig14 and fig17 call
 the solver outside the engine, which counts nothing, so they carry none).
 """
 

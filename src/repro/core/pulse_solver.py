@@ -29,9 +29,13 @@ fire the nodes in exactly the order a heap of ``(time, layer, column,
 guard)`` entries would pop them, and each node's guard is the first minimal
 of its three, as the heap's tie-break picks it.  The window is as wide as the
 delay model's own lower bound (``min_delay()``; the block draws' ``low``).  A
-model that reports none gets windows of exact ties, which is still exact.
-The sweep never assumes the bound: a queried delay below it (or one that
-does not advance its sender's firing time) raises :class:`ValueError`.
+model that reports none gets windows of exact ties, which is still exact, and
+so does a window whose ``T + d-`` rounds back to ``T``.  The sweep never
+assumes the bound: it checks that every message lands at or after the end of
+the window it was sent from, the one condition the argument needs, and raises
+:class:`ValueError` when one does not (a delay below ``min_delay()``, or one
+too small to move a firing time that large), as it does for a non-finite
+delay.
 
 The solver is the engine of the large single-pulse statistical sweeps
 (Tables 1-2, Figs. 8-16), while the discrete-event simulator in
@@ -445,20 +449,18 @@ class _BatchSweep:
     Run ``r`` owns the global node ids ``r * n .. r * n + n - 1`` and the
     arrival slots ``4 * id .. 4 * id + 3``, so one flat array holds each
     quantity of every run and one step's selection of all runs is one index
-    array, grouped by run.  Row gathers use ``take``, which is several times
-    cheaper than fancy indexing on the small selections of one step.
+    array, grouped by run.  A batch of one takes the same path.  Row gathers
+    use ``take``, which is several times cheaper than fancy indexing on the
+    small selections of one step.
     """
 
     def __init__(self, plan: SolverPlan, runs: Sequence[_Run], byzantine_high_time: float):
         size, n = len(runs), plan.num_nodes
         self.plan, self.runs, self.size, self.n = plan, runs, size, n
         self.byzantine_high_time = byzantine_high_time
-        if size == 1:
-            self.links = runs[0].links
-        else:
-            # Run-local slots, in the narrowest type that holds them.
-            local = np.int16 if 4 * n <= np.iinfo(np.int16).max else np.int32
-            self.links = np.concatenate([run.links for run in runs]).astype(local)
+        # Run-local slots, in the narrowest type that holds them.
+        local = np.int16 if 4 * n <= np.iinfo(np.int16).max else np.int32
+        self.links = np.concatenate([run.links for run in runs]).astype(local)
         # Links of each node, for the repeat of its firing time.
         self.senders = (self.links >= 0).sum(axis=1, dtype=np.uint8)
         self.arrival = np.full(4 * n * size, math.inf)
@@ -481,10 +483,9 @@ class _BatchSweep:
                 for run, bounds in zip(runs, self.block_bounds)
             ]
         )
-        self.ties = self.low <= 0
         self.per_link = np.array([bounds is None for bounds in self.block_bounds])
+        self.delay_of = [run.delays.delay for run in runs]
         self.any_per_link = bool(self.per_link.any())
-        self.any_block = not self.per_link.all()
         # Block draws of all runs in one pool: run r's block is the
         # ``block_size[r]`` draws from ``block_start[r]`` on, and its next
         # delay is ``pool[block_next[r]]``.
@@ -503,41 +504,26 @@ class _BatchSweep:
         )
         times = np.concatenate([run.layer0[list(run.sources)] for run in runs])
         # Sources fire first, in column order, whatever their times.
-        self._fire(sources, times, np.full(self.size, -math.inf))
+        self._fire(sources, times, sources // n, np.full(self.size, -math.inf))
         candidate, smallest = self.candidate, np.minimum.reduce
-        if self.size == 1:
-            low, ties = float(self.low[0]), bool(self.ties[0])
-            limits = np.empty(1)
-            while True:
-                start = smallest(candidate)
-                if start == math.inf:
-                    break
-                limit = np.nextafter(start, math.inf) if ties else start + low
-                chosen = (candidate < limit).nonzero()[0]
-                times = candidate[chosen]
-                if len(chosen) > 1:
-                    by_time = times.argsort(kind="stable")
-                    chosen, times = chosen[by_time], times[by_time]
-                limits[0] = limit
-                self._fire(chosen, times, limits)
-            return
         rows = candidate.reshape(self.size, n)
         while True:
             starts = smallest(rows, axis=1)
-            if smallest(starts) == math.inf:
-                break
-            limits = starts + self.low
-            if self.ties.any():
-                limits = np.where(self.ties, np.nextafter(starts, math.inf), limits)
+            # Each run's window ends at ``start + low``, and holds at least
+            # the ties at ``start`` (``low`` is 0, or the sum rounds back to
+            # ``start``).  A finished run's window is empty.
+            limits = np.maximum(starts + self.low, np.nextafter(starts, math.inf))
             chosen = (rows < limits[:, None]).ravel().nonzero()[0]
+            if not len(chosen):
+                break
             times = candidate[chosen]
+            # By run, then time; ties keep the index order of ``nonzero``.
             by_time = np.lexsort((times, chosen // n))
-            self._fire(chosen[by_time], times[by_time], limits)
+            chosen = chosen[by_time]
+            self._fire(chosen, times[by_time], chosen // n, limits)
 
     def _read_blocks(self) -> None:
         """Read each block run's draws, one per link it may query."""
-        if not self.any_block:
-            return
         n = self.n
         sizes = np.array(
             [
@@ -567,28 +553,27 @@ class _BatchSweep:
             self.arrival[landed] = self.byzantine_high_time
             self._update(landed >> 2)
 
-    def _fire(self, chosen: np.ndarray, times: np.ndarray, limits: np.ndarray) -> None:
-        """Fire ``chosen`` (global ids, in firing order) at ``times``.
+    def _fire(
+        self, chosen: np.ndarray, times: np.ndarray, owner: np.ndarray, limits: np.ndarray
+    ) -> None:
+        """Fire ``chosen`` (global ids of runs ``owner``, in firing order) at ``times``.
 
         ``limits`` holds each run's window end: every arrival the firing
         sends must land at or after it.
         """
         self.candidate[chosen] = math.inf
         self.fired[chosen] = True
-        rows = self.links.take(chosen, axis=0)
-        if self.size > 1:
-            # Run-local slots to global ones.
-            present = rows >= 0
-            rows = rows + 4 * (chosen - chosen % self.n)[:, None]
-            slots = rows[present]
-        else:
-            rows = rows.ravel()
-            slots = rows.compress(rows >= 0)
-        if len(slots):
+        rows = self.links.take(chosen, axis=0).ravel()
+        local = rows.compress(rows >= 0)
+        if len(local):
             senders = self.senders[chosen]
-            fire = times.repeat(senders)
+            link_run = owner.repeat(senders)
+            # Run-local slots to global ones.
+            slots = local + (4 * self.n) * link_run
             destinations = slots >> 2
-            self.arrival[slots] = self._arrivals(chosen, senders, slots, destinations, fire, limits)
+            self.arrival[slots] = self._arrivals(
+                chosen, senders, link_run, destinations, times.repeat(senders), limits
+            )
             self._update(destinations)
 
     def _update(self, nodes: np.ndarray) -> None:
@@ -608,86 +593,73 @@ class _BatchSweep:
         self,
         chosen: np.ndarray,
         senders: np.ndarray,
-        slots: np.ndarray,
+        link_run: np.ndarray,
         destinations: np.ndarray,
         fire: np.ndarray,
         limits: np.ndarray,
     ) -> np.ndarray:
-        """The arrival times of the messages on ``slots``, sent at ``fire``."""
-        count = len(slots)
-        if self.size == 1:
-            if self.any_per_link:
-                return self._query(None, chosen.repeat(senders), destinations, fire, limits)
+        """The arrival times of the messages that ``chosen`` (``senders``
+        links each, of runs ``link_run``) send to ``destinations`` at ``fire``.
+
+        Each must land at or after its run's window end in ``limits``, which
+        is what makes the window's firings final.
+        """
+        if not len(self.pool):
+            delays = self._query(link_run, chosen.repeat(senders), destinations)
+        elif self.size == 1:
+            # A lone block run takes its next draws in order (a slice: about
+            # a fifth off a 50x20 batch of one against the cursors below).
             start = self.block_next[0]
-            self.block_next[0] = start + count
-            return fire + self.pool[start : start + count]
-        link_run = slots // (4 * self.n)
-        per_run = np.bincount(link_run, minlength=self.size)
-        first = np.cumsum(per_run) - per_run
-        positions = np.arange(count) + (self.block_next - first)[link_run]
-        self.block_next += per_run
-        if not self.any_per_link:
-            return fire + self.pool[positions]
-        # Runs without a block keep a cursor too; their positions are clipped
-        # garbage, overwritten below.
-        arrivals = fire + self.pool.take(positions, mode="clip") if len(self.pool) else fire.copy()
-        picked = (self.per_link[link_run]).nonzero()[0]
-        if len(picked):
-            arrivals[picked] = self._query(
-                link_run[picked],
-                chosen.repeat(senders)[picked],
-                destinations[picked],
-                fire[picked],
-                limits,
-            )
-        return arrivals
+            self.block_next[0] = start + len(fire)
+            delays = self.pool[start : start + len(fire)]
+        else:
+            per_run = np.bincount(link_run, minlength=self.size)
+            first = np.cumsum(per_run) - per_run
+            positions = np.arange(len(fire)) + (self.block_next - first)[link_run]
+            self.block_next += per_run
+            # Runs without a block keep a cursor too; their positions are
+            # clipped garbage, overwritten below.
+            delays = self.pool.take(positions, mode="clip")
+            if self.any_per_link:
+                picked = self.per_link[link_run].nonzero()[0]
+                if len(picked):
+                    delays[picked] = self._query(
+                        link_run[picked], chosen.repeat(senders)[picked], destinations[picked]
+                    )
+        arrivals = fire + delays
+        limit = limits[link_run]
+        if (arrivals >= limit).all():
+            return arrivals
+        bad = int((arrivals < limit).nonzero()[0][0])
+        nodes, n, source = self.plan.nodes, self.n, chosen.repeat(senders)[bad]
+        raise ValueError(
+            f"a delay of {delays[bad]!r} on link {nodes[source % n]} -> "
+            f"{nodes[destinations[bad] % n]} lands inside the sweep window that ends "
+            f"at {limit[bad]!r}: the sweep needs delays of at least the model's "
+            "min_delay() that advance their sender's firing time"
+        )
 
     def _query(
-        self,
-        link_run: Optional[np.ndarray],
-        sources: np.ndarray,
-        destinations: np.ndarray,
-        fire: np.ndarray,
-        limits: np.ndarray,
+        self, link_run: np.ndarray, sources: np.ndarray, destinations: np.ndarray
     ) -> np.ndarray:
-        """Ask the delay models link by link; check them and return the arrivals.
-
-        ``link_run`` names each link's run; ``None`` in a batch of one.
-        """
-        n, nodes = self.n, self.plan.nodes
-        if link_run is None:
-            delay, uniform = self.runs[0].delays.delay, self.uniforms[0]
-            answers = [
-                delay(nodes[source], nodes[destination], uniform)
-                for source, destination in zip(sources.tolist(), destinations.tolist())
-            ]
-            low, limit = self.low[0], limits[0]
-        else:
-            runs, uniforms = self.runs, self.uniforms
-            answers = [
-                runs[index].delays.delay(nodes[source], nodes[destination], uniforms[index])
+        """Ask the delay models link by link; return the (finite) delays."""
+        n, nodes, models, uniforms = self.n, self.plan.nodes, self.delay_of, self.uniforms
+        delays = np.array(
+            [
+                models[index](nodes[source], nodes[destination], uniforms[index])
                 for index, source, destination in zip(
                     link_run.tolist(), (sources % n).tolist(), (destinations % n).tolist()
                 )
-            ]
-            low, limit = self.low[link_run], limits[link_run]
-        values = np.array(answers, dtype=float)
-        arrivals = fire + values
-        if link_run is None:
-            # A delay of at least ``low`` > 0 lands at or after the window
-            # end by itself; a window of ties needs each arrival after it.
-            fine = values.min() >= low if low > 0 else arrivals.min() >= limit
-        else:
-            fine = (values >= low).all() and (arrivals >= limit).all()
-        if fine and arrivals.max() < math.inf:
-            return arrivals
-        bad = int((~((values >= low) & (arrivals >= limit) & (values < math.inf))).nonzero()[0][0])
+            ],
+            dtype=float,
+        )
+        if delays.max() < math.inf:
+            return delays
+        bad = int((~(delays < math.inf)).nonzero()[0][0])
         raise ValueError(
-            f"delay model returned {values[bad]!r} for link "
-            f"{nodes[sources[bad] % n]} -> {nodes[destinations[bad] % n]}: the sweep "
-            f"needs finite delays of at least the model's min_delay() "
-            f"({np.broadcast_to(low, values.shape)[bad]!r}) that advance the "
-            "sender's firing time"
+            f"delay model returned {delays[bad]!r} for link "
+            f"{nodes[sources[bad] % n]} -> {nodes[destinations[bad] % n]}: "
+            "the sweep needs finite delays"
         )
 
     def rewind(self) -> None:

@@ -25,6 +25,7 @@ analytic bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -81,6 +82,13 @@ class WorstCaseConstruction:
     reference_fault_model: Optional[FaultModel] = None
 
 
+@lru_cache(maxsize=8)
+def _grid(layers: int, width: int) -> HexGrid:
+    """The construction's grid, built once per size: grids are immutable,
+    and building one's neighbour tables costs more than solving it."""
+    return HexGrid(layers=layers, width=width)
+
+
 def fig5_worst_case_wave(
     timing: TimingConfig,
     layers: int = 16,
@@ -133,7 +141,7 @@ def fig5_worst_case_wave(
         raise ValueError("need 0 < fast_column < barrier_column")
     if barrier_column >= width:
         raise ValueError("barrier_column must lie inside the grid")
-    grid = HexGrid(layers=layers, width=width)
+    grid = _grid(layers, width)
 
     late_start = layers * timing.d_min + timing.d_max
     layer0_times = np.zeros(width, dtype=float)
@@ -189,7 +197,7 @@ def fig17_single_byzantine_worst_case(
         the fault's neighbourhood.  Defaults to the column diametrically
         opposite the fault.
     """
-    grid = HexGrid(layers=layers, width=width)
+    grid = _grid(layers, width)
     if fault_column is None:
         fault_column = width // 2
     if barrier_column is None:

@@ -2,12 +2,14 @@
 
 Every path runs the one window sweep of :mod:`repro.core.pulse_solver`,
 faulty or not.  :meth:`SolverEngine.run_batch` sweeps the specs of one grid
-together, in lock-step sub-batches of up to :data:`SWEEP_NODES` nodes
+together, in lock step
 (:func:`~repro.core.pulse_solver.solve_pulse_batch`);
 :meth:`SolverEngine.run` and the explicit-input
 :meth:`SolverEngine.single_pulse` are batches of one.  Each spec draws its
-inputs from its own generator just before its sub-batch runs, so a result
-does not depend on the batch it ran in.
+inputs from its own generator just before its grid's sweep runs, so a result
+does not depend on the batch it ran in.  The sweep holds the state of all of
+a grid's specs at once; the campaign runner passes at most
+:data:`~repro.campaign.runner.BATCH_SIZE` specs per call.
 
 Draw order (the reproducibility contract, identical to the historical
 per-run single-pulse body): layer-0 firing times, then fault
@@ -45,13 +47,7 @@ from repro.faults.placement import build_fault_model
 from repro.simulation.links import DelayModel, UniformRandomDelays
 from repro.simulation.network import TimerPolicy
 
-__all__ = ["SWEEP_NODES", "SolverEngine"]
-
-#: Most nodes (runs x grid nodes) one lock-step sweep of ``run_batch``
-#: holds; larger groups of same-grid specs are swept in sub-batches.  A run
-#: keeps about 90 bytes of sweep state per node, so a sub-batch stays near
-#: 3 MB: 32 runs of a 50x20 grid, a campaign chunk.
-SWEEP_NODES = 32768
+__all__ = ["SolverEngine"]
 
 
 def _record_solver_work(solution) -> None:
@@ -100,8 +96,8 @@ class SolverEngine:
         Bit-identical to ``[run(spec) for spec in specs]`` (pinned by the
         test suite).  Specs with equal ``(topology, layers, width)`` share
         one grid, its compiled :class:`~repro.core.pulse_solver.SolverPlan`
-        and, up to :data:`SWEEP_NODES` nodes at a time, one lock-step sweep
-        of :func:`~repro.core.pulse_solver.solve_pulse_batch`.  Each spec draws
+        and one lock-step sweep of
+        :func:`~repro.core.pulse_solver.solve_pulse_batch`.  Each spec draws
         from its own generator, and grids and plans consume no randomness,
         so the grouping cannot perturb seeded draws.
         """
@@ -113,14 +109,10 @@ class SolverEngine:
                 groups.setdefault(batch_key(spec), []).append(index)
             results: List[Optional[RunResult]] = [None] * len(specs)
             for key, indices in groups.items():
-                grid = shared_grid(*key)
-                size = max(1, SWEEP_NODES // grid.num_nodes)
-                for start in range(0, len(indices), size):
-                    chunk = indices[start : start + size]
-                    group = [specs[index] for index in chunk]
-                    solved = self._solve(grid, group, [spec.rng() for spec in group])
-                    for index, result in zip(chunk, solved):
-                        results[index] = result
+                group = [specs[index] for index in indices]
+                solved = self._solve(shared_grid(*key), group, [spec.rng() for spec in group])
+                for index, result in zip(indices, solved):
+                    results[index] = result
             return results  # type: ignore[return-value]
 
     def _check(self, spec: RunSpec) -> None:
@@ -136,7 +128,7 @@ class SolverEngine:
     ) -> List[RunResult]:
         """Draw the inputs of ``specs`` on ``grid`` and sweep them together.
 
-        The delay models exist only while this sub-batch runs.
+        The delay models exist only while this sweep runs.
         """
         timings, runs = [], []
         for spec, generator in zip(specs, generators):

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis.skew import inter_layer_skews, intra_layer_skews
 from repro.core.parameters import TimingConfig
-from repro.core.pulse_solver import PulseSolution, solve_single_pulse
+from repro.core.pulse_solver import PulseRun, PulseSolution, solve_pulse_batch
 from repro.core.worstcase import WorstCaseConstruction, fig17_single_byzantine_worst_case
 from repro.experiments.report import format_kv
 
@@ -59,17 +59,13 @@ def run(timing: Optional[TimingConfig] = None) -> Fig17Result:
     construction = fig17_single_byzantine_worst_case(timing)
     grid = construction.grid
 
-    with_fault = solve_single_pulse(
+    # Both runs in one lock-step sweep: the table delays draw nothing.
+    with_fault, without_fault = solve_pulse_batch(
         grid,
-        construction.layer0_times,
-        construction.delays,
-        fault_model=construction.fault_model,
-    )
-    without_fault = solve_single_pulse(
-        grid,
-        construction.layer0_times,
-        construction.delays,
-        fault_model=construction.reference_fault_model,
+        [
+            PulseRun(construction.layer0_times, construction.delays, fault_model)
+            for fault_model in (construction.fault_model, construction.reference_fault_model)
+        ],
     )
 
     # Restrict the measurement to a window of columns around the fault: the

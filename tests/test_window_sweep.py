@@ -203,6 +203,33 @@ class TestWindowEdges:
         with pytest.raises(ValueError, match="min_delay"):
             solve_single_pulse(HexGrid(layers=5, width=5), np.zeros(5), Lying(2.0))
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_delays_that_round_away_raise_instead_of_looping(self, batched):
+        """``100 + 1e-15`` is 100: the window of ties at 100 gets messages that
+        land inside it, which the sweep cannot order."""
+        grid = HexGrid(layers=4, width=5)
+        runs = [PulseRun(np.full(grid.width, 100.0), ConstantDelays(1e-15))]
+        if batched:
+            runs.append(PulseRun(np.zeros(grid.width), ConstantDelays(1.0)))
+        with pytest.raises(ValueError, match="advance"):
+            solve_pulse_batch(grid, runs)
+
+    def test_firing_times_too_large_for_the_block_draws_raise(self):
+        grid = HexGrid(layers=4, width=5)
+        delays = UniformRandomDelays(TIMING, np.random.default_rng(1))
+        assert delays.block_draw_bounds() is not None
+        with pytest.raises(ValueError, match="advance"):
+            # The spacing of doubles at 2**60 is 256: every delay rounds away.
+            solve_single_pulse(grid, np.full(grid.width, 2.0**60), delays)
+
+    def test_tiny_delays_that_still_advance_match_the_heap(self):
+        grid = HexGrid(layers=6, width=5)
+        ours, theirs = _LoggedConstant(1e-15), _LoggedConstant(1e-15)
+        solution = solve_single_pulse(grid, np.zeros(grid.width), ours)
+        reference = heap_solve_single_pulse(grid, np.zeros(grid.width), theirs)
+        _assert_same(solution, ours, reference, theirs)
+        assert ours.queries == theirs.queries
+
     def test_runs_of_a_batch_must_not_share_a_generator(self):
         grid = HexGrid(layers=3, width=4)
         rng = np.random.default_rng(1)
@@ -300,6 +327,20 @@ class TestRunBatchComposition:
                 for result in engine.run_batch(specs[start : start + size])
             ]
             assert batched == alone
+
+    def test_same_grid_specs_share_one_lock_step_sweep(self, monkeypatch):
+        import repro.engines.solver as solver_engine
+
+        sizes = []
+        sweep = solver_engine.solve_pulse_batch
+
+        def counted(grid, runs, *args, **kwargs):
+            sizes.append(len(runs))
+            return sweep(grid, runs, *args, **kwargs)
+
+        monkeypatch.setattr(solver_engine, "solve_pulse_batch", counted)
+        get_engine("solver").run_batch(_specs(12) + _specs(3, width=8) + _specs(4)[2:])
+        assert sorted(sizes) == [3, 14]
 
     def test_a_chunk_mixing_grids_and_delay_models(self):
         engine = get_engine("solver")

@@ -32,10 +32,10 @@ delay model's own lower bound (``min_delay()``; the block draws' ``low``).  A
 model that reports none gets windows of exact ties, which is still exact, and
 so does a window whose ``T + d-`` rounds back to ``T``.  The sweep never
 assumes the bound: it checks that every message lands at or after the end of
-the window it was sent from, the one condition the argument needs, and raises
-:class:`ValueError` when one does not (a delay below ``min_delay()``, or one
-too small to move a firing time that large), as it does for a non-finite
-delay.
+the window it was sent from, the one condition the argument needs (a delay
+too small to move a firing time that large fails it), and that every delay
+a model answers is finite and at least its ``min_delay()``; a violation
+raises :class:`ValueError`.
 
 The solver is the engine of the large single-pulse statistical sweeps
 (Tables 1-2, Figs. 8-16), while the discrete-event simulator in
@@ -642,7 +642,8 @@ class _BatchSweep:
     def _query(
         self, link_run: np.ndarray, sources: np.ndarray, destinations: np.ndarray
     ) -> np.ndarray:
-        """Ask the delay models link by link; return the (finite) delays."""
+        """Ask the delay models link by link; return the delays, each finite
+        and at least its model's ``min_delay()``."""
         n, nodes, models, uniforms = self.n, self.plan.nodes, self.delay_of, self.uniforms
         delays = np.array(
             [
@@ -653,13 +654,15 @@ class _BatchSweep:
             ],
             dtype=float,
         )
-        if delays.max() < math.inf:
+        low = self.low[link_run]
+        fine = (delays >= low) & (delays < math.inf)
+        if fine.all():
             return delays
-        bad = int((~(delays < math.inf)).nonzero()[0][0])
+        bad = int((~fine).nonzero()[0][0])
         raise ValueError(
             f"delay model returned {delays[bad]!r} for link "
-            f"{nodes[sources[bad] % n]} -> {nodes[destinations[bad] % n]}: "
-            "the sweep needs finite delays"
+            f"{nodes[sources[bad] % n]} -> {nodes[destinations[bad] % n]}: the sweep "
+            f"needs finite delays of at least the model's min_delay() ({low[bad]!r})"
         )
 
     def rewind(self) -> None:

@@ -85,7 +85,8 @@ class DelayModel(abc.ABC):
 
         The solver's sweep fires every node whose candidate lies within this
         bound of the earliest one in one step, so a larger bound means fewer
-        steps.  The sweep checks every delay against it.
+        steps.  The sweep does not trust it: a delay below it, or a message
+        that lands inside the window it was sent from, raises an error.
         """
         return None
 

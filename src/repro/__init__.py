@@ -79,75 +79,17 @@ a :class:`~repro.engines.base.RunSpec` and hand it to a registered engine
 >>> result = get_engine("solver").run(spec)
 >>> result.trigger_times.shape
 (11, 8)
+
+Importing the package loads only the grid and timing types re-exported
+here; every subsystem is imported where it is used, so a ``hex-repro`` verb
+loads the modules it runs and no others.
 """
 
 from __future__ import annotations
 
-from repro.analysis.skew import SkewStatistics, inter_layer_skews, intra_layer_skews
-from repro.core.bounds import (
-    corollary1_intra_layer_bound,
-    lemma3_skew_potential_bound,
-    lemma4_intra_layer_bound,
-    lemma5_pulse_skew_bound,
-    theorem1_intra_layer_bound,
-)
-from repro.core.parameters import TimeoutConfig, TimingConfig, condition2_timeouts
-from repro.core.pulse_solver import PulseSolution, solve_single_pulse
-from repro.core.topology import Direction, HexGrid, LinkId, NodeId
-from repro.engines import (
-    Engine,
-    EngineCapabilities,
-    RunResult,
-    RunSpec,
-    available_engines,
-    get_engine,
-    register_engine,
-)
-from repro.faults.models import FaultModel, FaultType
-from repro.faults.placement import check_condition1, place_faults
-from repro.topologies import (
-    Topology,
-    available_topologies,
-    build_topology,
-    get_topology,
-    register_topology,
-)
+from repro.core.parameters import TimingConfig
+from repro.core.topology import HexGrid
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "HexGrid",
-    "NodeId",
-    "LinkId",
-    "Direction",
-    "TimingConfig",
-    "TimeoutConfig",
-    "condition2_timeouts",
-    "solve_single_pulse",
-    "PulseSolution",
-    "theorem1_intra_layer_bound",
-    "lemma3_skew_potential_bound",
-    "lemma4_intra_layer_bound",
-    "corollary1_intra_layer_bound",
-    "lemma5_pulse_skew_bound",
-    "Engine",
-    "EngineCapabilities",
-    "RunSpec",
-    "RunResult",
-    "available_engines",
-    "get_engine",
-    "register_engine",
-    "SkewStatistics",
-    "intra_layer_skews",
-    "inter_layer_skews",
-    "FaultModel",
-    "FaultType",
-    "place_faults",
-    "check_condition1",
-    "Topology",
-    "available_topologies",
-    "build_topology",
-    "get_topology",
-    "register_topology",
-    "__version__",
-]
+__all__ = ["HexGrid", "TimingConfig", "__version__"]

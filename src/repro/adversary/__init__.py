@@ -23,31 +23,6 @@ them natively while the solver and clock-tree backends reject them early with
 a capability error (see ``EngineCapabilities.supports_fault_schedules``).
 """
 
-from repro.adversary.delays import BiasedLinkDelays, MaxSkewDelays
-from repro.adversary.runtime import (
-    FlipBehavior,
-    HealNode,
-    InjectFault,
-    ScheduledAdversary,
-    SetLinkBehavior,
-)
-from repro.adversary.schedule import (
-    BUILTIN_GENERATORS,
-    DIRECTIVE_KINDS,
-    FaultDirective,
-    FaultSchedule,
-)
+from repro.adversary.schedule import FaultSchedule
 
-__all__ = [
-    "BUILTIN_GENERATORS",
-    "DIRECTIVE_KINDS",
-    "FaultDirective",
-    "FaultSchedule",
-    "ScheduledAdversary",
-    "InjectFault",
-    "HealNode",
-    "FlipBehavior",
-    "SetLinkBehavior",
-    "MaxSkewDelays",
-    "BiasedLinkDelays",
-]
+__all__ = ["FaultSchedule"]

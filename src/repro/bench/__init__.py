@@ -23,7 +23,6 @@ from repro.bench.compare import (
     EXIT_MISSING_BASELINE,
     EXIT_OK,
     EXIT_REGRESSION,
-    CompareReport,
     compare_payloads,
     load_baseline,
 )
@@ -36,10 +35,8 @@ from repro.bench.registry import (
     unregister_case,
 )
 from repro.bench.runner import (
-    SCHEMA_VERSION,
-    SUITE_SCHEMA,
-    CaseResult,
     bench_output_dir,
+    failed_checks,
     run_case,
     run_suites,
     suite_filename,
@@ -49,10 +46,6 @@ from repro.bench.stats import robust_stats
 __all__ = [
     "BenchCase",
     "BenchSettings",
-    "CaseResult",
-    "CompareReport",
-    "SCHEMA_VERSION",
-    "SUITE_SCHEMA",
     "EXIT_OK",
     "EXIT_REGRESSION",
     "EXIT_MISSING_BASELINE",
@@ -60,6 +53,7 @@ __all__ = [
     "bench_output_dir",
     "cases_in_suite",
     "compare_payloads",
+    "failed_checks",
     "get_case",
     "load_baseline",
     "load_builtin_suites",

@@ -3,7 +3,9 @@
 Each suite that runs writes one schema-versioned ``BENCH_<suite>.json``
 payload (``hex-repro/bench-suite/v1``) into the directory resolved by
 :func:`bench_output_dir`: the CLI's ``--out``, else the current working
-directory.
+directory.  A case whose shape check fails is recorded with a
+``check_failed`` message in its suite's payload (see
+:func:`failed_checks`); the remaining cases and suites still run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "suite_filename",
     "run_case",
     "run_suites",
+    "failed_checks",
 ]
 
 #: Schema tag of one suite's payload.
@@ -63,6 +66,9 @@ class CaseResult:
     #: ``repro.obs`` counter deltas over the timed repeats; populated only
     #: when the process runs with metrics enabled (``bench --metrics``).
     metrics: Dict[str, float] = field(default_factory=dict)
+    #: The failed shape check's message, or ``None`` when it passed or did
+    #: not run.
+    check_failed: Optional[str] = None
 
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-serializable record of this case."""
@@ -74,6 +80,8 @@ class CaseResult:
         }
         if self.metrics:
             payload["metrics"] = dict(self.metrics)
+        if self.check_failed is not None:
+            payload["check_failed"] = self.check_failed
         return payload
 
 
@@ -112,7 +120,9 @@ def run_case(
     The factory (and a case's :attr:`~BenchCase.work` counting run) runs
     outside the timed region; the workload runs
     ``case.effective_repeats(settings)`` times.  The check and the info
-    extractor see the last repeat's return value.
+    extractor see the last repeat's return value.  A failing check (an
+    ``AssertionError``) is kept in :attr:`CaseResult.check_failed` instead of
+    propagating, so the caller can still write and compare the timings.
 
     When the process runs with ``repro.obs`` metrics enabled, the counter
     deltas accumulated across the timed repeats are captured into
@@ -139,13 +149,24 @@ def run_case(
         if registry is not None
         else {}
     )
+    check_failed = None
     if check and case.checks_under(settings):
-        case.check(result, settings)
+        try:
+            case.check(result, settings)
+        except AssertionError as error:
+            check_failed = str(error) or "assertion failed"
     info = case.info(result, settings) if case.info is not None else {}
     stats = robust_stats(times)
     if work:
         info[f"ns_per_{case.work[1]}"] = round(stats["median_s"] / work * 1e9, 1)
-    return CaseResult(case=case, times_s=times, stats=stats, info=info, metrics=metrics)
+    return CaseResult(
+        case=case,
+        times_s=times,
+        stats=stats,
+        info=info,
+        metrics=metrics,
+        check_failed=check_failed,
+    )
 
 
 def _suite_payload(
@@ -176,7 +197,9 @@ def run_suites(
     """Run (a selection of) registered suites and write their artifacts.
 
     Returns the per-suite payloads keyed by suite name; each one lands on
-    disk as ``BENCH_<suite>.json``.
+    disk as ``BENCH_<suite>.json``.  A failed case check is logged and
+    recorded in its payload (:func:`failed_checks` lists them); it does not
+    stop the run.
     """
     load_builtin_suites()
     settings = settings if settings is not None else BenchSettings()
@@ -200,8 +223,20 @@ def run_suites(
                     f"[{suite}] {case.name}: median "
                     f"{result.stats['median_s']:.3f}s over {len(result.times_s)} repeat(s)"
                 )
+                if result.check_failed is not None:
+                    log(f"[{suite}] {case.name}: check FAILED: {result.check_failed}")
             results.append(result)
         payload = _suite_payload(suite, results, settings)
         payloads[suite] = payload
         _write_json(out_dir / suite_filename(suite), payload)
     return payloads
+
+
+def failed_checks(payloads: Dict[str, Dict[str, Any]]) -> List[str]:
+    """``suite/case`` names of the cases whose shape check failed."""
+    return [
+        f"{suite}/{name}"
+        for suite, payload in payloads.items()
+        for name, case in payload["cases"].items()
+        if "check_failed" in case
+    ]

@@ -37,28 +37,17 @@ Quickstart
 
 from __future__ import annotations
 
-from repro.campaign.progress import ProgressReporter
-from repro.campaign.records import (
-    RunRecord,
-    group_by_point,
-    pooled_statistics,
-    stabilization_times,
-)
-from repro.campaign.runner import CampaignResult, CampaignRunner, execute_task_batch
-from repro.campaign.spec import CampaignSpec, RunTask, SweepSpec
+from repro.campaign.records import RunRecord, pooled_statistics
+from repro.campaign.runner import CampaignRunner, execute_task_batch
+from repro.campaign.spec import CampaignSpec, SweepSpec
 from repro.campaign.store import CampaignStore
 
 __all__ = [
     "CampaignSpec",
     "SweepSpec",
-    "RunTask",
     "RunRecord",
     "CampaignRunner",
-    "CampaignResult",
     "CampaignStore",
-    "ProgressReporter",
     "execute_task_batch",
     "pooled_statistics",
-    "group_by_point",
-    "stabilization_times",
 ]

@@ -44,7 +44,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.locality import inclusion_mask
 from repro.analysis.skew import SkewStatistics, collect_inter_values, collect_intra_values
 from repro.checks.schemas import schema
 from repro.core.topology import HexGrid, NodeId
@@ -344,6 +343,9 @@ def record_mask(record: RunRecord, hops: int = 0) -> Optional[np.ndarray]:
     """The inclusion mask of one record for a given fault-exclusion radius."""
     if not record.faulty_nodes:
         return None
+    # Aggregation-only dependency: loaded by the first faulty record pooled.
+    from repro.analysis.locality import inclusion_mask
+
     grid = record.make_grid()
     return inclusion_mask(grid, stand_in_fault_model(grid, record.faulty_nodes), hops=hops)
 

@@ -54,16 +54,12 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.skew import SkewStatistics
-from repro.analysis.stabilization import stabilization_time
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.records import RunRecord, group_by_point, pooled_statistics, stabilization_times
 from repro.campaign.spec import CampaignSpec, RunTask, task_key
 from repro.campaign.store import CampaignStore
-from repro.clocksource.scenarios import parse_scenario
-from repro.core.bounds import stable_skew_choice
+from repro.clocksource.scenarios import parse_scenario, scenario_layer0_spread
 from repro.engines import get_engine
-from repro.engines.des import scenario_layer0_spread
-from repro.stream import StreamingMoments, StreamingQuantiles
 
 __all__ = [
     "BATCH_SIZE",
@@ -102,6 +98,10 @@ def _record(task: RunTask, result) -> RunRecord:
             record.trigger_times = result.trigger_times
             record.layer0_times = result.layer0_times
         return record
+
+    # Stabilization analysis: only multi-pulse records load it.
+    from repro.analysis.stabilization import stabilization_time
+    from repro.core.bounds import stable_skew_choice
 
     grid = result.grid
     timing = result.timing
@@ -296,6 +296,8 @@ class CampaignResult:
         # (repro.stream).  exact_cap=None keeps the accumulator exact, so
         # total/median/p95 stay bit-identical to the historical
         # float(sum(...)) / np.median / np.percentile(..., 95) spellings.
+        from repro.stream import StreamingMoments, StreamingQuantiles
+
         moments = StreamingMoments()
         quantiles = StreamingQuantiles(exact_cap=None)
         for value in times:
@@ -372,7 +374,9 @@ class CampaignRunner:
 
     def _run(self) -> CampaignResult:
         start = time.perf_counter()
-        tasks = self.spec.tasks()
+        with obs.span("campaign.expand") as span:
+            tasks = self.spec.tasks()
+            span.set(tasks=len(tasks))
 
         cached: Dict[str, RunRecord] = {}
         if self.store is not None and self.resume:

@@ -36,11 +36,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.adversary.schedule import FaultSchedule
 from repro.clocksource.scenarios import Scenario
-from repro.core.parameters import TimingConfig
+from repro.core.parameters import TimerPolicy, TimingConfig
 from repro.engines import RunSpec, available_engines, get_engine
 from repro.engines.base import (
     DELAY_MODELS,
@@ -56,11 +55,13 @@ from repro.engines.base import (
     require_exactness,
 )
 from repro.faults.models import FaultType
-from repro.simulation.network import TimerPolicy
 from repro.topologies import DEFAULT_TOPOLOGY, TopologySpec, canonical_topology, validate_topology
 
+if TYPE_CHECKING:
+    # Loaded only by cells that sweep a fault schedule.
+    from repro.adversary.schedule import FaultSchedule
+
 __all__ = [
-    "ENGINES",
     "KINDS",
     "SweepSpec",
     "SweepPoint",
@@ -70,11 +71,6 @@ __all__ = [
     "canonical_json",
     "content_key",
 ]
-
-#: The execution engines registered at import time (see
-#: :func:`repro.engines.available_engines`; validation always consults the
-#: live registry, so engines registered later are accepted as well).
-ENGINES = available_engines()
 
 #: Supported workload kinds.
 KINDS = ("single_pulse", "multi_pulse")
@@ -109,7 +105,11 @@ def _as_tuple(value: Any) -> Tuple[Any, ...]:
 
 def _canonical_schedule(value: Any) -> Optional[FaultSchedule]:
     """Coerce one ``fault_schedule`` axis value (None / instance / JSON dict)."""
-    if value is None or isinstance(value, FaultSchedule):
+    if value is None:
+        return None
+    from repro.adversary.schedule import FaultSchedule
+
+    if isinstance(value, FaultSchedule):
         return value
     if isinstance(value, dict):
         return FaultSchedule.from_json_dict(value)

@@ -8,46 +8,15 @@ schema registry.  ``hex-repro check`` runs it; CI runs it as a blocking gate.
 
 Rule bodies live in their family modules and self-register on import;
 :func:`load_builtin_rules` imports them all (idempotently), mirroring
-``repro.bench.load_builtin_suites``.  :mod:`repro.checks.schemas` is the one
-runtime-facing piece: a dependency-free registry of artifact schema strings
-that every layer may import.
+``repro.bench.load_builtin_suites``.  The rule engine lives in
+:mod:`repro.checks.registry`, :mod:`repro.checks.source` and
+:mod:`repro.checks.findings`; this package imports none of them, because
+:mod:`repro.checks.schemas` is the one runtime-facing piece: a
+dependency-free registry of artifact schema strings that every layer may
+import.
 """
 
-from repro.checks.findings import SEVERITIES, Finding
-from repro.checks.registry import (
-    CheckContext,
-    CheckReport,
-    Rule,
-    available_rules,
-    default_root,
-    get_rule,
-    register_rule,
-    run_checks,
-    unregister_rule,
-)
-from repro.checks.schemas import SCHEMAS, schema
-from repro.checks.source import RuleVisitor, SourceModule, Waiver, scan_package
-
-__all__ = [
-    "SEVERITIES",
-    "Finding",
-    "Rule",
-    "CheckContext",
-    "CheckReport",
-    "register_rule",
-    "unregister_rule",
-    "get_rule",
-    "available_rules",
-    "run_checks",
-    "default_root",
-    "SCHEMAS",
-    "schema",
-    "RuleVisitor",
-    "SourceModule",
-    "Waiver",
-    "scan_package",
-    "load_builtin_rules",
-]
+__all__ = ["load_builtin_rules"]
 
 
 def load_builtin_rules() -> None:

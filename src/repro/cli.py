@@ -29,7 +29,9 @@ Subcommands
     schema-versioned ``BENCH_*.json`` artifacts, and optionally gate
     against committed baselines (``--compare`` / ``--tolerance``); the
     regression gate's exit codes are 0 (pass), 1 (regression) and 3
-    (missing/incomparable baseline).
+    (missing/incomparable baseline).  A failed case check is recorded in
+    its suite's JSON, the other suites and the comparison still run, and
+    the command exits 1 (unless the comparison already exits non-zero).
 ``soak [...]``
     Long-horizon streaming soak run (``repro.experiments.soak``): millions
     of pulses under continuous per-epoch fault churn, with bounded-memory
@@ -103,9 +105,10 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
+# Module level holds only the campaign layer that ``sweep``, ``simulate`` and
+# ``run`` share; every other subsystem is imported by the handler of the verb
+# that runs it, so start-up loads what the invoked verb executes.
 from repro import obs
-from repro.adversary.schedule import BUILTIN_GENERATORS, FaultSchedule
-from repro.analysis.skew import SkewStatistics
 from repro.campaign.records import pooled_statistics, stabilization_times
 from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.campaign.spec import CampaignSpec, SweepSpec
@@ -113,17 +116,7 @@ from repro.clocksource.scenarios import scenario_label
 from repro.core.topology import HexGrid
 from repro.engines import available_engines, get_engine
 from repro.engines.base import DELAY_MODELS
-from repro.experiments import EXPERIMENTS, load_experiment
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.report import format_kv, format_table
-from repro.experiments.single_pulse import run_scenario_set
 from repro.faults.models import FaultType
-from repro.topologies import (
-    available_topologies,
-    build_topology,
-    condition1_fault_capacity,
-    get_topology,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -667,7 +660,9 @@ def _observability(args: argparse.Namespace):
                 _LOGGER.info("%s -> %s (hex-repro trace summarize %s)", label, path, path)
 
 
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+def _experiment_config(args: argparse.Namespace):
+    from repro.experiments.config import ExperimentConfig
+
     if getattr(args, "paper", False):
         config = ExperimentConfig.paper()
     elif getattr(args, "quick", False):
@@ -684,6 +679,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _run_experiment(name: str, args: argparse.Namespace) -> str:
+    from repro.experiments import load_experiment
+
     try:
         module = load_experiment(name)
     except KeyError as error:
@@ -712,6 +709,8 @@ def _run_experiment(name: str, args: argparse.Namespace) -> str:
 
 
 def _cmd_list() -> int:
+    from repro.experiments import EXPERIMENTS, load_experiment
+
     print("Available experiments:")
     for name in sorted(EXPERIMENTS):
         module = load_experiment(name)
@@ -739,6 +738,13 @@ def _cmd_engines(args: argparse.Namespace) -> int:
 
 
 def _cmd_topologies(args: argparse.Namespace) -> int:
+    from repro.topologies import (
+        available_topologies,
+        build_topology,
+        condition1_fault_capacity,
+        get_topology,
+    )
+
     layers, width = args.layers, args.width
     entries = []
     for name in available_topologies():
@@ -793,6 +799,8 @@ def _cmd_topologies(args: argparse.Namespace) -> int:
 
 def _load_schedule_axis(path: str) -> tuple:
     """Load one schedule (object) or several (top-level list) from a JSON file."""
+    from repro.adversary.schedule import FaultSchedule
+
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if isinstance(payload, list):
@@ -804,6 +812,8 @@ def _load_schedule_axis(path: str) -> tuple:
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
     if args.action == "list":
+        from repro.adversary.schedule import BUILTIN_GENERATORS
+
         print("Built-in fault-schedule generators (repro.adversary.FaultSchedule):")
         for name, (_factory, description, example) in sorted(BUILTIN_GENERATORS.items()):
             print(f"  {name:18s} {description}")
@@ -880,19 +890,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"{len(payloads)} suite(s) in {settings.mode} mode -> {out_dir}")
     if args.metrics_out is not None:
         print(f"metrics -> {args.metrics_out}")
-    if args.compare is None:
-        return 0
-    baseline = bench.load_baseline(args.compare)
-    if args.suite:
-        # An explicit --suite selection is a deliberate subset: compare only
-        # the selected suites instead of flagging the rest as missing.
-        baseline = {suite: payload for suite, payload in baseline.items() if suite in args.suite}
-    report = bench.compare_payloads(payloads, baseline, tolerance_pct=args.tolerance)
-    print(report.render())
-    return report.exit_code()
+    code = 0
+    if args.compare is not None:
+        baseline = bench.load_baseline(args.compare)
+        if args.suite:
+            # An explicit --suite selection is a deliberate subset: compare
+            # only the selected suites instead of flagging the rest as missing.
+            baseline = {
+                suite: payload for suite, payload in baseline.items() if suite in args.suite
+            }
+        report = bench.compare_payloads(payloads, baseline, tolerance_pct=args.tolerance)
+        print(report.render())
+        code = report.exit_code()
+    failed = bench.failed_checks(payloads)
+    if failed:
+        print(f"{len(failed)} case check(s) failed: {', '.join(failed)}")
+        code = code or 1
+    return code
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS
+
     names: List[str]
     if args.experiment.lower() == "all":
         names = sorted(EXPERIMENTS)
@@ -907,6 +926,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.report import format_kv
+    from repro.experiments.single_pulse import run_scenario_set
+
     config = ExperimentConfig(
         layers=args.layers, width=args.width, runs=args.runs, seed=args.seed
     )
@@ -921,7 +944,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             topology=args.topology,
             workers=args.workers,
         )
-    stats: SkewStatistics = run_set.statistics()
+    stats = run_set.statistics()
     header = (
         f"{args.runs} runs on a {args.layers}x{args.width} {run_set.topology} grid, "
         f"scenario {scenario_label(args.scenario)}, "
@@ -991,6 +1014,8 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
 
 def _render_sweep_summary(result: CampaignResult) -> str:
     """Per-point summary table of a finished campaign."""
+    from repro.experiments.report import format_table
+
     single_rows: List[List[object]] = []
     multi_rows: List[List[object]] = []
     for (cell_index, point_index), records in result.grouped().items():
@@ -1043,18 +1068,20 @@ def _render_sweep_summary(result: CampaignResult) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _sweep_spec_from_args(args)
     store = args.store
     if store is None and args.resume:
         store = DEFAULT_STORE_DIR
-    runner = CampaignRunner(
-        spec,
-        workers=args.workers,
-        store=store,
-        resume=args.resume,
-        progress=not args.quiet,
-    )
     with _observability(args):
+        # Flags -> validated spec; validation imports the swept engines.
+        with obs.span("cli.parse"):
+            spec = _sweep_spec_from_args(args)
+        runner = CampaignRunner(
+            spec,
+            workers=args.workers,
+            store=store,
+            resume=args.resume,
+            progress=not args.quiet,
+        )
         result = runner.run()
 
     if args.out is not None:
@@ -1151,7 +1178,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     import json as json_module
     from pathlib import Path
 
-    from repro.checks import available_rules, load_builtin_rules, run_checks
+    from repro.checks import load_builtin_rules
+    from repro.checks.registry import available_rules, run_checks
 
     load_builtin_rules()
     if args.list_rules:

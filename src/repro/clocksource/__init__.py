@@ -15,21 +15,6 @@ Every run drives layer 0 from these scenarios; the layer-0 synchronizer
 itself (FATAL+, DARTS) is outside the model.
 """
 
-from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
-from repro.clocksource.scenarios import (
-    SCENARIOS,
-    Scenario,
-    scenario_label,
-    scenario_layer0_times,
-    scenario_skew_potential,
-)
+from repro.clocksource.scenarios import scenario_layer0_times
 
-__all__ = [
-    "SCENARIOS",
-    "Scenario",
-    "scenario_layer0_times",
-    "scenario_skew_potential",
-    "scenario_label",
-    "generate_pulse_schedule",
-    "PulseScheduleConfig",
-]
+__all__ = ["scenario_layer0_times"]

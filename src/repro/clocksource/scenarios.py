@@ -25,7 +25,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.bounds import skew_potential
 from repro.core.parameters import TimingConfig
 
 __all__ = [
@@ -33,6 +32,7 @@ __all__ = [
     "SCENARIOS",
     "parse_scenario",
     "scenario_layer0_times",
+    "scenario_layer0_spread",
     "scenario_skew_potential",
     "scenario_label",
 ]
@@ -165,6 +165,16 @@ def scenario_layer0_times(
     return times
 
 
+def scenario_layer0_spread(scenario: Scenario, width: int, timing: TimingConfig) -> float:
+    """Maximum layer-0 spread of a scenario (the C = 0 bound's ``t_max - t_min``)."""
+    return {
+        Scenario.ZERO: 0.0,
+        Scenario.UNIFORM_DMIN: timing.d_min,
+        Scenario.UNIFORM_DMAX: timing.d_max,
+        Scenario.RAMP: (width // 2) * timing.d_max,
+    }[scenario]
+
+
 def scenario_skew_potential(
     scenario: Union[Scenario, str],
     width: int,
@@ -179,5 +189,7 @@ def scenario_skew_potential(
     ``Delta_0 = 0`` for (i)/(ii), ``Delta_0 ~ eps`` for (iii) and
     ``Delta_0 ~ W eps / 2`` for (iv).
     """
+    from repro.core.bounds import skew_potential
+
     times = scenario_layer0_times(scenario, width, timing, rng=rng, seed=seed)
     return skew_potential(times, timing.d_min)

@@ -16,25 +16,3 @@ comparison can be *measured*:
 * :mod:`repro.clocktree.faults` -- sinks lost per broken buffer/wire.
 * :mod:`repro.clocktree.comparison` -- the HEX-vs-clock-tree scaling study.
 """
-
-from repro.clocktree.comparison import ScalingComparison, compare_scaling
-from repro.clocktree.delays import TreeDelayConfig, sample_element_delays
-from repro.clocktree.faults import robustness_report, sinks_lost_by_fault, subtree_sink_counts
-from repro.clocktree.htree import HTree, HTreeNode, build_htree
-from repro.clocktree.simulation import TreeSkewReport, sink_arrival_times, tree_skew_report
-
-__all__ = [
-    "HTree",
-    "HTreeNode",
-    "build_htree",
-    "TreeDelayConfig",
-    "sample_element_delays",
-    "sink_arrival_times",
-    "tree_skew_report",
-    "TreeSkewReport",
-    "subtree_sink_counts",
-    "sinks_lost_by_fault",
-    "robustness_report",
-    "ScalingComparison",
-    "compare_scaling",
-]

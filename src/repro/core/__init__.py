@@ -11,19 +11,3 @@ This subpackage contains the paper's primary contribution:
 * :mod:`repro.core.bounds` -- the worst-case skew bounds of Section 3.
 * :mod:`repro.core.worstcase` -- deterministic worst-case constructions (Figs. 5, 17).
 """
-
-from repro.core.parameters import TimeoutConfig, TimingConfig, condition2_timeouts
-from repro.core.pulse_solver import PulseSolution, solve_single_pulse
-from repro.core.topology import Direction, HexGrid, LinkId, NodeId
-
-__all__ = [
-    "HexGrid",
-    "NodeId",
-    "LinkId",
-    "Direction",
-    "TimingConfig",
-    "TimeoutConfig",
-    "condition2_timeouts",
-    "solve_single_pulse",
-    "PulseSolution",
-]

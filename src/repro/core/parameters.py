@@ -27,10 +27,14 @@ parameters of Section 3.3:
   stabilization experiments (Table 3) include a small additive slack accounting
   for the non-zero duration of the trigger signals in the VHDL implementation;
   the optional ``signal_duration`` argument reproduces this.
+
+:class:`TimerPolicy` says how concrete timer durations are drawn within
+those intervals.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -38,6 +42,7 @@ from typing import Optional
 __all__ = [
     "TimingConfig",
     "TimeoutConfig",
+    "TimerPolicy",
     "condition2_timeouts",
     "lambda0",
     "PAPER_SIGNAL_DURATION_NS",
@@ -173,6 +178,16 @@ def lambda0(layer: int, d_min: float, d_max: float) -> int:
     if layer < 0:
         raise ValueError(f"layer must be non-negative, got {layer}")
     return int(math.floor(layer * d_min / d_max))
+
+
+class TimerPolicy(enum.Enum):
+    """How concrete timer durations are chosen within their allowed intervals."""
+
+    #: Always use the lower bound (``T^-_link`` / ``T^-_sleep``): an ideal,
+    #: drift-free implementation.
+    NOMINAL = "nominal"
+    #: Draw uniformly from ``[T^-, T^+]``: models the clock drift ``theta``.
+    UNIFORM = "uniform"
 
 
 @dataclass(frozen=True)

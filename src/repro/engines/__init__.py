@@ -17,13 +17,16 @@ makes that choice a first-class object instead of a stringly-typed keyword:
   :func:`~repro.engines.registry.available_engines` -- the registry every
   dispatch site (simulation shims, campaign executor, CLI) goes through.
 
-Built-in engines: ``solver`` (:class:`SolverEngine`), ``des``
-(:class:`DesEngine`), ``clocktree`` (:class:`ClockTreeEngine`) and ``array``
-(:class:`ArrayEngine`, the dense numpy-frontier fast path for very large
-fault-free grids).  Each declares an *exactness contract* in its
-capabilities (:attr:`~repro.engines.base.EngineCapabilities.exactness`), so
-callers and tests derive agreement expectations from the contract instead of
-switching on engine names.
+Built-in engines: ``solver`` (:class:`~repro.engines.solver.SolverEngine`),
+``des`` (:class:`~repro.engines.des.DesEngine`), ``clocktree``
+(:class:`~repro.engines.clocktree.ClockTreeEngine`) and ``array``
+(:class:`~repro.engines.array.ArrayEngine`, the dense numpy-frontier fast
+path for very large fault-free grids).  The registry lists them by name and
+imports each engine's module on its first :func:`get_engine` call.  Each
+declares an *exactness contract* in its capabilities
+(:attr:`~repro.engines.base.EngineCapabilities.exactness`), so callers and
+tests derive agreement expectations from the contract instead of switching on
+engine names.
 
 >>> from repro.engines import RunSpec, get_engine
 >>> spec = RunSpec(kind="single_pulse", layers=10, width=8, scenario="iii",
@@ -35,52 +38,17 @@ True
 'bit_identical'
 """
 
-from repro.engines.array import ArrayEngine
-from repro.engines.base import (
-    DELAY_MODELS,
-    DETERMINISTIC_DELAY_MODELS,
-    EXACTNESS,
-    KINDS,
-    Engine,
-    EngineCapabilities,
-    RunResult,
-    RunSpec,
-    batch_key,
-    canonical_json,
-    content_key,
-    generic_run_batch,
-)
-from repro.engines.clocktree import ClockTreeEngine
-from repro.engines.des import DesEngine
+from repro.engines.base import Engine, EngineCapabilities, RunResult, RunSpec, generic_run_batch
 from repro.engines.registry import available_engines, get_engine, register_engine, unregister_engine
-from repro.engines.solver import SolverEngine
 
 __all__ = [
-    "KINDS",
-    "DELAY_MODELS",
-    "DETERMINISTIC_DELAY_MODELS",
-    "EXACTNESS",
     "Engine",
     "EngineCapabilities",
     "RunSpec",
     "RunResult",
-    "batch_key",
-    "canonical_json",
-    "content_key",
     "generic_run_batch",
     "register_engine",
     "unregister_engine",
     "get_engine",
     "available_engines",
-    "SolverEngine",
-    "DesEngine",
-    "ClockTreeEngine",
-    "ArrayEngine",
 ]
-
-# Built-in registrations.  ``replace=True`` keeps repeated imports (e.g. a
-# reloaded module in an interactive session) idempotent.
-register_engine(SolverEngine(), replace=True)
-register_engine(DesEngine(), replace=True)
-register_engine(ClockTreeEngine(), replace=True)
-register_engine(ArrayEngine(), replace=True)

@@ -74,7 +74,8 @@ from repro.engines.base import (
     validate_layer0,
 )
 from repro.simulation.links import ConstantDelays, DelayModel
-from repro.topologies import HexPatch, HexTorus
+from repro.topologies.patch import HexPatch
+from repro.topologies.torus import HexTorus
 
 __all__ = ["ArrayEngine", "ArrayPlan", "array_plan", "delay_envelope"]
 

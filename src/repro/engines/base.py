@@ -36,15 +36,23 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+    runtime_checkable,
+)
 
 import numpy as np
 
-from repro.adversary.delays import BiasedLinkDelays, MaxSkewDelays
-from repro.adversary.schedule import FaultSchedule
 from repro.clocksource.scenarios import Scenario, parse_scenario
-from repro.core.parameters import TimeoutConfig, TimingConfig
-from repro.core.pulse_solver import PulseSolution
+from repro.core.parameters import TimeoutConfig, TimerPolicy, TimingConfig
 from repro.core.topology import HexGrid, NodeId
 from repro.faults.models import FaultModel, FaultType
 from repro.simulation.links import (
@@ -53,7 +61,6 @@ from repro.simulation.links import (
     FreshUniformDelays,
     UniformRandomDelays,
 )
-from repro.simulation.network import TimerPolicy
 from repro.topologies import (
     DEFAULT_TOPOLOGY,
     TopologySpec,
@@ -61,6 +68,11 @@ from repro.topologies import (
     canonical_topology,
     validate_topology,
 )
+
+if TYPE_CHECKING:
+    # The adversary and solver modules load only for the specs that use them.
+    from repro.adversary.schedule import FaultSchedule
+    from repro.core.pulse_solver import PulseSolution
 
 __all__ = [
     "KINDS",
@@ -615,6 +627,8 @@ class RunSpec:
         coerce(self, "fixed_fault_positions", canonical_positions(self.fixed_fault_positions))
         coerce(self, "timeouts", canonical_timeouts(self.timeouts))
         if isinstance(self.fault_schedule, dict):
+            from repro.adversary.schedule import FaultSchedule
+
             coerce(self, "fault_schedule", FaultSchedule.from_json_dict(self.fault_schedule))
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
@@ -691,8 +705,12 @@ class RunSpec:
         if choice == "uniform":
             return UniformRandomDelays(timing, rng)
         if choice == "max_skew":
+            from repro.adversary.delays import MaxSkewDelays
+
             return MaxSkewDelays(timing, self.width)
         if choice == "biased":
+            from repro.adversary.delays import BiasedLinkDelays
+
             return BiasedLinkDelays(timing, rng)
         if choice == "constant":
             return ConstantDelays(timing.d_max)
@@ -736,7 +754,7 @@ class RunSpec:
             elif spec_field.name in ("fault_schedule", "initial_states"):
                 if value is None:
                     continue
-                if isinstance(value, FaultSchedule):
+                if spec_field.name == "fault_schedule":
                     value = value.to_json_dict()
             elif isinstance(value, tuple):
                 value = [list(item) if isinstance(item, tuple) else item for item in value]

@@ -23,9 +23,9 @@ import numpy as np
 from repro import obs
 from repro.adversary.runtime import ScheduledAdversary
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
-from repro.clocksource.scenarios import Scenario, scenario_layer0_times
+from repro.clocksource.scenarios import Scenario, scenario_layer0_spread, scenario_layer0_times
 from repro.core.bounds import lemma5_pulse_skew_bound
-from repro.core.parameters import TimeoutConfig, TimingConfig, condition2_timeouts
+from repro.core.parameters import TimeoutConfig, TimerPolicy, TimingConfig, condition2_timeouts
 from repro.core.topology import HexGrid, NodeId
 from repro.engines.base import (
     EngineCapabilities,
@@ -41,12 +41,11 @@ from repro.engines.base import (
 from repro.faults.models import FaultModel
 from repro.faults.placement import build_fault_model
 from repro.simulation.links import DelayModel, FreshUniformDelays, UniformRandomDelays
-from repro.simulation.network import HexNetwork, TimerPolicy
+from repro.simulation.network import HexNetwork
 
 __all__ = [
     "DesEngine",
     "single_pulse_default_timeouts",
-    "scenario_layer0_spread",
     "scenario_stabilization_timeouts",
 ]
 
@@ -80,16 +79,6 @@ def single_pulse_default_timeouts(
     )
 
 
-def scenario_layer0_spread(scenario: Scenario, width: int, timing: TimingConfig) -> float:
-    """Maximum layer-0 spread of a scenario (the C = 0 bound's ``t_max - t_min``)."""
-    return {
-        Scenario.ZERO: 0.0,
-        Scenario.UNIFORM_DMIN: timing.d_min,
-        Scenario.UNIFORM_DMAX: timing.d_max,
-        Scenario.RAMP: (width // 2) * timing.d_max,
-    }[scenario]
-
-
 def scenario_stabilization_timeouts(
     scenario: Scenario,
     width: int,
@@ -102,7 +91,7 @@ def scenario_stabilization_timeouts(
 
     The stable skew is the same sum as
     :func:`repro.core.bounds.lemma5_pulse_skew_bound` with the
-    :func:`scenario_layer0_spread` of ``scenario`` (which is what
+    :func:`~repro.clocksource.scenarios.scenario_layer0_spread` of ``scenario`` (which is what
     :func:`repro.experiments.stability.scenario_timeouts` computes), with
     ``extra_hops`` more ``d+`` terms.  ``extra_hops`` is the topology's
     lateral-trigger margin (see

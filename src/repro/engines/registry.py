@@ -1,21 +1,40 @@
 """The engine registry: name -> execution backend.
 
-Engines register themselves once (the built-ins at package import time) and
-are looked up by name everywhere an execution semantics is chosen -- the
-campaign executor, the experiments and the CLI all dispatch through
-:func:`get_engine`, so an unknown engine name fails early with a message
-listing the registered ones instead of deep inside a run body.
+The built-in engines are registered by name and module path and are
+instantiated on their first :func:`get_engine` call, so listing the
+registered names imports no engine module and a sweep loads only the
+engines it names.  Engines are looked up by name everywhere an execution
+semantics is chosen -- the campaign executor, the experiments and the CLI all
+dispatch through :func:`get_engine`, so an unknown engine name fails early
+with a message listing the registered ones instead of deep inside a run body.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import importlib
+from typing import Dict, Tuple, Union
 
 from repro.engines.base import Engine
 
-__all__ = ["register_engine", "unregister_engine", "get_engine", "available_engines"]
+__all__ = [
+    "BUILTIN_ENGINES",
+    "register_engine",
+    "unregister_engine",
+    "get_engine",
+    "available_engines",
+]
 
-_REGISTRY: Dict[str, Engine] = {}
+#: The built-in engines: name -> ``(module, class)`` of the backend.
+BUILTIN_ENGINES: Dict[str, Tuple[str, str]] = {
+    "array": ("repro.engines.array", "ArrayEngine"),
+    "clocktree": ("repro.engines.clocktree", "ClockTreeEngine"),
+    "des": ("repro.engines.des", "DesEngine"),
+    "solver": ("repro.engines.solver", "SolverEngine"),
+}
+
+#: Registered engines; a built-in stays a ``(module, class)`` pair until its
+#: first lookup.
+_REGISTRY: Dict[str, Union[Engine, Tuple[str, str]]] = dict(BUILTIN_ENGINES)
 
 
 def register_engine(engine: Engine, replace: bool = False) -> Engine:
@@ -56,7 +75,7 @@ def unregister_engine(name: str) -> None:
 
 
 def get_engine(name: str) -> Engine:
-    """Look up an execution backend by name.
+    """Look up an execution backend by name, importing a built-in on first use.
 
     Raises
     ------
@@ -66,14 +85,18 @@ def get_engine(name: str) -> Engine:
         value in the code base.
     """
     try:
-        return _REGISTRY[name]
+        entry = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown engine {name!r}; available engines: "
             f"{', '.join(available_engines()) or '(none registered)'}"
         ) from None
+    if isinstance(entry, tuple):
+        module, attribute = entry
+        entry = _REGISTRY[name] = getattr(importlib.import_module(module), attribute)()
+    return entry
 
 
 def available_engines() -> Tuple[str, ...]:
-    """The registered engine names, sorted."""
+    """The registered engine names, sorted (imports no engine module)."""
     return tuple(sorted(_REGISTRY))

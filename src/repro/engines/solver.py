@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import obs
 from repro.clocksource.scenarios import scenario_layer0_times
-from repro.core.parameters import TimeoutConfig, TimingConfig
+from repro.core.parameters import TimeoutConfig, TimerPolicy, TimingConfig
 from repro.core.pulse_solver import PulseRun, PulseSolution, solve_pulse_batch, solve_single_pulse
 from repro.core.topology import HexGrid
 from repro.engines.base import (
@@ -45,7 +45,6 @@ from repro.engines.base import (
 from repro.faults.models import FaultModel
 from repro.faults.placement import build_fault_model
 from repro.simulation.links import DelayModel, UniformRandomDelays
-from repro.simulation.network import TimerPolicy
 
 __all__ = ["SolverEngine"]
 

@@ -26,10 +26,10 @@ from repro.campaign.records import RunRecord, stand_in_fault_model
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, SweepSpec
 from repro.clocksource.scenarios import Scenario, parse_scenario
+from repro.core.parameters import TimerPolicy
 from repro.core.topology import HexGrid, NodeId
 from repro.experiments.config import ExperimentConfig
 from repro.faults.models import FaultModel, FaultType
-from repro.simulation.network import TimerPolicy
 from repro.topologies import build_topology, topology_column_wrap
 
 __all__ = [

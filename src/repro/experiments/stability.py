@@ -30,10 +30,9 @@ import numpy as np
 from repro.campaign.records import stabilization_times
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, SweepSpec
-from repro.clocksource.scenarios import Scenario, parse_scenario
+from repro.clocksource.scenarios import Scenario, parse_scenario, scenario_layer0_spread
 from repro.core.bounds import lemma5_pulse_skew_bound
 from repro.core.parameters import TimeoutConfig, condition2_timeouts
-from repro.engines.des import scenario_layer0_spread
 from repro.experiments.config import ExperimentConfig
 from repro.faults.models import FaultType
 

@@ -7,24 +7,3 @@
   regions, random placement under Condition 1 and the probability bound the
   paper derives for it.
 """
-
-from repro.faults.models import FaultModel, FaultType, LinkBehavior, NodeFault
-from repro.faults.placement import (
-    check_condition1,
-    condition1_probability_lower_bound,
-    condition1_violations,
-    forbidden_region,
-    place_faults,
-)
-
-__all__ = [
-    "FaultType",
-    "LinkBehavior",
-    "NodeFault",
-    "FaultModel",
-    "check_condition1",
-    "condition1_violations",
-    "forbidden_region",
-    "place_faults",
-    "condition1_probability_lower_bound",
-]

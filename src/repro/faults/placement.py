@@ -90,7 +90,7 @@ def forbidden_region(grid: HexGrid, faulty_node: NodeId) -> Set[NodeId]:
     nodes, as stated in the paper.
 
     The faulty node itself is *not* part of the returned set.  Delegates to
-    :func:`repro.topologies.condition1_forbidden_region` (the single home of
+    :func:`repro.topologies.base.condition1_forbidden_region` (the single home of
     the exclusion-zone logic, shared with the greedy capacity bound).
     """
     return condition1_forbidden_region(grid, grid.validate_node(faulty_node))

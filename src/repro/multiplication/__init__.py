@@ -12,19 +12,3 @@ neighbours is the HEX skew plus a drift term of roughly
 * :mod:`repro.multiplication.fastclock` -- the multiplier, its skew analysis
   and the bound/measurement helpers.
 """
-
-from repro.multiplication.fastclock import (
-    FrequencyMultiplier,
-    MultiplierConfig,
-    fast_clock_skew_bound,
-    measure_fast_clock_skew,
-)
-from repro.multiplication.oscillator import StartStopOscillator
-
-__all__ = [
-    "StartStopOscillator",
-    "MultiplierConfig",
-    "FrequencyMultiplier",
-    "fast_clock_skew_bound",
-    "measure_fast_clock_skew",
-]

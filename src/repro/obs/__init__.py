@@ -35,45 +35,52 @@ run records, and the parent folds both into its own session with
 :func:`absorb_worker` -- metrics under ``worker.*`` provenance, spans
 re-parented under the live ``campaign.run`` span and tagged with the worker
 pid.  No file is shared between processes.
+
+The metrics, trace and capture modules load when a session records what
+they implement (or one of their names below is first read), so a process
+that never turns observability on never imports them.
 """
 
 from __future__ import annotations
 
+import importlib
 import os as _os
 import time as _time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs import resources
-from repro.obs.capture import DesRunObserver, first_firing_matrix_from_events
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.metrics import (
-    METRICS_SCHEMA,
-    METRICS_SCHEMA_VERSION,
-    MetricsRegistry,
-    load_metrics,
-    metrics_delta,
-)
-from repro.obs.trace import (
-    TRACE_SCHEMA,
-    TRACE_SCHEMA_VERSION,
-    MemorySink,
-    Tracer,
-    TraceSink,
-    load_trace,
-    load_trace_records,
-)
+
+if TYPE_CHECKING:
+    from repro.obs.capture import DesRunObserver
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
+
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "METRICS_SCHEMA": "metrics",
+    "METRICS_SCHEMA_VERSION": "metrics",
+    "MetricsRegistry": "metrics",
+    "load_metrics": "metrics",
+    "metrics_delta": "metrics",
+    "TRACE_SCHEMA": "trace",
+    "MemorySink": "trace",
+    "Tracer": "trace",
+    "TraceSink": "trace",
+    "load_trace_records": "trace",
+    "first_firing_matrix_from_events": "capture",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
 
 __all__ = [
-    "METRICS_SCHEMA",
-    "METRICS_SCHEMA_VERSION",
-    "TRACE_SCHEMA",
-    "TRACE_SCHEMA_VERSION",
-    "DesRunObserver",
-    "MemorySink",
-    "MetricsRegistry",
-    "Tracer",
-    "TraceSink",
+    *_EXPORTS,
     "ObsSession",
     "configure_logging",
     "get_logger",
@@ -97,12 +104,7 @@ __all__ = [
     "observe",
     "des_observer",
     "record_des_observer",
-    "load_metrics",
-    "load_trace",
-    "load_trace_records",
-    "metrics_delta",
     "resources",
-    "first_firing_matrix_from_events",
 ]
 
 # ----------------------------------------------------------------------
@@ -159,11 +161,18 @@ def enable(
     """
     global _registry, _tracer, _des_events
     disable()
-    _registry = MetricsRegistry() if metrics else None
-    if trace is None or isinstance(trace, Tracer):
-        _tracer = trace
-    else:
-        _tracer = Tracer(TraceSink(trace))
+    # Import only what this session records: pool workers enter a session
+    # for every chunk, mostly with both facilities off.
+    _registry = None
+    if metrics:
+        from repro.obs.metrics import MetricsRegistry
+
+        _registry = MetricsRegistry()
+    _tracer = None
+    if trace is not None:
+        from repro.obs.trace import Tracer, TraceSink
+
+        _tracer = trace if isinstance(trace, Tracer) else Tracer(TraceSink(trace))
     _des_events = bool(des_events)
     return ObsSession(_registry, _tracer)
 
@@ -246,7 +255,11 @@ class worker_session:
 
     def __init__(self, telemetry: Optional[WorkerTelemetry]) -> None:
         metrics, origin, des_events = telemetry or (False, None, False)
-        self._tracer = Tracer(MemorySink(), origin=origin) if origin is not None else None
+        self._tracer: Optional[Tracer] = None
+        if origin is not None:
+            from repro.obs import trace
+
+            self._tracer = trace.Tracer(trace.MemorySink(), origin=origin)
         self._observed = observed(metrics=metrics, trace=self._tracer, des_events=des_events)
         self._registry: Optional[MetricsRegistry] = None
         self.spans: List[Dict[str, Any]] = []
@@ -414,6 +427,8 @@ def des_observer() -> Optional[DesRunObserver]:
     """
     if not enabled():
         return None
+    from repro.obs.capture import DesRunObserver
+
     return DesRunObserver(capture_events=_des_events and _tracer is not None)
 
 

@@ -10,24 +10,3 @@
 
 Runs are executed through the engine API (:mod:`repro.engines`).
 """
-
-from repro.simulation.engine import EventQueue
-from repro.simulation.links import (
-    ConstantDelays,
-    DelayModel,
-    FreshUniformDelays,
-    TableDelays,
-    UniformRandomDelays,
-)
-from repro.simulation.network import HexNetwork, TimerPolicy
-
-__all__ = [
-    "DelayModel",
-    "ConstantDelays",
-    "TableDelays",
-    "UniformRandomDelays",
-    "FreshUniformDelays",
-    "EventQueue",
-    "HexNetwork",
-    "TimerPolicy",
-]

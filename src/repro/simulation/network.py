@@ -27,7 +27,6 @@ leave it.  Node ids are validated at the API boundary only.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -36,7 +35,7 @@ import numpy as np
 
 from repro.core.algorithm import INCOMING_DIRECTIONS
 from repro.core.draws import DrawStream
-from repro.core.parameters import TimeoutConfig, TimingConfig
+from repro.core.parameters import TimeoutConfig, TimerPolicy, TimingConfig
 from repro.core.pulse_solver import solver_plan
 from repro.core.topology import TRIGGER_GUARDS, Direction, HexGrid, NodeId
 from repro.faults.models import FaultModel, FaultType, LinkBehavior, NodeFault
@@ -51,7 +50,7 @@ from repro.simulation.events import (
 )
 from repro.simulation.links import DelayModel
 
-__all__ = ["TimerPolicy", "HexNetwork"]
+__all__ = ["HexNetwork"]
 
 _INF = math.inf
 
@@ -66,16 +65,6 @@ _GUARD_MASKS = [(1 << _SLOT[a]) | (1 << _SLOT[b]) for a, b in TRIGGER_GUARDS]
 
 #: Memorized-flag mask -> whether some guard of Algorithm 1 is satisfied.
 _FIRES = tuple(any(mask & guard == guard for guard in _GUARD_MASKS) for mask in range(16))
-
-
-class TimerPolicy(enum.Enum):
-    """How concrete timer durations are chosen within their allowed intervals."""
-
-    #: Always use the lower bound (``T^-_link`` / ``T^-_sleep``): an ideal,
-    #: drift-free implementation.
-    NOMINAL = "nominal"
-    #: Draw uniformly from ``[T^-, T^+]``: models the clock drift ``theta``.
-    UNIFORM = "uniform"
 
 
 class HexNetwork:

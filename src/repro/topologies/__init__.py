@@ -14,7 +14,8 @@ Mirrors the :mod:`repro.engines` pattern for the *shape* axis of a run:
 Built-in families: ``cylinder`` (the paper's grid, byte-identical to the
 historical :class:`HexGrid`), ``torus`` (both axes wrap), ``patch`` (open
 column boundary, reduced-degree rim) and ``degraded`` (seeded punctured
-nodes / severed links on any base).
+nodes / severed links on any base).  Every family but the cylinder imports
+its module on its first build.
 
 >>> from repro.core.topology import Direction
 >>> from repro.topologies import build_topology
@@ -22,6 +23,9 @@ nodes / severed links on any base).
 >>> torus.in_neighbors((0, 0))[Direction.LOWER_LEFT]
 (4, 0)
 """
+
+import importlib
+from typing import Callable
 
 from repro.core.topology import HexGrid
 from repro.topologies.base import (
@@ -32,25 +36,16 @@ from repro.topologies.base import (
     build_topology,
     canonical_topology,
     condition1_fault_capacity,
-    condition1_forbidden_region,
     get_topology,
     register_topology,
     topology_column_wrap,
     unregister_topology,
     validate_topology,
 )
-from repro.topologies.degraded import DegradedGrid
-from repro.topologies.patch import HexPatch
-from repro.topologies.torus import HexTorus
 
 __all__ = [
-    "Topology",
     "TopologyFamily",
     "TopologySpec",
-    "HexGrid",
-    "HexTorus",
-    "HexPatch",
-    "DegradedGrid",
     "register_topology",
     "unregister_topology",
     "get_topology",
@@ -60,7 +55,6 @@ __all__ = [
     "validate_topology",
     "topology_column_wrap",
     "condition1_fault_capacity",
-    "condition1_forbidden_region",
     "DEFAULT_TOPOLOGY",
 ]
 
@@ -68,6 +62,18 @@ __all__ = [
 #: cylinder.  Specs carrying this value are canonically serialized *without*
 #: a topology field, so pre-topology content keys stay byte-identical.
 DEFAULT_TOPOLOGY = "cylinder"
+
+
+
+def _lazy_builder(module: str, attribute: str) -> Callable[..., Topology]:
+    """A builder that imports ``module`` on its first call, so registering a
+    family costs no import and a run loads only the topologies it builds."""
+
+    def build(layers: int, width: int, **params) -> Topology:
+        return getattr(importlib.import_module(module), attribute)(layers, width, **params)
+
+    return build
+
 
 # Built-in registrations.  ``replace=True`` keeps repeated imports (e.g. a
 # reloaded module in an interactive session) idempotent.
@@ -85,7 +91,7 @@ register_topology(
 register_topology(
     TopologyFamily(
         name="torus",
-        builder=HexTorus,
+        builder=_lazy_builder("repro.topologies.torus", "HexTorus"),
         description="hex torus: both axes wrap, no boundary layers",
         min_layers=2,
         min_width=3,
@@ -98,7 +104,7 @@ register_topology(
 register_topology(
     TopologyFamily(
         name="patch",
-        builder=HexPatch,
+        builder=_lazy_builder("repro.topologies.patch", "HexPatch"),
         description="bounded planar patch: open column boundary, reduced-degree rim",
         min_layers=1,
         min_width=4,
@@ -111,7 +117,7 @@ register_topology(
 register_topology(
     TopologyFamily(
         name="degraded",
-        builder=DegradedGrid,
+        builder=_lazy_builder("repro.topologies.degraded", "DegradedGrid"),
         description="seeded punctured-node / severed-link damage on any base topology",
         min_layers=1,
         min_width=3,

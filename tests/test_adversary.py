@@ -15,13 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.adversary import (
-    BiasedLinkDelays,
-    FaultDirective,
-    FaultSchedule,
-    InjectFault,
-    MaxSkewDelays,
-)
+from repro.adversary import FaultSchedule
+from repro.adversary.delays import BiasedLinkDelays, MaxSkewDelays
+from repro.adversary.runtime import InjectFault
+from repro.adversary.schedule import FaultDirective
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, RunTask, SweepSpec
 from repro.campaign.store import CampaignStore

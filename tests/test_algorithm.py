@@ -14,11 +14,11 @@ import pytest
 
 from repro.adversary.runtime import HealNode, InjectFault, SetLinkBehavior
 from repro.core.algorithm import INCOMING_DIRECTIONS, GuardKind
-from repro.core.parameters import TimeoutConfig, TimingConfig
+from repro.core.parameters import TimeoutConfig, TimerPolicy, TimingConfig
 from repro.core.topology import Direction, HexGrid
 from repro.faults.models import LinkBehavior, NodeFault
 from repro.simulation.links import ConstantDelays
-from repro.simulation.network import HexNetwork, TimerPolicy
+from repro.simulation.network import HexNetwork
 
 TARGET = (2, 2)
 

@@ -383,6 +383,40 @@ class TestBenchCli:
         baseline_file.write_text(json.dumps(payload))
         assert main(compare) == EXIT_REGRESSION
 
+    def test_failed_check_is_recorded_and_later_suites_still_run(self, tmp_path, capsys):
+        def failing_check(result, settings):
+            assert result["value"] == 0, "stub value is not 0"
+
+        failing, _ = _stub_case(suite="a-failing", check=failing_check)
+        passing, passing_calls = _stub_case(suite="b-passing")
+        register_case(failing)
+        register_case(passing)
+        selection = ["--suite", "a-failing", "--suite", "b-passing"]
+        try:
+            base_dir, fresh_dir = tmp_path / "base", tmp_path / "fresh"
+            assert main(["bench", "--quick", *selection, "--out", str(base_dir), "--no-check"]) == 0
+            for path in base_dir.glob("BENCH_*.json"):
+                payload = json.loads(path.read_text())
+                for case in payload["cases"].values():
+                    case["stats"]["median_s"] = 10.0  # no timing regression
+                path.write_text(json.dumps(payload))
+            capsys.readouterr()
+            argv = ["bench", "--quick", *selection, "--out", str(fresh_dir)]
+            code = main(argv + ["--compare", str(base_dir)])
+        finally:
+            unregister_case("a-failing", "stub")
+            unregister_case("b-passing", "stub")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.out + captured.err
+        failed = json.loads((fresh_dir / suite_filename("a-failing")).read_text())
+        assert failed["cases"]["stub"]["check_failed"].startswith("stub value is not 0")
+        passed = json.loads((fresh_dir / suite_filename("b-passing")).read_text())
+        assert "check_failed" not in passed["cases"]["stub"]
+        assert passing_calls["checked"] == 1
+        assert "PASS" in captured.out  # the comparison still ran
+        assert "1 case check(s) failed: a-failing/stub" in captured.out
+
 
 class TestRunBatch:
     def _specs(self):

@@ -7,17 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import (
-    Finding,
-    available_rules,
-    get_rule,
-    load_builtin_rules,
-    register_rule,
-    run_checks,
-    scan_package,
-    schema,
-    unregister_rule,
-)
+from repro.checks import load_builtin_rules
 from repro.checks.contentkeys import (
     GOLDEN_SPECS,
     OMISSION_MANIFESTS,
@@ -25,9 +15,18 @@ from repro.checks.contentkeys import (
     golden_key_findings,
     omission_findings,
 )
+from repro.checks.findings import Finding
 from repro.checks.layering import LAYER_DAG, package_of
-from repro.checks.registry import CheckContext
-from repro.checks.schemas import SCHEMA_PATTERN, SCHEMAS
+from repro.checks.registry import (
+    CheckContext,
+    available_rules,
+    get_rule,
+    register_rule,
+    run_checks,
+    unregister_rule,
+)
+from repro.checks.schemas import SCHEMA_PATTERN, SCHEMAS, schema
+from repro.checks.source import scan_package
 from repro.cli import main
 
 load_builtin_rules()

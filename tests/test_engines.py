@@ -12,20 +12,19 @@ from repro.clocksource.scenarios import scenario_layer0_times
 from repro.core.parameters import TimingConfig
 from repro.core.topology import HexGrid
 from repro.engines import (
-    ArrayEngine,
-    ClockTreeEngine,
-    DesEngine,
     EngineCapabilities,
     RunSpec,
-    SolverEngine,
     available_engines,
     generic_run_batch,
     get_engine,
     register_engine,
     unregister_engine,
 )
-from repro.engines.array import delay_envelope
+from repro.engines.array import ArrayEngine, delay_envelope
 from repro.engines.base import batch_key, require_exactness
+from repro.engines.clocktree import ClockTreeEngine
+from repro.engines.des import DesEngine
+from repro.engines.solver import SolverEngine
 from repro.faults.placement import build_fault_model
 from repro.simulation.links import UniformRandomDelays
 

@@ -43,7 +43,7 @@ from repro import obs
 from repro.adversary.schedule import FaultDirective, FaultSchedule
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.clocksource.scenarios import Scenario
-from repro.core.parameters import TimingConfig
+from repro.core.parameters import TimerPolicy, TimingConfig
 from repro.core.topology import HexGrid
 from repro.engines import RunSpec
 from repro.engines.des import DesEngine, scenario_stabilization_timeouts
@@ -55,7 +55,6 @@ from repro.simulation.links import (
     TableDelays,
     UniformRandomDelays,
 )
-from repro.simulation.network import TimerPolicy
 
 MANIFEST = Path(__file__).resolve().parent / "data" / "golden_des.json"
 SCHEMA = "hex-repro/golden-des/v1"

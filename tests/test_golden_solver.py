@@ -34,7 +34,8 @@ import pytest
 from repro.clocksource.scenarios import scenario_layer0_times
 from repro.core.pulse_solver import PulseSolution, solve_single_pulse
 from repro.core.topology import HexGrid, NodeId
-from repro.engines import RunSpec, SolverEngine
+from repro.engines import RunSpec
+from repro.engines.solver import SolverEngine
 from repro.faults.models import FaultModel, LinkBehavior, NodeFault
 from repro.faults.placement import build_fault_model
 

@@ -10,13 +10,13 @@ from repro.adversary import FaultSchedule
 from repro.adversary.runtime import HealNode, InjectFault, ScheduledAdversary
 from repro.analysis.stabilization import assign_pulses
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
-from repro.core.parameters import condition2_timeouts
+from repro.core.parameters import TimerPolicy, condition2_timeouts
 from repro.core.topology import Direction, HexGrid
 from repro.engines import get_engine
 from repro.engines.des import single_pulse_default_timeouts as default_timeouts
 from repro.faults.models import FaultModel, LinkBehavior, NodeFault
 from repro.simulation.links import ConstantDelays, UniformRandomDelays
-from repro.simulation.network import HexNetwork, TimerPolicy
+from repro.simulation.network import HexNetwork
 
 
 @pytest.fixture

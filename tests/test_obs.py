@@ -251,7 +251,7 @@ class TestDesCapture:
         assert counters["des.events_processed"] > 0
         assert counters["des.firing"] > 0
 
-        from repro.analysis import event_trace_times, load_event_trace
+        from repro.analysis.traces import event_trace_times, load_event_trace
 
         events = load_event_trace(trace)
         kinds = {event["kind"] for event in events}
@@ -668,8 +668,11 @@ class TestCli:
 
         assert obs.load_metrics(metrics)["counters"]["campaign.tasks_executed"] == 2.0
         records = obs.load_trace_records(trace)
-        span_names = {r["name"] for r in records if r["type"] == "span"}
-        assert "campaign.run" in span_names
+        spans = {r["name"]: r for r in records if r["type"] == "span"}
+        assert {"cli.parse", "campaign.run", "campaign.expand"} <= set(spans)
+        assert spans["cli.parse"]["parent_id"] is None
+        assert spans["campaign.expand"]["parent_id"] == spans["campaign.run"]["span_id"]
+        assert spans["campaign.expand"]["attrs"] == {"tasks": 2}
 
         assert main(["trace", "summarize", str(trace)]) == 0
         assert "spans" in capsys.readouterr().out

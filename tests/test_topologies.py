@@ -17,9 +17,6 @@ from repro.engines import RunSpec, get_engine
 from repro.faults.placement import check_condition1, place_faults
 from repro.simulation.links import UniformRandomDelays
 from repro.topologies import (
-    DegradedGrid,
-    HexPatch,
-    HexTorus,
     TopologyFamily,
     TopologySpec,
     available_topologies,
@@ -32,6 +29,9 @@ from repro.topologies import (
     unregister_topology,
     validate_topology,
 )
+from repro.topologies.degraded import DegradedGrid
+from repro.topologies.patch import HexPatch
+from repro.topologies.torus import HexTorus
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,13 @@ never-triggered nodes are excluded by carrying ``nan``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.stream.exact import exact_quantiles
 
 __all__ = [
     "intra_layer_skews",
@@ -110,27 +113,31 @@ def inter_layer_skews(
     return result
 
 
+def _summary(values: np.ndarray) -> Tuple[float, float, float, float, float]:
+    """The :data:`_OPERATORS` of the finite entries of ``values``, in order.
+
+    The finite filter runs once, the two quantiles share one partition
+    (:func:`~repro.stream.exact.exact_quantiles`, bit-identical to
+    ``np.quantile`` without its ``numpy.ma`` import) and the mean sums the
+    unsorted samples.  All ``nan`` when no finite value remains.
+    """
+    data = np.asarray(values, dtype=float).ravel()
+    data = data[np.isfinite(data)]
+    if data.size == 0:
+        return (math.nan,) * 5
+    q5, q95 = exact_quantiles(data, (0.05, 0.95))
+    return float(data.min()), q5, float(data.mean()), q95, float(data.max())
+
+
 def aggregate(values: np.ndarray, op: str) -> float:
     """Nan-aware aggregation with the paper's operator names.
 
     ``op`` is one of ``min``, ``q5`` (5 % quantile), ``avg``, ``q95``
     (95 % quantile), ``max``.  Returns ``nan`` when no finite value remains.
     """
-    data = np.asarray(values, dtype=float).ravel()
-    data = data[np.isfinite(data)]
-    if data.size == 0:
-        return float("nan")
-    if op == "min":
-        return float(np.min(data))
-    if op == "max":
-        return float(np.max(data))
-    if op == "avg":
-        return float(np.mean(data))
-    if op == "q5":
-        return float(np.quantile(data, 0.05))
-    if op == "q95":
-        return float(np.quantile(data, 0.95))
-    raise ValueError(f"unknown operator {op!r}; expected one of {_OPERATORS}")
+    if op not in _OPERATORS:
+        raise ValueError(f"unknown operator {op!r}; expected one of {_OPERATORS}")
+    return _summary(values)[_OPERATORS.index(op)]
 
 
 def collect_intra_values(
@@ -197,17 +204,9 @@ class SkewStatistics:
         cls, intra_values: np.ndarray, inter_values: np.ndarray, num_runs: int = 1
     ) -> "SkewStatistics":
         """Aggregate pooled intra-/inter-layer samples into one statistics row."""
-        return cls(
-            intra_avg=aggregate(intra_values, "avg"),
-            intra_q95=aggregate(intra_values, "q95"),
-            intra_max=aggregate(intra_values, "max"),
-            inter_min=aggregate(inter_values, "min"),
-            inter_q5=aggregate(inter_values, "q5"),
-            inter_avg=aggregate(inter_values, "avg"),
-            inter_q95=aggregate(inter_values, "q95"),
-            inter_max=aggregate(inter_values, "max"),
-            num_runs=num_runs,
-        )
+        # The fields follow _OPERATORS order: intra avg/q95/max, then all
+        # five inter operators.
+        return cls(*_summary(intra_values)[2:], *_summary(inter_values), num_runs=num_runs)
 
     @classmethod
     def from_times(
@@ -287,8 +286,9 @@ def per_layer_inter_stats(
             per_run_min[run_index, layer_pos] = values.min()
             per_run_avg[run_index, layer_pos] = values.mean()
             per_run_max[run_index, layer_pos] = values.max()
-            per_run_q5[run_index, layer_pos] = np.quantile(values, 0.05)
-            per_run_q95[run_index, layer_pos] = np.quantile(values, 0.95)
+            per_run_q5[run_index, layer_pos], per_run_q95[run_index, layer_pos] = (
+                exact_quantiles(values, (0.05, 0.95))
+            )
     return {
         "layer": layers,
         "min": np.nanmean(per_run_min, axis=0),

@@ -1,9 +1,13 @@
 """Topology suite: neighbour-table cache and per-topology solver runs.
 
-Two cases: the neighbour-lookup sweep (cached tables vs the historical on-the-fly
-reconstruction) and one seeded solver run per registered topology family on
-the paper's 50x20 grid.  The emitted ``BENCH_topology.json`` is the perf
-trajectory of the topology layer.
+Two cases: the neighbour-lookup sweep and one seeded solver run per
+registered topology family on the paper's 50x20 grid.  A grid builds each
+node's tables at that node's first query; the lookup case warms every node
+with its agreement check, then times warm lookups against the per-call
+reconstruction from the neighbour rule.  Each solver run compiles its plan
+from the family's stencil, which only the degraded grid derives from its
+tables.  The emitted ``BENCH_topology.json`` is the perf trajectory of the
+topology layer.
 """
 
 from __future__ import annotations

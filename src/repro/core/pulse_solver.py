@@ -76,7 +76,7 @@ import numpy as np
 
 from repro.core.algorithm import GuardKind
 from repro.core.draws import DrawStream, Uniform
-from repro.core.topology import Direction, HexGrid, NodeId
+from repro.core.topology import NEIGHBOR_OFFSET, Direction, HexGrid, NodeId
 from repro.faults.models import FaultModel, LinkBehavior
 
 __all__ = [
@@ -202,6 +202,10 @@ _IN_INDEX = {
     Direction.RIGHT: 3,
 }
 
+#: A node's out-links in ``grid.out_neighbors`` order (LEFT, RIGHT,
+#: UPPER_LEFT, UPPER_RIGHT), as the in-direction each destination files it under.
+_OUT_SLOT_ORDER = (Direction.RIGHT, Direction.LEFT, Direction.LOWER_RIGHT, Direction.LOWER_LEFT)
+
 #: One entry of :attr:`SolverPlan.out_links`.
 OutLink = Tuple[int, int, int, int]
 
@@ -210,7 +214,7 @@ OutLink = Tuple[int, int, int, int]
 class SolverPlan:
     """RNG-free scaffolding of the sweep.
 
-    A plan compiles a grid's neighbour tables into flat tables indexed by the
+    A plan compiles a grid's in-link stencil into flat tables indexed by the
     row-major node index, so the sweep touches no dicts, no ``(layer,
     column)`` tuples and no :class:`Direction` enums.  Plans contain only
     topology-derived data (no randomness, no per-run state), so one plan
@@ -243,29 +247,29 @@ class SolverPlan:
 
     @classmethod
     def compile(cls, grid: HexGrid) -> "SolverPlan":
-        """Compile the plan of one grid (any registered topology family)."""
-        width = grid.width
-        presence = grid.presence_mask()
-        # Every row-major slot gets a row, including structurally absent ones
-        # (``grid.nodes()`` skips holes on degraded grids); absent slots keep
-        # no links and never fire.
-        num_slots = (grid.layers + 1) * width
-        out_slots = np.full((num_slots, 4), -1, dtype=np.intp)
-        distinct_links = True
-        for index in range(num_slots):
-            node = divmod(index, width)
-            if not presence[node]:
-                continue
-            destinations: List[int] = []
-            for destination in grid.out_neighbors(node).values():
-                if destination[0] == 0 or not presence[destination]:
-                    continue
-                direction = _IN_INDEX[grid.direction_between(node, destination)]
-                dest_index = destination[0] * width + destination[1]
-                out_slots[index, len(destinations)] = dest_index * 4 + direction
-                distinct_links = distinct_links and dest_index not in destinations
-                destinations.append(dest_index)
+        """Compile a grid's plan from its :class:`~repro.core.topology.Stencil`.
+
+        The in-link of direction ``d = _OUT_SLOT_ORDER[k]`` into ``(l, i)``
+        is slot ``k`` of its source ``(l - up, src_col[d][i])``; each row's
+        present slots are then packed to the front.  Absent links and links
+        into layer 0 get no entry.
+        """
+        stencil = grid.stencil
+        rows, width = grid.layers + 1, grid.width
+        destinations = np.arange(rows * width).reshape(rows, width)
+        slots = np.full((rows, width, 4), -1, dtype=np.intp)
+        for position, direction in enumerate(_OUT_SLOT_ORDER):
+            up = -NEIGHBOR_OFFSET[direction][0]
+            present = ~stencil.absent[direction][up:]
+            slots[: rows - up, stencil.src_col[direction], position] = np.where(
+                present, destinations[up:] * 4 + _IN_INDEX[direction], -1
+            )
+        slots = slots.reshape(rows * width, 4)
+        out_slots = np.take_along_axis(slots, np.argsort(slots < 0, axis=1, kind="stable"), 1)
+        # A missing slot gets a destination no other slot of its row has.
+        targets = np.sort(np.where(out_slots >= 0, out_slots >> 2, -1 - np.arange(4)), axis=1)
         out_slots.flags.writeable = False
+        presence = grid.presence_mask()
         return cls(
             num_nodes=grid.num_nodes,
             width=width,
@@ -274,7 +278,7 @@ class SolverPlan:
             present_sources=tuple(
                 column for column in range(width) if presence[0, column]
             ),
-            distinct_links=distinct_links,
+            distinct_links=not (targets[:, 1:] == targets[:, :-1]).any(),
         )
 
     @cached_property

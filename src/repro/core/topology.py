@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -136,6 +137,36 @@ _OUT_DIRECTION_ORDER: Tuple[Direction, ...] = (
     Direction.UPPER_RIGHT,
 )
 
+#: One node's ``(all, in, out)`` neighbour dicts.
+NodeTables = Tuple[Dict[Direction, NodeId], ...]
+
+#: ``(layer, column)`` step from a node to its neighbour in each direction,
+#: before the family's wrap or boundary rule applies.
+NEIGHBOR_OFFSET: Dict[Direction, Tuple[int, int]] = {
+    Direction.LEFT: (0, -1),
+    Direction.RIGHT: (0, 1),
+    Direction.LOWER_LEFT: (-1, 0),
+    Direction.LOWER_RIGHT: (-1, 1),
+    Direction.UPPER_LEFT: (1, -1),
+    Direction.UPPER_RIGHT: (1, 0),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Stencil:
+    """A grid's in-links as per-direction column patterns.
+
+    In every family the in-link of direction ``d`` into ``(l, i)`` comes
+    from ``(l + NEIGHBOR_OFFSET[d][0], src_col[d][i])``, one column
+    permutation for every layer, so whole-grid plans shift arrays instead of
+    walking nodes.  ``absent[d]`` marks the links that do not exist (open
+    boundary, severed link, punctured endpoint, and all of layer 0, which
+    never listens).  Keys iterate LEFT, RIGHT, LOWER_LEFT, LOWER_RIGHT.
+    """
+
+    src_col: Dict[Direction, np.ndarray]
+    absent: Dict[Direction, np.ndarray]
+
 
 @dataclass(frozen=True)
 class GridDimensions:
@@ -202,99 +233,70 @@ class HexGrid:
         if width < 3:
             raise ValueError(f"HEX grid needs width of at least 3 columns, got W={width}")
         self._dims = GridDimensions(layers=layers, width=width)
-        self._all_tables: Optional[Dict[NodeId, Dict[Direction, NodeId]]] = None
-        self._in_tables: Optional[Dict[NodeId, Dict[Direction, NodeId]]] = None
-        self._out_tables: Optional[Dict[NodeId, Dict[Direction, NodeId]]] = None
-        self._link_directions: Optional[Dict[LinkId, Direction]] = None
+        self._tables: Dict[NodeId, NodeTables] = {}
 
     # ------------------------------------------------------------------
-    # neighbour-table construction (the perf-critical cache)
+    # per-node neighbour tables (the perf-critical cache)
     # ------------------------------------------------------------------
-    def _ensure_tables(self) -> None:
-        """Build the neighbour tables on first use.
+    def _fill_tables(self, node: NodeId) -> NodeTables:
+        """Build and cache one canonical node's tables, at its first query.
 
-        Table construction is O(nodes) Python-dict work -- tens of seconds on
-        a million-node grid -- while the dense array engine never consults the
-        tables at all (its plans are built from vectorized boundary rules).
-        Deferring construction to the first accessor call keeps huge grids
-        usable for the array paths without slowing the solver/DES paths,
-        which build the tables exactly once on their first neighbour query.
+        Accessors return them *by reference* (treat them as immutable).  The
+        dense engines and the solver's stencil-compiled plan query none.
         """
-        if self._all_tables is None:
-            self._build_neighbor_tables()
+        tables = self._tables[node] = self._build_node_tables(node)
+        return tables
 
-    def _build_neighbor_tables(self) -> None:
-        """Precompute per-node neighbour tables and the link-direction index.
+    def _build_node_tables(self, node: NodeId) -> NodeTables:
+        """One node's ``(all, in, out)`` dicts, from :meth:`_raw_neighbor`.
 
-        The DES broadcast loop and the solver's plan compilation query
-        ``in_neighbors`` / ``out_neighbors`` / ``direction_between`` once per
-        message or link; recomputing the wrap arithmetic there dominated the hot
-        loops.  The tables are built once (lazily, at the first accessor
-        call) from the subclass's :meth:`_raw_neighbor` rule and returned *by
-        reference* -- callers must treat the dicts as immutable.  Insertion
-        orders are part of the reproducibility contract: in-neighbours
-        iterate LEFT, RIGHT, LOWER_LEFT, LOWER_RIGHT and out-neighbours LEFT,
-        RIGHT, UPPER_LEFT, UPPER_RIGHT (exactly the historical on-the-fly
-        dict orders).
+        Insertion orders are part of the reproducibility contract: in-links
+        iterate LEFT, RIGHT, LOWER_LEFT, LOWER_RIGHT and out-links LEFT,
+        RIGHT, UPPER_LEFT, UPPER_RIGHT.
         """
-        self._all_tables: Dict[NodeId, Dict[Direction, NodeId]] = {}
-        self._in_tables: Dict[NodeId, Dict[Direction, NodeId]] = {}
-        self._out_tables: Dict[NodeId, Dict[Direction, NodeId]] = {}
-        self._link_directions: Dict[LinkId, Direction] = {}
-        for layer in range(self.layers + 1):
-            for column in range(self.width):
-                node = (layer, column)
-                all_neighbors: Dict[Direction, NodeId] = {}
-                for direction in Direction:
-                    neighbor = self._raw_neighbor(layer, column, direction)
-                    if neighbor is not None:
-                        all_neighbors[direction] = neighbor
-                self._all_tables[node] = all_neighbors
-                self._in_tables[node] = {
-                    direction: all_neighbors[direction]
-                    for direction in _IN_DIRECTION_ORDER
-                    if direction in all_neighbors
-                }
-                self._out_tables[node] = {
-                    direction: all_neighbors[direction]
-                    for direction in _OUT_DIRECTION_ORDER
-                    if direction in all_neighbors
-                }
-        for node, ins in self._in_tables.items():
-            for direction, source in ins.items():
-                self._link_directions[(source, node)] = direction
+        layer, column = node
+        all_neighbors: Dict[Direction, NodeId] = {}
+        for direction in Direction:
+            neighbor = self._raw_neighbor(layer, column, direction)
+            if neighbor is not None:
+                all_neighbors[direction] = neighbor
+        ins = {d: all_neighbors[d] for d in _IN_DIRECTION_ORDER if d in all_neighbors}
+        outs = {d: all_neighbors[d] for d in _OUT_DIRECTION_ORDER if d in all_neighbors}
+        return all_neighbors, ins, outs
+
+    # ------------------------------------------------------------------
+    # the in-link stencil
+    # ------------------------------------------------------------------
+    @cached_property
+    def stencil(self) -> Stencil:
+        """The grid's in-links as whole-grid column patterns (read-only)."""
+        stencil = self._build_stencil()
+        for plane in (*stencil.src_col.values(), *stencil.absent.values()):
+            plane.flags.writeable = False
+        return stencil
+
+    def _build_stencil(self) -> Stencil:
+        """The cylinder's: every in-link of layers ``1..L`` exists (the
+        torus's extra links end on layer 0, which never listens)."""
+        columns = np.arange(self.width)
+        src_col, absent = {}, {}
+        for direction in _IN_DIRECTION_ORDER:
+            src_col[direction] = (columns + NEIGHBOR_OFFSET[direction][1]) % self.width
+            absent[direction] = np.zeros(self.shape, dtype=bool)
+            absent[direction][0] = True
+        return Stencil(src_col, absent)
 
     def _raw_neighbor(self, layer: int, column: int, direction: Direction) -> Optional[NodeId]:
         """The neighbour rule the tables are built from (cylinder semantics).
 
         Subclasses override this single method to define a different boundary
-        condition; ``(layer, column)`` is already canonical.
+        condition; ``(layer, column)`` is already canonical.  Layer 0 has
+        no in-links and layer ``L`` no upper neighbours.
         """
-        if direction is Direction.LEFT:
-            if layer == 0:
-                return None
-            return (layer, self.wrap_column(column - 1))
-        if direction is Direction.RIGHT:
-            if layer == 0:
-                return None
-            return (layer, self.wrap_column(column + 1))
-        if direction is Direction.LOWER_LEFT:
-            if layer == 0:
-                return None
-            return (layer - 1, column)
-        if direction is Direction.LOWER_RIGHT:
-            if layer == 0:
-                return None
-            return (layer - 1, self.wrap_column(column + 1))
-        if direction is Direction.UPPER_LEFT:
-            if layer == self.layers:
-                return None
-            return (layer + 1, self.wrap_column(column - 1))
-        if direction is Direction.UPPER_RIGHT:
-            if layer == self.layers:
-                return None
-            return (layer + 1, column)
-        raise ValueError(f"unknown direction {direction!r}")  # pragma: no cover
+        layer_step, column_step = NEIGHBOR_OFFSET[direction]
+        if (layer == 0 and direction.is_incoming) or layer + layer_step > self.layers:
+            return None
+        return (layer + layer_step, self.wrap_column(column + column_step))
 
     # ------------------------------------------------------------------
     # identity
@@ -416,8 +418,8 @@ class HexGrid:
         only defines links for nodes with ``layer > 0``); layer-L nodes have no
         upper neighbours (unless the topology wraps the layer axis).
         """
-        self._ensure_tables()
-        return self._all_tables[self.validate_node(node)].get(direction)
+        node = self.validate_node(node)
+        return (self._tables.get(node) or self._fill_tables(node))[0].get(direction)
 
     def in_neighbors(self, node: NodeId) -> Dict[Direction, NodeId]:
         """All in-neighbours of ``node`` keyed by direction.
@@ -429,8 +431,8 @@ class HexGrid:
         The returned dict is the topology's precomputed table -- treat it as
         immutable.
         """
-        self._ensure_tables()
-        return self._in_tables[self.validate_node(node)]
+        node = self.validate_node(node)
+        return (self._tables.get(node) or self._fill_tables(node))[1]
 
     def out_neighbors(self, node: NodeId) -> Dict[Direction, NodeId]:
         """All out-neighbours of ``node`` keyed by direction.
@@ -442,8 +444,8 @@ class HexGrid:
         The returned dict is the topology's precomputed table -- treat it as
         immutable.
         """
-        self._ensure_tables()
-        return self._out_tables[self.validate_node(node)]
+        node = self.validate_node(node)
+        return (self._tables.get(node) or self._fill_tables(node))[2]
 
     def all_neighbors(self, node: NodeId) -> Dict[Direction, NodeId]:
         """All (in- or out-) neighbours of ``node`` keyed by direction.
@@ -451,8 +453,8 @@ class HexGrid:
         The returned dict is the topology's precomputed table -- treat it as
         immutable.
         """
-        self._ensure_tables()
-        return self._all_tables[self.validate_node(node)]
+        node = self.validate_node(node)
+        return (self._tables.get(node) or self._fill_tables(node))[0]
 
     def direction_between(self, source: NodeId, destination: NodeId) -> Direction:
         """The direction of ``source`` as seen from ``destination``.
@@ -465,13 +467,13 @@ class HexGrid:
         ValueError
             If there is no link from ``source`` to ``destination``.
         """
-        self._ensure_tables()
-        destination = self.validate_node(destination)
         source = self.validate_node(source)
-        direction = self._link_directions.get((source, destination))
-        if direction is None:
-            raise ValueError(f"no link from {source} to {destination} in {self!r}")
-        return direction
+        for direction, neighbor in self.in_neighbors(destination).items():
+            if neighbor == source:
+                return direction
+        raise ValueError(
+            f"no link from {source} to {self.validate_node(destination)} in {self!r}"
+        )
 
     def links(self) -> Iterator[LinkId]:
         """Iterate over all directed links ``(source, destination)`` of the grid."""
@@ -530,35 +532,31 @@ class HexGrid:
         column apart leave the pair between them only guards that reference
         each other, so neither can ever bootstrap from the wave.  Such nodes
         are structurally silent (not merely slow), and the stabilization
-        criterion excludes them like punctured slots.  Computed once and
-        cached; a fresh copy is returned per call.
+        criterion excludes them like punctured slots.  Computed once per
+        grid, layer-parallel on its stencil; a fresh copy is returned per
+        call.
         """
         cached = getattr(self, "_pulse_reachable_cache", None)
         if cached is None:
-            reachable = np.zeros(self.shape, dtype=bool)
-            for layer, column in self.source_nodes():
-                reachable[layer, column] = True
-            forwarding = list(self.forwarding_nodes())
-            changed = True
-            while changed:
-                changed = False
-                for node in forwarding:
-                    if reachable[node]:
-                        continue
-                    ins = self.in_neighbors(node)
-                    for direction_a, direction_b in TRIGGER_GUARDS:
-                        partner_a = ins.get(direction_a)
-                        partner_b = ins.get(direction_b)
-                        if (
-                            partner_a is not None
-                            and partner_b is not None
-                            and reachable[partner_a]
-                            and reachable[partner_b]
-                        ):
-                            reachable[node] = True
-                            changed = True
-                            break
-            cached = reachable
+            stencil = self.stencil
+            cached = np.zeros(self.shape, dtype=bool)
+            cached[0] = True
+            while True:
+                # heard[d]: the in-link from direction d exists and its
+                # source is reachable (row 0's wrapped-in row is absent).
+                heard = {
+                    direction: np.roll(cached, -NEIGHBOR_OFFSET[direction][0], axis=0)[
+                        :, stencil.src_col[direction]
+                    ]
+                    & ~stencil.absent[direction]
+                    for direction in stencil.src_col
+                }
+                grown = cached.copy()
+                for direction_a, direction_b in TRIGGER_GUARDS:
+                    grown |= heard[direction_a] & heard[direction_b]
+                if (grown == cached).all():
+                    break
+                cached = grown
             self._pulse_reachable_cache = cached
         return cached.copy()
 

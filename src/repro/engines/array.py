@@ -62,7 +62,7 @@ import numpy as np
 from repro import obs
 from repro.adversary.delays import MaxSkewDelays
 from repro.clocksource.scenarios import scenario_layer0_times
-from repro.core.topology import Direction, HexGrid
+from repro.core.topology import NEIGHBOR_OFFSET, Direction, HexGrid
 from repro.engines.base import (
     EngineCapabilities,
     RunResult,
@@ -74,47 +74,13 @@ from repro.engines.base import (
     validate_layer0,
 )
 from repro.simulation.links import ConstantDelays, DelayModel
-from repro.topologies.patch import HexPatch
-from repro.topologies.torus import HexTorus
 
 __all__ = ["ArrayEngine", "ArrayPlan", "array_plan", "delay_envelope"]
-
-#: The four in-directions of a forwarding node, in the canonical table order.
-_IN_DIRECTIONS: Tuple[Direction, ...] = (
-    Direction.LEFT,
-    Direction.RIGHT,
-    Direction.LOWER_LEFT,
-    Direction.LOWER_RIGHT,
-)
-
-#: Source *layer* offset per in-direction (0 = same layer, 1 = layer below).
-_LAYER_OFFSET: Dict[Direction, int] = {
-    Direction.LEFT: 0,
-    Direction.RIGHT: 0,
-    Direction.LOWER_LEFT: 1,
-    Direction.LOWER_RIGHT: 1,
-}
 
 #: Cap on batched cells (``batch x rows x width``) processed per relaxation
 #: call; larger grid-sharing groups are chunked to bound peak memory.  The
 #: chunking is purely elementwise, so it cannot perturb results.
 _MAX_BATCH_CELLS = 16_000_000
-
-
-def _column_patterns(width: int) -> Dict[Direction, np.ndarray]:
-    """Source-column index per destination column, per in-direction.
-
-    These are the cylinder's modular patterns; the open-boundary patch and
-    the damaged grid reuse them and mask the missing links as absent (the
-    gathered value is then irrelevant -- its delay plane entry is ``+inf``).
-    """
-    columns = np.arange(width)
-    return {
-        Direction.LEFT: (columns - 1) % width,
-        Direction.RIGHT: (columns + 1) % width,
-        Direction.LOWER_LEFT: columns.copy(),
-        Direction.LOWER_RIGHT: (columns + 1) % width,
-    }
 
 
 @dataclass(frozen=True)
@@ -152,58 +118,19 @@ class ArrayPlan:
 def array_plan(grid: HexGrid) -> ArrayPlan:
     """Compile the dense-frontier stencil of ``grid`` (cached per grid).
 
-    The three intact families (cylinder, torus, patch) are planned directly
-    from their boundary rules without touching the per-node neighbour tables
-    (whose construction dominates grid cost at large sizes).  Any other
-    :class:`HexGrid` -- notably the damaged :class:`~repro.topologies.
-    degraded.DegradedGrid` -- is planned from its (already filtered) tables,
-    verifying that every in-link follows the regular column pattern from
-    layers ``l`` / ``l - 1``; a topology violating that regularity cannot be
-    expressed as this stencil and is rejected with a clean error.
+    The column patterns and absent-link masks are the grid's own
+    :class:`~repro.core.topology.Stencil`: the intact families define it by
+    rule, without touching the per-node neighbour tables, and a damaged
+    grid derives it from its filtered tables.
     """
-    rows, width = grid.layers + 1, grid.width
-    src_col = _column_patterns(width)
-    absent = {
-        direction: np.ones((rows, width), dtype=bool) for direction in _IN_DIRECTIONS
-    }
-    if type(grid) in (HexGrid, HexTorus):
-        for direction in _IN_DIRECTIONS:
-            absent[direction][1:, :] = False
-    elif type(grid) is HexPatch:
-        for direction in _IN_DIRECTIONS:
-            absent[direction][1:, :] = False
-        absent[Direction.LEFT][1:, 0] = True
-        absent[Direction.RIGHT][1:, width - 1] = True
-        absent[Direction.LOWER_RIGHT][1:, width - 1] = True
-    else:
-        for node in grid.forwarding_nodes():
-            layer, column = node
-            in_links = grid.in_neighbors(node)
-            for direction in _IN_DIRECTIONS:
-                source = in_links.get(direction)
-                if source is None:
-                    continue
-                expected = (
-                    layer - _LAYER_OFFSET[direction],
-                    int(src_col[direction][column]),
-                )
-                if source != expected:
-                    raise ValueError(
-                        f"array engine cannot plan {grid!r}: in-link "
-                        f"{direction.name} of node {node} comes from {source}, "
-                        f"not the regular stencil source {expected}; the dense "
-                        "frontier only supports layer-local regular families "
-                        "-- run this topology on the 'solver' or 'des' engine"
-                    )
-                absent[direction][layer, column] = False
-    presence = grid.presence_mask().astype(bool)
+    stencil = grid.stencil
     return ArrayPlan(
         layers=grid.layers,
-        width=width,
-        src_col=src_col,
-        absent=absent,
-        presence=presence,
-        round_cap=width + 3,
+        width=grid.width,
+        src_col=stencil.src_col,
+        absent=stencil.absent,
+        presence=grid.presence_mask().astype(bool),
+        round_cap=grid.width + 3,
     )
 
 
@@ -225,25 +152,25 @@ def _delay_planes(
     if isinstance(delays, ConstantDelays):
         planes = {
             direction: np.full((rows, width), delays.value)
-            for direction in _IN_DIRECTIONS
+            for direction in plan.absent
         }
     elif isinstance(delays, MaxSkewDelays):
         timing = delays.timing
         row = np.where(np.arange(width) < width // 2, timing.d_max, timing.d_min)
         planes = {
             direction: np.broadcast_to(row, (rows, width)).copy()
-            for direction in _IN_DIRECTIONS
+            for direction in plan.absent
         }
     else:
         planes = {
             direction: np.full((rows, width), math.inf)
-            for direction in _IN_DIRECTIONS
+            for direction in plan.absent
         }
         for layer in range(1, rows):
-            for direction in _IN_DIRECTIONS:
+            for direction in plan.absent:
                 plane = planes[direction]
                 missing = plan.absent[direction]
-                source_layer = layer - _LAYER_OFFSET[direction]
+                source_layer = layer + NEIGHBOR_OFFSET[direction][0]
                 source_cols = plan.src_col[direction]
                 for column in range(width):
                     if missing[layer, column]:
@@ -251,8 +178,8 @@ def _delay_planes(
                     plane[layer, column] = delays.delay(
                         (source_layer, int(source_cols[column])), (layer, column)
                     )
-    for direction in _IN_DIRECTIONS:
-        planes[direction][plan.absent[direction]] = math.inf
+    for direction, missing in plan.absent.items():
+        planes[direction][missing] = math.inf
     return planes
 
 
@@ -326,7 +253,7 @@ def _stack_planes(
     """Stack per-spec delay planes into ``(batch, rows, width)`` tensors."""
     return {
         direction: np.stack([planes[direction] for planes in per_spec])
-        for direction in _IN_DIRECTIONS
+        for direction in per_spec[0]
     }
 
 

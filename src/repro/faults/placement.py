@@ -27,6 +27,7 @@ This module provides:
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -96,6 +97,12 @@ def forbidden_region(grid: HexGrid, faulty_node: NodeId) -> Set[NodeId]:
     return condition1_forbidden_region(grid, grid.validate_node(faulty_node))
 
 
+@lru_cache(maxsize=16)
+def _candidates(grid: HexGrid, include_layer0: bool) -> Tuple[NodeId, ...]:
+    """The sorted fault candidates of a grid, before any exclusion."""
+    return tuple(sorted(node for node in grid.nodes() if include_layer0 or node[0] > 0))
+
+
 def place_faults(
     grid: HexGrid,
     num_faults: int,
@@ -150,18 +157,16 @@ def place_faults(
         return []
 
     excluded = {grid.validate_node(node) for node in exclude}
-    base_candidates = sorted(
-        node
-        for node in grid.nodes()
-        if (include_layer0 or node[0] > 0) and node not in excluded
-    )
-    if num_faults > len(base_candidates):
+    candidates = _candidates(grid, include_layer0)
+    if excluded:
+        candidates = tuple(node for node in candidates if node not in excluded)
+    if num_faults > len(candidates):
         raise ValueError(
-            f"cannot place {num_faults} faults among {len(base_candidates)} candidate nodes"
+            f"cannot place {num_faults} faults among {len(candidates)} candidate nodes"
         )
 
     for _attempt in range(max_attempts):
-        admissible = list(base_candidates)
+        admissible = list(candidates)
         placed: List[NodeId] = []
         for _ in range(num_faults):
             if not admissible:

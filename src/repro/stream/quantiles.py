@@ -11,8 +11,8 @@ Two layers:
   adversarially sorted input, unlike the heuristic P-squared estimator --
   and the sketch retains O((1/epsilon) * log(epsilon * n)) tuples.
 * :class:`StreamingQuantiles` -- an exact buffer up to ``exact_cap``
-  observations (queried through ``numpy.quantile``/``numpy.median``, so
-  results are bit-identical to a post-hoc NumPy computation) that spills
+  observations (queried through :mod:`repro.stream.exact`, so results are
+  bit-identical to a post-hoc ``numpy.quantile``/``numpy.median``) that spills
   into a :class:`GKSketch` once the cap is exceeded.  ``exact_cap=None``
   keeps the buffer exact forever (the campaign wall-time path, where the
   observations already live in memory anyway).
@@ -31,6 +31,8 @@ import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
+
+from repro.stream.exact import exact_median, exact_quantiles
 
 __all__ = ["GKSketch", "StreamingQuantiles", "interpolated_quantile"]
 
@@ -206,9 +208,9 @@ class GKSketch:
 class StreamingQuantiles:
     """Hybrid exact/sketch quantile accumulator.
 
-    Up to ``exact_cap`` observations are buffered and queried through
-    ``numpy.quantile`` / ``numpy.median`` -- bit-identical to computing the
-    same statistic post hoc on the full array.  Past the cap the buffer
+    Up to ``exact_cap`` observations are buffered and queried exactly --
+    bit-identical to ``numpy.quantile`` / ``numpy.median`` post hoc on the
+    full array.  Past the cap the buffer
     spills into a :class:`GKSketch` and queries carry that sketch's
     documented ``ceil(epsilon * n)`` rank-error bound.  ``exact_cap=None``
     never spills (exact forever).
@@ -267,7 +269,7 @@ class StreamingQuantiles:
         exact = self._exact
         if not exact:
             return math.nan
-        return float(np.quantile(np.asarray(exact, dtype=float), q))
+        return exact_quantiles(np.asarray(exact, dtype=float), (q,))[0]
 
     def median(self) -> float:
         """The median (``numpy.median``-exact below the cap)."""
@@ -276,7 +278,7 @@ class StreamingQuantiles:
         exact = self._exact
         if not exact:
             return math.nan
-        return float(np.median(np.asarray(exact, dtype=float)))
+        return exact_median(np.asarray(exact, dtype=float))
 
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-serializable state (exact buffer or sketch state)."""

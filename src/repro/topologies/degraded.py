@@ -20,11 +20,18 @@ graph and two builds of the same spec compare equal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.topology import Direction, HexGrid, LinkId, NodeId
+from repro.core.topology import (
+    NEIGHBOR_OFFSET,
+    HexGrid,
+    LinkId,
+    NodeId,
+    NodeTables,
+    Stencil,
+)
 from repro.topologies.base import TopologySpec, build_topology, canonical_topology
 
 __all__ = ["DegradedGrid"]
@@ -121,47 +128,54 @@ class DegradedGrid(HexGrid):
         )
         self._severed: Set[LinkId] = {link_pool[int(index)] for index in picked_links}
 
-        self._build_filtered_tables(base_grid)
+        self._tables = {}
 
     # ------------------------------------------------------------------
-    # table construction (filtered copies of the base's tables)
+    # neighbour tables and stencil (filtered from the base)
     # ------------------------------------------------------------------
-    def _build_filtered_tables(self, base_grid: HexGrid) -> None:
-        self._in_tables: Dict[NodeId, Dict[Direction, NodeId]] = {}
-        self._out_tables: Dict[NodeId, Dict[Direction, NodeId]] = {}
-        self._all_tables: Dict[NodeId, Dict[Direction, NodeId]] = {}
-        self._link_directions: Dict[LinkId, Direction] = {}
-        punctured = self._punctured
-        severed = self._severed
-        for node in base_grid.nodes():
-            if node in punctured:
-                self._in_tables[node] = {}
-                self._out_tables[node] = {}
-                self._all_tables[node] = {}
-                continue
-            ins = {
-                direction: source
-                for direction, source in base_grid.in_neighbors(node).items()
-                if source not in punctured and (source, node) not in severed
-            }
-            outs = {
-                direction: destination
-                for direction, destination in base_grid.out_neighbors(node).items()
-                if destination not in punctured and (node, destination) not in severed
-            }
-            self._in_tables[node] = ins
-            self._out_tables[node] = outs
-            # A direction remains "occupied" while either orientation of the
-            # connection survives (neighbor()/all_neighbors() report structure,
-            # not per-orientation wiring).
-            self._all_tables[node] = {
-                direction: neighbor
-                for direction, neighbor in base_grid.all_neighbors(node).items()
-                if direction in ins or direction in outs
-            }
-        for node, ins in self._in_tables.items():
-            for direction, source in ins.items():
-                self._link_directions[(source, node)] = direction
+    def _build_node_tables(self, node: NodeId) -> NodeTables:
+        """The base node's tables without punctured endpoints and severed links."""
+        punctured, severed = self._punctured, self._severed
+        if node in punctured:
+            return {}, {}, {}
+        ins = {
+            direction: source
+            for direction, source in self._base.in_neighbors(node).items()
+            if source not in punctured and (source, node) not in severed
+        }
+        outs = {
+            direction: destination
+            for direction, destination in self._base.out_neighbors(node).items()
+            if destination not in punctured and (node, destination) not in severed
+        }
+        # A direction remains "occupied" while either orientation of the
+        # connection survives (neighbor()/all_neighbors() report structure,
+        # not per-orientation wiring).
+        all_neighbors = {
+            direction: neighbor
+            for direction, neighbor in self._base.all_neighbors(node).items()
+            if direction in ins or direction in outs
+        }
+        return all_neighbors, ins, outs
+
+    def _build_stencil(self) -> Stencil:
+        """The base's column patterns, absence read off (and every in-link
+        checked against) the filtered tables."""
+        src_col = self._base.stencil.src_col
+        absent = {direction: np.ones(self.shape, dtype=bool) for direction in src_col}
+        for node in self.forwarding_nodes():
+            layer, column = node
+            for direction, source in self.in_neighbors(node).items():
+                step = NEIGHBOR_OFFSET[direction][0]
+                expected = (layer + step, int(src_col[direction][column]))
+                if source != expected:
+                    raise ValueError(
+                        f"{self!r} has no regular in-link stencil: in-link "
+                        f"{direction.name} of node {node} comes from {source}, "
+                        f"not {expected}"
+                    )
+                absent[direction][node] = False
+        return Stencil(src_col, absent)
 
     # ------------------------------------------------------------------
     # damage introspection
@@ -178,10 +192,6 @@ class DegradedGrid(HexGrid):
     def severed_links(self) -> List[LinkId]:
         """The severed directed links (between present nodes), sorted."""
         return sorted(self._severed)
-
-    def is_present(self, node: NodeId) -> bool:
-        """Whether the node physically exists (i.e. is not punctured)."""
-        return self.validate_node(node) not in self._punctured
 
     @property
     def num_present_nodes(self) -> int:

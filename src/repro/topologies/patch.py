@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.topology import Direction, HexGrid, NodeId
+from repro.core.topology import Direction, HexGrid, NodeId, Stencil
 
 __all__ = ["HexPatch"]
 
@@ -69,31 +69,19 @@ class HexPatch(HexGrid):
         return (layer, column)
 
     def _raw_neighbor(self, layer: int, column: int, direction: Direction) -> Optional[NodeId]:
-        if direction is Direction.LEFT:
-            if layer == 0 or column == 0:
-                return None
-            return (layer, column - 1)
-        if direction is Direction.RIGHT:
-            if layer == 0 or column == self.width - 1:
-                return None
-            return (layer, column + 1)
-        if direction is Direction.LOWER_LEFT:
-            if layer == 0:
-                return None
-            return (layer - 1, column)
-        if direction is Direction.LOWER_RIGHT:
-            if layer == 0 or column == self.width - 1:
-                return None
-            return (layer - 1, column + 1)
-        if direction is Direction.UPPER_LEFT:
-            if layer == self.layers or column == 0:
-                return None
-            return (layer + 1, column - 1)
-        if direction is Direction.UPPER_RIGHT:
-            if layer == self.layers:
-                return None
-            return (layer + 1, column)
-        raise ValueError(f"unknown direction {direction!r}")  # pragma: no cover
+        """The cylinder's rule without the wrap: off-grid columns are absent."""
+        neighbor = super()._raw_neighbor(layer, column, direction)
+        if neighbor is None or not 0 <= neighbor[1] < self.width:
+            return None
+        return neighbor
+
+    def _build_stencil(self) -> Stencil:
+        """The cylinder's stencil with the wrap-around rim links masked."""
+        stencil = super()._build_stencil()
+        stencil.absent[Direction.LEFT][:, 0] = True
+        stencil.absent[Direction.RIGHT][:, -1] = True
+        stencil.absent[Direction.LOWER_RIGHT][:, -1] = True
+        return stencil
 
     def condition2_extra_hops(self) -> int:
         """Rim nodes are laterally triggered: one extra ``d+`` of guard skew."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.topology import Direction, HexGrid, NodeId
+from repro.core.topology import NEIGHBOR_OFFSET, Direction, HexGrid, NodeId
 
 __all__ = ["HexTorus"]
 
@@ -53,23 +53,11 @@ class HexTorus(HexGrid):
         return layer % (self.layers + 1)
 
     def _raw_neighbor(self, layer: int, column: int, direction: Direction) -> Optional[NodeId]:
-        if direction is Direction.LEFT:
-            if layer == 0:
-                return None
-            return (layer, self.wrap_column(column - 1))
-        if direction is Direction.RIGHT:
-            if layer == 0:
-                return None
-            return (layer, self.wrap_column(column + 1))
-        if direction is Direction.LOWER_LEFT:
-            return (self.wrap_layer(layer - 1), column)
-        if direction is Direction.LOWER_RIGHT:
-            return (self.wrap_layer(layer - 1), self.wrap_column(column + 1))
-        if direction is Direction.UPPER_LEFT:
-            return (self.wrap_layer(layer + 1), self.wrap_column(column - 1))
-        if direction is Direction.UPPER_RIGHT:
-            return (self.wrap_layer(layer + 1), column)
-        raise ValueError(f"unknown direction {direction!r}")  # pragma: no cover
+        """Both axes wrap; the source layer keeps no intra-layer links."""
+        layer_step, column_step = NEIGHBOR_OFFSET[direction]
+        if layer == 0 and layer_step == 0:
+            return None
+        return (self.wrap_layer(layer + layer_step), self.wrap_column(column + column_step))
 
     def node_distance(self, a: NodeId, b: NodeId) -> int:
         """Layer distance also wraps on the torus."""

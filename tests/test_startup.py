@@ -106,6 +106,36 @@ print(json.dumps(sorted(set({LOADED}) - set(seen["at_run"]))))
         assert loaded and all(modules == [] for modules in loaded)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "sweep", "--engine", "solver", "--layers", "8", "--width", "5",
+            "--scenarios", "i,iii", "--faults", "0,1", "--runs", "2", "--quiet",
+            "--workers", "1", "--store", "{tmp}/store", "--out", "{tmp}/out.jsonl",
+        ],
+        [
+            "soak", "--layers", "5", "--width", "4", "--faults", "1",
+            "--pulses-per-epoch", "50", "--pulses", "100", "--quiet",
+            "--store", "{tmp}/soak",
+        ],
+    ],
+    ids=["faulty-sweep", "soak"],
+)
+def test_a_sweep_or_soak_never_imports_numpy_ma(tmp_path, argv):
+    """Skew quantiles and soak medians come from ``repro.stream.exact``, not
+    from ``np.quantile``/``np.median``, whose first calls import
+    ``numpy.ma`` (about 10 ms and 1.9 MB in a fresh process)."""
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = f"""
+import json, sys
+import repro.cli
+assert repro.cli.main({argv!r}) == 0
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+    assert _run(code) is False
+
+
 def test_listing_engines_imports_no_engine_module():
     code = f"""
 import json, sys

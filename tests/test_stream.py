@@ -28,6 +28,8 @@ from repro.stream import (
     StreamSummary,
     StreamingMoments,
     StreamingQuantiles,
+    exact_median,
+    exact_quantiles,
     interpolated_quantile,
 )
 
@@ -247,6 +249,51 @@ class TestStreamingQuantiles:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             StreamingQuantiles(exact_cap=0)
+
+
+def _same_bits(got: float, expected: float) -> bool:
+    """Equal as IEEE values: NaN matches NaN, and the sign of zero counts."""
+    if math.isnan(expected):
+        return math.isnan(got)
+    return got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+class TestExactOrderStatistics:
+    """``exact_quantiles``/``exact_median`` against numpy, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "constant", "nan"])
+    def test_bit_identical_to_numpy_for_every_size(self, kind):
+        rng = np.random.default_rng(2013)
+        for n in range(1, 2001):
+            if kind == "random":
+                values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            elif kind == "ties":
+                values = rng.integers(0, 4, size=n) * 0.1
+            elif kind == "constant":
+                values = np.full(n, -0.7)
+            else:
+                values = rng.uniform(-1.0, 1.0, size=n)
+                values[rng.integers(0, n)] = np.nan
+            before = values.copy()
+            qs = (0.0, 0.05, 0.5, 0.95, 1.0, float(rng.uniform()))
+            for q, got in zip(qs, exact_quantiles(values, qs)):
+                assert _same_bits(got, float(np.quantile(values, q))), (n, q)
+            assert _same_bits(exact_median(values), float(np.median(values))), n
+            assert np.array_equal(values, before, equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinities_follow_numpy(self):
+        for values in ([np.inf], [-np.inf, 1.0], [1.0, 2.0, np.inf], [-np.inf, np.inf]):
+            array = np.asarray(values)
+            for q, got in zip((0.0, 0.3, 0.5, 1.0), exact_quantiles(array, (0.0, 0.3, 0.5, 1.0))):
+                assert _same_bits(got, float(np.quantile(array, q))), (values, q)
+            assert _same_bits(exact_median(array), float(np.median(array))), values
+
+    def test_empty_is_nan_and_q_is_checked(self):
+        assert all(math.isnan(value) for value in exact_quantiles(np.empty(0), (0.1, 0.9)))
+        assert math.isnan(exact_median(np.empty(0)))
+        with pytest.raises(ValueError):
+            exact_quantiles(np.ones(3), (1.5,))
 
 
 class TestStreamSummary:

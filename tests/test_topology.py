@@ -222,19 +222,19 @@ class TestNetworkxExport:
 
 
 class TestLazyNeighborTables:
-    """The neighbour tables build on first accessor use, not at construction.
+    """Each node's neighbour tables build at that node's first query.
 
-    The dense array engine never consults the tables (its plans come from
-    vectorized boundary rules), so construction must stay O(1) -- that is
-    what keeps million-node grids instant to build.
+    The dense array engine and the solver's stencil-compiled plan never
+    consult the tables, so construction must stay O(1) -- that is what keeps
+    million-node grids instant to build -- and a query must not pay for the
+    whole grid.
     """
 
-    def test_construction_defers_table_build(self):
+    def test_one_query_builds_one_node(self):
         grid = HexGrid(layers=4, width=4)
-        assert grid._all_tables is None
-        # First accessor builds them once; results match the raw rule.
-        neighbors = grid.in_neighbors((1, 0))
-        assert grid._all_tables is not None
+        assert grid._tables == {}
+        neighbors = grid.in_neighbors((1, 4))
+        assert list(grid._tables) == [(1, 0)]
         assert neighbors[Direction.LOWER_LEFT] == (0, 0)
         assert list(neighbors) == [
             Direction.LEFT,
@@ -242,6 +242,8 @@ class TestLazyNeighborTables:
             Direction.LOWER_LEFT,
             Direction.LOWER_RIGHT,
         ]
+        assert grid.out_neighbors((1, 0)) is grid.out_neighbors((1, 0))
+        assert list(grid._tables) == [(1, 0)]
 
     def test_million_node_grid_constructs_instantly(self):
         import time
@@ -251,4 +253,4 @@ class TestLazyNeighborTables:
         elapsed = time.perf_counter() - start
         assert grid.num_nodes == 1001000
         assert elapsed < 1.0
-        assert grid._all_tables is None
+        assert grid._tables == {}

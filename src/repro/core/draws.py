@@ -6,7 +6,7 @@ bit-identically (values and generator end state).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,10 @@ class DrawStream:
     count double draws run the same code with a chunk of one, so nothing is
     ever drawn ahead (and :meth:`block` is unavailable, see
     :attr:`reads_ahead`).
+
+    A hot loop may read the buffer in place instead of calling
+    :meth:`uniform` per draw: :meth:`lend`, :meth:`refill` and
+    :meth:`settle` hand it the raw draws and take its read position back.
 
     Between refills and :meth:`rewind` nothing else may draw from the
     generator: a refill or rewind that finds the generator moved raises
@@ -64,6 +68,29 @@ class DrawStream:
             index = 0
         self._next = index + 1
         return low + (high - low) * self._buffer[index]
+
+    def lend(self) -> Tuple[List[float], int]:
+        """Lend the buffer to a loop that reads its draws in place.
+
+        Returns the buffered raw draws (Python floats in ``[0, 1)``) and the
+        index ``i`` of the next unread one.  The borrower scales
+        ``raw[i]`` as ``low + (high - low) * raw[i]``, which is bit-identical
+        to :meth:`uniform`; when ``i`` reaches ``len(raw)`` it calls
+        :meth:`refill` and reads on from index 0 of the list that returns.
+        It hands its index back with :meth:`settle` before the stream is
+        used any other way (a :meth:`uniform` or :meth:`block` draw, or
+        :meth:`rewind`).
+        """
+        return self._buffer, self._next
+
+    def refill(self) -> List[float]:
+        """Count the lent buffer as read and return the next raw draws."""
+        self._refill()
+        return self._buffer
+
+    def settle(self, index: int) -> None:
+        """Take a lent buffer back: its draws before ``index`` are read."""
+        self._next = index
 
     def block(self, low: float, high: float, count: int) -> np.ndarray:
         """The next ``count`` draws, scaled to ``[low, high)``, as a float64 array.

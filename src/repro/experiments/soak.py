@@ -211,10 +211,12 @@ class SoakObserver:
         self._faulty: Set[NodeId] = set()
         self._pending_heal: Optional[float] = None
         self._window: Optional[int] = None
-        size = grid.layers + 1
-        self._mins = np.full(size, np.inf, dtype=float)
-        self._maxs = np.full(size, -np.inf, dtype=float)
-        self._counts = np.zeros(size, dtype=np.int64)
+        # Per-layer accumulators of the live window, as Python lists: every
+        # firing updates them, and list items are cheaper than numpy scalars.
+        self._size = grid.layers + 1
+        self._mins = [math.inf] * self._size
+        self._maxs = [-math.inf] * self._size
+        self._counts = [0] * self._size
 
     # -- the duck-typed HexNetwork observer hooks ----------------------
     def on_firing(self, node: NodeId, time: float) -> None:
@@ -229,10 +231,11 @@ class SoakObserver:
             self._finalize_window()
             self._window = window
         self._counts[layer] += 1
-        if time < self._mins[layer]:
-            self._mins[layer] = time
-        if time > self._maxs[layer]:
-            self._maxs[layer] = time
+        mins, maxs = self._mins, self._maxs
+        if time < mins[layer]:
+            mins[layer] = time
+        if time > maxs[layer]:
+            maxs[layer] = time
 
     def on_adversary(self, time: float, action: object) -> None:
         """Track the live faulty set and the heal instant."""
@@ -254,27 +257,30 @@ class SoakObserver:
             self._window = None
 
     def _finalize_window(self) -> None:
-        eligible = self._counts >= 2
-        eligible[0] = False
-        if eligible.any():
-            spread = float(np.max(self._maxs[eligible] - self._mins[eligible]))
+        counts, mins, maxs = self._counts, self._mins, self._maxs
+        # The widest per-layer spread among the forwarding layers with at
+        # least two firings in the window.
+        spread = max(
+            (maxs[layer] - mins[layer] for layer in range(1, self._size) if counts[layer] >= 2),
+            default=None,
+        )
+        if spread is not None:
             self.skew.add(spread)
         else:
             spread = math.inf
         if self._pending_heal is not None:
             window_start = self._window * self._separation
-            forwarding = self._counts[1:]
             if (
                 window_start >= self._pending_heal
-                and bool(np.all(forwarding == self._width))
+                and all(count == self._width for count in counts[1:])
                 and spread <= self._skew_threshold
             ):
                 self.recovery.add(window_start - self._pending_heal)
                 self.recoveries += 1
                 self._pending_heal = None
-        self._mins.fill(np.inf)
-        self._maxs.fill(-np.inf)
-        self._counts.fill(0)
+        self._mins = [math.inf] * self._size
+        self._maxs = [-math.inf] * self._size
+        self._counts = [0] * self._size
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Typed views of the HEX discrete-event simulation's events.
 
-The network queues events as plain ``(kind, node, arg)`` integer tuples;
-these small frozen dataclasses are the form an observer's ``on_event`` hook
-receives (see :class:`repro.simulation.network.HexNetwork`), built only when
-the observer defines that hook.  Events never carry behaviour.  All events
+The network queues events as flat ``(time, seq, kind, node, arg)`` heap
+entries of plain numbers; these small frozen dataclasses are the form an
+observer's ``on_event`` hook receives (see
+:class:`repro.simulation.network.HexNetwork`), built only when the observer
+defines that hook.  Events never carry behaviour.  All events
 are totally ordered by their scheduled time with a monotonically increasing
 sequence number as a tie-breaker (assigned by the
 :class:`repro.simulation.engine.EventQueue`), which makes simulation runs fully

@@ -15,7 +15,10 @@ the discrete-event simulator for each individual message:
   *identical* delays for the same run -- this is what makes the engine
   cross-validation tests exact;
 * :class:`FreshUniformDelays` instead draws a fresh delay for every message,
-  modelling per-message jitter in long multi-pulse runs.
+  modelling per-message jitter in long multi-pulse runs.  It says so through
+  :meth:`DelayModel.message_draw_bounds`: each of its delays is the next
+  ``uniform(d-, d+)`` draw, so the DES event loop reads that draw from the
+  run's stream itself rather than calling ``sample`` per message.
 
 A model that draws names its generator in :attr:`DelayModel.rng`; the
 solver (and the DES, when that is the run's generator) passes the
@@ -97,6 +100,16 @@ class DelayModel(abc.ABC):
         returns the ``k``-th ``uniform(low, high)`` draw, so a caller may
         read the draws in one block and hand them over with ``adopt_block``.
         Defaults to ``None``: query link by link.
+        """
+        return None
+
+    def message_draw_bounds(self) -> Optional[Tuple[float, float]]:
+        """``(low, high)`` if every :meth:`sample` is the next ``uniform(low, high)``.
+
+        Non-``None`` promises that ``sample(source, destination, uniform)``
+        returns ``uniform(low, high)`` and does nothing else, whatever the
+        link, so a caller holding the stream over :attr:`rng` may take that
+        draw itself instead of calling :meth:`sample`.  Defaults to ``None``.
         """
         return None
 
@@ -291,6 +304,9 @@ class FreshUniformDelays(DelayModel):
 
     def min_delay(self) -> Optional[float]:
         return self._timing.d_min
+
+    def message_draw_bounds(self) -> Optional[Tuple[float, float]]:
+        return (self._timing.d_min, self._timing.d_max)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"FreshUniformDelays([{self._timing.d_min}, {self._timing.d_max}])"

@@ -13,8 +13,12 @@ touches only int-indexed state:
 * per node, a faulty flag and the time it stops executing; per link, the
   eventual non-correct behaviours keyed ``source * N + destination``.  The
   mutation hooks keep both in step with :attr:`HexNetwork.faults`;
-* ``(kind, node, arg)`` event tuples on the
+* flat ``(time, seq, kind, node, arg)`` entries on the
   :class:`~repro.simulation.engine.EventQueue` heap (time, then insertion).
+
+The loop is one function: a firing (sleep draw, wake-up, broadcast of one
+message per out-link) runs inside it, and so does the firing of the nodes
+whose random or adversarial initial state already satisfies a guard.
 
 Byzantine stuck-at-1 links behave as the hardware does: the receiver's flag
 for such a link is set at simulation start and re-set whenever it is
@@ -22,14 +26,19 @@ cleared (by a link timeout or a wake-up).  Timer draws, and the draws of a
 delay model over the same generator, read one
 :class:`~repro.core.draws.DrawStream`, rewound before every public
 method returns, so the generator ends exactly where scalar draws would
-leave it.  Node ids are validated at the API boundary only.
+leave it.  The loop reads the timer draws straight from the stream's buffer
+(:meth:`~repro.core.draws.DrawStream.lend`), and so the delays of a model
+whose :meth:`~repro.simulation.links.DelayModel.message_draw_bounds` says
+each is the next draw (fresh per-message delays, the model of every
+multi-pulse run); every other model is asked through ``sample``.  Node ids
+are validated at the API boundary only.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,7 +88,8 @@ class HexNetwork:
     timeouts:
         Algorithm timeouts (``T_link``, ``T_sleep``) and pulse separation.
     delays:
-        Link delay model; ``sample`` is called once per message.
+        Link delay model; ``sample`` is called once per message, unless
+        its ``message_draw_bounds`` lets the loop take the draw itself.
     fault_model:
         Faults to inject; ``None`` means fault-free.
     rng:
@@ -132,15 +142,19 @@ class HexNetwork:
         self.rng = rng
         self.timer_policy = timer_policy
         self.max_events = max_events
-        self.queue: EventQueue[Tuple[int, int, int]] = EventQueue()
+        self.queue = EventQueue()
         self.observer: Optional[object] = None
         self.stale_high_assertions = 0
         self.dropped_arrivals = 0
 
         self._stream = DrawStream(rng) if rng is not None else None
-        self._uniform = self._stream.uniform if self._stream is not None else None
-        draws_from_run = rng is not None and delays.rng is rng
-        self._delay_uniform = self._uniform if draws_from_run else None
+        draws_from_run = self._stream is not None and delays.rng is rng
+        #: The stream's ``uniform`` when the delay model draws from the run.
+        self._delay_uniform = self._stream.uniform if draws_from_run else None
+        #: ``(d-, d+ - d-)`` when each delay is the next draw of the run's
+        #: stream scaled to ``[d-, d+]``, which the loop then reads itself.
+        bounds = delays.message_draw_bounds() if draws_from_run else None
+        self._fresh_delays = None if bounds is None else (bounds[0], bounds[1] - bounds[0])
         self._nominal = timer_policy is TimerPolicy.NOMINAL
 
         plan = solver_plan(grid)
@@ -239,7 +253,7 @@ class HexNetwork:
         self._initialized = True
         for index in sorted(self._high):
             for slot, source in self._high[index]:
-                self.queue.schedule(0.0, (_HIGH, index, source * 4 + slot))
+                self.queue.schedule(0.0, _HIGH, index, source * 4 + slot)
 
     def schedule_source_pulses(self, schedule: np.ndarray) -> None:
         """Schedule the layer-0 pulse generation.
@@ -264,7 +278,7 @@ class HexNetwork:
                 time = schedule[pulse_index, column]
                 if not math.isfinite(time):
                     continue
-                self.queue.schedule(float(time), (_SOURCE, column, pulse_index))
+                self.queue.schedule(float(time), _SOURCE, column, pulse_index)
 
     def apply_random_initial_states(self, rng: Optional[np.random.Generator] = None) -> None:
         """Put every correct forwarding node into a random internal state.
@@ -295,13 +309,13 @@ class HexNetwork:
                 wake_time = float(generator.uniform(0.0, self.timeouts.t_sleep_max))
                 self._ready[index] = 0
                 self._wake[index] = wake_time
-                self.queue.schedule(wake_time, (_WAKE, index, 0))
+                self.queue.schedule(wake_time, _WAKE, index, 0)
             else:
                 self._ready[index] = 1
                 self._wake[index] = -_INF
             for slot in range(4):
                 if mask >> slot & 1:
-                    self.queue.schedule(self._flags[4 * index + slot], (_EXPIRY, index, slot))
+                    self.queue.schedule(self._flags[4 * index + slot], _EXPIRY, index, slot)
         # Nodes whose arbitrary initial flags already satisfy a guard fire as
         # soon as the run starts.
         self._fire_ready(running)
@@ -325,21 +339,12 @@ class HexNetwork:
             self._mask[index] = 0b1111
             for slot in range(4):
                 self._flags[4 * index + slot] = expiry
-                self.queue.schedule(expiry, (_EXPIRY, index, slot))
+                self.queue.schedule(expiry, _EXPIRY, index, slot)
         self._fire_ready(running)
 
     def _fire_ready(self, indices: List[int]) -> None:
-        try:
-            for index in indices:
-                if self._ready[index] == 1 and _FIRES[self._mask[index]]:
-                    if 0.0 < self._alive_until[index]:
-                        self._fire(index, 0.0)
-        finally:
-            self._rewind()
-
-    def _rewind(self) -> None:
-        if self._stream is not None:
-            self._stream.rewind()
+        """Fire, at time 0, the nodes of ``indices`` whose guard already holds."""
+        self._execute(-_INF, iter(indices))
 
     # ------------------------------------------------------------------
     # dynamic adversary hooks (repro.adversary)
@@ -359,7 +364,7 @@ class HexNetwork:
         for time, action in actions:
             index = len(self._adversary_actions)
             self._adversary_actions.append(action)
-            self.queue.schedule(float(time), (_ADVERSARY, index, 0))
+            self.queue.schedule(float(time), _ADVERSARY, index, 0)
 
     def inject_node_fault(self, fault: NodeFault, time: float) -> None:
         """Make a node faulty from ``time`` on (dynamic fault injection).
@@ -400,7 +405,7 @@ class HexNetwork:
         # fault model: a statically faulty node did not run the algorithm at
         # construction, so its in-link registrations were never built.
         for slot, source in self._sync_stuck_high_inputs(index):
-            self.queue.schedule(time, (_HIGH, index, source * 4 + slot))
+            self.queue.schedule(time, _HIGH, index, source * 4 + slot)
 
     def flip_node_behavior(self, node: NodeId, time: float) -> None:
         """Toggle a Byzantine node's per-link constant-0/constant-1 outputs."""
@@ -455,7 +460,7 @@ class HexNetwork:
         slot = _SLOT[self.grid.direction_between(source, destination)]
         entries.append((slot, src))
         entries.sort()
-        self.queue.schedule(float(time), (_HIGH, dest, src * 4 + slot))
+        self.queue.schedule(float(time), _HIGH, dest, src * 4 + slot)
 
     def _unregister_stuck_high_links(self, node: NodeId) -> None:
         """Retract every stuck-at-1 registration whose source is ``node``."""
@@ -475,55 +480,6 @@ class HexNetwork:
             del self._high[dest]
 
     # ------------------------------------------------------------------
-    # firing
-    # ------------------------------------------------------------------
-    def _fire(self, index: int, time: float) -> None:
-        """Fire a ready node whose guard is satisfied: sleep and broadcast."""
-        timeouts = self.timeouts
-        if self._nominal:
-            sleep = timeouts.t_sleep_min
-        else:
-            sleep = self._uniform(timeouts.t_sleep_min, timeouts.t_sleep_max)
-        wake = time + sleep
-        self._ready[index] = 0
-        self._wake[index] = wake
-        self._firings[index].append(time)
-        if self.observer is not None:
-            self.observer.on_firing(self._nodes[index], time)  # type: ignore[attr-defined]
-        heapq.heappush(self.queue.heap, (wake, next(self.queue.sequence), (_WAKE, index, 0)))
-        self._broadcast(index, time)
-
-    def _broadcast(self, source: int, time: float) -> None:
-        """Send the trigger message of ``source`` on all its outgoing links."""
-        out_links = self._out[source]
-        if not out_links:
-            return
-        ready = self._ready
-        cut = self._cut
-        # Only a correct source's links can carry link faults: a broadcasting
-        # crash-faulty node is still before its crash, hence fully correct.
-        check_cut = bool(cut) and not self._faulty[source]
-        base = source * self._size
-        sample = self.delays.sample
-        uniform = self._delay_uniform
-        nodes = self._nodes
-        heap = self.queue.heap
-        sequence = self.queue.sequence
-        for destination, slot, _layer, _column in out_links:
-            if ready[destination] < 0 or (check_cut and base + destination in cut):
-                continue
-            delay = sample(nodes[source], nodes[destination], uniform)
-            arrival = time + delay
-            if not time - 1e-12 <= arrival < _INF:
-                raise ValueError(
-                    f"delay model returned {delay!r} for link "
-                    f"{nodes[source]} -> {nodes[destination]}"
-                )
-            heapq.heappush(
-                heap, (arrival, next(sequence), (_ARRIVAL, destination, source * 4 + slot))
-            )
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, until: float = math.inf) -> int:
@@ -538,9 +494,28 @@ class HexNetwork:
         ------
         RuntimeError
             If the safety cap ``max_events`` is exceeded.
+        ValueError
+            If the delay model returns a delay that is negative (beyond
+            rounding), infinite or ``nan``.
         """
         if not self._initialized:
             self.initialize()
+        return self._execute(until, iter(()))
+
+    def _execute(self, until: float, seeds: Iterator[int]) -> int:
+        """The event loop: events up to ``until``, then the ``seeds``.
+
+        Each iteration first completes the previous step's firing (a node's
+        sleep draw, wake-up and broadcast) or source pulse (broadcast only),
+        then takes the next event; once no event is due, it takes the next
+        seed instead, a node that fires at time 0 if its guard holds
+        (:meth:`_fire_ready`, which passes ``until = -inf``).  The timer
+        draws, and the delays of a model whose
+        :meth:`~repro.simulation.links.DelayModel.message_draw_bounds` says
+        each is the next stream draw, are read from the lent stream buffer
+        ``raw`` at index ``at``; every other model is asked through
+        ``sample``.
+        """
         queue = self.queue
         heap = queue.heap
         heappop = heapq.heappop
@@ -549,22 +524,95 @@ class HexNetwork:
         ready, mask, flags, wake_at = self._ready, self._mask, self._flags, self._wake
         alive_until, faulty = self._alive_until, self._faulty
         cut, high, size = self._cut, self._high, self._size
-        fire, broadcast, firings = self._fire, self._broadcast, self._firings
-        uniform = self._uniform
+        firings, nodes, out_links = self._firings, self._nodes, self._out
         nominal = self._nominal
         link_min = self.timeouts.t_link_min
-        link_max = self.timeouts.t_link_max
+        link_span = self.timeouts.t_link_max - link_min
+        sleep_min = self.timeouts.t_sleep_min
+        sleep_span = self.timeouts.t_sleep_max - sleep_min
+        stream = self._stream
+        raw, at = stream.lend() if stream is not None else ([], 0)
+        end = len(raw)
+        fresh = self._fresh_delays
+        delay_min, delay_span = fresh if fresh is not None else (0.0, 0.0)
+        sample = self.delays.sample
+        shared = self._delay_uniform
         observer = self.observer
         on_event = getattr(observer, "on_event", None)
         stuck_high = LinkBehavior.CONSTANT_ONE
         limit = self.max_events - queue.num_processed
         processed = stale = dropped = 0
         time = queue.now
+        node = 0
+        # The previous step's send: 0 none, 1 ``node`` fires, 2 source pulse.
+        send = 0
         try:
-            while heap:
-                if heap[0][0] > until:
-                    break
-                time, _seq, (kind, node, arg) = heappop(heap)
+            while True:
+                if send:
+                    if send == 1:
+                        if nominal:
+                            sleep = sleep_min
+                        else:
+                            if at == end:
+                                raw, at = stream.refill(), 0
+                                end = len(raw)
+                            sleep = sleep_min + sleep_span * raw[at]
+                            at += 1
+                        wake = time + sleep
+                        ready[node] = 0
+                        wake_at[node] = wake
+                        heappush(heap, (wake, next_seq(), _WAKE, node, 0))
+                    send = 0
+                    firings[node].append(time)
+                    if observer is not None:
+                        observer.on_firing(nodes[node], time)  # type: ignore[attr-defined]
+                    # Broadcast.  Only a correct source's links can carry
+                    # link faults: a broadcasting crash-faulty node is still
+                    # before its crash, hence fully correct.
+                    check_cut = cut and not faulty[node]
+                    base = node * size
+                    for destination, slot, _layer, _column in out_links[node]:
+                        if ready[destination] < 0 or (check_cut and base + destination in cut):
+                            continue
+                        if fresh is not None:
+                            if at == end:
+                                raw, at = stream.refill(), 0
+                                end = len(raw)
+                            delay = delay_min + delay_span * raw[at]
+                            at += 1
+                        elif shared is None:
+                            delay = sample(nodes[node], nodes[destination])
+                        else:
+                            # The model draws through the stream itself;
+                            # ``at = -1`` marks the buffer as not lent.
+                            stream.settle(at)
+                            at = -1
+                            delay = sample(nodes[node], nodes[destination], shared)
+                            raw, at = stream.lend()
+                            end = len(raw)
+                        arrival = time + delay
+                        if not time - 1e-12 <= arrival < _INF:
+                            raise ValueError(
+                                f"delay model returned {delay!r} for link "
+                                f"{nodes[node]} -> {nodes[destination]}"
+                            )
+                        heappush(
+                            heap, (arrival, next_seq(), _ARRIVAL, destination, node * 4 + slot)
+                        )
+                if processed > limit:
+                    raise RuntimeError(
+                        f"event cap of {self.max_events} exceeded; "
+                        "check the fault model / timeout configuration for livelock"
+                    )
+                if not heap or heap[0][0] > until:
+                    node = next(seeds, -1)
+                    if node < 0:
+                        break
+                    time = 0.0
+                    if ready[node] == 1 and _FIRES[mask[node]] and time < alive_until[node]:
+                        send = 1
+                    continue
+                time, _seq, kind, node, arg = heappop(heap)
                 processed += 1
                 if on_event is not None:
                     on_event(time, self._event_view(kind, node, arg, time))
@@ -579,7 +627,14 @@ class HexNetwork:
                     elif ready[node] < 0 or not time < alive_until[node]:
                         dropped += 1
                     else:
-                        link_timeout = link_min if nominal else uniform(link_min, link_max)
+                        if nominal:
+                            link_timeout = link_min
+                        else:
+                            if at == end:
+                                raw, at = stream.refill(), 0
+                                end = len(raw)
+                            link_timeout = link_min + link_span * raw[at]
+                            at += 1
                         slot = arg & 3
                         memorized = mask[node]
                         if not memorized >> slot & 1:
@@ -589,16 +644,16 @@ class HexNetwork:
                             memorized |= 1 << slot
                             mask[node] = memorized
                             flags[4 * node + slot] = expiry
-                            heappush(heap, (expiry, next_seq(), (_EXPIRY, node, slot)))
-                        if ready[node] == 1 and _FIRES[memorized] and time < alive_until[node]:
-                            fire(node, time)
+                            heappush(heap, (expiry, next_seq(), _EXPIRY, node, slot))
+                        if ready[node] == 1 and _FIRES[memorized]:
+                            send = 1
                 elif kind == _EXPIRY:
                     # Only the expiry the flag was armed with clears it.
                     if mask[node] >> arg & 1 and abs(flags[4 * node + arg] - time) <= 1e-12:
                         mask[node] ^= 1 << arg
                         for slot, source in high.get(node, ()) if high else ():
                             if slot == arg:
-                                heappush(heap, (time, next_seq(), (_HIGH, node, source * 4 + slot)))
+                                heappush(heap, (time, next_seq(), _HIGH, node, source * 4 + slot))
                 elif kind == _WAKE:
                     # Stale wake-ups (the node was reset since) are ignored.
                     if ready[node] == 0 and abs(wake_at[node] - time) <= 1e-9:
@@ -606,33 +661,34 @@ class HexNetwork:
                         mask[node] = 0
                         wake_at[node] = -_INF
                         for slot, source in high.get(node, ()) if high else ():
-                            heappush(heap, (time, next_seq(), (_HIGH, node, source * 4 + slot)))
+                            heappush(heap, (time, next_seq(), _HIGH, node, source * 4 + slot))
                 elif kind == _SOURCE:
                     # Sources that turned faulty mid-run (dynamic injection /
                     # crash) stop generating; statically faulty sources were
                     # never scheduled.
                     if time < alive_until[node]:
-                        firings[node].append(time)
-                        if observer is not None:
-                            observer.on_firing(self._nodes[node], time)  # type: ignore[attr-defined]
-                        broadcast(node, time)
+                        send = 2
                 else:
                     queue.now = time
                     action = self._adversary_actions[node]
+                    if stream is not None:
+                        stream.settle(at)
+                        at = -1
                     action.apply(self, time)  # type: ignore[attr-defined]
+                    if stream is not None:
+                        raw, at = stream.lend()
+                        end = len(raw)
                     if observer is not None:
                         observer.on_adversary(time, action)  # type: ignore[attr-defined]
-                if processed > limit:
-                    raise RuntimeError(
-                        f"event cap of {self.max_events} exceeded; "
-                        "check the fault model / timeout configuration for livelock"
-                    )
         finally:
             queue.now = time
             queue.num_processed += processed
             self.stale_high_assertions += stale
             self.dropped_arrivals += dropped
-            self._rewind()
+            if stream is not None:
+                if at >= 0:
+                    stream.settle(at)
+                stream.rewind()
         return processed
 
     def _event_view(self, kind: int, node: int, arg: int, time: float) -> Event:

@@ -42,6 +42,24 @@ _MAX_NODE_DAMAGE = 0.25
 _MAX_LINK_DAMAGE = 0.25
 
 
+def _intact_links(grid: HexGrid) -> Iterator[LinkId]:
+    """Every directed link of an intact grid, each once, by destination.
+
+    The in-links of layers ``1..L`` come from the stencil; only layer 0's
+    (the torus's wrap links) are read from its tables.
+    """
+    stencil = grid.stencil
+    for column in range(grid.width):
+        for source in grid.in_neighbors((0, column)).values():
+            yield source, (0, column)
+    for direction, absent in stencil.absent.items():
+        step = NEIGHBOR_OFFSET[direction][0]
+        sources = stencil.src_col[direction].tolist()
+        for layer, column in zip(*np.nonzero(~absent)):
+            layer, column = int(layer), int(column)
+            yield (layer + step, sources[column]), (layer, column)
+
+
 class DegradedGrid(HexGrid):
     """A base topology with seeded punctured nodes and severed links.
 
@@ -109,24 +127,22 @@ class DegradedGrid(HexGrid):
         )
         self._punctured: Set[NodeId] = {forwarding[int(index)] for index in picked}
 
-        link_pool: List[LinkId] = sorted(
-            (source, destination)
-            for source, destination in base_grid.links()
-            if source not in self._punctured and destination not in self._punctured
-        )
-        max_links = int(len(link_pool) * _MAX_LINK_DAMAGE)
-        if links > max_links:
-            raise ValueError(
-                f"cannot sever {links} of {len(link_pool)} remaining links: "
-                f"damage beyond {_MAX_LINK_DAMAGE:.0%} (here {max_links}) "
-                "disconnects the fabric -- use a larger grid or fewer cuts"
+        self._severed: Set[LinkId] = set()
+        if links:
+            link_pool: List[LinkId] = sorted(
+                (source, destination)
+                for source, destination in _intact_links(base_grid)
+                if source not in self._punctured and destination not in self._punctured
             )
-        picked_links = (
-            damage_rng.choice(len(link_pool), size=links, replace=False)
-            if links
-            else np.empty(0, dtype=int)
-        )
-        self._severed: Set[LinkId] = {link_pool[int(index)] for index in picked_links}
+            max_links = int(len(link_pool) * _MAX_LINK_DAMAGE)
+            if links > max_links:
+                raise ValueError(
+                    f"cannot sever {links} of {len(link_pool)} remaining links: "
+                    f"damage beyond {_MAX_LINK_DAMAGE:.0%} (here {max_links}) "
+                    "disconnects the fabric -- use a larger grid or fewer cuts"
+                )
+            picked_links = damage_rng.choice(len(link_pool), size=links, replace=False)
+            self._severed = {link_pool[int(index)] for index in picked_links}
 
         self._tables = {}
 
@@ -159,22 +175,30 @@ class DegradedGrid(HexGrid):
         return all_neighbors, ins, outs
 
     def _build_stencil(self) -> Stencil:
-        """The base's column patterns, absence read off (and every in-link
-        checked against) the filtered tables."""
-        src_col = self._base.stencil.src_col
-        absent = {direction: np.ones(self.shape, dtype=bool) for direction in src_col}
-        for node in self.forwarding_nodes():
-            layer, column = node
-            for direction, source in self.in_neighbors(node).items():
-                step = NEIGHBOR_OFFSET[direction][0]
-                expected = (layer + step, int(src_col[direction][column]))
-                if source != expected:
-                    raise ValueError(
-                        f"{self!r} has no regular in-link stencil: in-link "
-                        f"{direction.name} of node {node} comes from {source}, "
-                        f"not {expected}"
-                    )
-                absent[direction][node] = False
+        """The base's stencil, with the in-links the damage removed masked.
+
+        A punctured node loses its own in-links and the in-links it drives;
+        a severed link masks its destination's in-link from that direction.
+        Severed links into layer 0 (the torus's wrap links) need no mask:
+        layer 0 never listens.
+        """
+        base = self._base.stencil
+        src_col = base.src_col
+        absent = {direction: plane.copy() for direction, plane in base.absent.items()}
+        for layer, column in self._punctured:
+            for direction, plane in absent.items():
+                plane[layer, column] = True
+                driven = layer - NEIGHBOR_OFFSET[direction][0]
+                if driven <= self.layers:
+                    plane[driven, src_col[direction] == column] = True
+        for (source_layer, source_column), (layer, column) in self._severed:
+            for direction, plane in absent.items():
+                if (
+                    layer > 0
+                    and layer + NEIGHBOR_OFFSET[direction][0] == source_layer
+                    and src_col[direction][column] == source_column
+                ):
+                    plane[layer, column] = True
         return Stencil(src_col, absent)
 
     # ------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Per-node neighbour tables, the in-link stencil and the plans built from it.
 
 A grid builds one node's tables at that node's first query; the stencil
-compile of ``SolverPlan`` and ``ArrayPlan`` never queries them on the
-intact families.  Both must equal the eager constructions they replaced:
-the all-node table build (``_eager_tables`` below) and the per-node plan
+compile of ``SolverPlan`` and ``ArrayPlan`` never queries them, and a
+degraded grid derives its stencil and damage without them.  All must equal
+the eager constructions they replaced: the all-node table build
+(``_eager_tables`` below), the stencil read off the tables
+(``test_stencil_lists_exactly_the_in_links``), the damage drawn from the
+base's full link list (``_table_drawn_damage``) and the per-node plan
 compile (``_plan_reference.per_node_plan``).
 """
 
@@ -32,6 +35,12 @@ GRIDS = [
     *(("degraded:links=8,seed=%d" % seed, 5, 3) for seed in range(3)),
     ("degraded:base=torus,nodes=3,links=4,seed=5", 6, 5),
     ("degraded:base=patch,nodes=2,links=5,seed=6", 6, 5),
+]
+
+DEGRADED = [
+    *(grid for grid in GRIDS if grid[0].startswith("degraded")),
+    ("degraded:base=torus,nodes=4,links=30,seed=9", 12, 8),
+    ("degraded:nodes=2,seed=3", 50, 20),
 ]
 
 
@@ -121,7 +130,7 @@ def test_stencil_compiled_plan_equals_the_per_node_compile(spec, layers, width):
     )
 
 
-@pytest.mark.parametrize("spec,layers,width", GRIDS)
+@pytest.mark.parametrize("spec,layers,width", GRIDS + DEGRADED[-2:])
 def test_stencil_lists_exactly_the_in_links(spec, layers, width):
     grid = build_topology(spec, layers, width)
     stencil = grid.stencil
@@ -136,6 +145,42 @@ def test_stencil_lists_exactly_the_in_links(spec, layers, width):
                 assert ins.get(direction) == (None if absent[layer, column] else expected)
     assert all(absent[0].all() for absent in stencil.absent.values())
     assert not stencil.absent[Direction.LEFT].flags.writeable
+
+
+def _table_drawn_damage(grid):
+    """A degraded grid's damage, drawn from its base's full link list."""
+    base_spec, nodes, links, seed = grid._damage
+    base = build_topology(base_spec, grid.layers, grid.width)
+    rng = np.random.default_rng(seed)
+    forwarding = sorted(base.forwarding_nodes())
+    punctured = (
+        {forwarding[int(i)] for i in rng.choice(len(forwarding), size=nodes, replace=False)}
+        if nodes
+        else set()
+    )
+    pool = sorted(
+        link for link in base.links() if link[0] not in punctured and link[1] not in punctured
+    )
+    severed = (
+        {pool[int(i)] for i in rng.choice(len(pool), size=links, replace=False)}
+        if links
+        else set()
+    )
+    return sorted(punctured), sorted(severed)
+
+
+@pytest.mark.parametrize("spec,layers,width", DEGRADED)
+def test_degraded_damage_equals_the_table_drawn_damage(spec, layers, width):
+    grid = build_topology(spec, layers, width)
+    assert (grid.punctured_nodes(), grid.severed_links()) == _table_drawn_damage(grid)
+
+
+@pytest.mark.parametrize("spec,layers,width", DEGRADED)
+def test_degraded_grids_and_plans_build_no_tables(spec, layers, width):
+    grid = build_topology(spec, layers, width)
+    SolverPlan.compile(grid)
+    array_plan(grid)
+    assert grid._tables == {}
 
 
 @pytest.mark.parametrize("spec", ["cylinder", "torus", "patch"])

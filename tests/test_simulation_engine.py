@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 
 from repro.core.draws import DrawStream
+from repro.core.parameters import TimerPolicy, condition2_timeouts
 from repro.core.topology import HexGrid
 from repro.simulation.engine import EventQueue
 from repro.simulation.links import (
@@ -14,76 +17,70 @@ from repro.simulation.links import (
     TableDelays,
     UniformRandomDelays,
 )
+from repro.simulation.network import HexNetwork
+
+
+def _pop_nodes(queue):
+    """The ``node`` fields of the queued entries, in pop order."""
+    return [heapq.heappop(queue.heap)[3] for _ in range(len(queue.heap))]
+
+
+def _small_network(timing, **kwargs):
+    grid = HexGrid(layers=3, width=4)
+    timeouts = condition2_timeouts(timing, stable_skew=timing.d_max, layers=grid.layers)
+    return HexNetwork(
+        grid,
+        timing,
+        timeouts,
+        ConstantDelays(timing.d_max),
+        timer_policy=TimerPolicy.NOMINAL,
+        **kwargs,
+    )
 
 
 class TestEventQueue:
     def test_orders_by_time(self):
         queue = EventQueue()
-        queue.schedule(3.0, "c")
-        queue.schedule(1.0, "a")
-        queue.schedule(2.0, "b")
-        assert [queue.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        queue.schedule(3.0, 4, 2, 0)
+        queue.schedule(1.0, 4, 0, 0)
+        queue.schedule(2.0, 4, 1, 0)
+        assert _pop_nodes(queue) == [0, 1, 2]
 
     def test_ties_broken_by_insertion_order(self):
         queue = EventQueue()
-        for label in "abc":
-            queue.schedule(1.0, label)
-        assert [queue.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        for node in (2, 0, 1):
+            queue.schedule(1.0, 4, node, 0)
+        assert _pop_nodes(queue) == [2, 0, 1]
 
-    def test_now_advances_with_pops(self):
-        queue = EventQueue()
-        queue.schedule(2.5, "x")
-        assert queue.now == 0.0
-        queue.pop()
-        assert queue.now == 2.5
+    def test_now_advances_with_pops(self, timing):
+        network = _small_network(timing)
+        network.schedule_source_pulses(np.zeros((1, 4)))
+        assert network.queue.now == 0.0
+        network.run(until=timing.d_max)
+        # The last events processed are the layer-1 arrivals at d+.
+        assert network.queue.now == timing.d_max
 
     def test_cannot_schedule_in_the_past(self):
         queue = EventQueue()
-        queue.schedule(5.0, "x")
-        queue.pop()
+        queue.now = 5.0
         with pytest.raises(ValueError):
-            queue.schedule(4.0, "y")
+            queue.schedule(4.0, 4, 0, 0)
+        queue.schedule(5.0, 4, 0, 0)
 
     def test_cannot_schedule_nonfinite(self):
         queue = EventQueue()
         with pytest.raises(ValueError):
-            queue.schedule(float("inf"), "x")
+            queue.schedule(float("inf"), 4, 0, 0)
         with pytest.raises(ValueError):
-            queue.schedule(float("nan"), "x")
+            queue.schedule(float("nan"), 4, 0, 0)
 
-    def test_peek_and_len(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        assert not queue
-        queue.schedule(1.0, "a")
-        assert queue.peek_time() == 1.0
-        assert len(queue) == 1
-
-    def test_pop_until(self):
-        queue = EventQueue()
-        for t in (1.0, 2.0, 3.0, 4.0):
-            queue.schedule(t, t)
-        popped = list(queue.pop_until(2.5))
-        assert [time for time, _ in popped] == [1.0, 2.0]
-        assert len(queue) == 2
-
-    def test_counters(self):
-        queue = EventQueue()
-        queue.schedule(1.0, "a")
-        queue.schedule(2.0, "b")
-        queue.pop()
-        assert queue.num_scheduled == 2
-        assert queue.num_processed == 1
-
-    def test_clear(self):
-        queue = EventQueue()
-        queue.schedule(1.0, "a")
-        queue.clear()
-        assert len(queue) == 0
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
+    def test_counters(self, timing):
+        network = _small_network(timing)
+        network.schedule_source_pulses(np.zeros((1, 4)))
+        processed = network.run(until=timing.d_max)
+        queue = network.queue
+        assert 0 < queue.num_processed == processed < queue.num_scheduled
+        assert queue.num_scheduled == processed + len(queue.heap)
 
 
 class TestDelayModels:

@@ -4,11 +4,12 @@ This is ``HexNetwork.run`` as it shipped before its event loop took in the
 firing, the broadcast and the draws: a ``_fire`` call per firing, a
 ``_broadcast`` call per sender, one ``DrawStream.uniform`` call per timer
 draw and one ``DelayModel.sample`` call per message.  Its logic is kept
-here unchanged, with one adaptation to the present library: heap entries are the
-flat ``(time, seq, kind, node, arg)`` tuples the public scheduling methods
-now push, where the old loop carried ``(time, seq, (kind, node, arg))``.
-``tests/test_des_loop.py`` compares the two loops on randomized runs:
-firings, event counters, silent-skip counters and generator end state.
+here unchanged, with one adaptation to the present library: heap entries
+are the flat ``(time, seq, kind, node, arg)`` tuples the public scheduling
+methods now push, where the old loop carried ``(time, seq, (kind, node,
+arg))``.  ``tests/test_des_loop.py`` compares the two loops on randomized
+runs: firings, event counters, silent-skip counters and generator end
+state.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@
 * :mod:`repro.analysis.histograms` -- cumulative skew histograms (Figs. 10, 11).
 * :mod:`repro.analysis.locality` -- h-hop exclusion zones around faults
   (Figs. 15, 16) and fault-locality metrics.
-* :mod:`repro.analysis.stabilization` -- pulse assignment and stabilization-time
-  estimation for multi-pulse runs (Figs. 18, 19).
-* :mod:`repro.analysis.streaming` -- post-hoc mirrors of the streaming soak
-  telemetry, for streaming-vs-exact equivalence tests.
+* :mod:`repro.analysis.stabilization` -- the Section 4.4 stabilization verdict
+  of multi-pulse runs (Figs. 18, 19, recovery): pulse windows, the
+  ``sigma(f, l)`` bounds, per-pulse flags, stabilization time, and the
+  post-hoc mirror of the soak's streaming skew series.
 """

@@ -100,29 +100,17 @@ def _record(task: RunTask, result) -> RunRecord:
         return record
 
     # Stabilization analysis: only multi-pulse records load it.
-    from repro.analysis.stabilization import stabilization_time
-    from repro.core.bounds import stable_skew_choice
+    from repro.analysis.stabilization import sigma_bound, stabilization_time
 
     grid = result.grid
     timing = result.timing
     layer0_spread = scenario_layer0_spread(parse_scenario(task.scenario), grid.width, timing)
-    # Lateral-trigger margin of the topology (0 on the cylinder): the sigma
-    # bounds are derived for centrally-triggered nodes, and rim/hole-adjacent
-    # nodes legitimately run about one d+ behind per structural obstacle --
-    # the same margin the DES engine charges on its Condition 2 timeouts.
-    extra_skew = grid.condition2_extra_hops() * timing.d_max
-
-    def intra_bound(layer: int) -> float:
-        return extra_skew + stable_skew_choice(
-            task.skew_choice,
-            timing,
-            grid.layers,
-            layer,
-            task.num_faults,
-            layer0_spread=layer0_spread,
-        )
-
-    estimate = stabilization_time(result, intra_bound)
+    estimate = stabilization_time(
+        result,
+        sigma_bound(
+            grid, timing, task.skew_choice, task.num_faults, layer0_spread=layer0_spread
+        ),
+    )
     record.stabilization_time = float(estimate) if estimate is not None else float("nan")
     record.total_firings = result.total_firings()
     return record

@@ -45,6 +45,7 @@ from repro.engines.base import (
     DELAY_MODELS,
     EXACTNESS,
     INITIAL_STATES,
+    KINDS,
     canonical_fault_type,
     canonical_json,
     canonical_positions,
@@ -71,9 +72,6 @@ __all__ = [
     "canonical_json",
     "content_key",
 ]
-
-#: Supported workload kinds.
-KINDS = ("single_pulse", "multi_pulse")
 
 #: Order of the sweep axes; fixes the cartesian enumeration (and therefore the
 #: per-point seed salts) of a cell.  Axes added after the original seven

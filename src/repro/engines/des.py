@@ -55,7 +55,6 @@ def single_pulse_default_timeouts(
     timing: TimingConfig,
     num_faults: int = 0,
     layer0_spread: float = 0.0,
-    signal_duration: float = 0.0,
 ) -> TimeoutConfig:
     """Conservative Condition 2 timeouts from the Lemma 5 stable-skew bound.
 
@@ -71,11 +70,7 @@ def single_pulse_default_timeouts(
     )
     stable_skew += grid.condition2_extra_hops() * timing.d_max
     return condition2_timeouts(
-        timing,
-        stable_skew=stable_skew,
-        layers=grid.layers,
-        num_faults=num_faults,
-        signal_duration=signal_duration,
+        timing, stable_skew=stable_skew, layers=grid.layers, num_faults=num_faults
     )
 
 
@@ -91,10 +86,9 @@ def scenario_stabilization_timeouts(
 
     The stable skew is the same sum as
     :func:`repro.core.bounds.lemma5_pulse_skew_bound` with the
-    :func:`~repro.clocksource.scenarios.scenario_layer0_spread` of ``scenario`` (which is what
-    :func:`repro.experiments.stability.scenario_timeouts` computes), with
-    ``extra_hops`` more ``d+`` terms.  ``extra_hops`` is the topology's
-    lateral-trigger margin (see
+    :func:`~repro.clocksource.scenarios.scenario_layer0_spread` of
+    ``scenario``, with ``extra_hops`` more ``d+`` terms.  ``extra_hops`` is
+    the topology's lateral-trigger margin (see
     :meth:`~repro.core.topology.HexGrid.condition2_extra_hops`); the default
     of 0 keeps every cylinder caller byte-identical.
     """
@@ -267,7 +261,6 @@ class DesEngine:
             rng=generator,
             fault_model=fault_model,
             delays=spec.make_delays(timing, generator, kind_default="fresh"),
-            random_initial_states=spec.random_initial_states,
             timer_policy=timer_policy,
             run_slack=spec.run_slack,
             adversary=adversary,
@@ -379,20 +372,19 @@ class DesEngine:
         rng: np.random.Generator,
         fault_model: Optional[FaultModel] = None,
         delays: Optional[DelayModel] = None,
-        random_initial_states: bool = True,
         timer_policy: TimerPolicy = TimerPolicy.UNIFORM,
         run_slack: float = 0.0,
         adversary: Optional[ScheduledAdversary] = None,
-        initial_states: Optional[str] = None,
+        initial_states: str = "random",
         observer: Optional[object] = None,
         collect_firings: bool = True,
     ) -> RunResult:
         """Run the simulator over a whole schedule of layer-0 pulses.
 
-        ``initial_states`` (``"clean"`` / ``"random"`` / ``"adversarial"``)
-        overrides the legacy ``random_initial_states`` flag when given;
-        ``adversary`` installs a materialized fault schedule whose timed
-        actions mutate the fault model mid-run.
+        ``initial_states`` is one of :data:`~repro.engines.base.INITIAL_STATES`
+        (``"clean"`` / ``"random"`` / ``"adversarial"``); ``adversary``
+        installs a materialized fault schedule whose timed actions mutate the
+        fault model mid-run.
 
         ``observer`` replaces the default :func:`repro.obs.des_observer` hook
         with a caller-supplied network observer (``on_firing`` /
@@ -411,8 +403,6 @@ class DesEngine:
             )
         if delays is None:
             delays = FreshUniformDelays(timing, rng)
-        if initial_states is None:
-            initial_states = "random" if random_initial_states else "clean"
 
         network = _simulate(
             HexNetwork(grid, timing, timeouts, delays, fault_model, rng, timer_policy),
@@ -427,10 +417,9 @@ class DesEngine:
         final_model = self._final_fault_model(network, fault_model, adversary)
         firing_times: Dict[NodeId, List[float]] = {}
         if collect_firings:
-            for node in grid.nodes():
-                if final_model is not None and final_model.is_faulty(node):
-                    continue
-                firing_times[node] = network.firing_times(node)
+            firing_times = network.all_firing_times(
+                exclude=set(final_model.faulty_nodes()) if final_model is not None else ()
+            )
 
         result = RunResult(
             engine=self.name,

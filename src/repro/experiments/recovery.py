@@ -30,11 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.adversary.schedule import FaultSchedule
-from repro.analysis.stabilization import assign_pulses, pulse_skew_ok
+from repro.analysis.stabilization import pulse_ok_flags, sigma_bound
 from repro.clocksource.scenarios import Scenario
-from repro.core.bounds import stable_skew_choice
 from repro.engines import RunSpec, get_engine
-from repro.engines.base import RunResult
 from repro.engines.des import scenario_stabilization_timeouts
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_table
@@ -45,7 +43,6 @@ __all__ = [
     "RecoveryPoint",
     "RecoveryExperiment",
     "burst_recovery_spec",
-    "pulse_ok_flags",
     "recovery_pulses",
     "run",
 ]
@@ -109,46 +106,6 @@ def burst_recovery_spec(
         entropy=config.seed + seed_salt,
         run_index=run_index,
     )
-
-
-def pulse_ok_flags(result: RunResult, num_faults_bound: int = 0) -> np.ndarray:
-    """Per-pulse boolean flags: skews within the ``sigma(f, l)`` bounds (C = 0).
-
-    ``num_faults_bound = 0`` checks against the *fault-free* bounds, which is
-    the recovery criterion (after the heal event there are no faults left to
-    excuse any skew).
-    """
-    assignment = assign_pulses(result)
-    grid = result.grid
-    timing = result.timing
-    correct_mask = (
-        result.fault_model.correctness_mask()
-        if result.fault_model is not None
-        else np.ones(grid.shape, dtype=bool)
-    )
-    correct_mask &= grid.pulse_reachable_mask()
-
-    extra_skew = grid.condition2_extra_hops() * timing.d_max
-
-    def intra_bound(layer: int) -> float:
-        return extra_skew + stable_skew_choice(
-            0, timing, grid.layers, layer, num_faults_bound, layer0_spread=0.0
-        )
-
-    def inter_bound(layer: int) -> float:
-        return intra_bound(layer) + timing.d_max
-
-    flags = np.zeros(assignment.num_pulses, dtype=bool)
-    for pulse in range(assignment.num_pulses):
-        flags[pulse] = pulse_skew_ok(
-            grid,
-            assignment.times[pulse],
-            assignment.counts[pulse],
-            correct_mask,
-            intra_bound,
-            inter_bound,
-        )
-    return flags
 
 
 def recovery_pulses(flags: np.ndarray, heal_pulse: int) -> float:
@@ -281,7 +238,9 @@ def run(
                 seed_salt + num_faults,
             )
             result = engine.run(spec)
-            flags = pulse_ok_flags(result)
+            # Judged against the fault-free bounds sigma(0, l) (C = 0): after
+            # the heal event there are no faults left to excuse any skew.
+            flags = pulse_ok_flags(result, sigma_bound(result.grid, result.timing, 0, 0))
             recovery[run_index] = recovery_pulses(flags, heal_pulse)
             violated[run_index] = not bool(
                 np.all(flags[inject_pulse : heal_pulse + 1])

@@ -26,11 +26,11 @@ Per-pulse observations (streamed, never stored):
 * **skew** -- the pulse's maximum intra-layer firing spread: firings of
   currently-faulty nodes and of layer-0 sources are excluded, each firing is
   binned to the window ``floor(t / S)`` (equivalently the
-  :func:`repro.analysis.stabilization.assign_pulses` searchsorted rule --
-  zero-scenario window ``k`` starts exactly at ``k * S``), and the window's
-  skew is the max over layers with >= 2 firings of ``max - min``.
-  :func:`repro.analysis.streaming.pulse_skew_series` is the post-hoc mirror
-  used by the equivalence tests.
+  :func:`repro.analysis.stabilization.pulse_windows` rule -- zero-scenario
+  window ``k`` starts exactly at ``k * S``), and the window's skew is the
+  max over layers with >= 2 firings of ``max - min``.
+  :func:`repro.analysis.stabilization.pulse_skew_series` is the post-hoc
+  mirror used by the equivalence tests.
 * **recovery time** -- after the epoch's burst fully heals, the time from
   the heal to the start of the first window in which every forwarding layer
   fired ``width`` times with skew at most

@@ -30,9 +30,9 @@ import numpy as np
 from repro.campaign.records import stabilization_times
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, SweepSpec
-from repro.clocksource.scenarios import Scenario, parse_scenario, scenario_layer0_spread
-from repro.core.bounds import lemma5_pulse_skew_bound
-from repro.core.parameters import TimeoutConfig, condition2_timeouts
+from repro.clocksource.scenarios import Scenario, parse_scenario
+from repro.core.parameters import TimeoutConfig
+from repro.engines.des import scenario_stabilization_timeouts
 from repro.experiments.config import ExperimentConfig
 from repro.faults.models import FaultType
 
@@ -40,41 +40,7 @@ __all__ = [
     "StabilizationPoint",
     "stabilization_point_spec",
     "run_stabilization_point",
-    "scenario_timeouts",
 ]
-
-
-def scenario_timeouts(
-    config: ExperimentConfig,
-    scenario: Union[Scenario, str],
-    num_faults: int,
-    stable_skew: Optional[float] = None,
-    signal_duration: float = 0.0,
-) -> TimeoutConfig:
-    """Condition 2 timeouts for a stabilization experiment.
-
-    The stable-skew value defaults to the conservative Lemma 5 bound with the
-    scenario's maximum layer-0 spread (``0``, ``d-``, ``d+`` or ``W/2 * d+``
-    for scenarios (i)-(iv)); pass an explicit ``stable_skew`` (e.g. the
-    observed maximum skew plus ``d+``, as the paper does) to reproduce the
-    Table 3 values instead.
-    """
-    scenario_value = parse_scenario(scenario)
-    timing = config.timing
-    if stable_skew is None:
-        stable_skew = lemma5_pulse_skew_bound(
-            timing,
-            config.layers,
-            num_faults,
-            layer0_spread=scenario_layer0_spread(scenario_value, config.width, timing),
-        )
-    return condition2_timeouts(
-        timing,
-        stable_skew=stable_skew,
-        layers=config.layers,
-        num_faults=num_faults,
-        signal_duration=signal_duration,
-    )
 
 
 @dataclass
@@ -147,8 +113,9 @@ def stabilization_point_spec(
     """The one-cell campaign spec equivalent of one stabilization data point.
 
     Without an explicit ``timeouts`` override the campaign executor derives
-    the conservative Lemma 5 values per task -- the same formula as
-    :func:`scenario_timeouts` -- which keeps the spec self-contained.
+    the conservative Lemma 5 values per task
+    (:func:`~repro.engines.des.scenario_stabilization_timeouts`), which keeps
+    the spec self-contained.
     """
     scenario_value = parse_scenario(scenario)
     cell = SweepSpec(
@@ -199,7 +166,9 @@ def run_stabilization_point(
 
     pulses = num_pulses if num_pulses is not None else config.num_pulses
     if timeouts is None:
-        timeouts = scenario_timeouts(config, scenario_value, num_faults)
+        timeouts = scenario_stabilization_timeouts(
+            scenario_value, config.width, config.layers, num_faults, config.timing
+        )
     spec = stabilization_point_spec(
         config,
         scenario_value,

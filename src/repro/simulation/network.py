@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -715,6 +715,19 @@ class HexNetwork:
     def firing_times(self, node: NodeId) -> List[float]:
         """All firing times of a node (sources and forwarding nodes alike)."""
         return list(self._firings[self._index(self.grid.validate_node(node))])
+
+    def all_firing_times(self, exclude: Collection[NodeId] = ()) -> Dict[NodeId, List[float]]:
+        """``node -> firing times`` of every grid node not in ``exclude``.
+
+        In ``grid.nodes()`` order; the nodes are canonical, so unlike
+        :meth:`firing_times` none is re-validated.
+        """
+        firings, width = self._firings, self.grid.width
+        return {
+            node: list(firings[node[0] * width + node[1]])
+            for node in self.grid.nodes()
+            if node not in exclude
+        }
 
     def memorized(self, node: NodeId) -> Dict[Direction, float]:
         """The node's memorized flags: incoming direction -> expiry time.

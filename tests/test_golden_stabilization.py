@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import pytest
 
-from repro.analysis.streaming import pulse_skew_series
+from repro.analysis.stabilization import pulse_skew_series
 from repro.campaign import CampaignRunner, CampaignSpec, RunRecord, SweepSpec
 from repro.engines import RunSpec, get_engine
 from repro.experiments import recovery, stability

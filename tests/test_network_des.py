@@ -204,7 +204,7 @@ class TestRunnerInterfaces:
             rng=rng,
         )
         result = get_engine("des").multi_pulse(
-            grid, timing, timeouts, schedule, rng=rng, random_initial_states=False
+            grid, timing, timeouts, schedule, rng=rng, initial_states="clean"
         )
         assert result.num_pulses == 3
         # Every forwarding node fires exactly once per pulse from a clean start.
@@ -220,7 +220,7 @@ class TestRunnerInterfaces:
             rng=rng,
         )
         result = get_engine("des").multi_pulse(
-            grid, timing, timeouts, schedule, rng=rng, random_initial_states=True
+            grid, timing, timeouts, schedule, rng=rng, initial_states="random"
         )
         # In the last pulse window every forwarding node fires (the system has
         # recovered from the arbitrary initial states).
@@ -272,7 +272,7 @@ class TestRunnerInterfaces:
             schedule,
             rng=run_rng,
             fault_model=fault_model,
-            random_initial_states=False,
+            initial_states="clean",
             adversary=adversary,
         )
 

@@ -6,7 +6,7 @@ The load-bearing contracts:
 * a mid-run checkpoint exists, reloads, and a resumed run reaches a state
   bit-identical (``state_key``) to one that never stopped;
 * the streamed skew agrees *exactly* with the post-hoc
-  :func:`repro.analysis.streaming.pulse_skew_series` computation on a
+  :func:`repro.analysis.stabilization.pulse_skew_series` computation on a
   fault-free run (same windowing rule, same firings);
 * ``collect_firings=False`` keeps nothing per pulse;
 * the ``hex-repro soak`` verb round-trips through checkpoint, resume and
@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.streaming import pulse_skew_series
+from repro.analysis.stabilization import pulse_skew_series
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.clocksource.scenarios import Scenario
 from repro.core.parameters import TimingConfig

@@ -196,7 +196,7 @@ class TestEndToEndStabilization:
             timeouts,
             schedule,
             rng=np.random.default_rng(11),
-            random_initial_states=True,
+            initial_states="random",
         )
         estimate = stabilization_time(
             result, intra_bound=lambda layer: 3 * timing.d_max

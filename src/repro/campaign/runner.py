@@ -56,10 +56,9 @@ from repro import obs
 from repro.analysis.skew import SkewStatistics
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.records import RunRecord, group_by_point, pooled_statistics, stabilization_times
-from repro.campaign.spec import CampaignSpec, RunTask, task_key
+from repro.campaign.spec import CampaignSpec, RunTask, executing_engine, task_key
 from repro.campaign.store import CampaignStore
 from repro.clocksource.scenarios import parse_scenario, scenario_layer0_spread
-from repro.engines import get_engine
 
 __all__ = [
     "BATCH_SIZE",
@@ -120,8 +119,9 @@ def execute_task_batch(tasks: Sequence[RunTask]) -> List[RunRecord]:
     """Execute a chunk of same-``(kind, engine)`` tasks in one engine call.
 
     The one executor of campaign tasks: it resolves the engine once (through
-    :func:`repro.engines.get_engine`, so an unknown ``task.engine`` fails
-    with the list of registered engines before any simulation work starts)
+    :func:`~repro.campaign.spec.executing_engine`, so an unknown
+    ``task.engine`` fails with the list of registered engines before any
+    simulation work starts, and multi-pulse tasks run on ``"des"``)
     and hands the whole chunk to ``engine.run_batch``, so same-grid sweep
     cells share topology construction and the solver's plan-compiled fast
     path.  The engine contract keeps batched results bit-identical to
@@ -146,12 +146,7 @@ def execute_task_batch(tasks: Sequence[RunTask]) -> List[RunRecord]:
         "campaign.task_batch", engine=engine_name, kind=kind, size=len(tasks)
     ) as batch_span:
         usage = obs.resources.snapshot() if obs.enabled() else None
-        engine = get_engine(engine_name)
-        if kind == "multi_pulse" and "multi_pulse" not in engine.capabilities.kinds:
-            # The engine sweep axis is documented as ignored by multi-pulse
-            # points (the stabilization workload has a single semantics); fall
-            # back to the discrete-event backend as the historical bodies did.
-            engine = get_engine("des")
+        engine = executing_engine(kind, engine_name)
         results = engine.run_batch([task.to_run_spec() for task in tasks])
         records = [_record(task, result) for task, result in zip(tasks, results)]
         if usage is not None:

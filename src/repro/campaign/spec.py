@@ -36,11 +36,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.clocksource.scenarios import Scenario
 from repro.core.parameters import TimerPolicy, TimingConfig
-from repro.engines import RunSpec, available_engines, get_engine
+from repro.engines import Engine, RunSpec, get_engine
 from repro.engines.base import (
     DELAY_MODELS,
     EXACTNESS,
@@ -54,9 +54,10 @@ from repro.engines.base import (
     canonical_timer_policy,
     content_key,
     require_exactness,
+    require_support,
 )
 from repro.faults.models import FaultType
-from repro.topologies import DEFAULT_TOPOLOGY, TopologySpec, canonical_topology, validate_topology
+from repro.topologies import DEFAULT_TOPOLOGY, canonical_topology, validate_topology
 
 if TYPE_CHECKING:
     # Loaded only by cells that sweep a fault schedule.
@@ -65,9 +66,9 @@ if TYPE_CHECKING:
 __all__ = [
     "KINDS",
     "SweepSpec",
-    "SweepPoint",
     "CampaignSpec",
     "RunTask",
+    "executing_engine",
     "task_key",
     "canonical_json",
     "content_key",
@@ -112,6 +113,22 @@ def _canonical_schedule(value: Any) -> Optional[FaultSchedule]:
     if isinstance(value, dict):
         return FaultSchedule.from_json_dict(value)
     raise TypeError(f"not a FaultSchedule, JSON dict or None: {value!r}")
+
+
+def executing_engine(kind: str, name: str) -> Engine:
+    """The engine that executes a ``kind`` point whose engine axis is ``name``.
+
+    Multi-pulse points ignore the engine axis (the stabilization workload has
+    a single semantics): an engine that cannot run them hands the point to
+    the discrete-event backend ``"des"``.  :class:`SweepSpec` checks
+    capabilities against this engine at build time and the campaign executor
+    runs on it, so the two cannot disagree about who runs a point.  Unknown
+    names fail with the list of registered engines.
+    """
+    engine = get_engine(name)
+    if kind == "multi_pulse" and kind not in engine.capabilities.kinds:
+        return get_engine("des")
+    return engine
 
 
 @dataclass(frozen=True)
@@ -243,94 +260,6 @@ delay_model, fault_schedule, topology:
                 )
             if self.kind != "multi_pulse":
                 raise ValueError("initial_states is a multi-pulse cell parameter")
-        for engine in self.engine:
-            if engine not in available_engines():
-                raise ValueError(
-                    f"unknown engine {engine!r}; available engines: "
-                    f"{', '.join(available_engines())}"
-                )
-            # Fail at build time, not mid-campaign: a cartesian cell pairing a
-            # fault-less engine with a faulty point would otherwise abort the
-            # sweep only when that point executes, losing the completed work.
-            # (Multi-pulse cells ignore the engine axis, so only single-pulse
-            # cells can hit the mismatch.)
-            capabilities = get_engine(engine).capabilities
-            if (
-                self.kind == "single_pulse"
-                and not capabilities.supports_faults
-                and any(count > 0 for count in self.num_faults)
-            ):
-                raise ValueError(
-                    f"engine {engine!r} does not support fault injection but the "
-                    f"num_faults axis contains {tuple(n for n in self.num_faults if n > 0)}; "
-                    "put the fault-free baseline in its own cell"
-                )
-            # Same early-failure discipline for dynamic fault schedules: only
-            # engines advertising supports_fault_schedules may be paired with
-            # a non-None schedule axis value.  (Multi-pulse cells always
-            # execute on the DES backend, which supports schedules.)
-            if (
-                self.kind == "single_pulse"
-                and not capabilities.supports_fault_schedules
-                and any(schedule is not None for schedule in self.fault_schedule)
-            ):
-                raise ValueError(
-                    f"engine {engine!r} cannot execute dynamic fault schedules but "
-                    "the fault_schedule axis contains one; sweep schedules over the "
-                    "'des' engine (put static engines in their own cell)"
-                )
-        # Topology pairings fail at build time too: dimension lower bounds
-        # per (layers, width) grid point, and engine support per engine on
-        # the axis (multi-pulse cells always execute on the DES backend).
-        for topology in self.topology:
-            for layers_value in self.layers:
-                for width_value in self.width:
-                    validate_topology(topology, layers_value, width_value)
-            family = TopologySpec.parse(topology).family
-            engines_to_check = self.engine if self.kind == "single_pulse" else ("des",)
-            for engine in engines_to_check:
-                if not get_engine(engine).capabilities.supports_topology(family):
-                    raise ValueError(
-                        f"engine {engine!r} does not support topology {topology!r} "
-                        f"(family {family!r}); sweep non-cylinder topologies over "
-                        "the hex engines ('solver'/'des') and keep this engine in "
-                        "its own cylinder-only cell"
-                    )
-        # Exactness requirements fail at build time too: every pairing of the
-        # engine, delay_model, num_faults and fault_schedule axes is probed
-        # against the engine's declared contract (these four axes are exactly
-        # what the exactness predicates consult), so a cell assuming
-        # cross-engine bit-identity cannot silently sweep a regime where no
-        # engine promises it.
-        if self.require_exactness is not None:
-            if self.require_exactness not in EXACTNESS:
-                raise ValueError(
-                    f"unknown require_exactness {self.require_exactness!r}; "
-                    f"expected one of {EXACTNESS} (or None)"
-                )
-            probe_engines = self.engine if self.kind == "single_pulse" else ("des",)
-            for engine in probe_engines:
-                backend = get_engine(engine)
-                for delay_model in self.delay_model:
-                    for num_faults in self.num_faults:
-                        for schedule in self.fault_schedule:
-                            probe = RunSpec(
-                                kind=self.kind,
-                                layers=self.layers[0],
-                                width=self.width[0],
-                                topology=self.topology[0],
-                                delay_model=delay_model,
-                                num_faults=num_faults,
-                                fault_schedule=schedule,
-                            )
-                            try:
-                                require_exactness(backend, probe, self.require_exactness)
-                            except ValueError as error:
-                                raise ValueError(
-                                    "cell cannot guarantee "
-                                    f"require_exactness={self.require_exactness!r}: "
-                                    f"{error}"
-                                ) from error
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.runs < 1:
@@ -341,6 +270,44 @@ delay_model, fault_schedule, topology:
             raise ValueError(f"skew_choice must be in 0..3, got {self.skew_choice}")
         if any(count < 0 for count in self.num_faults):
             raise ValueError("num_faults values must be non-negative")
+        # Dimension lower bounds per topology and (layers, width) grid point.
+        for topology in self.topology:
+            for layers_value in self.layers:
+                for width_value in self.width:
+                    validate_topology(topology, layers_value, width_value)
+        # Engine pairings fail at build time, not mid-campaign (which would
+        # lose the completed work): every pairing of the executing engines
+        # with the topology, delay_model, num_faults and fault_schedule axes
+        # is probed through the engines' own capability rule and, when the
+        # cell sets one, the exactness requirement.  The other axes never
+        # change what an engine can run.
+        if self.require_exactness is not None and self.require_exactness not in EXACTNESS:
+            raise ValueError(
+                f"unknown require_exactness {self.require_exactness!r}; "
+                f"expected one of {EXACTNESS} (or None)"
+            )
+        backends = dict.fromkeys(executing_engine(self.kind, name) for name in self.engine)
+        for backend, topology, delay_model, num_faults, schedule in itertools.product(
+            backends, self.topology, self.delay_model, self.num_faults, self.fault_schedule
+        ):
+            probe = RunSpec(
+                kind=self.kind,
+                layers=self.layers[0],
+                width=self.width[0],
+                topology=topology,
+                delay_model=delay_model,
+                num_faults=num_faults,
+                fault_schedule=schedule,
+            )
+            require_support(backend, probe)
+            if self.require_exactness is not None:
+                try:
+                    require_exactness(backend, probe, self.require_exactness)
+                except ValueError as error:
+                    raise ValueError(
+                        "cell cannot guarantee "
+                        f"require_exactness={self.require_exactness!r}: {error}"
+                    ) from error
 
     @property
     def num_points(self) -> int:
@@ -354,34 +321,6 @@ delay_model, fault_schedule, topology:
     def num_tasks(self) -> int:
         """Number of run tasks this cell expands to."""
         return self.num_points * self.runs
-
-    def points(self) -> Iterator["SweepPoint"]:
-        """Expand the cartesian grid in :data:`AXES` order.
-
-        Point ``p`` (enumeration index) receives seed salt
-        ``seed_salt + p``, matching the historical ``seed_salt + index``
-        idiom of the per-figure sweeps.  Salts are therefore *positional*:
-        appending to the innermost axes reshuffles later points' seeds (and
-        their cache identities).  To grow a campaign while reusing completed
-        runs, raise ``runs``, extend the outermost varied axis, or append a
-        new cell with a fresh ``seed_salt``.
-        """
-        axis_values = [getattr(self, axis) for axis in AXES]
-        for point_index, combo in enumerate(itertools.product(*axis_values)):
-            values = dict(zip(AXES, combo))
-            yield SweepPoint(
-                point_index=point_index,
-                salt=self.seed_salt + point_index,
-                runs=self.runs,
-                kind=self.kind,
-                num_pulses=self.num_pulses,
-                skew_choice=self.skew_choice,
-                fixed_fault_positions=self.fixed_fault_positions,
-                timeouts=self.timeouts,
-                initial_states=self.initial_states,
-                label=self.label,
-                **values,
-            )
 
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-serializable representation (tuples become lists).
@@ -426,32 +365,6 @@ delay_model, fault_schedule, topology:
         if unknown:
             raise ValueError(f"unknown SweepSpec fields: {sorted(unknown)}")
         return cls(**payload)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One fully-resolved grid point of a cell (all axes collapsed to scalars)."""
-
-    point_index: int
-    salt: int
-    runs: int
-    kind: str
-    layers: int
-    width: int
-    scenario: str
-    num_faults: int
-    fault_type: str
-    engine: str
-    timer_policy: str
-    delay_model: str
-    fault_schedule: Optional[FaultSchedule]
-    topology: str
-    num_pulses: int
-    skew_choice: int
-    fixed_fault_positions: Optional[Tuple[Tuple[int, int], ...]]
-    timeouts: Optional[Tuple[float, ...]]
-    initial_states: Optional[str]
-    label: str
 
 
 @dataclass(frozen=True)
@@ -501,39 +414,44 @@ class CampaignSpec:
         return sum(cell.num_tasks for cell in self.cells)
 
     def tasks(self) -> List["RunTask"]:
-        """Expand the campaign into its full, deterministically ordered task list."""
+        """Expand the campaign into its full, deterministically ordered task list.
+
+        Each cell expands its cartesian grid in :data:`AXES` order.  Point
+        ``p`` (enumeration index) receives seed salt ``cell.seed_salt + p``,
+        matching the historical ``seed_salt + index`` idiom of the
+        per-figure sweeps.  Salts are therefore *positional*: appending to
+        the innermost axes reshuffles later points' seeds (and their cache
+        identities).  To grow a campaign while reusing completed runs, raise
+        ``runs``, extend the outermost varied axis, or append a new cell
+        with a fresh ``seed_salt``.
+        """
+        timing = self.timing
         result: List[RunTask] = []
         for cell_index, cell in enumerate(self.cells):
-            for point in cell.points():
-                fault_type = point.fault_type if point.num_faults > 0 else None
-                for run_index in range(point.runs):
+            axis_values = [getattr(cell, axis) for axis in AXES]
+            for point_index, combo in enumerate(itertools.product(*axis_values)):
+                values = dict(zip(AXES, combo))
+                if values["num_faults"] == 0:
+                    values["fault_type"] = None
+                for run_index in range(cell.runs):
                     result.append(
                         RunTask(
-                            kind=point.kind,
-                            layers=point.layers,
-                            width=point.width,
-                            d_min=self.timing.d_min,
-                            d_max=self.timing.d_max,
-                            theta=self.timing.theta,
-                            scenario=point.scenario,
-                            num_faults=point.num_faults,
-                            fault_type=fault_type,
-                            engine=point.engine,
-                            timer_policy=point.timer_policy,
-                            num_pulses=point.num_pulses,
-                            skew_choice=point.skew_choice,
-                            fixed_fault_positions=point.fixed_fault_positions,
-                            timeouts=point.timeouts,
+                            kind=cell.kind,
+                            d_min=timing.d_min,
+                            d_max=timing.d_max,
+                            theta=timing.theta,
+                            num_pulses=cell.num_pulses,
+                            skew_choice=cell.skew_choice,
+                            fixed_fault_positions=cell.fixed_fault_positions,
+                            timeouts=cell.timeouts,
                             keep_times=self.keep_times,
-                            entropy=self.seed + point.salt,
+                            entropy=self.seed + cell.seed_salt + point_index,
                             run_index=run_index,
                             cell_index=cell_index,
-                            point_index=point.point_index,
-                            label=point.label,
-                            delay_model=point.delay_model,
-                            fault_schedule=point.fault_schedule,
-                            initial_states=point.initial_states,
-                            topology=point.topology,
+                            point_index=point_index,
+                            label=cell.label,
+                            initial_states=cell.initial_states,
+                            **values,
                         )
                     )
         return result
@@ -557,16 +475,27 @@ class CampaignSpec:
 
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "CampaignSpec":
-        """Inverse of :meth:`to_json_dict`."""
+        """Inverse of :meth:`to_json_dict` (unknown keys rejected)."""
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"campaign spec must be a JSON object, got {type(payload).__name__}"
+            )
         missing = [key for key in ("name", "cells") if key not in payload]
         if missing:
             raise ValueError(f"campaign spec is missing required keys: {missing}")
+        unknown = set(payload) - {"name", "seed", "timing", "keep_times", "cells"}
+        if unknown:
+            raise ValueError(f"unknown campaign spec keys: {sorted(unknown)}")
         timing_payload = payload.get("timing")
-        timing = (
-            TimingConfig(**timing_payload)
-            if timing_payload is not None
-            else TimingConfig.paper_defaults()
-        )
+        if timing_payload is None:
+            timing = TimingConfig.paper_defaults()
+        else:
+            try:
+                timing = TimingConfig(**timing_payload)
+            except TypeError as error:
+                raise ValueError(
+                    f"malformed campaign timing {timing_payload!r}: {error}"
+                ) from None
         return cls(
             name=payload["name"],
             seed=payload.get("seed", 2013),

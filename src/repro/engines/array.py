@@ -68,9 +68,7 @@ from repro.engines.base import (
     RunResult,
     RunSpec,
     batch_key,
-    require_kind,
-    require_schedule_support,
-    require_topology_support,
+    require_support,
     validate_layer0,
 )
 from repro.simulation.links import ConstantDelays, DelayModel
@@ -304,7 +302,6 @@ class ArrayEngine:
     capabilities = EngineCapabilities(
         kinds=("single_pulse",),
         supports_faults=False,
-        supports_explicit_inputs=False,
         supported_topologies=("cylinder", "torus", "patch", "degraded"),
         exactness="bit_identical",
         tolerance=1.0,
@@ -319,7 +316,7 @@ class ArrayEngine:
         """Execute a declarative single-pulse run (scenario-driven draws)."""
         with obs.span("engine.run", engine=self.name, kind=spec.kind):
             obs.inc("engine.array.runs")
-            self._require(spec)
+            require_support(self, spec)
             grid = spec.make_grid()
             return self._execute([spec], grid, array_plan(grid), rng=rng)[0]
 
@@ -339,7 +336,7 @@ class ArrayEngine:
 
     def _run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         for spec in specs:
-            self._require(spec)
+            require_support(self, spec)
         grids: Dict[Tuple[str, int, int], HexGrid] = {}
         grouped: Dict[Tuple[str, int, int], List[int]] = {}
         for position, spec in enumerate(specs):
@@ -361,18 +358,6 @@ class ArrayEngine:
                 for position, result in zip(block, block_results):
                     results[position] = result
         return [result for result in results if result is not None]
-
-    def _require(self, spec: RunSpec) -> None:
-        require_kind(self, spec)
-        require_schedule_support(self, spec)
-        require_topology_support(self, spec)
-        if spec.num_faults:
-            raise ValueError(
-                f"engine {self.name!r} does not support fault injection (spec "
-                f"requests num_faults={spec.num_faults}); the dense frontier "
-                "has no per-link fault behaviours -- run faulted specs on the "
-                "'solver' or 'des' engine"
-            )
 
     def _execute(
         self,

@@ -262,18 +262,12 @@ class EngineCapabilities:
         Workload kinds the engine can run (subset of :data:`KINDS`).
     supports_faults:
         Whether the engine honours a spec's fault injection parameters.
-    supports_explicit_inputs:
-        Whether the engine also exposes the imperative entry points taking
-        caller-supplied arrays (``single_pulse`` / ``multi_pulse``).
-        Defaults to ``False`` because the :class:`Engine` protocol only
-        requires ``run``; engines that implement the extra methods opt in
-        explicitly.
     supports_fault_schedules:
         Whether the engine executes the *dynamic* fault schedules of
         :mod:`repro.adversary` (timed inject/heal/crash/flip events).  Only
         the discrete-event backend can -- the analytic solver and the
         clock-tree baseline have no time axis to mutate -- so they reject
-        schedule-carrying specs early via :func:`require_schedule_support`.
+        schedule-carrying specs early via :func:`require_support`.
     supported_topologies:
         Topology *families* (registry names of :mod:`repro.topologies`) the
         engine can execute, or ``("*",)`` for "any registered family".
@@ -281,8 +275,8 @@ class EngineCapabilities:
         stay honest; the hex engines declare the wildcard and the clock-tree
         baseline stays cylinder-bound (its H-tree replaces the cylinder die).
         Specs naming an unsupported topology fail early via
-        :func:`require_topology_support`, and :class:`SweepSpec` rejects the
-        pairing at build time.
+        :func:`require_support`, and :class:`SweepSpec` rejects the pairing
+        at build time.
     exactness:
         The engine's *exactness contract* against the reference semantics
         (the analytic solver's fixed point), one of :data:`EXACTNESS`:
@@ -315,7 +309,6 @@ class EngineCapabilities:
 
     kinds: Tuple[str, ...]
     supports_faults: bool = True
-    supports_explicit_inputs: bool = False
     supports_fault_schedules: bool = False
     supported_topologies: Tuple[str, ...] = (DEFAULT_TOPOLOGY,)
     exactness: str = "tolerance"
@@ -380,8 +373,6 @@ class EngineCapabilities:
         elif self.supported_topologies != (DEFAULT_TOPOLOGY,):
             parts.append("topologies: " + ", ".join(self.supported_topologies))
         parts.append(self.exactness_summary())
-        if not self.supports_explicit_inputs:
-            parts.append("spec-only")
         return "; ".join(parts)
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -389,7 +380,6 @@ class EngineCapabilities:
         return {
             "kinds": list(self.kinds),
             "supports_faults": self.supports_faults,
-            "supports_explicit_inputs": self.supports_explicit_inputs,
             "supports_fault_schedules": self.supports_fault_schedules,
             "supported_topologies": list(self.supported_topologies),
             "exactness": self.exactness,
@@ -446,18 +436,28 @@ def generic_run_batch(engine: Engine, specs: Sequence["RunSpec"]) -> List["RunRe
     return [engine.run(spec) for spec in specs]
 
 
-def require_kind(engine: Engine, spec: "RunSpec") -> None:
-    """Raise a clean error when ``engine`` cannot run ``spec.kind``."""
-    if spec.kind not in engine.capabilities.kinds:
+def require_support(engine: Engine, spec: "RunSpec") -> None:
+    """Raise a clean capability error when ``engine`` cannot run ``spec``.
+
+    The one rule for what an engine can run, checked in order: the workload
+    kind, fault injection (``num_faults > 0``), dynamic fault schedules and
+    the topology family.  Every engine calls it before drawing anything, and
+    :class:`~repro.campaign.spec.SweepSpec` calls it on probe specs at build
+    time, so a cell fails with the same message before and during a run.
+    """
+    capabilities = engine.capabilities
+    if spec.kind not in capabilities.kinds:
         raise ValueError(
             f"engine {engine.name!r} does not support kind {spec.kind!r} "
-            f"(supported kinds: {', '.join(engine.capabilities.kinds)})"
+            f"(supported kinds: {', '.join(capabilities.kinds)})"
         )
-
-
-def require_schedule_support(engine: Engine, spec: "RunSpec") -> None:
-    """Raise a clean capability error for schedule specs on static engines."""
-    if spec.fault_schedule is not None and not engine.capabilities.supports_fault_schedules:
+    if spec.num_faults > 0 and not capabilities.supports_faults:
+        raise ValueError(
+            f"engine {engine.name!r} does not support fault injection (spec "
+            f"requests num_faults={spec.num_faults}); run faulted specs on the "
+            "'solver' or 'des' engine, and keep this engine fault-free"
+        )
+    if spec.fault_schedule is not None and not capabilities.supports_fault_schedules:
         label = spec.fault_schedule.label or spec.fault_schedule.key(8)
         raise ValueError(
             f"engine {engine.name!r} cannot execute dynamic fault schedules "
@@ -465,13 +465,9 @@ def require_schedule_support(engine: Engine, spec: "RunSpec") -> None:
             "the discrete-event backend -- run the spec with engine 'des', or "
             "drop fault_schedule for a static-fault run"
         )
-
-
-def require_topology_support(engine: Engine, spec: "RunSpec") -> None:
-    """Raise a clean capability error for unsupported topology families."""
     family = spec.topology_family()
-    if not engine.capabilities.supports_topology(family):
-        supported = ", ".join(engine.capabilities.supported_topologies)
+    if not capabilities.supports_topology(family):
+        supported = ", ".join(capabilities.supported_topologies)
         raise ValueError(
             f"engine {engine.name!r} does not support topology {spec.topology!r} "
             f"(family {family!r}; supported: {supported}); run the spec on a "

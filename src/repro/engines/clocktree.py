@@ -33,9 +33,7 @@ from repro.engines.base import (
     RunResult,
     RunSpec,
     generic_run_batch,
-    require_kind,
-    require_schedule_support,
-    require_topology_support,
+    require_support,
 )
 
 __all__ = ["ClockTreeEngine"]
@@ -48,7 +46,6 @@ class ClockTreeEngine:
     capabilities = EngineCapabilities(
         kinds=("single_pulse",),
         supports_faults=False,
-        supports_explicit_inputs=False,
         supported_topologies=("cylinder",),
         exactness="tolerance",
         tolerance=None,
@@ -71,16 +68,7 @@ class ClockTreeEngine:
             return self._run(spec, rng)
 
     def _run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
-        require_kind(self, spec)
-        require_schedule_support(self, spec)
-        require_topology_support(self, spec)
-        if spec.num_faults:
-            raise ValueError(
-                f"engine {self.name!r} does not support fault injection "
-                f"(spec requests num_faults={spec.num_faults}); see "
-                "repro.clocktree.faults.robustness_report for the structural "
-                "tree-fault analysis"
-            )
+        require_support(self, spec)
         generator = rng if rng is not None else spec.rng()
         grid = spec.make_grid()
         timing = spec.make_timing()

@@ -33,8 +33,7 @@ from repro.engines.base import (
     RunSpec,
     batch_key,
     generic_run_batch,
-    require_kind,
-    require_topology_support,
+    require_support,
     shared_grid,
     validate_layer0,
 )
@@ -159,7 +158,6 @@ class DesEngine:
     capabilities = EngineCapabilities(
         kinds=("single_pulse", "multi_pulse"),
         supports_faults=True,
-        supports_explicit_inputs=True,
         supports_fault_schedules=True,
         supported_topologies=("*",),
         exactness="tolerance",
@@ -193,8 +191,7 @@ class DesEngine:
             return self._run(spec, rng)
 
     def _run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
-        require_kind(self, spec)
-        require_topology_support(self, spec)
+        require_support(self, spec)
         generator = rng if rng is not None else spec.rng()
         grid = shared_grid(*batch_key(spec))
         timing = spec.make_timing()

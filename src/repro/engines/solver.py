@@ -36,9 +36,7 @@ from repro.engines.base import (
     RunResult,
     RunSpec,
     batch_key,
-    require_kind,
-    require_schedule_support,
-    require_topology_support,
+    require_support,
     shared_grid,
     validate_layer0,
 )
@@ -75,7 +73,6 @@ class SolverEngine:
     capabilities = EngineCapabilities(
         kinds=("single_pulse",),
         supports_faults=True,
-        supports_explicit_inputs=True,
         supported_topologies=("*",),
         exactness="bit_identical",
         description="analytic single-pulse fixed-point solver (exact under (C1)/(C2))",
@@ -85,7 +82,7 @@ class SolverEngine:
         """Execute a declarative single-pulse run (scenario-driven draws)."""
         with obs.span("engine.run", engine=self.name, kind=spec.kind):
             obs.inc("engine.solver.runs")
-            self._check(spec)
+            require_support(self, spec)
             generator = rng if rng is not None else spec.rng()
             return self._solve(shared_grid(*batch_key(spec)), [spec], [generator])[0]
 
@@ -104,7 +101,7 @@ class SolverEngine:
             obs.inc("engine.solver.runs", len(specs))
             groups: Dict[Tuple[str, int, int], List[int]] = {}
             for index, spec in enumerate(specs):
-                self._check(spec)
+                require_support(self, spec)
                 groups.setdefault(batch_key(spec), []).append(index)
             results: List[Optional[RunResult]] = [None] * len(specs)
             for key, indices in groups.items():
@@ -113,11 +110,6 @@ class SolverEngine:
                 for index, result in zip(indices, solved):
                     results[index] = result
             return results  # type: ignore[return-value]
-
-    def _check(self, spec: RunSpec) -> None:
-        require_kind(self, spec)
-        require_schedule_support(self, spec)
-        require_topology_support(self, spec)
 
     def _solve(
         self,

@@ -170,7 +170,10 @@ class SoakSpec:
 
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "SoakSpec":
-        """Rebuild a spec from :meth:`to_json_dict` output."""
+        """Rebuild a spec from :meth:`to_json_dict` output (unknown keys rejected)."""
+        unknown = set(payload) - {spec_field.name for spec_field in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown SoakSpec fields: {sorted(unknown)}")
         return cls(**payload)
 
     def key(self, length: int = 32) -> str:
@@ -324,6 +327,13 @@ class SoakCheckpoint:
             raise ValueError(
                 f"not a {schema('soak')} artifact (schema: {found!r})"
             )
+        missing = [
+            checkpoint_field.name
+            for checkpoint_field in dataclasses.fields(cls)
+            if checkpoint_field.name not in payload
+        ]
+        if missing:
+            raise ValueError(f"{schema('soak')} artifact is missing fields: {missing}")
         return cls(
             spec=SoakSpec.from_json_dict(payload["spec"]),
             epochs_completed=int(payload["epochs_completed"]),

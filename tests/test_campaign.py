@@ -62,8 +62,14 @@ class TestSpecExpansion:
         )
         assert cell.num_points == 2 * 2 * 3
         assert cell.num_tasks == 24
-        points = list(cell.points())
-        assert [p.salt for p in points] == [40 + i for i in range(12)]
+        tasks = CampaignSpec(name="salts", seed=5, cells=(cell,)).tasks()
+        assert len(tasks) == 24
+        # Runs of one point are adjacent; every point's runs share its entropy.
+        points = tasks[::2]
+        assert [t.point_index for t in points] == list(range(12))
+        assert [t.run_index for t in tasks] == [0, 1] * 12
+        assert [t.entropy for t in tasks[1::2]] == [t.entropy for t in points]
+        assert [t.entropy for t in points] == [5 + 40 + i for i in range(12)]
         # AXES order: layers outermost, num_faults innermost of the varied axes.
         assert (points[0].layers, points[0].scenario, points[0].num_faults) == (8, "zero", 0)
         assert (points[3].layers, points[3].scenario, points[3].num_faults) == (8, "ramp", 0)
@@ -883,3 +889,30 @@ class TestCli:
         spec_file.write_text(json.dumps(spec.to_json_dict()))
         assert main(["sweep", "--spec", str(spec_file)]) == 0
         assert "Campaign test" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "edit, phrase",
+        [
+            ({"seeed": 5}, "unknown campaign spec keys: ['seeed']"),
+            ({"timing": {"bogus": 1}}, "malformed campaign timing"),
+            ({"timing": {"d_min": 1.0}}, "malformed campaign timing"),
+            ({"timing": [1.0, 2.0]}, "malformed campaign timing"),
+        ],
+    )
+    def test_sweep_spec_file_rejects_malformed_input(self, tmp_path, capsys, edit, phrase):
+        """A typo or a bad timing object is a clean CLI error (exit 2), not a
+        silently ignored key or a traceback."""
+        payload = small_spec(runs=1).to_json_dict()
+        payload.update(edit)
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(payload))
+        assert main(["sweep", "--spec", str(spec_file)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and phrase in err
+        assert "Traceback" not in err
+
+    def test_sweep_spec_file_must_hold_a_json_object(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps([small_spec(runs=1).to_json_dict()]))
+        assert main(["sweep", "--spec", str(spec_file)]) == 2
+        assert "campaign spec must be a JSON object, got list" in capsys.readouterr().err

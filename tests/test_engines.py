@@ -334,6 +334,61 @@ class TestCampaignIntegration:
         with pytest.raises(ValueError, match="unknown engine"):
             execute_task_batch([broken])
 
+    def test_build_time_and_run_time_capability_checks_agree(self):
+        """``SweepSpec`` rejects a cell exactly when running its task fails,
+        and both sides name the same capability."""
+        import dataclasses
+
+        from repro.adversary.schedule import FaultSchedule
+
+        phrases = (
+            "does not support kind",
+            "does not support fault injection",
+            "cannot execute dynamic fault schedules",
+            "does not support topology",
+        )
+
+        def phrase_of(call):
+            try:
+                call()
+            except ValueError as error:
+                matched = [phrase for phrase in phrases if phrase in str(error)]
+                assert len(matched) == 1, str(error)
+                return matched[0]
+            return None
+
+        burst = FaultSchedule.burst(time=5.0, count=1)
+        checked = 0
+        for kind in ("single_pulse", "multi_pulse"):
+            # A cell every axis value below can be swapped into: its task is
+            # the run-time side once the swapped-in values are applied.
+            base = CampaignSpec(
+                name="agree", seed=3,
+                cells=(SweepSpec(layers=6, width=5, engine="des", kind=kind,
+                                 num_pulses=2, runs=1, scenario="i"),),
+            ).tasks()[0]
+            for engine in available_engines():
+                for num_faults in (0, 1):
+                    for schedule in (None, burst):
+                        for topology in ("cylinder", "torus"):
+                            axes = dict(
+                                engine=engine, num_faults=num_faults,
+                                fault_schedule=schedule, topology=topology,
+                            )
+                            build = phrase_of(lambda: SweepSpec(
+                                layers=6, width=5, kind=kind, num_pulses=2, runs=1,
+                                scenario="i", **axes,
+                            ))
+                            task = dataclasses.replace(
+                                base,
+                                fault_type="byzantine" if num_faults else None,
+                                **axes,
+                            )
+                            run = phrase_of(lambda: execute_task_batch([task]))
+                            assert build == run, (kind, axes, build, run)
+                            checked += 1
+        assert checked == 2 * len(available_engines()) * 8
+
     def test_array_engine_axis_serial_parallel_resumed_bit_identity(self, tmp_path):
         """Campaign determinism with the dense engine on the engine axis.
 

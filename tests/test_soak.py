@@ -335,6 +335,36 @@ class TestSoakCli:
         assert code == 0
         assert "(2 resumed)" in out
 
+    @pytest.mark.parametrize(
+        "corrupt, phrase",
+        [
+            (lambda payload: payload["spec"].update(bogus=1), "unknown SoakSpec fields"),
+            (lambda payload: payload.pop("recoveries"), "missing fields: ['recoveries']"),
+        ],
+    )
+    def test_resume_from_malformed_checkpoint_is_a_clean_error(
+        self, tmp_path, capsys, corrupt, phrase
+    ):
+        from repro.cli import main
+
+        store = tmp_path / "artifacts"
+        argv = [
+            "soak",
+            "--layers", "3", "--width", "3",
+            "--pulses", "20", "--pulses-per-epoch", "10",
+            "--faults", "0", "--seed", "5",
+            "--store", str(store), "--quiet",
+        ]
+        assert main(argv) == 0
+        (checkpoint,) = store.glob("soak-*.json")
+        payload = json.loads(checkpoint.read_text())
+        corrupt(payload)
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and phrase in err
+
     def test_soak_json_output(self, capsys):
         code, out = self._run(
             [

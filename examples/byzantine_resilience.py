@@ -24,6 +24,7 @@ Run with::
 
 from __future__ import annotations
 
+from repro.campaign.records import pooled_statistics
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_table
 from repro.experiments.single_pulse import run_scenario_set
@@ -45,15 +46,15 @@ def main(quick: bool = False) -> None:
     # --- single-pulse skew vs number of Byzantine nodes --------------------
     rows = []
     for num_faults in fault_counts:
-        run_set = run_scenario_set(
+        records = run_scenario_set(
             config,
             "iii",
             num_faults=num_faults,
             fault_type=FaultType.BYZANTINE,
             seed_salt=10 + num_faults,
         )
-        all_nodes = run_set.statistics(hops=0)
-        excluding_neighbors = run_set.statistics(hops=1)
+        all_nodes = pooled_statistics(records, hops=0)
+        excluding_neighbors = pooled_statistics(records, hops=1)
         rows.append(
             [
                 num_faults,

@@ -39,7 +39,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,8 +46,9 @@ import numpy as np
 from repro.analysis.skew import SkewStatistics, collect_inter_values, collect_intra_values
 from repro.checks.schemas import schema
 from repro.core.topology import HexGrid, NodeId
+from repro.engines.base import shared_grid
 from repro.faults.models import FaultModel, NodeFault
-from repro.topologies import DEFAULT_TOPOLOGY, build_topology, topology_column_wrap
+from repro.topologies import DEFAULT_TOPOLOGY, topology_column_wrap
 
 __all__ = [
     "RunRecord",
@@ -64,20 +64,6 @@ SCHEMA = schema("run-record")
 
 #: Sentinel strings for non-finite floats in strict-JSON serialization.
 _NONFINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
-
-
-@lru_cache(maxsize=64)
-def _cached_grid(topology: str, layers: int, width: int) -> HexGrid:
-    """Shared grid instances for record reconstruction.
-
-    Every record of a campaign point names the same (topology, layers,
-    width), and topology construction now eagerly builds the full neighbour
-    tables (degraded grids additionally re-derive their damage), so pooled
-    statistics over thousands of records would rebuild identical graphs.
-    Grids are immutable and equality-keyed by their identity, so sharing one
-    instance per spec is safe.
-    """
-    return build_topology(topology, layers, width)
 
 
 def _encode_json_safe(value: Any) -> Any:
@@ -215,10 +201,11 @@ class RunRecord:
 
         Honours the recorded ``topology`` parameter; its absence means the
         cylinder (records written before the topology layer existed carry no
-        such key).  Instances are shared across records of the same spec --
-        treat them as immutable.
+        such key).  The instance is :func:`~repro.engines.base.shared_grid`'s,
+        shared with every record and engine batch on the same grid -- treat
+        it as immutable.
         """
-        return _cached_grid(
+        return shared_grid(
             self.params.get("topology", DEFAULT_TOPOLOGY),
             int(self.params["layers"]),
             int(self.params["width"]),
@@ -354,8 +341,8 @@ def pooled_statistics(records: Sequence[RunRecord], hops: int = 0) -> SkewStatis
     """Pooled skew statistics over a set of single-pulse records.
 
     This is the paper's set-level aggregation: all per-run intra-/inter-layer
-    samples are pooled before the operators are applied, exactly as
-    ``RunSetResult.statistics`` did for the historical serial loops.
+    samples are pooled before the operators are applied, in record order, as
+    :meth:`~repro.analysis.skew.SkewStatistics.from_runs` pools a run set.
     """
     if not records:
         raise ValueError("at least one record is required")

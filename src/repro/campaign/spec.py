@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -100,6 +101,13 @@ def _as_tuple(value: Any) -> Tuple[Any, ...]:
     if isinstance(value, (list, range)):
         return tuple(value)
     return (value,)
+
+
+def _integer(name: str, value: Any) -> int:
+    """``value`` as an ``int``; strings, floats and bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _canonical_schedule(value: Any) -> Optional[FaultSchedule]:
@@ -212,14 +220,15 @@ delay_model, fault_schedule, topology:
 
     def __post_init__(self) -> None:
         coerce = object.__setattr__
-        coerce(self, "layers", tuple(int(v) for v in _as_tuple(self.layers)))
-        coerce(self, "width", tuple(int(v) for v in _as_tuple(self.width)))
+        for name in ("layers", "width", "num_faults"):
+            coerce(self, name, tuple(_integer(name, v) for v in _as_tuple(getattr(self, name))))
+        for name in ("runs", "seed_salt", "num_pulses", "skew_choice"):
+            coerce(self, name, _integer(name, getattr(self, name)))
         coerce(
             self,
             "scenario",
             tuple(canonical_scenario(v) for v in _as_tuple(self.scenario)),
         )
-        coerce(self, "num_faults", tuple(int(v) for v in _as_tuple(self.num_faults)))
         coerce(
             self,
             "fault_type",

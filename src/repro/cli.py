@@ -935,7 +935,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     fault_type = FaultType.FAIL_SILENT if args.fail_silent else FaultType.BYZANTINE
     with _observability(args):
-        run_set = run_scenario_set(
+        records = run_scenario_set(
             config,
             args.scenario,
             num_faults=args.faults,
@@ -944,9 +944,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             topology=args.topology,
             workers=args.workers,
         )
-    stats = run_set.statistics()
+    stats = pooled_statistics(records)
     header = (
-        f"{args.runs} runs on a {args.layers}x{args.width} {run_set.topology} grid, "
+        f"{args.runs} runs on a {args.layers}x{args.width} {args.topology} grid, "
         f"scenario {scenario_label(args.scenario)}, "
         f"{args.faults} {fault_type.value} fault(s), engine {args.engine}"
     )

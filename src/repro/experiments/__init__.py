@@ -7,12 +7,19 @@ The shared machinery lives in
 
 * :mod:`repro.experiments.config` -- canonical parameters (50x20 grid, the
   paper's delay bounds, 250 runs) and scaled-down defaults;
-* :mod:`repro.experiments.single_pulse` -- seeded single-pulse run sets with
-  optional fault injection (Tables 1-2, Figs. 8-16);
-* :mod:`repro.experiments.stability` -- multi-pulse stabilization run sets
-  (Table 3, Figs. 18-19);
+* :mod:`repro.experiments.single_pulse` -- campaign specs of seeded
+  single-pulse run sets, one point per scenario, with optional fault
+  injection (Tables 1-3, Figs. 8-12, Theorem 1);
+* :mod:`repro.experiments.stability` -- the campaign cell of one multi-pulse
+  stabilization data point (Figs. 18-19);
 * :mod:`repro.experiments.report` -- plain-text rendering of rows and
   paper-vs-measured comparisons.
+
+Every Monte Carlo experiment runs as one campaign (:mod:`repro.campaign`):
+it builds one ``CampaignSpec``, runs it once and reads each data point's
+records, so its ``run`` takes ``workers`` and its output is identical for
+any worker count.  ``clocktree``, ``fig05``, ``fig13``, ``fig14``,
+``fig17`` and ``recovery`` run no campaign and take no ``workers``.
 
 :data:`EXPERIMENTS` maps experiment identifiers (``"table1"``, ``"fig15"``,
 ...) to their modules; the command-line interface iterates over it.

@@ -65,11 +65,11 @@ class WaveResult:
 
 
 def run(
-    config: Optional[ExperimentConfig] = None, seed_salt: int = 800
+    config: Optional[ExperimentConfig] = None, seed_salt: int = 800, workers: int = 1
 ) -> WaveResult:
     """Regenerate the Fig. 8 wave (one fault-free run, scenario (i))."""
     config = config if config is not None else ExperimentConfig()
-    run_set = run_scenario_set(config, SCENARIO, num_faults=0, runs=1, seed_salt=seed_salt)
-    return WaveResult(
-        config=config, scenario=SCENARIO, trigger_times=run_set.trigger_times[0]
+    (record,) = run_scenario_set(
+        config, SCENARIO, num_faults=0, runs=1, seed_salt=seed_salt, workers=workers
     )
+    return WaveResult(config=config, scenario=SCENARIO, trigger_times=record.trigger_matrix())

@@ -55,11 +55,11 @@ class Fig9Result(WaveResult):
 
 
 def run(
-    config: Optional[ExperimentConfig] = None, seed_salt: int = 900
+    config: Optional[ExperimentConfig] = None, seed_salt: int = 900, workers: int = 1
 ) -> Fig9Result:
     """Regenerate the Fig. 9 wave (one fault-free run, scenario (iv))."""
     config = config if config is not None else ExperimentConfig()
-    run_set = run_scenario_set(config, SCENARIO, num_faults=0, runs=1, seed_salt=seed_salt)
-    return Fig9Result(
-        config=config, scenario=SCENARIO, trigger_times=run_set.trigger_times[0]
+    (record,) = run_scenario_set(
+        config, SCENARIO, num_faults=0, runs=1, seed_salt=seed_salt, workers=workers
     )
+    return Fig9Result(config=config, scenario=SCENARIO, trigger_times=record.trigger_matrix())

@@ -62,11 +62,20 @@ class HistogramResult:
         )
 
 
-def _build(config: ExperimentConfig, scenario: Scenario, runs: Optional[int], seed_salt: int) -> HistogramResult:
-    run_set = run_scenario_set(config, scenario, num_faults=0, runs=runs, seed_salt=seed_salt)
-    histograms = skew_histograms(run_set.trigger_times)
-    intra_values = collect_intra_values(run_set.trigger_times)
-    inter_values = collect_inter_values(run_set.trigger_times)
+def _build(
+    config: ExperimentConfig,
+    scenario: Scenario,
+    runs: Optional[int],
+    seed_salt: int,
+    workers: int,
+) -> HistogramResult:
+    records = run_scenario_set(
+        config, scenario, num_faults=0, runs=runs, seed_salt=seed_salt, workers=workers
+    )
+    times = [record.trigger_matrix() for record in records]
+    histograms = skew_histograms(times)
+    intra_values = collect_intra_values(times)
+    inter_values = collect_inter_values(times)
     return HistogramResult(
         config=config,
         scenario=scenario,
@@ -81,7 +90,8 @@ def run(
     config: Optional[ExperimentConfig] = None,
     runs: Optional[int] = None,
     seed_salt: int = 1000,
+    workers: int = 1,
 ) -> HistogramResult:
     """Regenerate the Fig. 10 histograms (scenario (i), fault-free)."""
     config = config if config is not None else ExperimentConfig()
-    return _build(config, SCENARIO, runs, seed_salt)
+    return _build(config, SCENARIO, runs, seed_salt, workers)

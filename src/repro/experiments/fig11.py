@@ -24,7 +24,8 @@ def run(
     config: Optional[ExperimentConfig] = None,
     runs: Optional[int] = None,
     seed_salt: int = 1100,
+    workers: int = 1,
 ) -> HistogramResult:
     """Regenerate the Fig. 11 histograms (scenario (iv), fault-free)."""
     config = config if config is not None else ExperimentConfig()
-    return _build(config, SCENARIO, runs, seed_salt)
+    return _build(config, SCENARIO, runs, seed_salt, workers)

@@ -15,10 +15,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.analysis.skew import per_layer_inter_stats
+from repro.campaign.runner import CampaignRunner
 from repro.clocksource.scenarios import Scenario, scenario_label
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_table
-from repro.experiments.single_pulse import run_scenario_set
+from repro.experiments.single_pulse import scenario_set_spec
 
 __all__ = ["Fig12Result", "run", "SCENARIOS_USED", "MAX_LAYER"]
 
@@ -77,13 +78,17 @@ def run(
     config: Optional[ExperimentConfig] = None,
     runs: Optional[int] = None,
     seed_salt: int = 1200,
+    workers: int = 1,
 ) -> Fig12Result:
     """Regenerate the Fig. 12 per-layer series."""
     config = config if config is not None else ExperimentConfig()
-    series: Dict[Scenario, Dict[str, np.ndarray]] = {}
-    for index, scenario in enumerate(SCENARIOS_USED):
-        run_set = run_scenario_set(
-            config, scenario, num_faults=0, runs=runs, seed_salt=seed_salt + index
+    spec = scenario_set_spec(config, SCENARIOS_USED, runs=runs, seed_salt=seed_salt, name="fig12")
+    campaign = CampaignRunner(spec, workers=workers).run()
+    series: Dict[Scenario, Dict[str, np.ndarray]] = {
+        scenario: per_layer_inter_stats(
+            [record.trigger_matrix() for record in campaign.records_for(0, index)],
+            max_layer=MAX_LAYER,
         )
-        series[scenario] = per_layer_inter_stats(run_set.trigger_times, max_layer=MAX_LAYER)
+        for index, scenario in enumerate(SCENARIOS_USED)
+    }
     return Fig12Result(config=config, series=series)

@@ -18,13 +18,16 @@ reproduce:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import CampaignSpec
 from repro.clocksource.scenarios import Scenario, scenario_label
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_table
-from repro.experiments.stability import StabilizationPoint, run_stabilization_point
+from repro.experiments.stability import StabilizationPoint, stabilization_cell, stabilization_point
 from repro.faults.models import FaultType
 
 __all__ = ["StabilizationSweep", "run", "SCENARIO", "DEFAULT_FAULT_COUNTS", "DEFAULT_CHOICES"]
@@ -106,23 +109,34 @@ def _sweep(
     runs: Optional[int],
     num_pulses: Optional[int],
     seed_salt: int,
+    workers: int,
 ) -> StabilizationSweep:
-    points: Dict[Tuple[int, int, FaultType], StabilizationPoint] = {}
-    salt = seed_salt
-    for fault_type in fault_types:
-        for num_faults in fault_counts:
-            for choice in choices:
-                salt += 1
-                points[(num_faults, choice, fault_type)] = run_stabilization_point(
-                    config,
-                    scenario,
-                    num_faults=num_faults,
-                    fault_type=fault_type,
-                    skew_choice=choice,
-                    runs=runs,
-                    num_pulses=num_pulses,
-                    seed_salt=salt,
-                )
+    """One campaign with one cell per (fault type, f, C); cell ``k`` draws
+    seed salt ``seed_salt + 1 + k``."""
+    matrix = list(itertools.product(fault_types, fault_counts, choices))
+    cells = tuple(
+        stabilization_cell(
+            config,
+            scenario,
+            num_faults=num_faults,
+            fault_type=fault_type,
+            skew_choice=choice,
+            runs=runs,
+            num_pulses=num_pulses,
+            seed_salt=seed_salt + 1 + index,
+        )
+        for index, (fault_type, num_faults, choice) in enumerate(matrix)
+    )
+    spec = CampaignSpec(
+        name=f"stabilization-{scenario.value}", seed=config.seed, timing=config.timing, cells=cells
+    )
+    campaign = CampaignRunner(spec, workers=workers).run()
+    points = {
+        (num_faults, choice, fault_type): stabilization_point(
+            cells[index], campaign.point_stabilization_times(index, 0)
+        )
+        for index, (fault_type, num_faults, choice) in enumerate(matrix)
+    }
     return StabilizationSweep(config=config, scenario=scenario, points=points)
 
 
@@ -134,15 +148,17 @@ def run(
     choices: Sequence[int] = DEFAULT_CHOICES,
     fault_types: Sequence[FaultType] = (FaultType.BYZANTINE, FaultType.FAIL_SILENT),
     seed_salt: int = 1800,
+    workers: int = 1,
 ) -> StabilizationSweep:
     """Regenerate the Fig. 18 sweep (scenario (iii)).
 
     The default grid/run counts are scaled down because every data point is a
     full discrete-event simulation of ``num_pulses`` pulses; pass
     ``ExperimentConfig.paper()`` and the full ``fault_counts=(0,...,5)``,
-    ``choices=(0,...,3)`` for the paper-scale suite.
+    ``choices=(0,...,3)`` for the paper-scale suite.  Results are identical
+    for any ``workers`` count.
     """
     config = config if config is not None else ExperimentConfig.quick()
     return _sweep(
-        config, SCENARIO, fault_counts, choices, fault_types, runs, num_pulses, seed_salt
+        config, SCENARIO, fault_counts, choices, fault_types, runs, num_pulses, seed_salt, workers
     )

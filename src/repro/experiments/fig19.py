@@ -34,9 +34,10 @@ def run(
     choices: Sequence[int] = DEFAULT_CHOICES,
     fault_types: Sequence[FaultType] = (FaultType.BYZANTINE, FaultType.FAIL_SILENT),
     seed_salt: int = 1900,
+    workers: int = 1,
 ) -> StabilizationSweep:
     """Regenerate the Fig. 19 sweep (scenario (iv))."""
     config = config if config is not None else ExperimentConfig.quick()
     return _sweep(
-        config, SCENARIO, fault_counts, choices, fault_types, runs, num_pulses, seed_salt
+        config, SCENARIO, fault_counts, choices, fault_types, runs, num_pulses, seed_salt, workers
     )

@@ -18,6 +18,10 @@ Each data point of Figs. 18/19 is defined by a scenario, a number of faults
 The summary per data point is the average stabilization time, its standard
 deviation and the number of runs that stabilized within the observed pulses --
 exactly the three series the paper plots.
+
+A data point is one campaign cell (:func:`stabilization_cell`, the only
+builder of such cells): :func:`run_stabilization_point` runs one, and
+Figs. 18/19 run all of theirs as one campaign.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.campaign.records import stabilization_times
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, SweepSpec
 from repro.clocksource.scenarios import Scenario, parse_scenario
@@ -38,6 +41,8 @@ from repro.faults.models import FaultType
 
 __all__ = [
     "StabilizationPoint",
+    "stabilization_cell",
+    "stabilization_point",
     "stabilization_point_spec",
     "run_stabilization_point",
 ]
@@ -99,7 +104,7 @@ class StabilizationPoint:
         }
 
 
-def stabilization_point_spec(
+def stabilization_cell(
     config: ExperimentConfig,
     scenario: Union[Scenario, str],
     num_faults: int,
@@ -109,16 +114,22 @@ def stabilization_point_spec(
     num_pulses: Optional[int] = None,
     seed_salt: int = 0,
     timeouts: Optional[TimeoutConfig] = None,
-) -> CampaignSpec:
-    """The one-cell campaign spec equivalent of one stabilization data point.
+) -> SweepSpec:
+    """The campaign cell of one stabilization data point.
 
-    Without an explicit ``timeouts`` override the campaign executor derives
-    the conservative Lemma 5 values per task
-    (:func:`~repro.engines.des.scenario_stabilization_timeouts`), which keeps
-    the spec self-contained.
+    Without an explicit ``timeouts`` override the cell carries the
+    conservative Lemma 5 Condition 2 timeouts
+    (:func:`~repro.engines.des.scenario_stabilization_timeouts`), so its task
+    keys name the timeouts the runs use.
     """
     scenario_value = parse_scenario(scenario)
-    cell = SweepSpec(
+    if fault_type not in (FaultType.BYZANTINE, FaultType.FAIL_SILENT):
+        raise ValueError("stabilization experiments use Byzantine or fail-silent faults")
+    if timeouts is None:
+        timeouts = scenario_stabilization_timeouts(
+            scenario_value, config.width, config.layers, num_faults, config.timing
+        )
+    return SweepSpec(
         layers=config.layers,
         width=config.width,
         scenario=scenario_value.value,
@@ -131,8 +142,34 @@ def stabilization_point_spec(
         skew_choice=skew_choice,
         timeouts=timeouts,
     )
+
+
+def stabilization_point_spec(
+    config: ExperimentConfig,
+    scenario: Union[Scenario, str],
+    num_faults: int,
+    fault_type: FaultType = FaultType.BYZANTINE,
+    skew_choice: int = 0,
+    runs: Optional[int] = None,
+    num_pulses: Optional[int] = None,
+    seed_salt: int = 0,
+    timeouts: Optional[TimeoutConfig] = None,
+) -> CampaignSpec:
+    """The one-cell campaign spec of one stabilization data point
+    (:func:`stabilization_cell`)."""
+    cell = stabilization_cell(
+        config,
+        scenario,
+        num_faults,
+        fault_type=fault_type,
+        skew_choice=skew_choice,
+        runs=runs,
+        num_pulses=num_pulses,
+        seed_salt=seed_salt,
+        timeouts=timeouts,
+    )
     return CampaignSpec(
-        name=f"stabilization-{scenario_value.value}",
+        name=f"stabilization-{cell.scenario[0]}",
         seed=config.seed,
         timing=config.timing,
         cells=(cell,),
@@ -158,34 +195,29 @@ def run_stabilization_point(
     and simulation draws consume each run's child stream in the historical
     order), so results are identical for any ``workers`` count.
     """
-    scenario_value = parse_scenario(scenario)
-    if skew_choice not in (0, 1, 2, 3):
-        raise ValueError(f"skew_choice must be in 0..3, got {skew_choice}")
-    if fault_type not in (FaultType.BYZANTINE, FaultType.FAIL_SILENT):
-        raise ValueError("stabilization experiments use Byzantine or fail-silent faults")
-
-    pulses = num_pulses if num_pulses is not None else config.num_pulses
-    if timeouts is None:
-        timeouts = scenario_stabilization_timeouts(
-            scenario_value, config.width, config.layers, num_faults, config.timing
-        )
     spec = stabilization_point_spec(
         config,
-        scenario_value,
+        scenario,
         num_faults,
         fault_type=fault_type,
         skew_choice=skew_choice,
         runs=runs,
-        num_pulses=pulses,
+        num_pulses=num_pulses,
         seed_salt=seed_salt,
         timeouts=timeouts,
     )
     campaign = CampaignRunner(spec, workers=workers).run()
+    return stabilization_point(spec.cells[0], campaign.point_stabilization_times(0, 0))
+
+
+def stabilization_point(cell: SweepSpec, times: np.ndarray) -> StabilizationPoint:
+    """The :class:`StabilizationPoint` of a :func:`stabilization_cell` and
+    its per-run stabilization estimates."""
     return StabilizationPoint(
-        scenario=scenario_value,
-        num_faults=num_faults,
-        fault_type=fault_type,
-        skew_choice=skew_choice,
-        stabilization_times=stabilization_times(campaign.records),
-        num_pulses=pulses,
+        scenario=parse_scenario(cell.scenario[0]),
+        num_faults=cell.num_faults[0],
+        fault_type=FaultType(cell.fault_type[0]),
+        skew_choice=cell.skew_choice,
+        stabilization_times=times,
+        num_pulses=cell.num_pulses,
     )

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.skew import SkewStatistics
-from repro.campaign.records import pooled_statistics
 from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import CampaignSpec, SweepSpec
+from repro.campaign.spec import CampaignSpec
 from repro.clocksource.scenarios import SCENARIOS, Scenario, scenario_label
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_table
+from repro.experiments.single_pulse import scenario_set_spec
 
 __all__ = ["PAPER_TABLE1", "Table1Result", "campaign_spec", "run"]
 
@@ -89,15 +89,7 @@ def campaign_spec(
     The scenario axis enumerates in paper order, so point ``i`` inherits seed
     salt ``100 + i`` -- the exact streams of the historical per-scenario loop.
     """
-    cell = SweepSpec(
-        layers=config.layers,
-        width=config.width,
-        scenario=tuple(scenario.value for scenario in SCENARIOS),
-        num_faults=0,
-        runs=runs if runs is not None else config.runs,
-        seed_salt=100,
-    )
-    return CampaignSpec(name="table1", seed=config.seed, timing=config.timing, cells=(cell,))
+    return scenario_set_spec(config, SCENARIOS, runs=runs, seed_salt=100, name="table1")
 
 
 def run(
@@ -121,7 +113,6 @@ def run(
     config = config if config is not None else ExperimentConfig()
     campaign = CampaignRunner(campaign_spec(config, runs), workers=workers).run()
     statistics: Dict[Scenario, SkewStatistics] = {
-        scenario: pooled_statistics(campaign.records_for(cell_index=0, point_index=index))
-        for index, scenario in enumerate(SCENARIOS)
+        scenario: campaign.point_statistics(0, index) for index, scenario in enumerate(SCENARIOS)
     }
     return Table1Result(config=config, statistics=statistics)

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.skew import SkewStatistics
+from repro.campaign.runner import CampaignRunner
 from repro.clocksource.scenarios import SCENARIOS, Scenario, scenario_label
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_table
-from repro.experiments.single_pulse import run_scenario_set
-from repro.faults.models import FaultType
+from repro.experiments.single_pulse import scenario_set_spec
 
 __all__ = ["PAPER_TABLE2", "Table2Result", "run"]
 
@@ -83,18 +83,16 @@ class Table2Result:
 def run(
     config: Optional[ExperimentConfig] = None,
     runs: Optional[int] = None,
+    workers: int = 1,
 ) -> Table2Result:
-    """Regenerate Table 2 (one random Byzantine node per run)."""
+    """Regenerate Table 2 (one random Byzantine node per run); point ``i``
+    of the scenario axis draws seed salt ``200 + i``."""
     config = config if config is not None else ExperimentConfig()
-    statistics: Dict[Scenario, SkewStatistics] = {}
-    for index, scenario in enumerate(SCENARIOS):
-        run_set = run_scenario_set(
-            config,
-            scenario,
-            num_faults=1,
-            fault_type=FaultType.BYZANTINE,
-            runs=runs,
-            seed_salt=200 + index,
-        )
-        statistics[scenario] = run_set.statistics()
+    spec = scenario_set_spec(
+        config, SCENARIOS, num_faults=1, runs=runs, seed_salt=200, name="table2"
+    )
+    campaign = CampaignRunner(spec, workers=workers).run()
+    statistics: Dict[Scenario, SkewStatistics] = {
+        scenario: campaign.point_statistics(0, index) for index, scenario in enumerate(SCENARIOS)
+    }
     return Table2Result(config=config, statistics=statistics)

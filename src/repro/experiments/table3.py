@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.campaign.runner import CampaignRunner
 from repro.clocksource.scenarios import SCENARIOS, Scenario, scenario_label
 from repro.core.parameters import PAPER_SIGNAL_DURATION_NS, TimeoutConfig, condition2_timeouts
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_table
-from repro.experiments.single_pulse import run_scenario_set
-from repro.faults.models import FaultType
+from repro.experiments.single_pulse import scenario_set_spec
 
 __all__ = ["PAPER_TABLE3", "Table3Result", "run", "NUM_FAULTS_FOR_TABLE3"]
 
@@ -115,6 +115,7 @@ def run(
     config: Optional[ExperimentConfig] = None,
     runs: Optional[int] = None,
     signal_duration: float = PAPER_SIGNAL_DURATION_NS,
+    workers: int = 1,
 ) -> Table3Result:
     """Regenerate Table 3.
 
@@ -128,6 +129,11 @@ def run(
     """
     config = config if config is not None else ExperimentConfig()
     timing = config.timing
+    # One cell sweeps the scenarios in paper order: point i draws salt 300 + i.
+    spec = scenario_set_spec(
+        config, SCENARIOS, num_faults=NUM_FAULTS_FOR_TABLE3, runs=runs, seed_salt=300, name="table3"
+    )
+    campaign = CampaignRunner(spec, workers=workers).run()
 
     from_paper_sigma: Dict[Scenario, TimeoutConfig] = {}
     from_measured_sigma: Dict[Scenario, TimeoutConfig] = {}
@@ -142,15 +148,7 @@ def run(
             signal_duration=signal_duration,
         )
 
-        run_set = run_scenario_set(
-            config,
-            scenario,
-            num_faults=NUM_FAULTS_FOR_TABLE3,
-            fault_type=FaultType.BYZANTINE,
-            runs=runs,
-            seed_salt=300 + index,
-        )
-        stats = run_set.statistics()
+        stats = campaign.point_statistics(0, index)
         observed_max = max(stats.intra_max, stats.inter_max)
         sigma = observed_max + timing.d_max
         measured_sigma[scenario] = sigma

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis.skew import SkewStatistics
+from repro.campaign.runner import CampaignRunner
 from repro.clocksource.scenarios import Scenario
 from repro.core.bounds import (
     paper_quoted_theorem1_value,
@@ -27,7 +28,7 @@ from repro.core.bounds import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_kv
-from repro.experiments.single_pulse import run_scenario_set
+from repro.experiments.single_pulse import scenario_set_spec
 
 __all__ = ["Theorem1Check", "run", "PAPER_QUOTED_SIGMA_MAX", "PAPER_QUOTED_INTER_RANGE"]
 
@@ -88,6 +89,7 @@ def run(
     config: Optional[ExperimentConfig] = None,
     runs: Optional[int] = None,
     seed_salt: int = 2100,
+    workers: int = 1,
 ) -> Theorem1Check:
     """Recompute the Theorem 1 bounds and compare with observed maxima."""
     config = config if config is not None else ExperimentConfig()
@@ -97,12 +99,12 @@ def run(
     sigma_for_inter = max(bound_uniform, bound_quoted)
     inter_bounds = theorem1_inter_layer_bounds(timing, sigma_for_inter)
 
-    observed: Dict[Scenario, SkewStatistics] = {}
-    for index, scenario in enumerate((Scenario.ZERO, Scenario.UNIFORM_DMIN)):
-        run_set = run_scenario_set(
-            config, scenario, num_faults=0, runs=runs, seed_salt=seed_salt + index
-        )
-        observed[scenario] = run_set.statistics()
+    scenarios = (Scenario.ZERO, Scenario.UNIFORM_DMIN)
+    spec = scenario_set_spec(config, scenarios, runs=runs, seed_salt=seed_salt, name="theorem1")
+    campaign = CampaignRunner(spec, workers=workers).run()
+    observed: Dict[Scenario, SkewStatistics] = {
+        scenario: campaign.point_statistics(0, index) for index, scenario in enumerate(scenarios)
+    }
     return Theorem1Check(
         config=config,
         bound_uniform=bound_uniform,

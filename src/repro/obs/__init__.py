@@ -69,6 +69,7 @@ _EXPORTS = {
     "Tracer": "trace",
     "TraceSink": "trace",
     "load_trace_records": "trace",
+    "load_event_trace": "trace",
     "first_firing_matrix_from_events": "capture",
 }
 

@@ -117,7 +117,7 @@ def first_firing_matrix_from_events(
     The counterpart of :meth:`HexNetwork.first_firing_matrix` for offline
     analysis of a ``--trace`` file: nodes that never fired carry ``+inf``
     (faulty/absent nodes cannot be distinguished here and also carry ``inf``).
-    The result plugs directly into :func:`repro.analysis.traces.save_trace`.
+    The result plugs directly into :func:`repro.analysis.traces.wave_rows`.
     """
     times = np.full((layers + 1, width), np.inf, dtype=float)
     for event in events:

@@ -36,6 +36,7 @@ __all__ = [
     "Tracer",
     "load_trace",
     "load_trace_records",
+    "load_event_trace",
 ]
 
 #: Schema tag carried in the header line of a trace file.
@@ -298,3 +299,30 @@ def load_trace_records(path: Union[str, Path]) -> List[Dict[str, Any]]:
     :func:`load_trace` when the header's provenance fields matter.
     """
     return load_trace(path)[1]
+
+
+def load_event_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Load the captured DES events from a trace file.
+
+    The file is the JSONL artifact of ``--trace run.jsonl --trace-events``;
+    span records are dropped and each returned dict is the flattened event
+    payload -- ``kind`` plus the kind-specific fields (``node``, ``time``,
+    ``pulse_index``, ...) -- ordered as simulated.
+    :func:`~repro.obs.capture.first_firing_matrix_from_events` rebuilds the
+    run's first-firing matrix from them.
+
+    Raises ``ValueError`` when the file is not a trace artifact or carries
+    no captured DES events (tracing without ``--trace-events`` records spans
+    only).
+    """
+    events = [
+        dict(record.get("attrs", {}))
+        for record in load_trace_records(path)
+        if record.get("type") == "event" and record.get("name") == "des.event"
+    ]
+    if not events:
+        raise ValueError(
+            f"{path}: trace contains no captured DES events "
+            "(was the run traced with --trace-events?)"
+        )
+    return events

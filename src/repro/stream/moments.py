@@ -24,7 +24,21 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable
 
-__all__ = ["StreamingMoments"]
+__all__ = ["StreamingMoments", "payload_field"]
+
+
+def payload_field(payload: Any, name: str, owner: str) -> Any:
+    """``payload[name]`` of a serialized ``owner``.
+
+    A payload that is not a JSON object, or lacks the field, raises a
+    ``ValueError`` naming the field, so a damaged checkpoint is one clean
+    error rather than a ``KeyError`` from deep inside a loader.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{owner} state must be a JSON object, got {type(payload).__name__}")
+    if name not in payload:
+        raise ValueError(f"{owner} state is missing field {name!r}")
+    return payload[name]
 
 
 class StreamingMoments:
@@ -90,10 +104,10 @@ class StreamingMoments:
     def from_json_dict(cls, payload: Dict[str, Any]) -> "StreamingMoments":
         """Rebuild an accumulator from :meth:`to_json_dict` output."""
         moments = cls()
-        moments.count = int(payload["count"])
-        moments.mean = float(payload["mean"])
-        moments.m2 = float(payload["m2"])
-        moments.total = float(payload["total"])
+        moments.count = int(payload_field(payload, "count", cls.__name__))
+        moments.mean = float(payload_field(payload, "mean", cls.__name__))
+        moments.m2 = float(payload_field(payload, "m2", cls.__name__))
+        moments.total = float(payload_field(payload, "total", cls.__name__))
         moments.min = math.inf if payload.get("min") is None else float(payload["min"])
         moments.max = -math.inf if payload.get("max") is None else float(payload["max"])
         return moments

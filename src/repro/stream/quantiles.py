@@ -33,6 +33,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.stream.exact import exact_median, exact_quantiles
+from repro.stream.moments import payload_field
 
 __all__ = ["GKSketch", "StreamingQuantiles", "interpolated_quantile"]
 
@@ -197,11 +198,10 @@ class GKSketch:
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "GKSketch":
         """Rebuild a sketch from :meth:`to_json_dict` output."""
-        sketch = cls(epsilon=float(payload["epsilon"]))
-        sketch.count = int(payload["count"])
-        sketch._entries = [
-            [float(value), float(g), float(delta)] for value, g, delta in payload["entries"]
-        ]
+        sketch = cls(epsilon=float(payload_field(payload, "epsilon", cls.__name__)))
+        sketch.count = int(payload_field(payload, "count", cls.__name__))
+        entries = payload_field(payload, "entries", cls.__name__)
+        sketch._entries = [[float(value), float(g), float(delta)] for value, g, delta in entries]
         return sketch
 
 
@@ -292,14 +292,13 @@ class StreamingQuantiles:
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "StreamingQuantiles":
         """Rebuild an accumulator from :meth:`to_json_dict` output."""
+        epsilon = float(payload_field(payload, "epsilon", cls.__name__))
         cap = payload.get("exact_cap")
-        quantiles = cls(
-            epsilon=float(payload["epsilon"]),
-            exact_cap=None if cap is None else int(cap),
-        )
+        quantiles = cls(epsilon=epsilon, exact_cap=None if cap is None else int(cap))
         if "sketch" in payload:
             quantiles._sketch = GKSketch.from_json_dict(payload["sketch"])
             quantiles._exact = None
         else:
-            quantiles._exact = [float(value) for value in payload["exact"]]
+            exact = payload_field(payload, "exact", cls.__name__)
+            quantiles._exact = [float(value) for value in exact]
         return quantiles

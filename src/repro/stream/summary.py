@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, Optional
 
-from repro.stream.moments import StreamingMoments
+from repro.stream.moments import StreamingMoments, payload_field
 from repro.stream.quantiles import StreamingQuantiles
 
 __all__ = ["StreamSummary"]
@@ -93,6 +93,8 @@ class StreamSummary:
     def from_json_dict(cls, payload: Dict[str, Any]) -> "StreamSummary":
         """Rebuild a summary from :meth:`to_json_dict` output."""
         summary = cls()
-        summary.moments = StreamingMoments.from_json_dict(payload["moments"])
-        summary.quantiles = StreamingQuantiles.from_json_dict(payload["quantiles"])
+        moments = payload_field(payload, "moments", cls.__name__)
+        quantiles = payload_field(payload, "quantiles", cls.__name__)
+        summary.moments = StreamingMoments.from_json_dict(moments)
+        summary.quantiles = StreamingQuantiles.from_json_dict(quantiles)
         return summary

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.histograms import cumulative_histogram, skew_histograms, tail_fraction
 from repro.analysis.locality import excluded_nodes, exclusion_mask, inclusion_mask, skew_vs_distance
-from repro.analysis.traces import load_trace, save_trace, wave_rows
+from repro.analysis.traces import wave_rows
 from repro.core.pulse_solver import solve_single_pulse
 from repro.faults.models import FaultModel, NodeFault
 from repro.simulation.links import UniformRandomDelays
@@ -66,20 +66,6 @@ class TestTraces:
         rows = wave_rows(times)
         assert np.isnan(rows[1]["time"])
         assert np.isnan(rows[3]["time"])
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        times = np.arange(6, dtype=float).reshape(2, 3)
-        path = save_trace(tmp_path / "wave", times, metadata={"scenario": "i", "runs": 1})
-        assert path.suffix == ".npz"
-        loaded = load_trace(path)
-        assert np.array_equal(loaded["times"], times)
-        assert str(loaded["meta_scenario"]) == "i"
-
-    def test_save_run_set(self, tmp_path):
-        runs = [np.zeros((2, 3)), np.ones((2, 3))]
-        path = save_trace(tmp_path / "set.npz", runs)
-        loaded = load_trace(path)
-        assert loaded["times"].shape == (2, 2, 3)
 
 
 class TestLocality:

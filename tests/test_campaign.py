@@ -24,6 +24,7 @@ import pytest
 
 import repro.campaign.runner as campaign_runner
 from repro import obs
+from repro.analysis.skew import SkewStatistics
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
@@ -34,12 +35,13 @@ from repro.campaign import (
     pooled_statistics,
 )
 from repro.campaign.progress import ProgressReporter, format_duration
+from repro.campaign.records import record_mask, stand_in_fault_model
 from repro.campaign.store import ShardWriter, frame, unframe
 from repro.cli import _experiment_config, main
 from repro.clocksource.scenarios import Scenario, scenario_layer0_times
 from repro.core.pulse_solver import solve_single_pulse
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.single_pulse import run_scenario_set
+from repro.experiments.single_pulse import run_scenario_set, scenario_set_spec
 from repro.faults.models import FaultType
 from repro.faults.placement import build_fault_model
 from repro.simulation.links import UniformRandomDelays
@@ -773,11 +775,12 @@ class TestExperimentParity:
     """The campaign-backed adapters replicate the historical seed streams."""
 
     def test_run_scenario_set_matches_legacy_loop(self, quick_config):
-        run_set = run_scenario_set(quick_config, "iii", num_faults=2, seed_salt=42)
+        records = run_scenario_set(quick_config, "iii", num_faults=2, seed_salt=42)
 
         grid = quick_config.make_grid()
         rngs = quick_config.spawn_rngs(quick_config.runs, salt=42)
-        for index, rng in enumerate(rngs):
+        assert len(records) == len(rngs)
+        for record, rng in zip(records, rngs):
             layer0 = scenario_layer0_times(
                 Scenario.UNIFORM_DMAX, grid.width, quick_config.timing, rng=rng
             )
@@ -785,39 +788,53 @@ class TestExperimentParity:
             delays = UniformRandomDelays(quick_config.timing, rng)
             solution = solve_single_pulse(grid, layer0, delays, fault_model=fault_model)
             assert np.array_equal(
-                run_set.trigger_times[index], solution.trigger_times, equal_nan=True
+                record.trigger_matrix(), solution.trigger_times, equal_nan=True
             )
-            assert run_set.fault_models[index].faulty_nodes() == fault_model.faulty_nodes()
+            stand_in = stand_in_fault_model(grid, record.faulty_nodes)
+            assert stand_in.faulty_nodes() == fault_model.faulty_nodes()
 
     def test_run_scenario_set_workers_equivalence(self, quick_config):
         serial = run_scenario_set(quick_config, "i", num_faults=1, seed_salt=7, workers=1)
         parallel = run_scenario_set(quick_config, "i", num_faults=1, seed_salt=7, workers=2)
-        assert serial.statistics(hops=1).as_row() == parallel.statistics(hops=1).as_row()
+        assert [r.canonical_json() for r in serial] == [r.canonical_json() for r in parallel]
+        assert pooled_statistics(serial, hops=1) == pooled_statistics(parallel, hops=1)
 
     def test_pooled_statistics_match_run_set_statistics(self, quick_config):
-        from repro.experiments.single_pulse import scenario_set_spec
-
-        spec = scenario_set_spec(quick_config, "iii", num_faults=2, seed_salt=42)
-        records = CampaignRunner(spec).run().records
-        run_set = run_scenario_set(quick_config, "iii", num_faults=2, seed_salt=42)
+        """Pooling records equals the paper's set-level operators over the run set."""
+        records = run_scenario_set(quick_config, "iii", num_faults=2, seed_salt=42)
+        times = [record.trigger_matrix() for record in records]
         for hops in (0, 1):
-            assert pooled_statistics(records, hops=hops) == run_set.statistics(hops=hops)
+            masks = [record_mask(record, hops=hops) for record in records]
+            assert pooled_statistics(records, hops=hops) == SkewStatistics.from_runs(
+                times, masks
+            )
+
+    def test_scenario_axis_points_match_single_scenario_sets(self, quick_config):
+        """Point i of a scenario-axis cell is the run set of salt seed_salt + i."""
+        scenarios = ("i", "iv")
+        spec = scenario_set_spec(quick_config, scenarios, num_faults=1, seed_salt=200)
+        assert spec.cells[0].num_points == len(scenarios)
+        campaign = CampaignRunner(spec).run()
+        for index, scenario in enumerate(scenarios):
+            alone = run_scenario_set(quick_config, scenario, num_faults=1, seed_salt=200 + index)
+            point = campaign.records_for(0, index)
+            assert [r.key for r in point] == [r.key for r in alone]
+            assert pooled_statistics(point, hops=1) == pooled_statistics(alone, hops=1)
 
     def test_fault_type_none_means_fault_free(self, quick_config):
         """Historical contract: fault_type=None injects nothing, whatever num_faults."""
-        run_set = run_scenario_set(quick_config, "i", num_faults=2, fault_type=None, seed_salt=9)
-        assert run_set.num_faults == 2  # reported as requested...
-        assert run_set.fault_type is None
-        assert all(model is None for model in run_set.fault_models)  # ...but none injected
+        records = run_scenario_set(quick_config, "i", num_faults=2, fault_type=None, seed_salt=9)
+        assert all(not record.faulty_nodes for record in records)
         baseline = run_scenario_set(quick_config, "i", num_faults=0, seed_salt=9)
-        for ours, theirs in zip(run_set.trigger_times, baseline.trigger_times):
-            assert np.array_equal(ours, theirs, equal_nan=True)
+        assert len(records) == len(baseline)
+        for ours, theirs in zip(records, baseline):
+            assert np.array_equal(ours.trigger_matrix(), theirs.trigger_matrix(), equal_nan=True)
 
     def test_des_engine_reachable_through_run_set(self):
         config = ExperimentConfig(layers=6, width=5, runs=2, seed=3)
-        run_set = run_scenario_set(config, "i", engine="des")
-        stats = run_set.statistics()
-        assert np.isfinite(stats.intra_max)
+        records = run_scenario_set(config, "i", engine="des")
+        assert {record.params["engine"] for record in records} == {"des"}
+        assert np.isfinite(pooled_statistics(records).intra_max)
 
 
 class TestProgress:
@@ -906,6 +923,30 @@ class TestCli:
         payload.update(edit)
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(payload))
+        assert main(["sweep", "--spec", str(spec_file)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and phrase in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cell, phrase",
+        [
+            ({"runs": "2"}, "runs must be an integer, got '2'"),
+            ({"runs": True}, "runs must be an integer, got True"),
+            ({"seed_salt": 1.5}, "seed_salt must be an integer, got 1.5"),
+            ({"num_pulses": "4"}, "num_pulses must be an integer, got '4'"),
+            ({"skew_choice": False}, "skew_choice must be an integer, got False"),
+            ({"layers": [6, "8"]}, "layers must be an integer, got '8'"),
+            ({"num_faults": 1.0}, "num_faults must be an integer, got 1.0"),
+        ],
+    )
+    def test_sweep_spec_file_rejects_non_integer_cell_values(
+        self, tmp_path, capsys, cell, phrase
+    ):
+        """A string, float or bool where a cell takes an integer is a one-line
+        error (exit 2), not a ``TypeError`` traceback from a comparison."""
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"name": "x", "cells": [cell]}))
         assert main(["sweep", "--spec", str(spec_file)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and phrase in err

@@ -251,16 +251,21 @@ class TestDesCapture:
         assert counters["des.events_processed"] > 0
         assert counters["des.firing"] > 0
 
-        from repro.analysis.traces import event_trace_times, load_event_trace
-
-        events = load_event_trace(trace)
+        events = obs.load_event_trace(trace)
         kinds = {event["kind"] for event in events}
         assert {"source_pulse", "arrival", "firing"} <= kinds
-        matrix = event_trace_times(events, spec.layers, spec.width)
+        matrix = obs.first_firing_matrix_from_events(events, spec.layers, spec.width)
         times = np.asarray(result.trigger_times, dtype=float)
         finite = np.isfinite(times)
         assert (np.isfinite(matrix) == finite).all()
         assert np.allclose(matrix[finite], times[finite])
+
+    def test_event_trace_without_captured_events_is_rejected(self, tmp_path):
+        trace = tmp_path / "spans.jsonl"
+        with obs.observed(trace=trace):
+            pass
+        with pytest.raises(ValueError, match="no captured DES events"):
+            obs.load_event_trace(trace)
 
     def test_adversary_actions_are_counted(self, tmp_path):
         from repro.adversary.schedule import FaultSchedule

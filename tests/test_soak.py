@@ -340,6 +340,22 @@ class TestSoakCli:
         [
             (lambda payload: payload["spec"].update(bogus=1), "unknown SoakSpec fields"),
             (lambda payload: payload.pop("recoveries"), "missing fields: ['recoveries']"),
+            (
+                lambda payload: payload["skew"].pop("moments"),
+                "StreamSummary state is missing field 'moments'",
+            ),
+            (
+                lambda payload: payload["recovery_s"]["moments"].pop("m2"),
+                "StreamingMoments state is missing field 'm2'",
+            ),
+            (
+                lambda payload: payload["skew"]["quantiles"].pop("epsilon"),
+                "StreamingQuantiles state is missing field 'epsilon'",
+            ),
+            (
+                lambda payload: payload["skew"].update(quantiles=[]),
+                "StreamingQuantiles state must be a JSON object, got list",
+            ),
         ],
     )
     def test_resume_from_malformed_checkpoint_is_a_clean_error(
@@ -364,6 +380,7 @@ class TestSoakCli:
         assert main(argv + ["--resume"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and phrase in err
+        assert "Traceback" not in err
 
     def test_soak_json_output(self, capsys):
         code, out = self._run(

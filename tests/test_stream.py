@@ -330,6 +330,31 @@ class TestStreamSummary:
         resumed.flush()
         assert resumed.to_json_dict() == straight.to_json_dict()
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            ((), "moments"),
+            ((), "quantiles"),
+            (("moments",), "count"),
+            (("moments",), "m2"),
+            (("quantiles",), "epsilon"),
+            (("quantiles", "sketch"), "count"),
+            (("quantiles", "sketch"), "entries"),
+        ],
+    )
+    def test_loaders_name_a_missing_field(self, path, field):
+        """A damaged nested state is a ValueError naming the field, not a KeyError."""
+        summary = StreamSummary(epsilon=0.1, exact_cap=4)
+        summary.extend([float(value) for value in range(10)])
+        payload = summary.to_json_dict()
+        assert "sketch" in payload["quantiles"]
+        target = payload
+        for key in path:
+            target = target[key]
+        del target[field]
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            StreamSummary.from_json_dict(payload)
+
     def test_empty_summary_stats_are_nan(self):
         stats = StreamSummary().stats()
         assert stats["count"] == 0.0

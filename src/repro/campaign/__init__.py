@@ -17,6 +17,7 @@ a reusable pipeline::
 * :mod:`repro.campaign.store` -- a content-addressed JSONL cache making
   interrupted campaigns resumable and repeat invocations instant.
 * :mod:`repro.campaign.progress` -- throttled progress/ETA reporting.
+* :mod:`repro.campaign.cli` -- the ``hex-repro sweep`` verb.
 
 The per-table/per-figure experiments (``repro.experiments``) and the
 ``hex-repro sweep`` / ``hex-repro simulate`` CLI run on top of this package;
@@ -37,6 +38,9 @@ Quickstart
 
 from __future__ import annotations
 
+# The sweep verb loads with the package, so a process that has built a
+# campaign spec has loaded every module its sweep runs (DESIGN.md "Start-up").
+from repro.campaign import cli  # noqa: F401
 from repro.campaign.records import RunRecord, pooled_statistics
 from repro.campaign.runner import CampaignRunner, execute_task_batch
 from repro.campaign.spec import CampaignSpec, SweepSpec

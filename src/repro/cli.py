@@ -98,32 +98,38 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import importlib
 import os
 import sys
 from typing import Any, List, Optional, Sequence
 
-import numpy as np
-
-# Module level holds only the campaign layer that ``sweep``, ``simulate`` and
-# ``run`` share; every other subsystem is imported by the handler of the verb
-# that runs it, so start-up loads what the invoked verb executes.
+# Module level holds only what the parser needs; each verb's handler lives
+# next to its subsystem and is imported when that verb is dispatched, so
+# start-up loads what the invoked verb executes (DESIGN.md "Start-up").
 from repro import obs
-from repro.campaign.records import pooled_statistics, stabilization_times
-from repro.campaign.runner import CampaignResult, CampaignRunner
-from repro.campaign.spec import CampaignSpec, SweepSpec
-from repro.clocksource.scenarios import scenario_label
-from repro.core.topology import HexGrid
-from repro.engines import available_engines, get_engine
+from repro.engines import available_engines
 from repro.engines.base import DELAY_MODELS
 from repro.faults.models import FaultType
 
 __all__ = ["main", "build_parser"]
 
-#: Default directory of the ``sweep`` result cache.
-DEFAULT_STORE_DIR = ".hex-campaigns"
-
 _LOGGER = obs.get_logger("cli")
+
+#: Verb -> ``(module, function)`` of its handler, which takes the parsed
+#: arguments and returns the exit code.
+_HANDLERS = {
+    "list": ("repro.experiments.cli", "list_command"),
+    "engines": ("repro.engines.cli", "engines_command"),
+    "topologies": ("repro.engines.cli", "topologies_command"),
+    "check": ("repro.checks.cli", "check_command"),
+    "adversary": ("repro.adversary.cli", "adversary_command"),
+    "bench": ("repro.bench.cli", "bench_command"),
+    "run": ("repro.experiments.cli", "run_command"),
+    "simulate": ("repro.experiments.cli", "simulate_command"),
+    "sweep": ("repro.campaign.cli", "sweep_command"),
+    "soak": ("repro.experiments.soak", "soak_command"),
+    "trace": ("repro.obs.cli", "trace_command"),
+}
 
 
 def _version() -> str:
@@ -427,29 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-horizon streaming soak run: bounded-memory telemetry under "
         "continuous fault churn",
     )
+    # The grid and churn flags default to None: the handler fills in the
+    # defaults, or the --quick preset, for the flags left out
+    # (repro.experiments.soak._SOAK_SIZES).
+    soak_parser.add_argument("--layers", type=int, help="grid length L (default: 10)")
+    soak_parser.add_argument("--width", type=int, help="grid width W (default: 6)")
     soak_parser.add_argument(
-        "--layers", type=int, default=10, help="grid length L (default: 10)"
-    )
-    soak_parser.add_argument(
-        "--width", type=int, default=6, help="grid width W (default: 6)"
-    )
-    soak_parser.add_argument(
-        "--pulses",
-        type=int,
-        default=1_000_000,
-        help="total pulses to soak through (default: 1000000)",
+        "--pulses", type=int, help="total pulses to soak through (default: 1000000)"
     )
     soak_parser.add_argument(
         "--pulses-per-epoch",
         type=int,
-        default=512,
         help="pulses per epoch; bounds peak memory (default: 512)",
     )
     soak_parser.add_argument(
         "--faults",
         type=int,
-        default=2,
-        help="faults injected (and healed) per epoch; 0 disables churn",
+        help="faults injected (and healed) per epoch; 0 disables churn (default: 2)",
     )
     soak_parser.add_argument(
         "--fault-type",
@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="DIR",
-        help=f"result-cache directory (default with --resume: {DEFAULT_STORE_DIR})",
+        help="result-cache directory (default with --resume: .hex-campaigns)",
     )
     sweep_parser.add_argument(
         "--resume", action="store_true", help="reuse cached records instead of re-simulating"
@@ -628,29 +628,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _observability(args: argparse.Namespace):
-    """Enable ``repro.obs`` for one command when its flags ask for it.
+    """Enable ``repro.obs`` around one command when its flags ask for it.
 
-    Yields the :class:`repro.obs.ObsSession` (or ``None`` when every flag is
-    off -- the zero-overhead default).  The metrics snapshot is written when
-    the command body finishes, even on error, so a crashed sweep still
-    leaves its artifacts behind.
+    A no-op when ``--trace`` and ``--metrics-out`` are both off (the
+    zero-overhead default).  The metrics snapshot is written when the
+    command finishes, even on error, so a crashed sweep still leaves its
+    artifacts behind.
     """
-    trace = getattr(args, "trace", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if trace is None and metrics_out is None:
-        if getattr(args, "trace_events", False):
-            raise ValueError("--trace-events requires --trace FILE")
-        yield None
-        return
-    if getattr(args, "trace_events", False) and trace is None:
+    trace, metrics_out = args.trace, args.metrics_out
+    if args.trace_events and trace is None:
         raise ValueError("--trace-events requires --trace FILE")
-    session = obs.enable(
-        metrics=True,
-        trace=trace,
-        des_events=getattr(args, "trace_events", False),
-    )
+    if trace is None and metrics_out is None:
+        yield
+        return
+    session = obs.enable(metrics=True, trace=trace, des_events=args.trace_events)
     try:
-        yield session
+        yield
     finally:
         if metrics_out is not None:
             session.write_metrics(metrics_out)
@@ -660,580 +653,22 @@ def _observability(args: argparse.Namespace):
                 _LOGGER.info("%s -> %s (hex-repro trace summarize %s)", label, path, path)
 
 
-def _experiment_config(args: argparse.Namespace):
-    from repro.experiments.config import ExperimentConfig
-
-    if getattr(args, "paper", False):
-        config = ExperimentConfig.paper()
-    elif getattr(args, "quick", False):
-        config = ExperimentConfig.quick()
-    else:
-        config = ExperimentConfig()
-    # Compare against None explicitly: 0 is a *given* (invalid) value that must
-    # surface a validation error, not silently fall back to the default.
-    if getattr(args, "runs", None) is not None:
-        config = config.with_runs(args.runs)
-    if getattr(args, "seed", None) is not None:
-        config = config.with_seed(args.seed)
-    return config
-
-
-def _run_experiment(name: str, args: argparse.Namespace) -> str:
-    from repro.experiments import load_experiment
-
-    try:
-        module = load_experiment(name)
-    except KeyError as error:
-        # Surface as a user-input error (main presents ValueError cleanly).
-        raise ValueError(error.args[0]) from None
-    config = _experiment_config(args)
-    # Experiments differ slightly in their run() signatures; pass what they accept.
-    import inspect
-
-    signature = inspect.signature(module.run)
-    kwargs = {}
-    if "config" in signature.parameters:
-        kwargs["config"] = config
-    if "runs" in signature.parameters and args.runs is not None:
-        kwargs["runs"] = args.runs
-    if getattr(args, "workers", 1) != 1:
-        if "workers" in signature.parameters:
-            kwargs["workers"] = args.workers
-        else:
-            _LOGGER.warning("note: %s does not support --workers; running serially", name)
-    result = module.run(**kwargs)
-    render = getattr(result, "render", None)
-    if callable(render):
-        return render()
-    return repr(result)
-
-
-def _cmd_list() -> int:
-    from repro.experiments import EXPERIMENTS, load_experiment
-
-    print("Available experiments:")
-    for name in sorted(EXPERIMENTS):
-        module = load_experiment(name)
-        doc = (module.__doc__ or "").strip().splitlines()
-        summary = doc[0] if doc else ""
-        print(f"  {name:10s} {summary}")
-    print()
-    print("Execution engines: " + ", ".join(available_engines()) + " (see 'hex-repro engines')")
-    return 0
-
-
-def _cmd_engines(args: argparse.Namespace) -> int:
-    if getattr(args, "json", False):
-        payload = [
-            {"name": name, **get_engine(name).capabilities.to_json_dict()}
-            for name in available_engines()
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print("Registered execution engines:")
-    for name in available_engines():
-        capabilities = get_engine(name).capabilities
-        print(f"  {name:10s} [{capabilities.summary()}]  {capabilities.description}")
-    return 0
-
-
-def _cmd_topologies(args: argparse.Namespace) -> int:
-    from repro.topologies import (
-        available_topologies,
-        build_topology,
-        condition1_fault_capacity,
-        get_topology,
-    )
-
-    layers, width = args.layers, args.width
-    entries = []
-    for name in available_topologies():
-        family = get_topology(name)
-        entry = {
-            "name": name,
-            "description": family.description,
-            "min_layers": family.min_layers,
-            "min_width": family.min_width,
-            "params": dict(family.param_defaults),
-            "engines": [
-                engine
-                for engine in available_engines()
-                if get_engine(engine).capabilities.supports_topology(name)
-            ],
-        }
-        try:
-            grid = build_topology(name, layers, width)
-            entry.update(
-                reference_grid=f"{layers}x{width}",
-                num_nodes=int(getattr(grid, "num_present_nodes", grid.num_nodes)),
-                num_links=int(grid.num_links()),
-                condition1_fault_capacity=int(condition1_fault_capacity(grid)),
-            )
-        except ValueError as error:
-            entry["error"] = str(error)
-        entries.append(entry)
-    if getattr(args, "json", False):
-        print(json.dumps(entries, indent=2, sort_keys=True))
-        return 0
-    print(f"Registered grid topologies (counts on a {layers}x{width} reference grid):")
-    for entry in entries:
-        print(f"  {entry['name']:10s} {entry['description']}")
-        if "error" in entry:
-            print(f"  {'':10s}   not buildable at {layers}x{width}: {entry['error']}")
-        else:
-            print(
-                f"  {'':10s}   {entry['num_nodes']} nodes, {entry['num_links']} links, "
-                f"Condition-1 capacity >= {entry['condition1_fault_capacity']}, "
-                f"engines: {', '.join(entry['engines'])}"
-            )
-        if entry["params"]:
-            params = ", ".join(f"{key}={value}" for key, value in sorted(entry["params"].items()))
-            print(f"  {'':10s}   parameters (defaults): {params}")
-    print()
-    print(
-        "Topology specs are 'family' or 'family:key=value,...' strings, e.g. "
-        "'torus' or 'degraded:base=patch,nodes=3,links=2,seed=7'."
-    )
-    return 0
-
-
-def _load_schedule_axis(path: str) -> tuple:
-    """Load one schedule (object) or several (top-level list) from a JSON file."""
-    from repro.adversary.schedule import FaultSchedule
-
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if isinstance(payload, list):
-        if not payload:
-            raise ValueError(f"{path}: schedule list must not be empty")
-        return tuple(FaultSchedule.from_json_dict(item) for item in payload)
-    return (FaultSchedule.from_json_dict(payload),)
-
-
-def _cmd_adversary(args: argparse.Namespace) -> int:
-    if args.action == "list":
-        from repro.adversary.schedule import BUILTIN_GENERATORS
-
-        print("Built-in fault-schedule generators (repro.adversary.FaultSchedule):")
-        for name, (_factory, description, example) in sorted(BUILTIN_GENERATORS.items()):
-            print(f"  {name:18s} {description}")
-            print(f"  {'':18s}   e.g. FaultSchedule.{name}({_format_kwargs(example)})")
-        print()
-        print(
-            "Schedule files are JSON: "
-            '{"schema": "hex-repro/fault-schedule/v1", "label": "...", '
-            '"directives": [{"kind": "burst", "time": 100.0, "count": 3, ...}, ...]}'
-        )
-        print("Directive kinds: inject, heal, crash, flip_behavior, burst, cluster,")
-        print("intermittent_link, mobile.  See repro.adversary.schedule for fields.")
-        return 0
-
-    if args.file is None:
-        raise ValueError(f"'adversary {args.action}' requires a schedule FILE argument")
-    schedules = _load_schedule_axis(args.file)
-    for index, schedule in enumerate(schedules):
-        label = schedule.label or f"#{index}"
-        print(
-            f"schedule {label}: {len(schedule.directives)} directive(s), "
-            f"key {schedule.key(16)}"
-        )
-        if args.action == "preview":
-            grid = HexGrid(layers=args.layers, width=args.width)
-            adversary = schedule.materialize(
-                grid, np.random.default_rng(args.seed)
-            )
-            print(
-                f"  materialized on a {args.layers}x{args.width} grid "
-                f"(seed {args.seed}): {adversary.num_actions} action(s)"
-            )
-            for line in adversary.describe():
-                print(f"  {line}")
-    if args.action == "validate":
-        print(f"{args.file}: OK")
-    return 0
-
-
-def _format_kwargs(example: dict) -> str:
-    return ", ".join(f"{key}={value!r}" for key, value in example.items())
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported lazily: loading the suites pulls in the whole experiments
-    # layer, which the other subcommands do not need.
-    from repro import bench
-
-    bench.load_builtin_suites()
-    if args.list:
-        print("Registered benchmark suites:")
-        for suite in bench.available_suites():
-            names = ", ".join(case.name for case in bench.cases_in_suite(suite))
-            print(f"  {suite:10s} {names}")
-        return 0
-
-    settings = bench.BenchSettings(quick=args.quick, runs=args.runs, paper=args.paper)
-    out_dir = bench.bench_output_dir(args.out)
-    with_metrics = args.metrics or args.metrics_out is not None
-    session = obs.enable(metrics=True) if with_metrics else None
-    try:
-        payloads = bench.run_suites(
-            suites=args.suite,
-            settings=settings,
-            out=str(out_dir),
-            check=not args.no_check,
-            log=_LOGGER.info,
-        )
-    finally:
-        if session is not None:
-            if args.metrics_out is not None:
-                session.write_metrics(args.metrics_out)
-            obs.disable()
-    print(f"{len(payloads)} suite(s) in {settings.mode} mode -> {out_dir}")
-    if args.metrics_out is not None:
-        print(f"metrics -> {args.metrics_out}")
-    code = 0
-    if args.compare is not None:
-        baseline = bench.load_baseline(args.compare)
-        if args.suite:
-            # An explicit --suite selection is a deliberate subset: compare
-            # only the selected suites instead of flagging the rest as missing.
-            baseline = {
-                suite: payload for suite, payload in baseline.items() if suite in args.suite
-            }
-        report = bench.compare_payloads(payloads, baseline, tolerance_pct=args.tolerance)
-        print(report.render())
-        code = report.exit_code()
-    failed = bench.failed_checks(payloads)
-    if failed:
-        print(f"{len(failed)} case check(s) failed: {', '.join(failed)}")
-        code = code or 1
-    return code
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments import EXPERIMENTS
-
-    names: List[str]
-    if args.experiment.lower() == "all":
-        names = sorted(EXPERIMENTS)
-    else:
-        names = [args.experiment]
-    with _observability(args):
-        for name in names:
-            print(f"=== {name} ===")
-            print(_run_experiment(name, args))
-            print()
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.report import format_kv
-    from repro.experiments.single_pulse import run_scenario_set
-
-    config = ExperimentConfig(
-        layers=args.layers, width=args.width, runs=args.runs, seed=args.seed
-    )
-    fault_type = FaultType.FAIL_SILENT if args.fail_silent else FaultType.BYZANTINE
-    with _observability(args):
-        records = run_scenario_set(
-            config,
-            args.scenario,
-            num_faults=args.faults,
-            fault_type=fault_type,
-            engine=args.engine,
-            topology=args.topology,
-            workers=args.workers,
-        )
-    stats = pooled_statistics(records)
-    header = (
-        f"{args.runs} runs on a {args.layers}x{args.width} {args.topology} grid, "
-        f"scenario {scenario_label(args.scenario)}, "
-        f"{args.faults} {fault_type.value} fault(s), engine {args.engine}"
-    )
-    print(format_kv(stats.as_row(), title=header))
-    return 0
-
-
-#: Sweep flags that conflict with --spec, with their argparse defaults.
-_SPEC_EXCLUSIVE_FLAGS = {
-    "--name": ("name", "sweep"),
-    "--layers": ("layers", [50]),
-    "--width": ("width", [20]),
-    "--scenarios": ("scenarios", ["i"]),
-    "--faults": ("faults", [0]),
-    "--fault-type": ("fault_type", FaultType.BYZANTINE.value),
-    "--engine": ("engine", ["solver"]),
-    "--delay-model": ("delay_model", ["default"]),
-    "--fault-schedule": ("fault_schedule", None),
-    "--topology": ("topology", ["cylinder"]),
-    "--runs": ("runs", 10),
-    "--seed": ("seed", 2013),
-    "--salt": ("salt", 0),
-}
-
-
-def _sweep_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
-    if args.spec is not None:
-        # The spec file is authoritative; reject grid flags rather than
-        # silently ignoring them (e.g. --spec f.json --runs 250).
-        overridden = [
-            flag
-            for flag, (attr, default) in _SPEC_EXCLUSIVE_FLAGS.items()
-            if getattr(args, attr) != default
-        ]
-        if overridden:
-            raise ValueError(
-                f"--spec is exclusive with {', '.join(overridden)}; "
-                "edit the spec file instead"
-            )
-        return CampaignSpec.from_file(args.spec)
-    for engine in args.engine:
-        # Fail before the campaign is built so a typo surfaces as a one-line
-        # CLI error listing the registered engines.
-        get_engine(engine)
-    schedule_axis = (
-        _load_schedule_axis(args.fault_schedule)
-        if args.fault_schedule is not None
-        else (None,)
-    )
-    cell = SweepSpec(
-        layers=tuple(args.layers),
-        width=tuple(args.width),
-        scenario=tuple(args.scenarios),
-        num_faults=tuple(args.faults),
-        fault_type=args.fault_type,
-        engine=tuple(args.engine),
-        delay_model=tuple(args.delay_model),
-        fault_schedule=schedule_axis,
-        topology=tuple(args.topology),
-        runs=args.runs,
-        seed_salt=args.salt,
-    )
-    return CampaignSpec(name=args.name, seed=args.seed, cells=(cell,))
-
-
-def _render_sweep_summary(result: CampaignResult) -> str:
-    """Per-point summary table of a finished campaign."""
-    from repro.experiments.report import format_table
-
-    single_rows: List[List[object]] = []
-    multi_rows: List[List[object]] = []
-    for (cell_index, point_index), records in result.grouped().items():
-        params = records[0].params
-        label = [
-            cell_index,
-            point_index,
-            f"{params['layers']}x{params['width']}",
-            params.get("topology", "cylinder"),
-            scenario_label(params["scenario"]),
-            params["num_faults"],
-            params.get("fault_type") or "-",
-            params["engine"],
-            len(records),
-        ]
-        if records[0].kind == "single_pulse" and records[0].trigger_times is not None:
-            row = pooled_statistics(records).as_row()
-            single_rows.append(
-                label
-                + [row["intra_avg"], row["intra_q95"], row["intra_max"], row["inter_max"]]
-            )
-        elif records[0].kind == "multi_pulse":
-            times = stabilization_times(records)
-            finite = times[np.isfinite(times)]
-            multi_rows.append(
-                label
-                + [
-                    float(finite.mean()) if finite.size else float("nan"),
-                    int(finite.size),
-                ]
-            )
-        else:  # summary-only records (keep_times=False)
-            single_rows.append(label + [float("nan")] * 4)
-    parts: List[str] = []
-    if single_rows:
-        headers = [
-            "cell", "pt", "grid", "topology", "scenario", "f", "fault_type", "engine", "runs",
-            "intra_avg", "intra_q95", "intra_max", "inter_max",
-        ]
-        parts.append(format_table(headers, single_rows, title=f"Campaign {result.spec.name}"))
-    if multi_rows:
-        headers = [
-            "cell", "pt", "grid", "topology", "scenario", "f", "fault_type", "engine", "runs",
-            "stab_avg", "stabilized",
-        ]
-        parts.append(
-            format_table(headers, multi_rows, title=f"Campaign {result.spec.name} (stabilization)")
-        )
-    return "\n\n".join(parts)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    store = args.store
-    if store is None and args.resume:
-        store = DEFAULT_STORE_DIR
-    with _observability(args):
-        # Flags -> validated spec; validation imports the swept engines.
-        with obs.span("cli.parse"):
-            spec = _sweep_spec_from_args(args)
-        runner = CampaignRunner(
-            spec,
-            workers=args.workers,
-            store=store,
-            resume=args.resume,
-            progress=not args.quiet,
-        )
-        result = runner.run()
-
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for record in result.records:
-                handle.write(record.canonical_json() + "\n")
-
-    if not args.quiet:
-        print(_render_sweep_summary(result))
-        print()
-        print(
-            f"{spec.num_tasks} tasks: {result.executed} simulated, "
-            f"{result.cached} from cache, {result.wall_time_s:.2f}s wall time"
-            + (f", records -> {args.out}" if args.out is not None else "")
-        )
-        times = result.wall_time_summary()
-        print(
-            f"task wall time: total {times['task_total_s']:.2f}s, "
-            f"median {times['task_median_s'] * 1e3:.1f}ms, "
-            f"p95 {times['task_p95_s'] * 1e3:.1f}ms, "
-            f"{times['tasks_per_s']:.1f} tasks/s"
-        )
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.summary import render_summary, summarize_file, summary_to_json
-
-    summary = summarize_file(args.file)
-    if args.json:
-        print(summary_to_json(summary))
-    else:
-        print(render_summary(summary, top=args.top, by_worker=args.by_worker))
-    return 0
-
-
-#: The ``soak --quick`` preset, applied only to flags still at their
-#: argparse defaults (an explicit flag always wins, mirroring the
-#: ``--spec``-exclusivity convention of ``sweep``).
-_SOAK_QUICK_PRESET = {
-    "layers": (10, 5),
-    "width": (6, 4),
-    "pulses": (1_000_000, 10_000),
-    "pulses_per_epoch": (512, 500),
-    "faults": (2, 1),
-}
-
-
-def _cmd_soak(args: argparse.Namespace) -> int:
-    from repro.experiments.soak import SoakSpec, run_soak
-
-    if args.quick:
-        for attr, (default, quick_value) in _SOAK_QUICK_PRESET.items():
-            if getattr(args, attr) == default:
-                setattr(args, attr, quick_value)
-    spec = SoakSpec(
-        layers=args.layers,
-        width=args.width,
-        num_pulses=args.pulses,
-        pulses_per_epoch=args.pulses_per_epoch,
-        faults=args.faults,
-        fault_type=args.fault_type,
-        heal_fraction=args.heal_fraction,
-        epsilon=args.epsilon,
-        seed=args.seed,
-    )
-
-    def progress(stats) -> None:
-        print(
-            f"  epoch {int(stats['epoch'])}/{int(stats['epochs'])}: "
-            f"{int(stats['pulses'])} pulses, {stats['pulses_per_s']:.0f}/s, "
-            f"skew p50 {stats['skew_p50']:.3g} p95 {stats['skew_p95']:.3g}, "
-            f"{int(stats['recoveries'])} recoveries, "
-            f"rss {stats['rss_bytes'] / 1e6:.0f}MB",
-            flush=True,
-        )
-
-    with _observability(args):
-        result = run_soak(
-            spec,
-            store=args.store,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            progress=None if (args.quiet or args.json) else progress,
-        )
-    if args.json:
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print("\n".join(result.render()))
-    return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    import json as json_module
-    from pathlib import Path
-
-    from repro.checks import load_builtin_rules
-    from repro.checks.registry import available_rules, run_checks
-
-    load_builtin_rules()
-    if args.list_rules:
-        for rule in available_rules():
-            waiver = f"allow-{rule.waiver}" if rule.waiver else "(not waivable)"
-            print(f"{rule.id}  {rule.name:28s} {rule.severity:8s} {waiver}")
-            if rule.doc:
-                print(f"      {rule.doc}")
-        return 0
-    report = run_checks(
-        root=Path(args.root) if args.root else None,
-        rule_ids=args.rule,
-    )
-    document = json_module.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-    if args.out:
-        out_path = Path(args.out)
-        if out_path.parent != Path(""):
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(document + "\n", encoding="utf-8")
-    if args.json:
-        print(document)
-    else:
-        print(report.render())
-    return report.exit_code()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
     obs.configure_logging(args.verbose)
+    if args.command is None:
+        parser.print_help()
+        return 1
+    module, name = _HANDLERS[args.command]
+    # The verbs given the observability flags (``_add_observability_flags``)
+    # run inside their scope.
+    observed = hasattr(args, "trace")
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "engines":
-            return _cmd_engines(args)
-        if args.command == "topologies":
-            return _cmd_topologies(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "adversary":
-            return _cmd_adversary(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "soak":
-            return _cmd_soak(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
+        handler = getattr(importlib.import_module(module), name)
+        with _observability(args) if observed else contextlib.nullcontext():
+            return handler(args)
     except (ValueError, FileNotFoundError) as error:
         # Domain validation (bad scenario, runs=0, workers=0, unknown
         # experiment, missing or malformed spec file): present as a CLI
@@ -1248,8 +683,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    parser.print_help()
-    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -55,6 +55,7 @@ RSS, elapsed seconds); no simulated result depends on it.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
@@ -87,6 +88,7 @@ __all__ = [
     "checkpoint_path",
     "load_checkpoint",
     "run_soak",
+    "soak_command",
 ]
 
 #: Telemetry fields of a checkpoint payload that depend on the host / wall
@@ -712,3 +714,61 @@ def run_soak(
         checkpoint_path=path,
         resumed_epochs=start_epoch,
     )
+
+
+#: Grid and churn flags of ``hex-repro soak``: ``(default, --quick preset)``
+#: of each, applied only to the flags the command line leaves out, so an
+#: explicit flag always wins.
+_SOAK_SIZES = {
+    "layers": (10, 5),
+    "width": (6, 4),
+    "pulses": (1_000_000, 10_000),
+    "pulses_per_epoch": (512, 500),
+    "faults": (2, 1),
+}
+
+
+def soak_command(args: argparse.Namespace) -> int:
+    """The ``soak`` verb of ``hex-repro``: run the soak its flags describe.
+
+    Defined here rather than in :mod:`repro.cli` so that building a
+    :class:`SoakSpec` has loaded every module a soak runs (see DESIGN.md
+    "Start-up").
+    """
+    for attr, (default, quick) in _SOAK_SIZES.items():
+        if getattr(args, attr) is None:
+            setattr(args, attr, quick if args.quick else default)
+    spec = SoakSpec(
+        layers=args.layers,
+        width=args.width,
+        num_pulses=args.pulses,
+        pulses_per_epoch=args.pulses_per_epoch,
+        faults=args.faults,
+        fault_type=args.fault_type,
+        heal_fraction=args.heal_fraction,
+        epsilon=args.epsilon,
+        seed=args.seed,
+    )
+
+    def progress(stats) -> None:
+        print(
+            f"  epoch {int(stats['epoch'])}/{int(stats['epochs'])}: "
+            f"{int(stats['pulses'])} pulses, {stats['pulses_per_s']:.0f}/s, "
+            f"skew p50 {stats['skew_p50']:.3g} p95 {stats['skew_p95']:.3g}, "
+            f"{int(stats['recoveries'])} recoveries, "
+            f"rss {stats['rss_bytes'] / 1e6:.0f}MB",
+            flush=True,
+        )
+
+    result = run_soak(
+        spec,
+        store=args.store,
+        resume=args.resume,
+        checkpoint_every=args.checkpoint_every,
+        progress=None if (args.quiet or args.json) else progress,
+    )
+    if args.json:
+        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+    else:
+        print("\n".join(result.render()))
+    return 0

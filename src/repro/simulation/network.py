@@ -5,7 +5,7 @@ every node of a grid for the discrete-event simulator.  The event loop
 touches only int-indexed state:
 
 * node ``n = layer * W + column``, with the out-links ``(destination, flag
-  slot)`` of the cached :class:`~repro.core.pulse_solver.SolverPlan`;
+  slot)`` of the cached :class:`~repro.core.solver_plan.SolverPlan`;
 * flat per-node lists: ``ready`` (1 ready, 0 sleeping, -1 not running the
   algorithm), a 4-bit flag mask with expiries in ``flags[4n + slot]``
   (slots in :data:`~repro.core.algorithm.INCOMING_DIRECTIONS` order), the
@@ -38,26 +38,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.algorithm import INCOMING_DIRECTIONS
 from repro.core.draws import DrawStream
 from repro.core.parameters import TimeoutConfig, TimerPolicy, TimingConfig
-from repro.core.pulse_solver import solver_plan
+from repro.core.solver_plan import solver_plan
 from repro.core.topology import TRIGGER_GUARDS, Direction, HexGrid, NodeId
 from repro.faults.models import FaultModel, FaultType, LinkBehavior, NodeFault
 from repro.simulation.engine import EventQueue
-from repro.simulation.events import (
-    AdversaryAction,
-    Event,
-    FlagExpiry,
-    MessageArrival,
-    SourcePulse,
-    WakeUp,
-)
 from repro.simulation.links import DelayModel
+
+if TYPE_CHECKING:
+    from repro.simulation.events import Event
 
 __all__ = ["HexNetwork"]
 
@@ -692,7 +687,19 @@ class HexNetwork:
         return processed
 
     def _event_view(self, kind: int, node: int, arg: int, time: float) -> Event:
-        """The :mod:`repro.simulation.events` form of one queued event."""
+        """The :mod:`repro.simulation.events` form of one queued event.
+
+        Only an ``on_event`` observer (``--trace-events`` capture) asks for
+        it, so the event types load on first use.
+        """
+        from repro.simulation.events import (
+            AdversaryAction,
+            FlagExpiry,
+            MessageArrival,
+            SourcePulse,
+            WakeUp,
+        )
+
         if kind == _ADVERSARY:
             return AdversaryAction(index=node)
         nodes = self._nodes

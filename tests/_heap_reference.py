@@ -22,13 +22,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.draws import DrawStream
-from repro.core.pulse_solver import (
-    LinkDelayProvider,
-    OutLink,
-    PulseSolution,
-    SolverPlan,
-    solver_plan,
-)
+from repro.core.pulse_solver import LinkDelayProvider, PulseSolution
+from repro.core.solver_plan import OutLink, SolverPlan, solver_plan
 from repro.core.topology import HexGrid, NodeId
 from repro.faults.models import FaultModel, LinkBehavior
 

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.pulse_solver import _IN_INDEX, SolverPlan
+from repro.core.solver_plan import _IN_INDEX, SolverPlan
 from repro.core.topology import HexGrid
 
 __all__ = ["per_node_plan"]

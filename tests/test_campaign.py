@@ -37,9 +37,10 @@ from repro.campaign import (
 from repro.campaign.progress import ProgressReporter, format_duration
 from repro.campaign.records import record_mask, stand_in_fault_model
 from repro.campaign.store import ShardWriter, frame, unframe
-from repro.cli import _experiment_config, main
+from repro.cli import main
 from repro.clocksource.scenarios import Scenario, scenario_layer0_times
 from repro.core.pulse_solver import solve_single_pulse
+from repro.experiments.cli import _experiment_config
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.single_pulse import run_scenario_set, scenario_set_spec
 from repro.faults.models import FaultType

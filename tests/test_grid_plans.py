@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from _plan_reference import per_node_plan
 
-from repro.core.pulse_solver import SolverPlan
+from repro.core.solver_plan import SolverPlan
 from repro.core.topology import NEIGHBOR_OFFSET, Direction, HexGrid
 from repro.engines import RunSpec, get_engine
 from repro.engines.array import array_plan

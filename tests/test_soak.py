@@ -308,6 +308,44 @@ class TestSoakCli:
         out = capsys.readouterr().out
         return code, out
 
+    @pytest.mark.parametrize(
+        "flags, sizes",
+        [
+            (["--quick"], (5, 4, 10_000, 500, 1)),
+            (["--quick", "--layers", "10", "--faults", "2"], (10, 4, 10_000, 500, 2)),
+            (
+                ["--quick", "--width", "6", "--pulses", "1000000", "--pulses-per-epoch", "512"],
+                (5, 6, 1_000_000, 512, 1),
+            ),
+            (["--layers", "5"], (5, 6, 1_000_000, 512, 2)),
+            ([], (10, 6, 1_000_000, 512, 2)),
+        ],
+    )
+    def test_explicit_flags_win_over_the_quick_preset(self, monkeypatch, capsys, flags, sizes):
+        """``--quick`` fills in only the flags left out, also those given
+        with their default value."""
+        from repro.cli import main
+        from repro.experiments import soak
+
+        specs = []
+
+        def run_soak(spec, **_kwargs):
+            specs.append(spec)
+            raise ValueError("stop before running")
+
+        monkeypatch.setattr(soak, "run_soak", run_soak)
+        assert main(["soak", *flags]) == 2
+        capsys.readouterr()
+        (spec,) = specs
+        assert (
+            spec.layers, spec.width, spec.num_pulses, spec.pulses_per_epoch, spec.faults
+        ) == sizes
+        if flags == ["--quick"]:
+            # The golden DES corpus pins this spec's state key as soak/quick.
+            assert spec == SoakSpec(
+                layers=5, width=4, num_pulses=10_000, pulses_per_epoch=500, faults=1
+            )
+
     def test_soak_checkpoint_summarize_resume(self, tmp_path, capsys):
         store = tmp_path / "artifacts"
         argv = [

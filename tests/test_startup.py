@@ -2,13 +2,16 @@
 
 Each module check runs in a fresh interpreter, because this test session has
 long since imported every subsystem.  The rule (see DESIGN.md "Start-up"):
-``import repro.cli`` loads the campaign layer that ``sweep``, ``simulate``
-and ``run`` share; everything else loads in the handler of the verb that
-runs it, and a sweep has loaded every module it runs once its spec is built.
+``import repro.cli`` and ``build_parser()`` load only what the parser needs;
+each verb's handler lives next to its subsystem and loads when that verb is
+dispatched.  A sweep has loaded every module it runs once its campaign spec
+is built, and a soak once its ``SoakSpec`` is built, so a set-up probe that
+builds the spec pays the whole import cost.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import os
@@ -19,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import cli
 from repro.engines import available_engines, get_engine, register_engine, unregister_engine
 from repro.engines.registry import BUILTIN_ENGINES
 from repro.experiments import EXPERIMENTS
@@ -26,7 +30,7 @@ from repro.experiments import EXPERIMENTS
 SRC = Path(repro.__file__).resolve().parents[1]
 
 #: At most this many ``repro.*`` modules after ``import repro.cli``.
-MAX_CLI_MODULES = 40
+MAX_CLI_MODULES = 20
 
 
 def _run(code: str) -> list:
@@ -46,9 +50,13 @@ LOADED = "sorted(name for name in sys.modules if name.startswith('repro'))"
 
 
 def test_importing_the_cli_loads_no_verb_subsystem():
-    loaded = _run(f"import json, sys\nimport repro.cli\nprint(json.dumps({LOADED}))")
+    loaded = _run(
+        f"import json, sys\nimport repro.cli\nrepro.cli.build_parser()\nprint(json.dumps({LOADED}))"
+    )
     assert len(loaded) <= MAX_CLI_MODULES, loaded
     forbidden = {
+        "repro.analysis.skew",
+        "repro.core.pulse_solver",
         "repro.simulation.network",
         "repro.engines.des",
         "repro.engines.array",
@@ -59,7 +67,36 @@ def test_importing_the_cli_loads_no_verb_subsystem():
         *EXPERIMENTS.values(),
     }
     assert sorted(forbidden & set(loaded)) == []
-    assert [name for name in loaded if name.startswith(("repro.clocktree", "repro.bench"))] == []
+    assert [
+        name
+        for name in loaded
+        if name.startswith(("repro.campaign", "repro.clocktree", "repro.bench"))
+    ] == []
+    assert sorted({module for module, _ in cli._HANDLERS.values()} & set(loaded)) == []
+
+
+def test_main_dispatches_every_verb_to_its_handler(monkeypatch):
+    """Every sub-parser of ``build_parser`` has a handler, and ``main``
+    calls it with the parsed arguments."""
+    parser = cli.build_parser()
+    (verbs,) = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(verbs.choices) == sorted(cli._HANDLERS)
+    dispatched = []
+    for verb, subparser in verbs.choices.items():
+        module_name, name = cli._HANDLERS[verb]
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, name))
+        monkeypatch.setattr(module, name, lambda args: dispatched.append(args.command) or 0)
+        positionals = [
+            list(action.choices)[0] if action.choices else "FILE"
+            for action in subparser._actions
+            if not action.option_strings and action.nargs != "?"
+        ]
+        assert cli.main([verb, *positionals]) == 0
+        assert dispatched[-1] == verb
+    assert len(dispatched) == len(cli._HANDLERS)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -104,6 +141,43 @@ print(json.dumps(sorted(set({LOADED}) - set(seen["at_run"]))))
     if workers > 1:
         loaded = [json.loads(line) for line in worker_log.read_text().splitlines()]
         assert loaded and all(modules == [] for modules in loaded)
+
+
+def test_a_soak_loads_every_module_it_runs_while_its_spec_is_built(tmp_path):
+    """Once ``build_parser`` has parsed a soak's flags and its ``SoakSpec`` is
+    built, as perfbench's set-up probe does, the soak run imports no further
+    ``repro`` module.  A soak never loads the campaign layer, the
+    single-pulse sweep or the typed DES event views."""
+    argv = [
+        "soak", "--layers", "5", "--width", "4", "--faults", "1",
+        "--pulses-per-epoch", "50", "--pulses", "100", "--json", "--quiet",
+        "--store", str(tmp_path / "soak"),
+    ]
+    code = f"""
+import json, sys
+import repro.cli
+from repro.experiments.soak import SoakSpec
+
+args = repro.cli.build_parser().parse_args({argv!r})
+SoakSpec(
+    layers=args.layers,
+    width=args.width,
+    num_pulses=args.pulses,
+    pulses_per_epoch=args.pulses_per_epoch,
+    faults=args.faults,
+    fault_type=args.fault_type,
+    heal_fraction=args.heal_fraction,
+    epsilon=args.epsilon,
+    seed=args.seed,
+)
+built = {LOADED}
+assert repro.cli.main({argv!r}) == 0
+print(json.dumps([built, sorted(set({LOADED}) - set(built))]))
+"""
+    built, loaded_by_run = _run(code)
+    assert loaded_by_run == []
+    unused = ("repro.campaign", "repro.core.pulse_solver", "repro.simulation.events")
+    assert [name for name in built if name.startswith(unused)] == []
 
 
 @pytest.mark.parametrize(

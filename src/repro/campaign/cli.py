@@ -158,8 +158,8 @@ def sweep_command(args: argparse.Namespace) -> int:
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
-            for record in result.records:
-                handle.write(record.canonical_json() + "\n")
+            for text in result.canonical_texts():
+                handle.write(text + "\n")
 
     if not args.quiet:
         print(_render_sweep_summary(result))

@@ -23,8 +23,9 @@ non-numeric payload fails to load.
 
 A record holds its canonical text (:attr:`RunRecord._canonical`) once it has
 one: :meth:`RunRecord.canonical_json` keeps what its first call encodes, and
-a record loaded from a campaign store may arrive with its stored text.  Later
-calls return the held text instead of re-encoding every float.  The rule that
+a record decoded from a verified campaign-store line
+(:meth:`StoredRecord.decode`) arrives with its stored text.  Later calls
+return the held text instead of re-encoding every float.  The rule that
 keeps the text true: a record's text is fixed at its first encode or load, so
 a record is changed with :func:`dataclasses.replace` (which drops the held
 text, so the copy encodes afresh) and never by assigning to the fields of a
@@ -39,7 +40,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from repro.topologies import DEFAULT_TOPOLOGY, topology_column_wrap
 
 __all__ = [
     "RunRecord",
+    "StoredRecord",
     "stand_in_fault_model",
     "record_mask",
     "pooled_statistics",
@@ -166,8 +168,9 @@ class RunRecord:
     _canonical:
         The record's canonical text, returned verbatim by
         :meth:`canonical_json`: kept from its first call, or the stored text
-        of a record loaded from a campaign store (see :meth:`from_json_dict`);
-        ``None`` until then.
+        of a record decoded from a verified store line (see
+        :meth:`from_json_dict` and :meth:`StoredRecord.decode`); ``None``
+        until then.
     """
 
     key: str
@@ -264,13 +267,12 @@ class RunRecord:
     ) -> "RunRecord":
         """Rebuild a record from its (canonical or full) JSON representation.
 
-        ``canonical`` is the record's canonical JSON text as stored; the
-        caller vouches that it encodes ``payload``.  Text free of sentinel
+        ``canonical`` is the record's canonical JSON text as stored, held
+        for :meth:`canonical_json`; the caller vouches that it encodes
+        ``payload`` under the current :data:`SCHEMA` and fields (a verified
+        store line does, see :class:`StoredRecord`).  Text free of sentinel
         strings and escapes skips the recursive sentinel decode of ``params``
-        and ``skew`` (it would change nothing).  The text is held for
-        :meth:`canonical_json` only when ``payload`` has the current
-        :data:`SCHEMA` and exactly the fields :meth:`to_json_dict` writes, so
-        a line from an older writer that omitted a field is re-encoded.
+        and ``skew`` (it would change nothing).
         """
         plain = canonical is not None and not (
             '"NaN"' in canonical or 'Infinity"' in canonical or "\\" in canonical
@@ -294,19 +296,31 @@ class RunRecord:
             total_firings=payload.get("total_firings"),
             wall_time_s=float(payload.get("wall_time_s", 0.0)),
         )
-        if (
-            canonical is not None
-            and payload.get("schema") == SCHEMA
-            and payload.keys() == _STORED_FIELDS
-        ):
-            record._canonical = canonical
+        record._canonical = canonical
         return record
 
 
-#: The fields of a stored record (:meth:`RunRecord.to_json_dict`).
-_STORED_FIELDS = frozenset(
-    RunRecord(key="", kind="", cell_index=0, point_index=0, run_index=0).to_json_dict()
-)
+class StoredRecord(NamedTuple):
+    """A record as a verified campaign-store line holds it, not yet decoded.
+
+    ``text`` is the record's canonical JSON and ``wall_time_s`` its stored
+    wall time.  Writing the record again copies ``text``
+    (:meth:`canonical_json`); :meth:`decode` builds the :class:`RunRecord`,
+    which holds ``text`` for its own :meth:`RunRecord.canonical_json`.
+    """
+
+    text: str
+    wall_time_s: float
+
+    def canonical_json(self) -> str:
+        """The stored canonical text, as :meth:`RunRecord.canonical_json` would return it."""
+        return self.text
+
+    def decode(self) -> RunRecord:
+        """The record the text encodes, holding the text."""
+        payload = json.loads(self.text)
+        payload["wall_time_s"] = self.wall_time_s
+        return RunRecord.from_json_dict(payload, canonical=self.text)
 
 
 # ----------------------------------------------------------------------

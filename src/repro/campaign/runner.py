@@ -17,7 +17,10 @@ byte-identical records to a serial run.
 :class:`CampaignRunner` expands a spec, consults the optional on-disk store
 for already-completed tasks (``resume=True``), executes the remainder,
 persists results as they complete (so an interrupted campaign resumes where
-it stopped) and returns the records in deterministic task order.
+it stopped) and returns the records in deterministic task order.  A cache
+hit from a verified store line whose coordinates and params are the task's
+stays the line's canonical text until :attr:`CampaignResult.records` is
+read, so a resume that only writes ``--out`` decodes none of it.
 
 Both execution paths cut the pending tasks into the same chunks: runs of
 consecutive tasks of one ``(kind, engine)``.  A single-pulse chunk holds at
@@ -45,6 +48,7 @@ campaign hanging.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -55,7 +59,13 @@ import numpy as np
 from repro import obs
 from repro.analysis.skew import SkewStatistics
 from repro.campaign.progress import ProgressReporter
-from repro.campaign.records import RunRecord, group_by_point, pooled_statistics, stabilization_times
+from repro.campaign.records import (
+    RunRecord,
+    StoredRecord,
+    group_by_point,
+    pooled_statistics,
+    stabilization_times,
+)
 from repro.campaign.spec import CampaignSpec, RunTask, executing_engine, task_key
 from repro.campaign.store import CampaignStore
 from repro.clocksource.scenarios import parse_scenario, scenario_layer0_spread
@@ -211,6 +221,26 @@ def _format_indices(indices: Sequence[int]) -> str:
     return ", ".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in ranges)
 
 
+_PARAMS = ',"params":'
+_DECODER = json.JSONDecoder()
+
+
+def _in_place(text: str, task: RunTask, params: Dict[str, Any]) -> bool:
+    """Whether a stored canonical ``text`` has the task's coordinates and params.
+
+    The check of a verbatim hit, made on the text: the record's sorted keys
+    put ``cell_index`` first and ``point_index``, ``run_index`` right after
+    ``params``, so only the ``params`` object is decoded.
+    """
+    if not text.startswith(f'{{"cell_index":{task.cell_index},'):
+        return False
+    start = text.index(_PARAMS) + len(_PARAMS)
+    stored, end = _DECODER.raw_decode(text, start)
+    return stored == params and text.startswith(
+        f',"point_index":{task.point_index},"run_index":{task.run_index},', end
+    )
+
+
 @dataclass
 class CampaignResult:
     """The outcome of a campaign run.
@@ -221,7 +251,8 @@ class CampaignResult:
         The executed specification.
     records:
         One record per task, in deterministic task order (cells, then points,
-        then run indices).
+        then run indices).  Cache hits served verbatim are kept as their
+        stored text and decoded the first time this is read.
     executed, cached:
         How many tasks were simulated vs served from the store.
     wall_time_s:
@@ -229,10 +260,28 @@ class CampaignResult:
     """
 
     spec: CampaignSpec
-    records: List[RunRecord] = field(default_factory=list)
     executed: int = 0
     cached: int = 0
     wall_time_s: float = 0.0
+    _entries: List[Union[RunRecord, StoredRecord]] = field(
+        default_factory=list, init=False, repr=False
+    )
+    _decoded: bool = field(default=False, init=False, repr=False)
+
+    @property
+    def records(self) -> List[RunRecord]:
+        """The records in task order, verbatim hits decoded on the first read."""
+        if not self._decoded:
+            self._entries = [
+                entry.decode() if type(entry) is StoredRecord else entry
+                for entry in self._entries
+            ]
+            self._decoded = True
+        return self._entries
+
+    def canonical_texts(self) -> Iterator[str]:
+        """Each record's canonical JSON in task order, without decoding a verbatim hit."""
+        return (entry.canonical_json() for entry in self._entries)
 
     def records_for(
         self, cell_index: Optional[int] = None, point_index: Optional[int] = None
@@ -271,9 +320,9 @@ class CampaignResult:
         ``wall_time_s``.
         """
         times = sorted(
-            record.wall_time_s
-            for record in self.records
-            if record.wall_time_s and math.isfinite(record.wall_time_s)
+            entry.wall_time_s
+            for entry in self._entries
+            if entry.wall_time_s and math.isfinite(entry.wall_time_s)
         )
         # One quantile/moment implementation for campaigns and soak runs
         # (repro.stream).  exact_cap=None keeps the accumulator exact, so
@@ -288,7 +337,7 @@ class CampaignResult:
             quantiles.add(value)
         total = moments.total
         summary = {
-            "tasks": float(len(self.records)),
+            "tasks": float(len(self._entries)),
             "executed": float(self.executed),
             "cached": float(self.cached),
             "task_total_s": total,
@@ -361,11 +410,11 @@ class CampaignRunner:
             tasks = self.spec.tasks()
             span.set(tasks=len(tasks))
 
-        cached: Dict[str, RunRecord] = {}
+        cached: Dict[str, Union[StoredRecord, RunRecord]] = {}
         if self.store is not None and self.resume:
             cached = self.store.load(self.spec)
 
-        by_index: Dict[int, RunRecord] = {}
+        by_index: Dict[int, Union[StoredRecord, RunRecord]] = {}
         pending: List[Tuple[int, RunTask]] = []
         verbatim = 0
         for index, task in enumerate(tasks):
@@ -377,25 +426,20 @@ class CampaignRunner:
                 hit = cached.get(task_key(params))
             if hit is None:
                 pending.append((index, task))
-            elif (hit.cell_index, hit.point_index, hit.run_index, hit.params) == (
-                task.cell_index,
-                task.point_index,
-                task.run_index,
-                params,
-            ):
-                # Unmoved: serve the loaded record itself, with its stored
-                # canonical text if the store line had one.  Coordinates are
-                # unique per task, so no other task takes this path for the
-                # same record.
-                hit.params = params
+            elif type(hit) is StoredRecord and _in_place(hit.text, task, params):
+                # Unmoved, from a verified line: serve the stored text, decoded
+                # only when the records are read.  Coordinates are unique per
+                # task, so no other task takes this path for the same line.
                 by_index[index] = hit
-                verbatim += hit._canonical is not None
+                verbatim += 1
             else:
-                # Serve a moved hit as an independent copy with the *current*
-                # campaign coordinates: a task may have moved cells between
-                # spec revisions, and two tasks with equal content keys
-                # (cells differing only in label) must not alias one record.
-                # ``replace`` drops the stored text, so the copy re-encodes.
+                # Re-encoded: a hit moved by a spec revision, a twin of a cell
+                # differing only in label, or one from a line that did not
+                # verify.  It is served as an independent copy with the
+                # *current* campaign coordinates; ``replace`` drops any stored
+                # text, so the copy re-encodes.
+                if type(hit) is StoredRecord:
+                    hit = hit.decode()
                 by_index[index] = dataclasses.replace(
                     hit,
                     cell_index=task.cell_index,
@@ -431,7 +475,7 @@ class CampaignRunner:
             if self.progress is not None:
                 self.progress.finish()
 
-        result.records = [by_index[index] for index in range(len(tasks))]
+        result._entries = [by_index[index] for index in range(len(tasks))]
         result.wall_time_s = time.perf_counter() - start
         if obs.metrics_enabled():
             summary = result.wall_time_summary()

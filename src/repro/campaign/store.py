@@ -2,8 +2,8 @@
 
 Layout: one JSON-lines *shard* per campaign name, ``<name>.jsonl`` under the
 store root.  Each line is an object ``{"key": <task hash>, "record":
-<RunRecord JSON>}``.  Properties that make interrupted campaigns resumable
-and repeat invocations instant:
+<RunRecord JSON>, "sum": <line checksum>}``.  Properties that make
+interrupted campaigns resumable and repeat invocations instant:
 
 * **Append-only, one record per line.**  The runner flushes after every
   record, so a crash or Ctrl-C loses at most the line being written.
@@ -19,13 +19,22 @@ and repeat invocations instant:
   match any task are simply ignored.
 * **Last write wins.**  Duplicate keys (e.g. from overlapping appends) are
   collapsed on load, keeping the most recent line.
-* **Canonical by construction.**  :func:`frame` builds every line from the
-  record's canonical JSON: ``{"key":K,"record":<canonical JSON minus its
-  closing brace>,"wall_time_s":X}}`` (``wall_time_s`` sorts last, so the
-  line equals the sorted-key ``json.dumps`` of the full record).  The
-  matching :func:`unframe` slices that canonical text back out of a line in
-  exact writer framing; :meth:`CampaignStore.load` hands it to the record,
-  which serves it verbatim from ``canonical_json()``.
+* **Checksummed and canonical by construction.**  :func:`frame` builds
+  every line from the record's canonical JSON: ``{"key":K,"record":<canonical
+  JSON minus its closing brace>,"wall_time_s":X},"sum":"H"}``.  Keys sort
+  ``key``, ``record``, ``sum`` and ``wall_time_s`` is the record's last
+  key, so the line is the sorted-key ``json.dumps`` of ``{key, record,
+  sum}``.  ``H`` is a 128-bit BLAKE2b of the line's bytes before
+  ``,"sum":``, keyed by the record :data:`~repro.campaign.records.SCHEMA`
+  and the stored field names, so a line written under another record format
+  never verifies.  :meth:`CampaignStore.load` proves a line intact from its
+  sum and slices the key and canonical text out of it without decoding JSON
+  (a :class:`~repro.campaign.records.StoredRecord`).  Every other line --
+  no sum (older writers), or a sum that does not verify (a hand edit,
+  corrupted bytes that still parse, another record format) -- is decoded
+  into a :class:`~repro.campaign.records.RunRecord` that re-encodes its
+  text; lines whose sum fails are counted as ``store.lines_unverified`` and
+  warned about once per load.
 * **One writer per shard.**  A :class:`ShardWriter` holds an advisory
   exclusive ``flock`` on its shard while open; a second writer (another
   sweep on the same store and campaign name) fails at once instead of
@@ -35,54 +44,86 @@ and repeat invocations instant:
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import os
 import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.campaign.records import RunRecord
+from repro.campaign.records import SCHEMA, RunRecord, StoredRecord
 from repro.campaign.spec import CampaignSpec
 
-__all__ = ["CampaignStore", "ShardWriter", "frame", "unframe"]
+__all__ = ["CampaignStore", "ShardWriter", "frame"]
 
 _WALL_TIME = ',"wall_time_s":'
+_SUM = ',"sum":"'
+#: Bytes after a line's summed head: ``,"sum":"``, 32 hex digits, ``"}``.
+_TAIL = len(_SUM) + 32 + 2
+_KEY_BYTES, _RECORD_BYTES = b'{"key":', b',"record":'
+_WALL_BYTES, _SUM_BYTES = _WALL_TIME.encode("ascii"), _SUM.encode("ascii")
+
+
+def _line_hasher(schema: str, fields: Iterable[str]) -> "hashlib.blake2b":
+    """The keyed BLAKE2b state a line sum starts from.
+
+    The key digests the record schema and the sorted stored field names: a
+    line framed under another record format carries a sum no reader of this
+    format verifies.
+    """
+    material = "\n".join([schema, *sorted(fields)]).encode("utf-8")
+    return hashlib.blake2b(digest_size=16, key=hashlib.blake2b(material).digest())
+
+
+#: The fields of a stored record (:meth:`RunRecord.to_json_dict`).
+_STORED_FIELDS = frozenset(
+    RunRecord(key="", kind="", cell_index=0, point_index=0, run_index=0).to_json_dict()
+)
+_HASHER = _line_hasher(SCHEMA, _STORED_FIELDS)
+
+
+def _line_sum(head: Union[bytes, memoryview]) -> bytes:
+    """The hex sum of a line's ``head`` (its bytes before ``,"sum":``)."""
+    hasher = _HASHER.copy()
+    hasher.update(head)
+    return hasher.hexdigest().encode("ascii")
 
 
 def frame(key: str, canonical: str, wall_time_s: float) -> str:
-    """One store line: the record's canonical JSON plus its key and wall time.
+    """One store line: the record's canonical JSON, key, wall time and sum.
 
     Byte-identical to ``json.dumps({"key": key, "record":
-    record.to_json_dict()}, sort_keys=True, separators=(",", ":"),
+    record.to_json_dict(), "sum": H}, sort_keys=True, separators=(",", ":"),
     allow_nan=False)``, because ``wall_time_s`` is the last key of the record.
     """
-    return (
+    head = (
         '{"key":' + encode_basestring_ascii(key) + ',"record":' + canonical[:-1]
-        + _WALL_TIME + json.dumps(wall_time_s, sort_keys=True, allow_nan=False) + "}}"
+        + _WALL_TIME + json.dumps(wall_time_s, sort_keys=True, allow_nan=False) + "}"
     )
+    return head + _SUM + _line_sum(head.encode("utf-8")).decode("ascii") + '"}'
 
 
-def unframe(line: str, key: Any, record: Dict[str, Any]) -> Optional[str]:
-    """The canonical record text of a parsed store line, or ``None``.
+def _verified(line: bytes) -> Optional[Tuple[str, StoredRecord]]:
+    """The key and stored record of a line whose sum verifies, else ``None``.
 
-    ``key`` and ``record`` are the line's parsed ``"key"`` and ``"record"``.
-    Only a line in exact :func:`frame` framing yields its text; any other
-    spelling of the same JSON returns ``None`` (the record is re-encoded).
+    Nothing is decoded: a verified line was framed by :func:`frame`, so the
+    key, the canonical text and the wall time are sliced out of it.
     """
-    if not isinstance(key, str):
+    head = len(line) - _TAIL
+    if head < 0 or not line.endswith(b'"}') or not line.startswith(_SUM_BYTES, head):
         return None
-    wall = record.get("wall_time_s")
-    if type(wall) not in (int, float):
+    if _line_sum(memoryview(line)[:head]) != line[head + len(_SUM_BYTES) : -2]:
         return None
-    # encode_basestring_ascii is json.dumps of a str; repr is json.dumps of an
-    # int or a finite float (a non-finite one cannot match, as frame rejects it).
-    head = '{"key":' + encode_basestring_ascii(key) + ',"record":'
-    tail = _WALL_TIME + repr(wall) + "}}"
-    if not (line.startswith(head) and line.endswith(tail)):
-        return None
-    return line[len(head) : -len(tail)] + "}"
+    # The key string holds no unescaped quote, so the first ``,"record":``
+    # follows it; ``wall_time_s`` is the record's last key.
+    record = line.find(_RECORD_BYTES)
+    wall = line.rfind(_WALL_BYTES, 0, head)
+    key = line[len(_KEY_BYTES) : record]
+    key = json.loads(key) if b"\\" in key else key[1:-1].decode("ascii")
+    text = line[record + len(_RECORD_BYTES) : wall].decode("ascii") + "}"
+    return key, StoredRecord(text, float(line[wall + len(_WALL_BYTES) : head - 1]))
 
 
 def _cut_torn_tail(path: Path) -> None:
@@ -177,38 +218,61 @@ class CampaignStore:
         """
         return self.root / f"{spec.name}.jsonl"
 
-    def load(self, spec: CampaignSpec) -> Dict[str, RunRecord]:
+    def load(self, spec: CampaignSpec) -> Dict[str, Union[StoredRecord, RunRecord]]:
         """All completed records of a campaign, keyed by task hash.
 
+        A line whose sum verifies loads as a
+        :class:`~repro.campaign.records.StoredRecord` (its canonical text,
+        not decoded).  Any other line is decoded into a :class:`RunRecord`
+        without stored text, so it is re-encoded when written; a line that
+        carries a sum that does not verify is counted as
+        ``store.lines_unverified`` and reported in one ``RuntimeWarning`` per
+        load, a line with no sum (an older writer) loads silently.
         Malformed lines (typically a torn final line after an interrupt) are
-        skipped, counted as the ``store.lines_skipped`` metric and reported in
-        one ``RuntimeWarning`` per load; duplicate keys keep the last
-        occurrence.  A line in exact writer framing (:func:`unframe`) passes
-        its canonical text to :meth:`RunRecord.from_json_dict`.
+        skipped, counted as ``store.lines_skipped`` and reported in one
+        ``RuntimeWarning`` per load.  Duplicate keys keep the last occurrence.
+        The ``store.load`` span carries the counts of lines, verified,
+        unverified and skipped.
         """
         path = self.shard_path(spec)
-        records: Dict[str, RunRecord] = {}
+        records: Dict[str, Union[StoredRecord, RunRecord]] = {}
         if not path.exists():
             return records
-        skipped = 0
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                    key, fields = payload["key"], payload["record"]
-                    records[key] = RunRecord.from_json_dict(
-                        fields, canonical=unframe(line, key, fields)
-                    )
-                except (AttributeError, KeyError, TypeError, ValueError):
-                    skipped += 1
+        lines = verified = unverified = skipped = 0
+        with obs.span("store.load", shard=path.name) as span:
+            with open(path, "rb") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    lines += 1
+                    stored = _verified(line)
+                    if stored is not None:
+                        records[stored[0]] = stored[1]
+                        verified += 1
+                        continue
+                    try:
+                        payload = json.loads(line)
+                        key, fields = payload["key"], payload["record"]
+                        records[key] = RunRecord.from_json_dict(fields)
+                    except (AttributeError, KeyError, TypeError, ValueError):
+                        skipped += 1
+                        continue
+                    unverified += "sum" in payload
+            span.set(lines=lines, verified=verified, unverified=unverified, skipped=skipped)
         if skipped:
             obs.inc("store.lines_skipped", skipped)
             warnings.warn(
                 f"{path}: skipped {skipped} malformed line(s); their tasks "
                 f"will be re-run",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        if unverified:
+            obs.inc("store.lines_unverified", unverified)
+            warnings.warn(
+                f"{path}: {unverified} line(s) failed their checksum; their "
+                f"records are re-encoded, not served as stored",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -12,6 +12,13 @@ per-run campaign bodies):
   delays and timer draws inside the simulation;
 * multi-pulse -- fault placement/behaviour, the pulse schedule, then the
   simulation's own draws (initial states, timers, per-message delays).
+
+The Lemma 5 bound (:mod:`repro.core.bounds`) serves only the default
+timeouts of :meth:`DesEngine.single_pulse`, so it loads on first use: a soak
+drives :meth:`DesEngine.multi_pulse` with its own timeouts and never loads
+it.  The registry builds its ``des`` engine through
+:func:`registered_engine`, which loads it, so a sweep naming the engine has
+it loaded once its spec is validated (DESIGN.md "Start-up").
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from repro import obs
 from repro.adversary.runtime import ScheduledAdversary
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.clocksource.scenarios import Scenario, scenario_layer0_spread, scenario_layer0_times
-from repro.core.bounds import lemma5_pulse_skew_bound
 from repro.core.parameters import TimeoutConfig, TimerPolicy, TimingConfig, condition2_timeouts
 from repro.core.topology import HexGrid, NodeId
 from repro.engines.base import (
@@ -44,6 +50,7 @@ from repro.simulation.network import HexNetwork
 
 __all__ = [
     "DesEngine",
+    "registered_engine",
     "single_pulse_default_timeouts",
     "scenario_stabilization_timeouts",
 ]
@@ -64,6 +71,8 @@ def single_pulse_default_timeouts(
     :meth:`~repro.core.topology.HexGrid.condition2_extra_hops` margin on top
     -- zero on the cylinder, so its timeouts are unchanged.
     """
+    from repro.core.bounds import lemma5_pulse_skew_bound
+
     stable_skew = lemma5_pulse_skew_bound(
         timing, grid.layers, num_faults, layer0_spread=layer0_spread
     )
@@ -432,3 +441,16 @@ class DesEngine:
             result.metrics["adversary_actions"] = float(adversary.num_actions)
             result.metrics["adversary_last_time"] = float(adversary.last_time)
         return result
+
+
+def registered_engine() -> DesEngine:
+    """The registry's ``des`` engine, with the Lemma 5 bound module loaded.
+
+    :func:`~repro.engines.get_engine` builds the engine through this, so a
+    sweep whose spec names ``des`` (or runs multi-pulse points) has loaded
+    :mod:`repro.core.bounds` by the time the spec is validated, and its run
+    imports nothing more.
+    """
+    import repro.core.bounds  # noqa: F401
+
+    return DesEngine()

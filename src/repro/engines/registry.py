@@ -24,16 +24,17 @@ __all__ = [
     "available_engines",
 ]
 
-#: The built-in engines: name -> ``(module, class)`` of the backend.
+#: The built-in engines: name -> ``(module, attribute)``, where the attribute
+#: is the backend class or a function that builds the backend.
 BUILTIN_ENGINES: Dict[str, Tuple[str, str]] = {
     "array": ("repro.engines.array", "ArrayEngine"),
     "clocktree": ("repro.engines.clocktree", "ClockTreeEngine"),
-    "des": ("repro.engines.des", "DesEngine"),
+    "des": ("repro.engines.des", "registered_engine"),
     "solver": ("repro.engines.solver", "SolverEngine"),
 }
 
-#: Registered engines; a built-in stays a ``(module, class)`` pair until its
-#: first lookup.
+#: Registered engines; a built-in stays a ``(module, attribute)`` pair until
+#: its first lookup.
 _REGISTRY: Dict[str, Union[Engine, Tuple[str, str]]] = dict(BUILTIN_ENGINES)
 
 

@@ -22,7 +22,9 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.campaign.records as campaign_records
 import repro.campaign.runner as campaign_runner
+import repro.campaign.store as campaign_store
 from repro import obs
 from repro.analysis.skew import SkewStatistics
 from repro.campaign import (
@@ -35,8 +37,8 @@ from repro.campaign import (
     pooled_statistics,
 )
 from repro.campaign.progress import ProgressReporter, format_duration
-from repro.campaign.records import record_mask, stand_in_fault_model
-from repro.campaign.store import ShardWriter, frame, unframe
+from repro.campaign.records import SCHEMA, StoredRecord, record_mask, stand_in_fault_model
+from repro.campaign.store import ShardWriter, frame
 from repro.cli import main
 from repro.clocksource.scenarios import Scenario, scenario_layer0_times
 from repro.core.pulse_solver import solve_single_pulse
@@ -472,11 +474,12 @@ class TestCanonicalStore:
     """Cache hits serve the stored canonical text; every other record re-encodes."""
 
     def test_frame_is_the_sorted_json_of_the_full_record(self, tmp_path):
-        """The writer's framing equals the historical ``json.dumps`` line byte for byte.
+        """The writer's line is the sorted ``json.dumps`` of ``{key, record, sum}``.
 
         A record field sorting after ``wall_time_s`` would break the framing
         (the canonical text would no longer be a prefix of the record) and
-        fail here.
+        fail here.  Every line verifies and loads as its record's canonical
+        text and wall time.
         """
         spec = mixed_spec()
         store = CampaignStore(tmp_path)
@@ -487,15 +490,24 @@ class TestCanonicalStore:
         for record in records:
             line = frame(record.key, record.canonical_json(), record.wall_time_s)
             assert line == json.dumps(
-                {"key": record.key, "record": record.to_json_dict()},
+                {
+                    "key": record.key,
+                    "record": record.to_json_dict(),
+                    "sum": json.loads(line)["sum"],
+                },
                 sort_keys=True,
                 separators=(",", ":"),
                 allow_nan=False,
             )
-            payload = json.loads(line)
-            assert unframe(line, payload["key"], payload["record"]) == record.canonical_json()
             lines.append(line)
         assert store.shard_path(spec).read_text(encoding="utf-8").splitlines() == lines
+        with obs.observed(metrics=True) as session:
+            loaded = store.load(spec)
+            assert session.registry.counter("store.lines_unverified") == 0.0
+        assert loaded == {
+            record.key: StoredRecord(record.canonical_json(), record.wall_time_s)
+            for record in records
+        }
 
     def test_unchanged_resume_serves_every_hit_verbatim(self, tmp_path):
         spec = mixed_spec()
@@ -560,21 +572,131 @@ class TestCanonicalStore:
                 respelled.append(json.dumps(reordered, separators=(",", ":")))
         shard.write_text("\n".join(respelled) + "\n", encoding="utf-8")
 
-        loaded = CampaignStore(store).load(dataclasses.replace(small_spec(), name="t"))
+        # The sorted respellings keep a sum that no longer verifies; the
+        # reordered ones dropped it, like an older writer's lines.
+        with pytest.warns(RuntimeWarning, match="4 line"):
+            loaded = CampaignStore(store).load(dataclasses.replace(small_spec(), name="t"))
         assert len(loaded) == 8
         assert all(record._canonical is None for record in loaded.values())
         resumed_out = tmp_path / "resumed.jsonl"
         with obs.observed(metrics=True) as session:
-            assert main(base + ["--store", str(store), "--resume", "--out", str(resumed_out)]) == 0
+            with pytest.warns(RuntimeWarning, match="failed their checksum"):
+                assert main(
+                    base + ["--store", str(store), "--resume", "--out", str(resumed_out)]
+                ) == 0
             assert session.registry.counter("campaign.hits_reencoded") == 8
             assert session.registry.counter("campaign.hits_verbatim") == 0
+        assert resumed_out.read_bytes() == fresh_out.read_bytes()
+
+    def test_all_hit_quiet_resume_decodes_no_dense_payload(self, tmp_path, monkeypatch):
+        """``sweep --resume --quiet --out`` copies verified lines' text undecoded."""
+        decoded = []
+        dense_from_json = campaign_records._dense_from_json
+
+        def counting(values, ndim):
+            decoded.append(ndim)
+            return dense_from_json(values, ndim)
+
+        monkeypatch.setattr(campaign_records, "_dense_from_json", counting)
+        base = [
+            "sweep", "--layers", "6", "--width", "5", "--scenarios", "i,iii",
+            "--faults", "0,1", "--runs", "2", "--seed", "5", "--name", "t", "--quiet",
+            "--store", str(tmp_path / "store"),
+        ]
+        fresh_out, resumed_out = tmp_path / "fresh.jsonl", tmp_path / "resumed.jsonl"
+        assert main(base + ["--out", str(fresh_out)]) == 0
+        with obs.observed(metrics=True) as session:
+            assert main(base + ["--resume", "--out", str(resumed_out)]) == 0
+            assert session.registry.counter("campaign.hits_verbatim") == 8
+        assert decoded == []
+        assert resumed_out.read_bytes() == fresh_out.read_bytes()
+
+    def test_records_read_after_a_resume_equal_a_fresh_runs(self, tmp_path):
+        spec = mixed_spec()
+        store = CampaignStore(tmp_path)
+        fresh = CampaignRunner(spec, store=store).run()
+        resumed, verbatim, _ = resume_counting_hits(spec, store)
+        assert verbatim == spec.num_tasks
+        assert all(type(entry) is StoredRecord for entry in resumed._entries)
+        assert resumed.wall_time_summary()["task_total_s"] == (
+            fresh.wall_time_summary()["task_total_s"]
+        )
+        records = resumed.records
+        assert records is resumed.records
+        assert len(records) == len(fresh.records)
+        for record, expected in zip(records, fresh.records):
+            assert type(record) is RunRecord
+            assert record.canonical_dict() == expected.canonical_dict()
+            assert record.wall_time_s == expected.wall_time_s
+            assert record.canonical_json() == expected.canonical_json()
+            if expected.trigger_times is not None:
+                assert record.trigger_times.dtype == np.float64
+                np.testing.assert_array_equal(record.trigger_times, expected.trigger_times)
+
+    def test_changed_digit_in_trigger_times_is_counted_warned_and_reencoded(self, tmp_path):
+        spec = small_spec(runs=2, num_faults=0)
+        store = CampaignStore(tmp_path)
+        fresh = CampaignRunner(spec, store=store).run()
+        shard = store.shard_path(spec)
+        lines = shard.read_text(encoding="utf-8").splitlines()
+        start = lines[1].index('"trigger_times":[[') + len('"trigger_times":[[')
+        digit = next(i for i in range(start, len(lines[1])) if lines[1][i] in "12345678")
+        lines[1] = lines[1][:digit] + str(int(lines[1][digit]) + 1) + lines[1][digit + 1 :]
+        edited = json.loads(lines[1])
+        shard.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        trace = tmp_path / "trace.jsonl"
+        with obs.observed(metrics=True, trace=trace) as session:
+            with pytest.warns(RuntimeWarning, match="1 line.*failed their checksum") as caught:
+                resumed = CampaignRunner(spec, store=store, resume=True).run()
+            registry = session.registry
+            assert registry.counter("store.lines_unverified") == 1.0
+            assert registry.counter("campaign.hits_verbatim") == spec.num_tasks - 1
+            assert registry.counter("campaign.hits_reencoded") == 1.0
+        assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
+        (span,) = [
+            r for r in obs.load_trace_records(trace)
+            if r["type"] == "span" and r["name"] == "store.load"
+        ]
+        counts = {"lines": 4, "verified": 3, "unverified": 1, "skipped": 0}
+        assert {name: span["attrs"][name] for name in counts} == counts
+        texts = [r.canonical_json() for r in resumed.records]
+        (changed,) = [i for i, r in enumerate(fresh.records) if r.key == edited["key"]]
+        assert texts[changed] != fresh.records[changed].canonical_json()
+        assert texts[changed] == RunRecord.from_json_dict(edited["record"]).canonical_json()
+        assert texts[:changed] + texts[changed + 1 :] == [
+            r.canonical_json() for i, r in enumerate(fresh.records) if i != changed
+        ]
+
+    def test_store_without_sums_resumes_reencoding_every_hit(self, tmp_path):
+        """Lines of an older writer (no ``sum``) load silently and re-encode."""
+        base = [
+            "sweep", "--layers", "6", "--width", "5", "--scenarios", "i,iii",
+            "--faults", "0,1", "--runs", "2", "--seed", "5", "--name", "t", "--quiet",
+            "--store", str(tmp_path / "store"),
+        ]
+        fresh_out, resumed_out = tmp_path / "fresh.jsonl", tmp_path / "resumed.jsonl"
+        assert main(base + ["--out", str(fresh_out)]) == 0
+        shard = tmp_path / "store" / "t.jsonl"
+        stripped = []
+        for line in shard.read_text(encoding="utf-8").splitlines():
+            payload = json.loads(line)
+            del payload["sum"]
+            stripped.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        shard.write_text("\n".join(stripped) + "\n", encoding="utf-8")
+        with obs.observed(metrics=True) as session, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(base + ["--resume", "--out", str(resumed_out)]) == 0
+            assert session.registry.counter("campaign.hits_verbatim") == 0
+            assert session.registry.counter("campaign.hits_reencoded") == 8
+            assert session.registry.counter("store.lines_unverified") == 0
         assert resumed_out.read_bytes() == fresh_out.read_bytes()
 
     def test_replace_drops_the_stored_text(self, tmp_path):
         spec = small_spec(runs=1)
         store = CampaignStore(tmp_path)
         CampaignRunner(spec, store=store).run()
-        loaded = next(iter(store.load(spec).values()))
+        loaded = next(iter(store.load(spec).values())).decode()
         assert loaded._canonical is not None
         copy = dataclasses.replace(loaded)
         assert copy._canonical is None
@@ -585,10 +707,12 @@ class TestCanonicalStore:
         "spelling", ['"NaN"', '"-Infinity"', '"\\u004eaN"'], ids=["nan", "minus-inf", "escaped"]
     )
     def test_sentinel_and_escaped_strings_take_the_full_decode(self, tmp_path, spelling):
-        """Only a line free of sentinels and escapes skips the sentinel decode.
+        """Only text free of sentinels and escapes skips the sentinel decode.
 
-        The edited line keeps the exact writer framing, so its text is also
-        what ``canonical_json`` serves: a hand-edited line is served as stored.
+        The edited line keeps the writer framing but not its sum, so it is
+        decoded, warned about and re-encoded (an escaped sentinel comes back
+        plain).  The same edit framed afresh verifies, and its decoded record
+        serves the stored text.
         """
         spec = small_spec(runs=1, num_faults=0)
         store = CampaignStore(tmp_path)
@@ -600,31 +724,54 @@ class TestCanonicalStore:
         lines[0] = lines[0].replace(f'"inter_max":{stored}', f'"inter_max":{spelling}', 1)
         assert f'"inter_max":{spelling}' in lines[0]
         shard.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        record = store.load(spec)[payload["key"]]
+        with pytest.warns(RuntimeWarning, match="1 line.*failed their checksum"):
+            record = store.load(spec)[payload["key"]]
         value = record.skew["inter_max"]
         assert isinstance(value, float) and not math.isfinite(value)
-        assert record.canonical_json() == unframe(
-            lines[0], payload["key"], json.loads(lines[0])["record"]
-        )
+        assert record._canonical is None
+        sentinel = '"NaN"' if math.isnan(value) else '"-Infinity"'
+        assert f'"inter_max":{sentinel}' in record.canonical_json()
+
+        edited = json.loads(lines[0])["record"]
+        wall_time_s = edited.pop("wall_time_s")
+        text = lines[0][lines[0].index('"record":') + 9 : lines[0].index(',"wall_time_s":')] + "}"
+        assert json.loads(text) == edited
+        shard.write_text(frame(payload["key"], text, wall_time_s) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = store.load(spec)[payload["key"]]
+        assert loaded == StoredRecord(text, wall_time_s)
+        record = loaded.decode()
+        value = record.skew["inter_max"]
+        assert isinstance(value, float) and not math.isfinite(value)
+        assert record.canonical_json() == text
         assert spelling in record.canonical_json()
 
-    def test_framed_line_missing_a_field_is_reencoded(self, tmp_path):
-        """A line in writer framing from an older writer (no ``total_firings``) re-encodes."""
+    def test_framed_line_missing_a_field_is_reencoded(self, tmp_path, monkeypatch):
+        """A line framed by a writer of another record format (no
+        ``total_firings``) carries a sum keyed under that format's field set,
+        which this format does not verify: it is warned about and re-encoded."""
         spec = small_spec(runs=1)
         store = CampaignStore(tmp_path)
         fresh = CampaignRunner(spec, store=store).run().records[0]
         shard = store.shard_path(spec)
-        lines = shard.read_text(encoding="utf-8").splitlines()
-        payload = json.loads(lines[0])
+        payload = json.loads(shard.read_text(encoding="utf-8").splitlines()[0])
         fields = payload["record"]
         wall_time_s = fields.pop("wall_time_s")
         del fields["total_firings"]
         text = json.dumps(fields, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        lines[0] = frame(payload["key"], text, wall_time_s)
-        assert unframe(lines[0], payload["key"], json.loads(lines[0])["record"]) == text
-        shard.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        loaded = store.load(spec)[payload["key"]]
-        assert loaded._canonical is None
+        older = campaign_store._STORED_FIELDS - {"total_firings"}
+        with monkeypatch.context() as patch:
+            patch.setattr(campaign_store, "_HASHER", campaign_store._line_hasher(SCHEMA, older))
+            line = frame(payload["key"], text, wall_time_s)
+            shard.write_text(line + "\n", encoding="utf-8")
+            # The older format's own reader verifies it.
+            assert store.load(spec) == {payload["key"]: StoredRecord(text, wall_time_s)}
+        with obs.observed(metrics=True) as session:
+            with pytest.warns(RuntimeWarning, match="1 line.*failed their checksum"):
+                loaded = store.load(spec)[payload["key"]]
+            assert session.registry.counter("store.lines_unverified") == 1.0
+        assert isinstance(loaded, RunRecord) and loaded._canonical is None
         assert loaded.canonical_json() == fresh.canonical_json()
         assert '"total_firings":null' in loaded.canonical_json()
 

@@ -176,8 +176,43 @@ print(json.dumps([built, sorted(set({LOADED}) - set(built))]))
 """
     built, loaded_by_run = _run(code)
     assert loaded_by_run == []
-    unused = ("repro.campaign", "repro.core.pulse_solver", "repro.simulation.events")
+    unused = (
+        "repro.campaign",
+        "repro.core.bounds",
+        "repro.core.pulse_solver",
+        "repro.simulation.events",
+    )
     assert [name for name in built if name.startswith(unused)] == []
+
+
+@pytest.mark.parametrize("kind", ["single_pulse", "multi_pulse"])
+def test_a_des_sweep_loads_the_lemma5_bound_while_its_spec_is_built(tmp_path, kind):
+    """The DES engine loads :mod:`repro.core.bounds` on first use, and the
+    registry's ``des`` engine loads it, so a DES sweep (the soak test above
+    shows a soak never loads it) has it once its spec is validated."""
+    spec = tmp_path / "spec.json"
+    cell = {"layers": 5, "width": 4, "num_faults": 1, "engine": "des", "kind": kind, "runs": 2}
+    if kind == "multi_pulse":
+        cell["num_pulses"] = 3
+    spec.write_text(json.dumps({"name": "des", "seed": 7, "cells": [cell]}))
+    argv = ["sweep", "--spec", str(spec), "--quiet", "--store", str(tmp_path / "store")]
+    code = f"""
+import json, sys
+import repro.cli
+import repro.campaign.runner as runner
+
+seen = {{}}
+run = runner.CampaignRunner.run
+
+def run_spy(self):
+    seen["at_run"] = {LOADED}
+    return run(self)
+
+runner.CampaignRunner.run = run_spy
+assert repro.cli.main({argv!r}) == 0
+print(json.dumps(seen["at_run"]))
+"""
+    assert {"repro.core.bounds", "repro.faults.placement"} <= set(_run(code))
 
 
 @pytest.mark.parametrize(

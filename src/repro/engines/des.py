@@ -156,6 +156,7 @@ def _simulate(
         events_processed=network.queue.num_processed,
         stale_high_assertions=network.stale_high_assertions,
         dropped_arrivals=network.dropped_arrivals,
+        timers_deferred=network.timers_deferred,
     )
     return network
 

@@ -440,16 +440,21 @@ def record_des_observer(
     events_processed: int = 0,
     stale_high_assertions: int = 0,
     dropped_arrivals: int = 0,
+    timers_deferred: int = 0,
 ) -> None:
     """Flush one finished run's counters and observer into the registry and tracer.
 
     The counts come from the network, which keeps them unconditionally as
     plain ints (they cost nothing extra): ``events_scheduled`` /
     ``events_processed`` from its
-    :class:`~repro.simulation.engine.EventQueue`, and the two silent skips
+    :class:`~repro.simulation.engine.EventQueue`; the two silent skips
     of its event loop -- stuck-at-1 assertions dropped because the link
     stopped being stuck (``stale_high_assertions``) and arrivals dropped at
-    nodes that were not executing (``dropped_arrivals``).  ``observer`` is
+    nodes that were not executing (``dropped_arrivals``); and the link and
+    sleep timers the loop armed without queuing an event
+    (``timers_deferred``), which settle when their node next takes a
+    message and so are in neither ``events_processed`` nor the per-kind
+    event counts.  ``observer`` is
     ``None`` when the caller supplied its own network observer (soak): the
     counters are recorded all the same.
     """
@@ -458,6 +463,7 @@ def record_des_observer(
         _registry.inc("des.events_processed", events_processed)
         _registry.inc("des.stale_high_assertions", stale_high_assertions)
         _registry.inc("des.dropped_arrivals", dropped_arrivals)
+        _registry.inc("des.timers_deferred", timers_deferred)
         if observer is not None:
             for kind, count in sorted(observer.counts.items()):
                 _registry.inc(f"des.{kind}", count)

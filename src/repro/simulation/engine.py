@@ -51,8 +51,13 @@ class EventQueue:
 
     @property
     def num_scheduled(self) -> int:
-        """Total number of events scheduled so far."""
-        return self.num_processed + len(self.heap)
+        """Total number of sequence numbers handed out so far.
+
+        Every scheduled event takes one, and so does every timer the
+        network arms without a heap entry.
+        """
+        # ``itertools.count`` shows its next value only in its repr.
+        return int(repr(self.sequence)[len("count("):-1])
 
     def schedule(self, time: float, kind: int, node: int, arg: int) -> None:
         """Schedule event ``(kind, node, arg)`` at absolute ``time``.

@@ -57,7 +57,9 @@ class FlagExpiry:
     """The link timer of ``node``'s memory flag for ``direction`` runs out.
 
     ``expiry`` is the absolute expiry time the flag was armed with (the
-    event's own time); only a flag armed with it is cleared.
+    event's own time); only a flag armed with it is cleared.  The network
+    pops it only for a queued timer; most are deferred and never popped
+    (see :mod:`repro.simulation.network`), as are most wake-ups.
     """
 
     node: NodeId

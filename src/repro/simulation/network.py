@@ -20,6 +20,20 @@ The loop is one function: a firing (sleep draw, wake-up, broadcast of one
 message per out-link) runs inside it, and so does the firing of the nodes
 whose random or adversarial initial state already satisfies a guard.
 
+A node tests its guard only when a message arrives, so a link timeout or a
+wake-up changes nothing anyone sees until the node's next arrival.  The
+loop therefore queues these timers only at nodes with a stuck-at-1 input,
+which the timers re-assert.  Any other node's timers are *deferred*: each
+still takes its sequence number, and its ``(time, seq)`` is kept per flag
+slot and per node.  Before an arrival acts on the node, the loop settles
+the deferred timers a fully queued loop would already have popped, and
+when :meth:`HexNetwork.run` returns it settles those due by ``until``, so
+:meth:`HexNetwork.memorized` and the state between run slices are exact.
+A timer that a wake-up or a heal leaves stale, and every deferred timer of
+a node that gains a stuck-at-1 input, is pushed with its own key and pops
+where it would have.  Firings, draws and ``queue.num_scheduled`` are those
+of a loop that queues every timer; fewer events are popped.
+
 Byzantine stuck-at-1 links behave as the hardware does: the receiver's flag
 for such a link is set at simulation start and re-set whenever it is
 cleared (by a link timeout or a wake-up).  Timer draws, and the draws of a
@@ -70,6 +84,12 @@ _GUARD_MASKS = [(1 << _SLOT[a]) | (1 << _SLOT[b]) for a, b in TRIGGER_GUARDS]
 #: Memorized-flag mask -> whether some guard of Algorithm 1 is satisfied.
 _FIRES = tuple(any(mask & guard == guard for guard in _GUARD_MASKS) for mask in range(16))
 
+#: Flag mask -> its set slots, ascending.
+_SLOTS = tuple(tuple(slot for slot in range(4) if mask >> slot & 1) for mask in range(16))
+
+#: The bit of a node's deferred-timer mask that stands for its wake-up.
+_WAKE_BIT = 16
+
 
 class HexNetwork:
     """Executable HEX grid for the discrete-event simulator.
@@ -94,8 +114,9 @@ class HexNetwork:
     timer_policy:
         How link/sleep timer durations are drawn.
     max_events:
-        Safety cap on processed events (guards against run-away Byzantine
-        feedback loops in misconfigured experiments).
+        Safety cap on popped events (guards against run-away Byzantine
+        feedback loops in misconfigured experiments); deferred timers are
+        not popped and do not count.
 
     Attributes
     ----------
@@ -104,7 +125,10 @@ class HexNetwork:
         define ``on_firing(node, time)`` and ``on_adversary(time, action)``;
         ``on_event(time, event)`` is called with a
         :mod:`repro.simulation.events` view of every popped event, and only
-        when the observer defines it.  In practice a
+        when the observer defines it.  Deferred timers are never popped, so
+        it sees a ``FlagExpiry`` or ``WakeUp`` only for a timer that was
+        queued: one of a node with a stuck-at-1 input, a stale one, or one
+        set by an initial state.  In practice a
         :class:`repro.obs.capture.DesRunObserver` (injected by the DES engine
         when observability is enabled) or a soak monitor; the network itself
         never imports :mod:`repro.obs`.
@@ -112,6 +136,9 @@ class HexNetwork:
         Running counts of the loop's two silent skips: stuck-at-1 assertions
         whose link has stopped being stuck, and arrivals at nodes that are
         not executing.
+    timers_deferred:
+        Running count of the link and sleep timers the loop armed without
+        a heap entry.
     """
 
     def __init__(
@@ -141,6 +168,7 @@ class HexNetwork:
         self.observer: Optional[object] = None
         self.stale_high_assertions = 0
         self.dropped_arrivals = 0
+        self.timers_deferred = 0
 
         self._stream = DrawStream(rng) if rng is not None else None
         draws_from_run = self._stream is not None and delays.rng is rng
@@ -162,6 +190,14 @@ class HexNetwork:
         self._flags = [0.0] * (4 * size)
         self._wake = [-_INF] * size
         self._firings: List[List[float]] = [[] for _ in range(size)]
+        #: Timers armed without a heap entry: per node, a mask of the flag
+        #: slots plus :data:`_WAKE_BIT`; their times are in ``_flags`` and
+        #: ``_wake``, their sequence numbers in ``_flag_seq`` and ``_wake_seq``.
+        self._deferred = [0] * size
+        self._flag_seq = [0] * (4 * size)
+        self._wake_seq = [0] * size
+        #: The largest ``(time, seq)`` popped so far.
+        self._frontier: Tuple[float, float] = (-_INF, -1)
         self._faulty = [False] * size
         self._alive_until = [_INF] * size
         #: Eventual non-correct link behaviours, keyed ``source * N + dest``.
@@ -392,6 +428,7 @@ class HexNetwork:
         if node[0] == 0:
             return
         index = self._index(node)
+        self._release(index, *self._frontier)
         self._ready[index] = 1
         self._mask[index] = 0
         self._wake[index] = -_INF
@@ -455,6 +492,10 @@ class HexNetwork:
         slot = _SLOT[self.grid.direction_between(source, destination)]
         entries.append((slot, src))
         entries.sort()
+        # From now on the receiver's timers re-assert this input, so they
+        # must be on the heap: settle the ones already due, queue the rest.
+        self._settle(dest, *self._frontier)
+        self._release(dest, *self._frontier)
         self.queue.schedule(float(time), _HIGH, dest, src * 4 + slot)
 
     def _unregister_stuck_high_links(self, node: NodeId) -> None:
@@ -473,6 +514,62 @@ class HexNetwork:
             self._high[dest] = remaining
         else:
             del self._high[dest]
+
+    # ------------------------------------------------------------------
+    # deferred timers
+    # ------------------------------------------------------------------
+    def _settle(self, index: int, bound_time: float, bound_seq: float) -> None:
+        """Apply the deferred timers of node ``index`` keyed before the bound.
+
+        These are the timers a queued loop would have popped by the time
+        it popped ``(bound_time, bound_seq)``.  A due wake-up makes the node
+        ready with no flag set, which leaves its other timers stale;
+        otherwise each due link timeout clears its flag.  The in-loop copy
+        of this rule is in :meth:`_execute`.
+        """
+        bits = self._deferred[index]
+        if not bits:
+            return
+        bound = (bound_time, bound_seq)
+        if bits & _WAKE_BIT and (self._wake[index], self._wake_seq[index]) < bound:
+            self._deferred[index] = bits ^ _WAKE_BIT
+            self._release(index, bound_time, bound_seq)
+            self._ready[index] = 1
+            self._mask[index] = 0
+            self._wake[index] = -_INF
+            return
+        flags, flag_seq = self._flags, self._flag_seq
+        mask = self._mask[index]
+        for slot in _SLOTS[bits & 15]:
+            if (flags[4 * index + slot], flag_seq[4 * index + slot]) < bound:
+                mask &= ~(1 << slot)
+                bits ^= 1 << slot
+        self._mask[index] = mask
+        self._deferred[index] = bits
+
+    def _release(self, index: int, bound_time: float, bound_seq: float) -> None:
+        """Queue the deferred timers of node ``index`` keyed after the bound.
+
+        Each keeps its ``(time, seq)``, so it pops where a queued loop would
+        have popped it; the earlier ones are dropped.  Called when the
+        node's state is reset (a wake-up or a heal), which makes the later
+        timers stale pops, and when a stuck-at-1 input makes its timers
+        re-assert that input.
+        """
+        bits = self._deferred[index]
+        if not bits:
+            return
+        self._deferred[index] = 0
+        heap = self.queue.heap
+        bound = (bound_time, bound_seq)
+        if bits & _WAKE_BIT:
+            key = (self._wake[index], self._wake_seq[index])
+            if key > bound:
+                heapq.heappush(heap, key + (_WAKE, index, 0))
+        for slot in _SLOTS[bits & 15]:
+            key = (self._flags[4 * index + slot], self._flag_seq[4 * index + slot])
+            if key > bound:
+                heapq.heappush(heap, key + (_EXPIRY, index, slot))
 
     # ------------------------------------------------------------------
     # execution
@@ -510,6 +607,14 @@ class HexNetwork:
         each is the next stream draw, are read from the lent stream buffer
         ``raw`` at index ``at``; every other model is asked through
         ``sample``.
+
+        Timers are deferred as the module docstring says.  Before an arrival
+        acts on a node, after the stale/dropped checks and the link-timeout
+        draw, the loop settles the node's timers keyed before the largest
+        ``(time, seq)`` popped so far (an arrival may land up to 1e-12
+        before the event that sent it).  On return it settles every timer a
+        queued loop would have popped: those at or before ``until``, or,
+        after an error, those before the largest popped key.
         """
         queue = self.queue
         heap = queue.heap
@@ -520,6 +625,8 @@ class HexNetwork:
         alive_until, faulty = self._alive_until, self._faulty
         cut, high, size = self._cut, self._high, self._size
         firings, nodes, out_links = self._firings, self._nodes, self._out
+        deferred, flag_seq, wake_seq = self._deferred, self._flag_seq, self._wake_seq
+        front_time, front_seq = self._frontier
         nominal = self._nominal
         link_min = self.timeouts.t_link_min
         link_span = self.timeouts.t_link_max - link_min
@@ -536,7 +643,8 @@ class HexNetwork:
         on_event = getattr(observer, "on_event", None)
         stuck_high = LinkBehavior.CONSTANT_ONE
         limit = self.max_events - queue.num_processed
-        processed = stale = dropped = 0
+        processed = stale = dropped = held = 0
+        completed = False
         time = queue.now
         node = 0
         # The previous step's send: 0 none, 1 ``node`` fires, 2 source pulse.
@@ -556,7 +664,12 @@ class HexNetwork:
                         wake = time + sleep
                         ready[node] = 0
                         wake_at[node] = wake
-                        heappush(heap, (wake, next_seq(), _WAKE, node, 0))
+                        if high and node in high:
+                            heappush(heap, (wake, next_seq(), _WAKE, node, 0))
+                        else:
+                            wake_seq[node] = next_seq()
+                            deferred[node] |= _WAKE_BIT
+                            held += 1
                     send = 0
                     firings[node].append(time)
                     if observer is not None:
@@ -602,12 +715,16 @@ class HexNetwork:
                 if not heap or heap[0][0] > until:
                     node = next(seeds, -1)
                     if node < 0:
+                        completed = True
                         break
                     time = 0.0
                     if ready[node] == 1 and _FIRES[mask[node]] and time < alive_until[node]:
                         send = 1
                     continue
-                time, _seq, kind, node, arg = heappop(heap)
+                time, seq, kind, node, arg = heappop(heap)
+                if time >= front_time:
+                    front_time = time
+                    front_seq = seq
                 processed += 1
                 if on_event is not None:
                     on_event(time, self._event_view(kind, node, arg, time))
@@ -630,16 +747,56 @@ class HexNetwork:
                                 end = len(raw)
                             link_timeout = link_min + link_span * raw[at]
                             at += 1
-                        slot = arg & 3
                         memorized = mask[node]
-                        if not memorized >> slot & 1:
-                            # A set flag absorbs the message; a clear one is
-                            # set and starts its link timer.
+                        bits = deferred[node]
+                        if bits:
+                            # Settle the node's deferred timers (:meth:`_settle`).
+                            due = wake_at[node]
+                            if bits & _WAKE_BIT and (
+                                due < front_time or due == front_time and wake_seq[node] < front_seq
+                            ):
+                                # The wake-up clears every flag; the link
+                                # timers still ahead of the frontier go on
+                                # the heap as the stale pops they would be.
+                                for slot in _SLOTS[bits & 15]:
+                                    due = flags[4 * node + slot]
+                                    if due > front_time or (
+                                        due == front_time and flag_seq[4 * node + slot] > front_seq
+                                    ):
+                                        heappush(
+                                            heap,
+                                            (due, flag_seq[4 * node + slot], _EXPIRY, node, slot),
+                                        )
+                                bits = memorized = 0
+                                ready[node] = 1
+                                wake_at[node] = -_INF
+                            else:
+                                for slot in _SLOTS[bits & 15]:
+                                    due = flags[4 * node + slot]
+                                    if due < front_time or (
+                                        due == front_time and flag_seq[4 * node + slot] < front_seq
+                                    ):
+                                        memorized &= ~(1 << slot)
+                                        bits ^= 1 << slot
+                        slot = arg & 3
+                        if memorized >> slot & 1:
+                            # A set flag absorbs the message.
+                            if bits != deferred[node]:
+                                mask[node] = memorized
+                                deferred[node] = bits
+                        else:
+                            # A clear flag is set and starts its link timer.
                             expiry = time + link_timeout
                             memorized |= 1 << slot
-                            mask[node] = memorized
                             flags[4 * node + slot] = expiry
-                            heappush(heap, (expiry, next_seq(), _EXPIRY, node, slot))
+                            if high and node in high:
+                                heappush(heap, (expiry, next_seq(), _EXPIRY, node, slot))
+                            else:
+                                flag_seq[4 * node + slot] = next_seq()
+                                bits |= 1 << slot
+                                held += 1
+                            mask[node] = memorized
+                            deferred[node] = bits
                         if ready[node] == 1 and _FIRES[memorized]:
                             send = 1
                 elif kind == _EXPIRY:
@@ -652,6 +809,8 @@ class HexNetwork:
                 elif kind == _WAKE:
                     # Stale wake-ups (the node was reset since) are ignored.
                     if ready[node] == 0 and abs(wake_at[node] - time) <= 1e-9:
+                        if deferred[node]:
+                            self._release(node, front_time, front_seq)
                         ready[node] = 1
                         mask[node] = 0
                         wake_at[node] = -_INF
@@ -665,6 +824,7 @@ class HexNetwork:
                         send = 2
                 else:
                     queue.now = time
+                    self._frontier = (front_time, front_seq)
                     action = self._adversary_actions[node]
                     if stream is not None:
                         stream.settle(at)
@@ -680,6 +840,12 @@ class HexNetwork:
             queue.num_processed += processed
             self.stale_high_assertions += stale
             self.dropped_arrivals += dropped
+            self.timers_deferred += held
+            self._frontier = (front_time, front_seq)
+            bound = (until, _INF) if completed else self._frontier
+            for index, bits in enumerate(deferred):
+                if bits:
+                    self._settle(index, *bound)
             if stream is not None:
                 if at >= 0:
                     stream.settle(at)

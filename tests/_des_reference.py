@@ -7,9 +7,10 @@ draw and one ``DelayModel.sample`` call per message.  Its logic is kept
 here unchanged, with one adaptation to the present library: heap entries
 are the flat ``(time, seq, kind, node, arg)`` tuples the public scheduling
 methods now push, where the old loop carried ``(time, seq, (kind, node,
-arg))``.  ``tests/test_des_loop.py`` compares the two loops on randomized
-runs: firings, event counters, silent-skip counters and generator end
-state.
+arg))``.  It queues every link and sleep timer, which the present loop
+defers at nodes without a stuck-at-1 input.  ``tests/test_des_loop.py``
+compares the two loops on randomized runs: firings, pending events,
+scheduled-event and silent-skip counters and generator end state.
 """
 
 from __future__ import annotations

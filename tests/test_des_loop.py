@@ -1,12 +1,16 @@
 """The inlined DES event loop against the call-per-firing reference loop.
 
 ``_des_reference.ReferenceHexNetwork`` runs the loop ``HexNetwork.run``
-shipped before it inlined the firing, the broadcast and the draws.  On
+shipped before it inlined the firing, the broadcast and the draws, and
+before it deferred link and sleep timers: it queues every timer.  On
 randomized configurations -- every topology family, delay model, timer
 policy, initial state and fault kind, with ``run(until=...)`` called in
 slices -- the two must agree exactly: firings, memorized flags, pending
-events, event and silent-skip counters, the observer's view and the
-generator's end state.
+events (the heap plus the deferred timers), scheduled-event and
+silent-skip counters, the firings and adversary actions an observer sees
+and the generator's end state.  The events the loop pops are the
+reference's with some ``FlagExpiry`` / ``WakeUp`` events left out, so the
+processed-event counts and the time of the last popped event may differ.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ import pytest
 from _des_reference import ReferenceHexNetwork
 
 from repro.adversary.delays import BiasedLinkDelays, MaxSkewDelays
-from repro.adversary.runtime import HealNode, InjectFault
+from repro.adversary.runtime import HealNode, InjectFault, SetLinkBehavior
 from repro.adversary.schedule import FaultDirective, FaultSchedule
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.clocksource.scenarios import Scenario
 from repro.core.parameters import TimerPolicy, TimingConfig
-from repro.core.topology import HexGrid, NodeId
+from repro.core.topology import Direction, HexGrid, NodeId
 from repro.engines.des import scenario_stabilization_timeouts
 from repro.faults.models import FaultModel, LinkBehavior, NodeFault
 from repro.simulation.links import (
@@ -33,7 +37,7 @@ from repro.simulation.links import (
     FreshUniformDelays,
     UniformRandomDelays,
 )
-from repro.simulation.network import HexNetwork
+from repro.simulation.network import _EXPIRY, _WAKE, _WAKE_BIT, HexNetwork
 from repro.topologies import build_topology
 
 TOPOLOGIES = ("cylinder", "torus", "patch", "degraded:nodes=1,links=2,seed={seed}")
@@ -212,21 +216,74 @@ def _drive(network_cls, config: Dict, max_events: int = 5_000_000):
     return network, generator, processed
 
 
-def _state(network: HexNetwork, generator) -> Dict:
+def _deferred_entries(network: HexNetwork) -> List[Tuple]:
+    """The timers the network holds off the heap, as heap entries."""
+    entries = []
+    for index, bits in enumerate(network._deferred):
+        if bits & _WAKE_BIT:
+            entries.append((network._wake[index], network._wake_seq[index], _WAKE, index, 0))
+        for slot in range(4):
+            if bits >> slot & 1:
+                key = (network._flags[4 * index + slot], network._flag_seq[4 * index + slot])
+                entries.append(key + (_EXPIRY, index, slot))
+    return entries
+
+
+def _is_timer(entry: Tuple) -> bool:
+    return entry[0] == "event" and type(entry[2]).__name__ in ("FlagExpiry", "WakeUp")
+
+
+def _aligned(seen: List[Tuple], reference_seen: List[Tuple]) -> List[int]:
+    """Where each entry of ``seen`` sits in ``reference_seen``.
+
+    Asserts that ``seen`` is a prefix of ``reference_seen`` with only timer
+    events (``FlagExpiry`` / ``WakeUp``) left out.
+    """
+    positions: List[int] = []
+    for position, entry in enumerate(reference_seen):
+        if len(positions) == len(seen):
+            break
+        if seen[len(positions)] == entry:
+            positions.append(position)
+        else:
+            assert _is_timer(entry), entry
+    assert len(positions) == len(seen)
+    return positions
+
+
+def _assert_leaves_out_timers(seen: List[Tuple], reference_seen: List[Tuple]) -> int:
+    """Assert ``seen`` is ``reference_seen`` less some timer events; count them."""
+    positions = _aligned(seen, reference_seen)
+    rest = reference_seen[positions[-1] + 1 :] if positions else reference_seen
+    assert all(_is_timer(entry) for entry in rest)
+    return len(reference_seen) - len(seen)
+
+
+def _state(network: HexNetwork, generator=None) -> Dict:
+    """Everything the deferred timers must leave as the reference leaves it.
+
+    The observer's list is compared by :func:`_assert_same_state`.
+    """
     queue = network.queue
     nodes = list(network.grid.nodes())
     return {
         "firings": [network.firing_times(node) for node in nodes],
         "memorized": [network.memorized(node) for node in nodes],
-        "pending": sorted(queue.heap),
-        "now": queue.now,
-        "num_processed": queue.num_processed,
+        "pending": sorted(queue.heap + _deferred_entries(network)),
         "num_scheduled": queue.num_scheduled,
         "stale_high_assertions": network.stale_high_assertions,
         "dropped_arrivals": network.dropped_arrivals,
-        "observed": getattr(network.observer, "seen", None),
-        "generator": generator.bit_generator.state,
+        "generator": generator.bit_generator.state if generator is not None else None,
     }
+
+
+def _assert_same_state(network, generator, reference, reference_generator) -> None:
+    assert _state(network, generator) == _state(reference, reference_generator)
+    seen = getattr(network.observer, "seen", None)
+    reference_seen = getattr(reference.observer, "seen", None)
+    assert (seen is None) == (reference_seen is None)
+    if seen is not None:
+        _assert_leaves_out_timers(seen, reference_seen)
 
 
 def test_cases_cover_every_option():
@@ -249,13 +306,38 @@ def test_inlined_loop_matches_the_reference(case):
     config = _case(case)
     network, generator, processed = _drive(HexNetwork, config)
     reference, reference_generator, reference_processed = _drive(ReferenceHexNetwork, config)
-    assert processed == reference_processed
-    assert sum(processed) > 0
-    assert _state(network, generator) == _state(reference, reference_generator)
+    assert 0 < sum(processed) <= sum(reference_processed)
+    assert len(processed) == len(reference_processed)
+    assert network.queue.num_processed + network.timers_deferred >= sum(reference_processed)
+    _assert_same_state(network, generator, reference, reference_generator)
 
 
-def _capped_state(network_cls, config: Dict) -> Dict:
-    """The state a case leaves behind when it hits a 60-event cap."""
+def test_cases_defer_timers():
+    """Most timers are deferred: the loop pops fewer events than the reference."""
+    deferred = popped = reference_popped = 0
+    for case in range(0, NUM_CASES, 5):
+        config = _case(case)
+        network, _, processed = _drive(HexNetwork, config)
+        deferred += network.timers_deferred
+        popped += sum(processed)
+        reference_popped += sum(_drive(ReferenceHexNetwork, config)[2])
+    assert deferred > 0
+    assert popped < reference_popped
+
+
+def test_popped_events_are_the_reference_events_less_some_timers():
+    """An ``on_event`` recorder sees the reference's events with timers left out."""
+    left_out = 0
+    for case in range(0, NUM_CASES, 4):
+        config = dict(_case(case), observer="events")
+        seen = _drive(HexNetwork, config)[0].observer.seen
+        reference_seen = _drive(ReferenceHexNetwork, config)[0].observer.seen
+        left_out += _assert_leaves_out_timers(seen, reference_seen)
+    assert left_out > 0
+
+
+def _capped(network_cls, config: Dict, max_events: int) -> HexNetwork:
+    """The network a case leaves behind when it hits an event cap."""
     built = []
 
     class Capped(network_cls):  # type: ignore[misc, valid-type]
@@ -264,16 +346,25 @@ def _capped_state(network_cls, config: Dict) -> Dict:
             built.append(self)
 
     with pytest.raises(RuntimeError, match="event cap"):
-        _drive(Capped, config, max_events=60)
-    return _state(built[0], built[0].rng)
+        _drive(Capped, config, max_events=max_events)
+    return built[0]
 
 
 @pytest.mark.parametrize("case", [0, 1, 7, 13])
 def test_event_cap_raises_after_the_same_event(case):
-    config = _case(case)
-    state = _capped_state(HexNetwork, config)
-    assert state == _capped_state(ReferenceHexNetwork, config)
-    assert state["num_processed"] == 61
+    """A capped run leaves the state of the reference stopped after the same
+    last event: the reference pops the deferred timers too, so its cap is
+    the position of that event in its own sequence."""
+    config = dict(_case(case), observer="events")
+    network = _capped(HexNetwork, config, 60)
+    assert network.queue.num_processed == 61
+    events = [entry for entry in network.observer.seen if entry[0] == "event"]
+    full_run = _drive(ReferenceHexNetwork, config)[0]
+    reference_events = [entry for entry in full_run.observer.seen if entry[0] == "event"]
+    last = _aligned(events, reference_events)[-1]
+    reference = _capped(ReferenceHexNetwork, config, last)
+    assert reference.queue.num_processed == last + 1
+    _assert_same_state(network, network.rng, reference, reference.rng)
 
 
 class _BadDelays(DelayModel):
@@ -296,3 +387,213 @@ def test_an_invalid_delay_raises(network_cls, value, timing):
     network.schedule_source_pulses(np.zeros((1, grid.width)))
     with pytest.raises(ValueError, match="delay model returned"):
         network.run()
+
+
+# ----------------------------------------------------------------------
+# The deferred-timer rules, one scenario each.  Source (0, 0) sends to
+# the receiver (1, 0) on its lower-left input; constant delays and
+# nominal timers put every timer at a known time.
+# ----------------------------------------------------------------------
+RECEIVER = (1, 0)
+
+
+def _small_network(network_cls, delays: Optional[DelayModel] = None) -> HexNetwork:
+    timing = TimingConfig.paper_defaults()
+    grid = HexGrid(layers=3, width=4)
+    timeouts = scenario_stabilization_timeouts(Scenario.ZERO, 4, 3, 1, timing)
+    network = network_cls(
+        grid,
+        timing,
+        timeouts,
+        delays if delays is not None else ConstantDelays(timing.d_max),
+        timer_policy=TimerPolicy.NOMINAL,
+    )
+    network.initialize()
+    return network
+
+
+def _pulse(network: HexNetwork, columns, times=(0.0,)) -> None:
+    schedule = np.full((len(times), network.grid.width), np.nan)
+    for row, time in enumerate(times):
+        schedule[row, list(columns)] = time
+    network.schedule_source_pulses(schedule)
+
+
+class _Noting:
+    """An adversary action that first notes the receiver's deferred timers."""
+
+    def __init__(self, action) -> None:
+        self.action = action
+        self.deferred: Optional[int] = None
+
+    def apply(self, network: HexNetwork, time: float) -> None:
+        self.deferred = network._deferred[network._index(RECEIVER)]
+        self.action.apply(network, time)
+
+
+def _stuck_at_one_from(grid: HexGrid, node: NodeId) -> NodeFault:
+    behaviors = {
+        destination: LinkBehavior.CONSTANT_ONE
+        for destination in grid.out_neighbors(node).values()
+    }
+    return NodeFault.byzantine(grid, node, behaviors=behaviors)
+
+
+def _d_and_t_link():
+    timing = TimingConfig.paper_defaults()
+    timeouts = scenario_stabilization_timeouts(Scenario.ZERO, 4, 3, 1, timing)
+    return timing.d_max, timeouts.t_link_min
+
+
+def test_stuck_at_one_link_set_between_slices_queues_the_deferred_flag():
+    """The receiver's deferred link timer must re-assert the new input."""
+    d, t_link = _d_and_t_link()
+    states = []
+    for network_cls in (HexNetwork, ReferenceHexNetwork):
+        network = _small_network(network_cls)
+        _pulse(network, [0])
+        network.run(until=d + 1.0)
+        if network_cls is HexNetwork:
+            assert network._deferred[network._index(RECEIVER)]
+        network.set_link_behavior(((0, 0), RECEIVER), LinkBehavior.CONSTANT_ONE, d + 1.0)
+        network.run(until=d + 4.5 * t_link)
+        # The input re-asserts at every expiry, so its flag stays set.
+        assert Direction.LOWER_LEFT in network.memorized(RECEIVER)
+        states.append(_state(network))
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize(
+    "columns, action_time, faulty",
+    [
+        # The receiver's only flag has expired, with no message since.
+        ([0], "after_expiry", (0, 0)),
+        # The receiver fired: its wake-up is ahead, its flags behind.
+        ([0, 1, 2, 3], 30.0, (1, 1)),
+    ],
+)
+def test_injected_stuck_at_one_settles_then_queues_the_receiver(columns, action_time, faulty):
+    d, t_link = _d_and_t_link()
+    if action_time == "after_expiry":
+        action_time = d + t_link + 1.0
+    states = []
+    for network_cls in (HexNetwork, ReferenceHexNetwork):
+        network = _small_network(network_cls)
+        action = _Noting(InjectFault(_stuck_at_one_from(network.grid, faulty)))
+        network.install_adversary([(action_time, action)])
+        _pulse(network, columns)
+        network.run(until=200.0)
+        if network_cls is HexNetwork:
+            assert action.deferred
+        states.append(_state(network))
+    assert states[0] == states[1]
+
+
+def test_set_link_behavior_action_settles_a_due_flag_first():
+    d, t_link = _d_and_t_link()
+    states = []
+    for network_cls in (HexNetwork, ReferenceHexNetwork):
+        network = _small_network(network_cls)
+        action = _Noting(SetLinkBehavior(((0, 0), RECEIVER), LinkBehavior.CONSTANT_ONE))
+        network.install_adversary([(d + t_link + 1.0, action)])
+        _pulse(network, [0])
+        network.run(until=100.0)
+        if network_cls is HexNetwork:
+            assert action.deferred
+        states.append(_state(network))
+    assert states[0] == states[1]
+
+
+class _LateDelays(DelayModel):
+    """``d`` for a link's first message; every later one lands 0.5 ps early."""
+
+    def __init__(self, d: float) -> None:
+        self._d = d
+        self._used = set()
+
+    def delay(self, source, destination, uniform=None) -> float:
+        if (source, destination) in self._used:
+            return -5e-13
+        self._used.add((source, destination))
+        return self._d
+
+
+def test_an_arrival_before_its_sender_sees_the_timers_the_sender_passed():
+    """A timer is due when it is before the largest popped key, not before
+    the arrival's own key: an arrival may land up to 1e-12 in the past."""
+    d, t_link = _d_and_t_link()
+    expiry = (0.0 + d) + t_link
+    # The second pulse leaves 0.1 ps after the receiver's flag expires and
+    # lands 0.4 ps before it.
+    second = expiry + 1e-13
+    states = []
+    for network_cls in (HexNetwork, ReferenceHexNetwork):
+        network = _small_network(network_cls, _LateDelays(d))
+        _pulse(network, [0], times=(0.0, second))
+        network.run(until=expiry + 0.5 * t_link)
+        states.append(_state(network))
+        assert network.memorized(RECEIVER) == {
+            Direction.LOWER_LEFT: (second - 5e-13) + t_link
+        }
+    assert states[0] == states[1]
+
+
+def test_memorized_is_exact_between_run_slices():
+    """Timers due by ``until`` are settled when ``run`` returns."""
+    d, t_link = _d_and_t_link()
+    networks = [_small_network(cls) for cls in (HexNetwork, ReferenceHexNetwork)]
+    for network in networks:
+        _pulse(network, [0])
+    for until, expected in (
+        (d + 0.5 * t_link, {Direction.LOWER_LEFT: d + t_link}),
+        (d + t_link, {}),
+        (100.0, {}),
+    ):
+        for network in networks:
+            network.run(until=until)
+            assert network.memorized(RECEIVER) == expected
+        assert _state(networks[0]) == _state(networks[1])
+
+
+def test_link_timers_left_stale_by_a_wake_up_stay_pending():
+    """A flag armed late in the sleep expires after the wake-up clears it;
+    its timer is pending, as a stale event, across a slice boundary."""
+    d, _t_link = _d_and_t_link()
+    networks = [_small_network(cls) for cls in (HexNetwork, ReferenceHexNetwork)]
+    for network in networks:
+        # The receiver fires at d and wakes at about 50.5.  The second pulse
+        # sets its flags at 35 + d, to expire at about 55.5; the third one
+        # arrives at 43 + d, after the wake-up, and fires it.
+        _pulse(network, [0, 1], times=(0.0, 35.0, 43.0))
+    for until in (52.0, 100.0):
+        for network in networks:
+            network.run(until=until)
+        assert _state(networks[0]) == _state(networks[1])
+    assert networks[0].firing_times(RECEIVER) == [d, 43.0 + d]
+
+
+def test_heal_drops_the_timers_of_the_faulty_spell():
+    """After a heal, the wake-up the node was sleeping towards is void."""
+    d, _t_link = _d_and_t_link()
+    states = []
+    for network_cls in (HexNetwork, ReferenceHexNetwork):
+        network = _small_network(network_cls)
+        network.install_adversary(
+            [
+                (10.0, InjectFault(NodeFault.fail_silent(network.grid, RECEIVER))),
+                (12.0, HealNode(RECEIVER)),
+            ]
+        )
+        # The receiver fires at d, then takes one flag before its old
+        # wake-up time (about 50.5) and the adjacent one after it.
+        schedule = np.full((2, network.grid.width), np.nan)
+        schedule[0, [0, 1]] = 0.0
+        schedule[1, [0, 1]] = (37.0, 44.0)
+        network.schedule_source_pulses(schedule)
+        slices = []
+        for until in (20.0, 100.0):
+            network.run(until=until)
+            slices.append(_state(network))
+        states.append(slices)
+        assert network.firing_times(RECEIVER) == [d, 44.0 + d]
+    assert states[0] == states[1]

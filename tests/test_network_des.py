@@ -136,7 +136,8 @@ class TestSinglePulseDES:
 
 
 class TestSilentSkipCounters:
-    """The DES's two silent skips are counted and reach ``repro.obs``."""
+    """The DES's two silent skips and its deferred timers are counted and
+    reach ``repro.obs``."""
 
     @staticmethod
     def _counters(grid, timing, timeouts, **kwargs):
@@ -153,6 +154,13 @@ class TestSilentSkipCounters:
         counters = self._counters(grid, timing, timeouts)
         assert counters["des.stale_high_assertions"] == 0
         assert counters["des.dropped_arrivals"] == 0
+
+    def test_fault_free_run_queues_no_wake_up(self, grid, timing, timeouts):
+        """Without stuck-at-1 inputs every sleep timer is deferred."""
+        counters = self._counters(grid, timing, timeouts)
+        firings = counters["des.firing"] - counters["des.source_pulse"]
+        assert counters["des.timers_deferred"] > firings > 0
+        assert "des.wake_up" not in counters
 
     def test_heal_mid_run_counts_stale_stuck_high_assertions(self, grid, timing, timeouts):
         """A heal in the same instant as the injection strands its assertions."""

@@ -80,7 +80,15 @@ class TestEventQueue:
         processed = network.run(until=timing.d_max)
         queue = network.queue
         assert 0 < queue.num_processed == processed < queue.num_scheduled
-        assert queue.num_scheduled == processed + len(queue.heap)
+        # The layer-1 flag and sleep timers are deferred, not queued.
+        assert network.timers_deferred > 0
+        assert queue.num_scheduled == processed + len(queue.heap) + network.timers_deferred
+
+    def test_num_scheduled_counts_the_sequence_numbers_handed_out(self):
+        queue = EventQueue()
+        queue.schedule(1.0, 4, 0, 0)
+        next(queue.sequence)
+        assert queue.num_scheduled == 2
 
 
 class TestDelayModels:

@@ -271,6 +271,10 @@ delay_model, fault_schedule, topology:
                 raise ValueError("initial_states is a multi-pulse cell parameter")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind == "multi_pulse":
+            # Its records carry a stabilization estimate (``runner._record``):
+            # load the analysis now, so the campaign run imports nothing.
+            import repro.analysis.stabilization  # noqa: F401
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.num_pulses < 1:

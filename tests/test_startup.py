@@ -189,7 +189,9 @@ print(json.dumps([built, sorted(set({LOADED}) - set(built))]))
 def test_a_des_sweep_loads_the_lemma5_bound_while_its_spec_is_built(tmp_path, kind):
     """The DES engine loads :mod:`repro.core.bounds` on first use, and the
     registry's ``des`` engine loads it, so a DES sweep (the soak test above
-    shows a soak never loads it) has it once its spec is validated."""
+    shows a soak never loads it) has it once its spec is validated.  A
+    multi-pulse cell loads the stabilization analysis of its records then
+    too: the campaign run imports no further ``repro`` module."""
     spec = tmp_path / "spec.json"
     cell = {"layers": 5, "width": 4, "num_faults": 1, "engine": "des", "kind": kind, "runs": 2}
     if kind == "multi_pulse":
@@ -210,9 +212,13 @@ def run_spy(self):
 
 runner.CampaignRunner.run = run_spy
 assert repro.cli.main({argv!r}) == 0
-print(json.dumps(seen["at_run"]))
+print(json.dumps([seen["at_run"], sorted(set({LOADED}) - set(seen["at_run"]))]))
 """
-    assert {"repro.core.bounds", "repro.faults.placement"} <= set(_run(code))
+    at_run, loaded_by_run = _run(code)
+    assert {"repro.core.bounds", "repro.faults.placement"} <= set(at_run)
+    assert loaded_by_run == []
+    if kind == "multi_pulse":
+        assert "repro.analysis.stabilization" in at_run
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,11 @@ SCHEMAS: Dict[str, str] = {
     "check-findings": "hex-repro/check-findings/v1",
     # resumable soak-run checkpoints (repro.experiments.soak)
     "soak": "hex-repro/soak/v1",
+    # the golden output corpora of the test suite (tests/data/golden_*.json)
+    "golden-solver": "hex-repro/golden-solver/v1",
+    "golden-campaign": "hex-repro/golden-campaign/v1",
+    "golden-des": "hex-repro/golden-des/v1",
+    "golden-stabilization": "hex-repro/golden-stabilization/v1",
 }
 
 

@@ -396,6 +396,61 @@ class TestSchemas:
         assert any("bogus" in f.message for f in findings)
 
 
+class TestGoldenManifests:
+    """``S003``: the four golden corpora of a source checkout."""
+
+    @staticmethod
+    def _checkout(tmp_path: Path) -> Path:
+        """A fake checkout with four valid one-entry manifests; the package root."""
+        from repro.checks.artifacts import GOLDEN_MANIFESTS
+
+        (tmp_path / "pyproject.toml").write_text("", encoding="utf-8")
+        package = make_tree(tmp_path / "src" / "repro", {"__init__.py": ""})
+        data = tmp_path / "tests" / "data"
+        data.mkdir(parents=True)
+        for file_name, (name, entries) in GOLDEN_MANIFESTS.items():
+            payload = {"schema": schema(name), entries: {"cell": "digest"}}
+            (data / file_name).write_text(json.dumps(payload), encoding="utf-8")
+        return package
+
+    def test_real_checkout_is_checked_and_clean(self):
+        from repro.checks.artifacts import checkout_of
+        from repro.checks.registry import default_root
+
+        assert checkout_of(default_root()) is not None
+        assert run_checks(rule_ids=["S003"]).clean
+
+    def test_valid_fake_checkout_is_clean(self, tmp_path):
+        assert run_checks(root=self._checkout(tmp_path), rule_ids=["S003"]).clean
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (None, "is missing"),
+            ("{", "does not parse"),
+            ('["cells"]', "is not a JSON object"),
+            ('{"schema": "hex-repro/golden-solver/v1", "records": {"k": "v"}}', "carries schema"),
+            ('{"schema": "hex-repro/golden-des/v1", "cells": {}}', "pins no 'cells'"),
+        ],
+    )
+    def test_missing_or_malformed_manifest_is_found(self, tmp_path, damage, message):
+        package = self._checkout(tmp_path)
+        manifest = tmp_path / "tests" / "data" / "golden_des.json"
+        if damage is None:
+            manifest.unlink()
+        else:
+            manifest.write_text(damage, encoding="utf-8")
+        report = run_checks(root=package, rule_ids=["S003"])
+        [finding] = findings_of(report, "S003")
+        assert finding.path == "../../tests/data/golden_des.json"
+        assert message in finding.message
+        assert report.exit_code() == 1
+
+    def test_a_tree_outside_a_checkout_has_no_manifests_to_check(self, tmp_path):
+        make_tree(tmp_path, {"core/ok.py": "x = 1\n"})
+        assert run_checks(root=tmp_path, rule_ids=["S003"]).clean
+
+
 # ----------------------------------------------------------------------
 # end-to-end over the real tree, and the CLI verb
 # ----------------------------------------------------------------------
@@ -408,7 +463,9 @@ class TestEndToEnd:
 
     def test_all_rule_families_registered(self):
         ids = {rule.id for rule in available_rules()}
-        assert {"L001", "L002", "D001", "D002", "D003", "D004", "K001", "K002", "S001", "S002"} <= ids
+        assert {
+            "L001", "L002", "D001", "D002", "D003", "D004", "K001", "K002", "S001", "S002", "S003"
+        } <= ids
 
     def test_cli_check_clean(self, capsys):
         assert main(["check"]) == 0

@@ -31,9 +31,10 @@ from typing import Dict, List, Optional, Sequence
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, RunRecord, SweepSpec
+from repro.checks.schemas import schema
 
 MANIFEST = Path(__file__).resolve().parent / "data" / "golden_campaign.json"
-SCHEMA = "hex-repro/golden-campaign/v1"
+SCHEMA = schema("golden-campaign")
 
 
 def golden_spec() -> CampaignSpec:

@@ -41,6 +41,7 @@ import pytest
 
 from repro import obs
 from repro.adversary.schedule import FaultDirective, FaultSchedule
+from repro.checks.schemas import schema
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.clocksource.scenarios import Scenario
 from repro.core.parameters import TimerPolicy, TimingConfig
@@ -57,7 +58,7 @@ from repro.simulation.links import (
 )
 
 MANIFEST = Path(__file__).resolve().parent / "data" / "golden_des.json"
-SCHEMA = "hex-repro/golden-des/v1"
+SCHEMA = schema("golden-des")
 
 INITIAL_STATES = ("clean", "random", "adversarial")
 DELAY_MODELS = ("fresh", "uniform", "constant", "table")

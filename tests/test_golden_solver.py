@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 import pytest
 
+from repro.checks.schemas import schema
 from repro.clocksource.scenarios import scenario_layer0_times
 from repro.core.pulse_solver import PulseSolution, solve_single_pulse
 from repro.core.topology import HexGrid, NodeId
@@ -40,7 +41,7 @@ from repro.faults.models import FaultModel, LinkBehavior, NodeFault
 from repro.faults.placement import build_fault_model
 
 MANIFEST = Path(__file__).resolve().parent / "data" / "golden_solver.json"
-SCHEMA = "hex-repro/golden-solver/v1"
+SCHEMA = schema("golden-solver")
 
 TOPOLOGIES = ("cylinder", "torus", "patch", "degraded:nodes=2,links=3,seed=11")
 DELAY_MODELS = ("uniform", "constant")

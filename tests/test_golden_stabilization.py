@@ -40,12 +40,13 @@ import pytest
 
 from repro.analysis.stabilization import pulse_skew_series
 from repro.campaign import CampaignRunner, CampaignSpec, RunRecord, SweepSpec
+from repro.checks.schemas import schema
 from repro.engines import RunSpec, get_engine
 from repro.experiments import recovery, stability
 from repro.experiments.config import ExperimentConfig
 
 MANIFEST = Path(__file__).resolve().parent / "data" / "golden_stabilization.json"
-SCHEMA = "hex-repro/golden-stabilization/v1"
+SCHEMA = schema("golden-stabilization")
 
 TOPOLOGIES = ("cylinder", "torus", "patch", "degraded:nodes=2,seed=3")
 

@@ -196,6 +196,9 @@ class HexNetwork:
         self._deferred = [0] * size
         self._flag_seq = [0] * (4 * size)
         self._wake_seq = [0] * size
+        #: Per node, a lower bound of its deferred timers' times, so the
+        #: loop skips settling a node none of whose timers can be due.
+        self._soonest = [_INF] * size
         #: The largest ``(time, seq)`` popped so far.
         self._frontier: Tuple[float, float] = (-_INF, -1)
         self._faulty = [False] * size
@@ -612,7 +615,8 @@ class HexNetwork:
         acts on a node, after the stale/dropped checks and the link-timeout
         draw, the loop settles the node's timers keyed before the largest
         ``(time, seq)`` popped so far (an arrival may land up to 1e-12
-        before the event that sent it).  On return it settles every timer a
+        before the event that sent it), unless the node's ``_soonest``
+        bound lies after that key's time.  On return it settles every timer a
         queued loop would have popped: those at or before ``until``, or,
         after an error, those before the largest popped key.
         """
@@ -626,6 +630,7 @@ class HexNetwork:
         cut, high, size = self._cut, self._high, self._size
         firings, nodes, out_links = self._firings, self._nodes, self._out
         deferred, flag_seq, wake_seq = self._deferred, self._flag_seq, self._wake_seq
+        soonest = self._soonest
         front_time, front_seq = self._frontier
         nominal = self._nominal
         link_min = self.timeouts.t_link_min
@@ -668,6 +673,8 @@ class HexNetwork:
                             heappush(heap, (wake, next_seq(), _WAKE, node, 0))
                         else:
                             wake_seq[node] = next_seq()
+                            if not deferred[node] or wake < soonest[node]:
+                                soonest[node] = wake
                             deferred[node] |= _WAKE_BIT
                             held += 1
                     send = 0
@@ -749,7 +756,7 @@ class HexNetwork:
                             at += 1
                         memorized = mask[node]
                         bits = deferred[node]
-                        if bits:
+                        if bits and soonest[node] <= front_time:
                             # Settle the node's deferred timers (:meth:`_settle`).
                             due = wake_at[node]
                             if bits & _WAKE_BIT and (
@@ -778,6 +785,12 @@ class HexNetwork:
                                     ):
                                         memorized &= ~(1 << slot)
                                         bits ^= 1 << slot
+                                if bits:
+                                    due = wake_at[node] if bits & _WAKE_BIT else _INF
+                                    for slot in _SLOTS[bits & 15]:
+                                        if flags[4 * node + slot] < due:
+                                            due = flags[4 * node + slot]
+                                    soonest[node] = due
                         slot = arg & 3
                         if memorized >> slot & 1:
                             # A set flag absorbs the message.
@@ -793,6 +806,8 @@ class HexNetwork:
                                 heappush(heap, (expiry, next_seq(), _EXPIRY, node, slot))
                             else:
                                 flag_seq[4 * node + slot] = next_seq()
+                                if not bits or expiry < soonest[node]:
+                                    soonest[node] = expiry
                                 bits |= 1 << slot
                                 held += 1
                             mask[node] = memorized

@@ -597,3 +597,38 @@ def test_heal_drops_the_timers_of_the_faulty_spell():
         states.append(slices)
         assert network.firing_times(RECEIVER) == [d, 44.0 + d]
     assert states[0] == states[1]
+
+
+def test_a_later_flag_that_expires_first_is_settled():
+    """Link timeouts are drawn, so a flag set later can expire sooner; the
+    loop's skip test must not let it outlive its expiry."""
+    timing = TimingConfig.paper_defaults()
+    d = timing.d_max
+    states = []
+    for network_cls in (HexNetwork, ReferenceHexNetwork):
+        grid = HexGrid(layers=3, width=4)
+        timeouts = scenario_stabilization_timeouts(Scenario.ZERO, 4, 3, 1, timing)
+        network = network_cls(
+            grid, timing, timeouts, ConstantDelays(d), rng=np.random.default_rng(6)
+        )
+        network.initialize()
+        # The receiver takes its right flag from (1, 1) at 2d, then its
+        # lower-left one from (0, 0) 0.3 later, and never fires.
+        network.set_link_behavior(((0, 1), RECEIVER), LinkBehavior.CONSTANT_ZERO, 0.0)
+        schedule = np.full((1, grid.width), np.nan)
+        schedule[0, [1, 2]] = 0.0
+        schedule[0, 0] = d + 0.3
+        network.schedule_source_pulses(schedule)
+        network.run(until=2 * d + 1.0)
+        flags = network.memorized(RECEIVER)
+        assert flags[Direction.LOWER_LEFT] < flags[Direction.RIGHT]
+        # A second lower-left message lands between the two expiries: the
+        # flag it finds has expired, so it sets it afresh.
+        middle = 0.5 * (flags[Direction.LOWER_LEFT] + flags[Direction.RIGHT])
+        schedule[0] = np.nan
+        schedule[0, 0] = middle - d
+        network.schedule_source_pulses(schedule)
+        network.run(until=middle + 1.0)
+        assert network.memorized(RECEIVER)[Direction.LOWER_LEFT] > middle
+        states.append(_state(network, network.rng))
+    assert states[0] == states[1]

@@ -431,7 +431,7 @@ class HexNetwork:
         if node[0] == 0:
             return
         index = self._index(node)
-        self._release(index, *self._frontier)
+        self._release(index, self._frontier)
         self._ready[index] = 1
         self._mask[index] = 0
         self._wake[index] = -_INF
@@ -497,8 +497,8 @@ class HexNetwork:
         entries.sort()
         # From now on the receiver's timers re-assert this input, so they
         # must be on the heap: settle the ones already due, queue the rest.
-        self._settle(dest, *self._frontier)
-        self._release(dest, *self._frontier)
+        self._settle(dest, self._frontier)
+        self._release(dest, self._frontier)
         self.queue.schedule(float(time), _HIGH, dest, src * 4 + slot)
 
     def _unregister_stuck_high_links(self, node: NodeId) -> None:
@@ -521,11 +521,11 @@ class HexNetwork:
     # ------------------------------------------------------------------
     # deferred timers
     # ------------------------------------------------------------------
-    def _settle(self, index: int, bound_time: float, bound_seq: float) -> None:
-        """Apply the deferred timers of node ``index`` keyed before the bound.
+    def _settle(self, index: int, bound: Tuple[float, float]) -> None:
+        """Apply the deferred timers of node ``index`` keyed before ``bound``.
 
         These are the timers a queued loop would have popped by the time
-        it popped ``(bound_time, bound_seq)``.  A due wake-up makes the node
+        it popped the ``(time, seq)`` key ``bound``.  A due wake-up makes the node
         ready with no flag set, which leaves its other timers stale;
         otherwise each due link timeout clears its flag.  The in-loop copy
         of this rule is in :meth:`_execute`.
@@ -533,10 +533,9 @@ class HexNetwork:
         bits = self._deferred[index]
         if not bits:
             return
-        bound = (bound_time, bound_seq)
         if bits & _WAKE_BIT and (self._wake[index], self._wake_seq[index]) < bound:
             self._deferred[index] = bits ^ _WAKE_BIT
-            self._release(index, bound_time, bound_seq)
+            self._release(index, bound)
             self._ready[index] = 1
             self._mask[index] = 0
             self._wake[index] = -_INF
@@ -550,8 +549,8 @@ class HexNetwork:
         self._mask[index] = mask
         self._deferred[index] = bits
 
-    def _release(self, index: int, bound_time: float, bound_seq: float) -> None:
-        """Queue the deferred timers of node ``index`` keyed after the bound.
+    def _release(self, index: int, bound: Tuple[float, float]) -> None:
+        """Queue the deferred timers of node ``index`` keyed after ``bound``.
 
         Each keeps its ``(time, seq)``, so it pops where a queued loop would
         have popped it; the earlier ones are dropped.  Called when the
@@ -564,7 +563,6 @@ class HexNetwork:
             return
         self._deferred[index] = 0
         heap = self.queue.heap
-        bound = (bound_time, bound_seq)
         if bits & _WAKE_BIT:
             key = (self._wake[index], self._wake_seq[index])
             if key > bound:
@@ -825,7 +823,7 @@ class HexNetwork:
                     # Stale wake-ups (the node was reset since) are ignored.
                     if ready[node] == 0 and abs(wake_at[node] - time) <= 1e-9:
                         if deferred[node]:
-                            self._release(node, front_time, front_seq)
+                            self._release(node, (front_time, front_seq))
                         ready[node] = 1
                         mask[node] = 0
                         wake_at[node] = -_INF
@@ -860,7 +858,7 @@ class HexNetwork:
             bound = (until, _INF) if completed else self._frontier
             for index, bits in enumerate(deferred):
                 if bits:
-                    self._settle(index, *bound)
+                    self._settle(index, bound)
             if stream is not None:
                 if at >= 0:
                     stream.settle(at)

@@ -755,7 +755,9 @@ class HexNetwork:
                         memorized = mask[node]
                         bits = deferred[node]
                         if bits and soonest[node] <= front_time:
-                            # Settle the node's deferred timers (:meth:`_settle`).
+                            # Settle the node's deferred timers (:meth:`_settle`),
+                            # comparing ``(time, seq)`` keys exactly, as the
+                            # heap orders them.
                             due = wake_at[node]
                             if bits & _WAKE_BIT and (
                                 due < front_time or due == front_time and wake_seq[node] < front_seq

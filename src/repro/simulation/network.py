@@ -21,18 +21,19 @@ message per out-link) runs inside it, and so does the firing of the nodes
 whose random or adversarial initial state already satisfies a guard.
 
 A node tests its guard only when a message arrives, so a link timeout or a
-wake-up changes nothing anyone sees until the node's next arrival.  The
-loop therefore queues these timers only at nodes with a stuck-at-1 input,
-which the timers re-assert.  Any other node's timers are *deferred*: each
-still takes its sequence number, and its ``(time, seq)`` is kept per flag
-slot and per node.  Before an arrival acts on the node, the loop settles
-the deferred timers a fully queued loop would already have popped, and
-when :meth:`HexNetwork.run` returns it settles those due by ``until``, so
+wake-up changes nothing anyone sees until the node's next arrival.  Every
+link and sleep timer, whether the loop or an initial state arms it, is
+therefore queued only at a node with a stuck-at-1 input, which the timers
+re-assert.  Any other node's timers are *deferred*: each still takes its
+sequence number, and its ``(time, seq)`` is kept per flag slot and per
+node.  Before an arrival acts on the node, the loop settles the deferred
+timers a fully queued loop would already have popped, and when
+:meth:`HexNetwork.run` returns it settles those due by ``until``, so
 :meth:`HexNetwork.memorized` and the state between run slices are exact.
-A timer that a wake-up or a heal leaves stale, and every deferred timer of
-a node that gains a stuck-at-1 input, is pushed with its own key and pops
-where it would have.  Firings, draws and ``queue.num_scheduled`` are those
-of a loop that queues every timer; fewer events are popped.
+A wake-up or a heal drops the node's deferred timers, which it voids; a
+node that gains a stuck-at-1 input pushes the rest with their own keys.
+Firings, draws and ``queue.num_scheduled`` are those of a loop that queues
+every timer; fewer events are popped.
 
 Byzantine stuck-at-1 links behave as the hardware does: the receiver's flag
 for such a link is set at simulation start and re-set whenever it is
@@ -126,9 +127,8 @@ class HexNetwork:
         ``on_event(time, event)`` is called with a
         :mod:`repro.simulation.events` view of every popped event, and only
         when the observer defines it.  Deferred timers are never popped, so
-        it sees a ``FlagExpiry`` or ``WakeUp`` only for a timer that was
-        queued: one of a node with a stuck-at-1 input, a stale one, or one
-        set by an initial state.  In practice a
+        it sees a ``FlagExpiry`` or ``WakeUp`` only for a node with a
+        stuck-at-1 input.  In practice a
         :class:`repro.obs.capture.DesRunObserver` (injected by the DES engine
         when observability is enabled) or a soak monitor; the network itself
         never imports :mod:`repro.obs`.
@@ -340,16 +340,13 @@ class HexNetwork:
                     )
             self._mask[index] = mask
             if sleeping:
-                wake_time = float(generator.uniform(0.0, self.timeouts.t_sleep_max))
                 self._ready[index] = 0
-                self._wake[index] = wake_time
-                self.queue.schedule(wake_time, _WAKE, index, 0)
+                self._wake[index] = float(generator.uniform(0.0, self.timeouts.t_sleep_max))
+                self._arm(index, _WAKE_BIT | mask)
             else:
                 self._ready[index] = 1
                 self._wake[index] = -_INF
-            for slot in range(4):
-                if mask >> slot & 1:
-                    self.queue.schedule(self._flags[4 * index + slot], _EXPIRY, index, slot)
+                self._arm(index, mask)
         # Nodes whose arbitrary initial flags already satisfy a guard fire as
         # soon as the run starts.
         self._fire_ready(running)
@@ -373,7 +370,7 @@ class HexNetwork:
             self._mask[index] = 0b1111
             for slot in range(4):
                 self._flags[4 * index + slot] = expiry
-                self.queue.schedule(expiry, _EXPIRY, index, slot)
+            self._arm(index, 0b1111)
         self._fire_ready(running)
 
     def _fire_ready(self, indices: List[int]) -> None:
@@ -431,7 +428,7 @@ class HexNetwork:
         if node[0] == 0:
             return
         index = self._index(node)
-        self._release(index, self._frontier)
+        self._deferred[index] = 0
         self._ready[index] = 1
         self._mask[index] = 0
         self._wake[index] = -_INF
@@ -498,7 +495,7 @@ class HexNetwork:
         # From now on the receiver's timers re-assert this input, so they
         # must be on the heap: settle the ones already due, queue the rest.
         self._settle(dest, self._frontier)
-        self._release(dest, self._frontier)
+        self._release(dest)
         self.queue.schedule(float(time), _HIGH, dest, src * 4 + slot)
 
     def _unregister_stuck_high_links(self, node: NodeId) -> None:
@@ -521,56 +518,76 @@ class HexNetwork:
     # ------------------------------------------------------------------
     # deferred timers
     # ------------------------------------------------------------------
+    def _arm(self, index: int, bits: int) -> None:
+        """Arm the timers ``bits`` of node ``index``, whose times are set.
+
+        The timers take their sequence numbers wake-up first, then flag
+        slots ascending; they are deferred, and queued only at a node with
+        a stuck-at-1 input.
+        """
+        next_seq = self.queue.sequence.__next__
+        soonest = _INF
+        if bits & _WAKE_BIT:
+            self._wake_seq[index] = next_seq()
+            soonest = self._wake[index]
+        for slot in _SLOTS[bits & 15]:
+            self._flag_seq[4 * index + slot] = next_seq()
+            soonest = min(soonest, self._flags[4 * index + slot])
+        self._deferred[index] = bits
+        self._soonest[index] = soonest
+        if index in self._high:
+            self._release(index)
+        else:
+            self.timers_deferred += len(_SLOTS[bits & 15]) + (bits >> 4)
+
     def _settle(self, index: int, bound: Tuple[float, float]) -> None:
         """Apply the deferred timers of node ``index`` keyed before ``bound``.
 
         These are the timers a queued loop would have popped by the time
-        it popped the ``(time, seq)`` key ``bound``.  A due wake-up makes the node
-        ready with no flag set, which leaves its other timers stale;
-        otherwise each due link timeout clears its flag.  The in-loop copy
-        of this rule is in :meth:`_execute`.
+        it popped the ``(time, seq)`` key ``bound``.  A due wake-up makes the
+        node ready with no flag set and drops its other timers, which it
+        voids; otherwise each due link timeout clears its flag, and
+        ``_soonest`` is recomputed from the timers left.
         """
         bits = self._deferred[index]
         if not bits:
             return
         if bits & _WAKE_BIT and (self._wake[index], self._wake_seq[index]) < bound:
-            self._deferred[index] = bits ^ _WAKE_BIT
-            self._release(index, bound)
+            self._deferred[index] = 0
             self._ready[index] = 1
             self._mask[index] = 0
             self._wake[index] = -_INF
             return
         flags, flag_seq = self._flags, self._flag_seq
         mask = self._mask[index]
+        soonest = self._wake[index] if bits & _WAKE_BIT else _INF
         for slot in _SLOTS[bits & 15]:
-            if (flags[4 * index + slot], flag_seq[4 * index + slot]) < bound:
+            due = flags[4 * index + slot]
+            if (due, flag_seq[4 * index + slot]) < bound:
                 mask &= ~(1 << slot)
                 bits ^= 1 << slot
+            elif due < soonest:
+                soonest = due
         self._mask[index] = mask
         self._deferred[index] = bits
+        self._soonest[index] = soonest
 
-    def _release(self, index: int, bound: Tuple[float, float]) -> None:
-        """Queue the deferred timers of node ``index`` keyed after ``bound``.
+    def _release(self, index: int) -> None:
+        """Queue the deferred timers of node ``index`` with their own keys.
 
-        Each keeps its ``(time, seq)``, so it pops where a queued loop would
-        have popped it; the earlier ones are dropped.  Called when the
-        node's state is reset (a wake-up or a heal), which makes the later
-        timers stale pops, and when a stuck-at-1 input makes its timers
-        re-assert that input.
+        Called only where a stuck-at-1 input makes the node's timers
+        re-assert it: by :meth:`_arm`, and at registration right after
+        :meth:`_settle`.  Each timer pops where a queued loop would have
+        popped it.
         """
         bits = self._deferred[index]
-        if not bits:
-            return
         self._deferred[index] = 0
         heap = self.queue.heap
         if bits & _WAKE_BIT:
-            key = (self._wake[index], self._wake_seq[index])
-            if key > bound:
-                heapq.heappush(heap, key + (_WAKE, index, 0))
+            heapq.heappush(heap, (self._wake[index], self._wake_seq[index], _WAKE, index, 0))
         for slot in _SLOTS[bits & 15]:
             key = (self._flags[4 * index + slot], self._flag_seq[4 * index + slot])
-            if key > bound:
-                heapq.heappush(heap, key + (_EXPIRY, index, slot))
+            heapq.heappush(heap, key + (_EXPIRY, index, slot))
 
     # ------------------------------------------------------------------
     # execution
@@ -611,11 +628,11 @@ class HexNetwork:
 
         Timers are deferred as the module docstring says.  Before an arrival
         acts on a node, after the stale/dropped checks and the link-timeout
-        draw, the loop settles the node's timers keyed before the largest
-        ``(time, seq)`` popped so far (an arrival may land up to 1e-12
-        before the event that sent it), unless the node's ``_soonest``
-        bound lies after that key's time.  On return it settles every timer a
-        queued loop would have popped: those at or before ``until``, or,
+        draw, :meth:`_settle` applies the node's timers keyed before the
+        largest ``(time, seq)`` popped so far (an arrival may land up to
+        1e-12 before the event that sent it), unless the node's ``_soonest``
+        bound lies after that key's time.  On return every timer a queued
+        loop would have popped is settled: those at or before ``until``, or,
         after an error, those before the largest popped key.
         """
         queue = self.queue
@@ -752,66 +769,25 @@ class HexNetwork:
                                 end = len(raw)
                             link_timeout = link_min + link_span * raw[at]
                             at += 1
-                        memorized = mask[node]
-                        bits = deferred[node]
-                        if bits and soonest[node] <= front_time:
-                            # Settle the node's deferred timers (:meth:`_settle`),
-                            # comparing ``(time, seq)`` keys exactly, as the
-                            # heap orders them.
-                            due = wake_at[node]
-                            if bits & _WAKE_BIT and (
-                                due < front_time or due == front_time and wake_seq[node] < front_seq
-                            ):
-                                # The wake-up clears every flag; the link
-                                # timers still ahead of the frontier go on
-                                # the heap as the stale pops they would be.
-                                for slot in _SLOTS[bits & 15]:
-                                    due = flags[4 * node + slot]
-                                    if due > front_time or (
-                                        due == front_time and flag_seq[4 * node + slot] > front_seq
-                                    ):
-                                        heappush(
-                                            heap,
-                                            (due, flag_seq[4 * node + slot], _EXPIRY, node, slot),
-                                        )
-                                bits = memorized = 0
-                                ready[node] = 1
-                                wake_at[node] = -_INF
-                            else:
-                                for slot in _SLOTS[bits & 15]:
-                                    due = flags[4 * node + slot]
-                                    if due < front_time or (
-                                        due == front_time and flag_seq[4 * node + slot] < front_seq
-                                    ):
-                                        memorized &= ~(1 << slot)
-                                        bits ^= 1 << slot
-                                if bits:
-                                    due = wake_at[node] if bits & _WAKE_BIT else _INF
-                                    for slot in _SLOTS[bits & 15]:
-                                        if flags[4 * node + slot] < due:
-                                            due = flags[4 * node + slot]
-                                    soonest[node] = due
+                        if deferred[node] and soonest[node] <= front_time:
+                            self._settle(node, (front_time, front_seq))
                         slot = arg & 3
-                        if memorized >> slot & 1:
-                            # A set flag absorbs the message.
-                            if bits != deferred[node]:
-                                mask[node] = memorized
-                                deferred[node] = bits
-                        else:
-                            # A clear flag is set and starts its link timer.
+                        memorized = mask[node]
+                        if not memorized >> slot & 1:
+                            # A clear flag is set and starts its link timer;
+                            # a set one absorbs the message.
                             expiry = time + link_timeout
                             memorized |= 1 << slot
+                            mask[node] = memorized
                             flags[4 * node + slot] = expiry
                             if high and node in high:
                                 heappush(heap, (expiry, next_seq(), _EXPIRY, node, slot))
                             else:
                                 flag_seq[4 * node + slot] = next_seq()
-                                if not bits or expiry < soonest[node]:
+                                if not deferred[node] or expiry < soonest[node]:
                                     soonest[node] = expiry
-                                bits |= 1 << slot
+                                deferred[node] |= 1 << slot
                                 held += 1
-                            mask[node] = memorized
-                            deferred[node] = bits
                         if ready[node] == 1 and _FIRES[memorized]:
                             send = 1
                 elif kind == _EXPIRY:
@@ -823,9 +799,9 @@ class HexNetwork:
                                 heappush(heap, (time, next_seq(), _HIGH, node, source * 4 + slot))
                 elif kind == _WAKE:
                     # Stale wake-ups (the node was reset since) are ignored.
+                    # A live one voids the node's deferred timers.
                     if ready[node] == 0 and abs(wake_at[node] - time) <= 1e-9:
-                        if deferred[node]:
-                            self._release(node, (front_time, front_seq))
+                        deferred[node] = 0
                         ready[node] = 1
                         mask[node] = 0
                         wake_at[node] = -_INF

@@ -8,7 +8,8 @@ here unchanged, with one adaptation to the present library: heap entries
 are the flat ``(time, seq, kind, node, arg)`` tuples the public scheduling
 methods now push, where the old loop carried ``(time, seq, (kind, node,
 arg))``.  It queues every link and sleep timer, which the present loop
-defers at nodes without a stuck-at-1 input.  ``tests/test_des_loop.py``
+defers at nodes without a stuck-at-1 input, initial-state timers included:
+its ``_arm`` always releases them to the heap.  ``tests/test_des_loop.py``
 compares the two loops on randomized runs: firings, pending events,
 scheduled-event and silent-skip counters and generator end state.
 """
@@ -43,6 +44,10 @@ class ReferenceHexNetwork(HexNetwork):
         self._uniform = self._stream.uniform if self._stream is not None else None
         draws_from_run = self.rng is not None and self.delays.rng is self.rng
         self._delay_uniform = self._uniform if draws_from_run else None
+
+    def _arm(self, index: int, bits: int) -> None:
+        super()._arm(index, bits)
+        self._release(index)
 
     def _fire_ready(self, indices: List[int]) -> None:
         try:

@@ -5,12 +5,15 @@ shipped before it inlined the firing, the broadcast and the draws, and
 before it deferred link and sleep timers: it queues every timer.  On
 randomized configurations -- every topology family, delay model, timer
 policy, initial state and fault kind, with ``run(until=...)`` called in
-slices -- the two must agree exactly: firings, memorized flags, pending
-events (the heap plus the deferred timers), scheduled-event and
+slices -- the two must agree exactly: firings, memorized flags, live
+pending events (the heap plus the deferred timers, less the entries the
+handlers would ignore), scheduled-event and
 silent-skip counters, the firings and adversary actions an observer sees
 and the generator's end state.  The events the loop pops are the
 reference's with some ``FlagExpiry`` / ``WakeUp`` events left out, so the
 processed-event counts and the time of the last popped event may differ.
+A wake-up or a heal drops the deferred timers it voids, where the reference
+keeps them queued until they pop and are ignored.
 """
 
 from __future__ import annotations
@@ -229,6 +232,22 @@ def _deferred_entries(network: HexNetwork) -> List[Tuple]:
     return entries
 
 
+def _live(network: HexNetwork, entry: Tuple) -> bool:
+    """Whether the ``_EXPIRY`` / ``_WAKE`` handler would act on a pending entry.
+
+    The checks are the handlers' own: an expiry acts only while its flag is
+    set with that expiry, a wake-up only while its node sleeps towards it.
+    """
+    time, _seq, kind, node, arg = entry
+    if kind == _EXPIRY:
+        return bool(network._mask[node] >> arg & 1) and abs(
+            network._flags[4 * node + arg] - time
+        ) <= 1e-12
+    if kind == _WAKE:
+        return network._ready[node] == 0 and abs(network._wake[node] - time) <= 1e-9
+    return True
+
+
 def _is_timer(entry: Tuple) -> bool:
     return entry[0] == "event" and type(entry[2]).__name__ in ("FlagExpiry", "WakeUp")
 
@@ -269,7 +288,11 @@ def _state(network: HexNetwork, generator=None) -> Dict:
     return {
         "firings": [network.firing_times(node) for node in nodes],
         "memorized": [network.memorized(node) for node in nodes],
-        "pending": sorted(queue.heap + _deferred_entries(network)),
+        "pending": sorted(
+            entry
+            for entry in queue.heap + _deferred_entries(network)
+            if _live(network, entry)
+        ),
         "num_scheduled": queue.num_scheduled,
         "stale_high_assertions": network.stale_high_assertions,
         "dropped_arrivals": network.dropped_arrivals,
@@ -354,10 +377,12 @@ def _capped(network_cls, config: Dict, max_events: int) -> HexNetwork:
 def test_event_cap_raises_after_the_same_event(case):
     """A capped run leaves the state of the reference stopped after the same
     last event: the reference pops the deferred timers too, so its cap is
-    the position of that event in its own sequence."""
+    the position of that event in its own sequence.  The loop's cap is half
+    the case's uncapped pop count."""
     config = dict(_case(case), observer="events")
-    network = _capped(HexNetwork, config, 60)
-    assert network.queue.num_processed == 61
+    cap = sum(_drive(HexNetwork, config)[2]) // 2
+    network = _capped(HexNetwork, config, cap)
+    assert network.queue.num_processed == cap + 1
     events = [entry for entry in network.observer.seen if entry[0] == "event"]
     full_run = _drive(ReferenceHexNetwork, config)[0]
     reference_events = [entry for entry in full_run.observer.seen if entry[0] == "event"]
@@ -555,9 +580,20 @@ def test_memorized_is_exact_between_run_slices():
         assert _state(networks[0]) == _state(networks[1])
 
 
-def test_link_timers_left_stale_by_a_wake_up_stay_pending():
+def _receiver_timers(network: HexNetwork, kind: int) -> List[Tuple]:
+    """The receiver's pending timers of ``kind``, queued or deferred."""
+    index = network._index(RECEIVER)
+    return [
+        entry
+        for entry in network.queue.heap + _deferred_entries(network)
+        if entry[2] == kind and entry[3] == index
+    ]
+
+
+def test_link_timers_voided_by_a_wake_up_are_dropped():
     """A flag armed late in the sleep expires after the wake-up clears it;
-    its timer is pending, as a stale event, across a slice boundary."""
+    the wake-up drops its timer, which the reference keeps queued as a
+    stale event across a slice boundary."""
     d, _t_link = _d_and_t_link()
     networks = [_small_network(cls) for cls in (HexNetwork, ReferenceHexNetwork)]
     for network in networks:
@@ -569,11 +605,19 @@ def test_link_timers_left_stale_by_a_wake_up_stay_pending():
         for network in networks:
             network.run(until=until)
         assert _state(networks[0]) == _state(networks[1])
+        if until == 52.0:
+            # Only the reference still holds the voided timers.
+            voided = [
+                [entry for entry in _receiver_timers(network, _EXPIRY) if not _live(network, entry)]
+                for network in networks
+            ]
+            assert not voided[0] and voided[1]
     assert networks[0].firing_times(RECEIVER) == [d, 43.0 + d]
 
 
-def test_heal_drops_the_timers_of_the_faulty_spell():
-    """After a heal, the wake-up the node was sleeping towards is void."""
+def test_heal_drops_the_timers_it_voids():
+    """A heal voids the wake-up the node was sleeping towards, and drops it
+    where the reference keeps it queued."""
     d, _t_link = _d_and_t_link()
     states = []
     for network_cls in (HexNetwork, ReferenceHexNetwork):
@@ -594,6 +638,11 @@ def test_heal_drops_the_timers_of_the_faulty_spell():
         for until in (20.0, 100.0):
             network.run(until=until)
             slices.append(_state(network))
+            if until == 20.0:
+                # Only the reference still holds the voided wake-up.
+                wakes = _receiver_timers(network, _WAKE)
+                assert len(wakes) == (network_cls is ReferenceHexNetwork)
+                assert not any(_live(network, entry) for entry in wakes)
         states.append(slices)
         assert network.firing_times(RECEIVER) == [d, 44.0 + d]
     assert states[0] == states[1]
@@ -632,3 +681,59 @@ def test_a_later_flag_that_expires_first_is_settled():
         assert network.memorized(RECEIVER)[Direction.LOWER_LEFT] > middle
         states.append(_state(network, network.rng))
     assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("initial_states", ["random", "adversarial"])
+def test_initial_state_timers_are_deferred_without_a_stuck_at_one_input(initial_states):
+    """With no stuck-at-1 input anywhere, no timer is ever popped, initial
+    states' timers included, and the run still matches the reference."""
+    for case in range(0, NUM_CASES, 8):
+        config = dict(_case(case), initial_states=initial_states, faults="none", observer="events")
+        network, generator, _ = _drive(HexNetwork, config)
+        reference, reference_generator, _ = _drive(ReferenceHexNetwork, config)
+        assert not network._high
+        assert not any(_is_timer(entry) for entry in network.observer.seen)
+        assert any(_is_timer(entry) for entry in reference.observer.seen)
+        _assert_same_state(network, generator, reference, reference_generator)
+
+
+@pytest.mark.parametrize("initial_states", ["random", "adversarial"])
+def test_initial_state_timers_of_a_stuck_at_one_receiver_are_queued(initial_states):
+    """A receiver with a static stuck-at-1 input gets its initial timers on
+    the heap, each with its own ``(time, seq)`` key."""
+    timing = TimingConfig.paper_defaults()
+    states = []
+    for network_cls in (HexNetwork, ReferenceHexNetwork):
+        grid = HexGrid(layers=3, width=4)
+        timeouts = scenario_stabilization_timeouts(Scenario.ZERO, 4, 3, 1, timing)
+        network = network_cls(
+            grid,
+            timing,
+            timeouts,
+            ConstantDelays(timing.d_max),
+            FaultModel(grid, [_stuck_at_one_from(grid, (0, 0))]),
+            rng=np.random.default_rng(4),
+        )
+        network.initialize()
+        if initial_states == "random":
+            network.apply_random_initial_states()
+        else:
+            network.apply_adversarial_initial_states()
+        index = network._index(RECEIVER)
+        assert network.stuck_high_inputs(RECEIVER) and not network._deferred[index]
+        expiries = _receiver_timers(network, _EXPIRY)
+        wakes = _receiver_timers(network, _WAKE)
+        assert expiries and [entry[:2] for entry in sorted(expiries)] == sorted(
+            (flag, network._flag_seq[4 * index + slot])
+            for slot, flag in enumerate(network._flags[4 * index : 4 * index + 4])
+            if network._mask[index] >> slot & 1
+        )
+        # The random state lets the receiver sleep; the adversarial one
+        # fires it at time 0, so its wake-up is the loop's.
+        assert network._ready[index] == 0 and len(wakes) == 1
+        if initial_states == "random":
+            assert wakes[0][:2] == (network._wake[index], network._wake_seq[index])
+        states.append((sorted(expiries + wakes), _state(network, network.rng)))
+        network.run(until=200.0)
+        states.append(_state(network, network.rng))
+    assert states[:2] == states[2:]

@@ -52,7 +52,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -411,19 +411,23 @@ class CampaignRunner:
             span.set(tasks=len(tasks))
 
         cached: Dict[str, Union[StoredRecord, RunRecord]] = {}
+        unsummed: Set[str] = set()
         if self.store is not None and self.resume:
-            cached = self.store.load(self.spec)
+            cached = self.store.load(self.spec, unsummed)
 
         by_index: Dict[int, Union[StoredRecord, RunRecord]] = {}
         pending: List[Tuple[int, RunTask]] = []
+        #: Hits from lines with no sum, framed anew once the shard is open.
+        reframed: List[RunRecord] = []
         verbatim = 0
         for index, task in enumerate(tasks):
             # Hashing every task is only worthwhile when there is a cache to
             # probe; the executor stamps record keys itself.
-            hit = None
+            hit = key = None
             if cached:
                 params = task.to_json_dict()
-                hit = cached.get(task_key(params))
+                key = task_key(params)
+                hit = cached.get(key)
             if hit is None:
                 pending.append((index, task))
             elif type(hit) is StoredRecord and _in_place(hit.text, task, params):
@@ -440,13 +444,18 @@ class CampaignRunner:
                 # text, so the copy re-encodes.
                 if type(hit) is StoredRecord:
                     hit = hit.decode()
-                by_index[index] = dataclasses.replace(
+                record = by_index[index] = dataclasses.replace(
                     hit,
                     cell_index=task.cell_index,
                     point_index=task.point_index,
                     run_index=task.run_index,
                     params=params,
                 )
+                if key in unsummed:
+                    # A line with no sum (an older writer): frame it anew,
+                    # once, so the next resume serves it verbatim.
+                    unsummed.discard(key)
+                    reframed.append(record)
 
         if self.progress is not None:
             self.progress.start(cached=len(by_index))
@@ -462,6 +471,8 @@ class CampaignRunner:
             else None
         )
         try:
+            for record in reframed:
+                writer_ctx.append(record)
             for index, record in self._execute_pending(pending):
                 by_index[index] = record
                 result.executed += 1

@@ -34,7 +34,10 @@ interrupted campaigns resumable and repeat invocations instant:
   corrupted bytes that still parse, another record format) -- is decoded
   into a :class:`~repro.campaign.records.RunRecord` that re-encodes its
   text; lines whose sum fails are counted as ``store.lines_unverified`` and
-  warned about once per load.
+  warned about once per load.  A resume appends a framed line for each hit
+  it served from a line with no sum, so the next resume serves it verbatim;
+  a line whose sum fails is never re-framed, which would vouch for
+  unproven content.
 * **One writer per shard.**  A :class:`ShardWriter` holds an advisory
   exclusive ``flock`` on its shard while open; a second writer (another
   sweep on the same store and campaign name) fails at once instead of
@@ -50,7 +53,7 @@ import os
 import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro import obs
 from repro.campaign.records import SCHEMA, RunRecord, StoredRecord
@@ -218,7 +221,9 @@ class CampaignStore:
         """
         return self.root / f"{spec.name}.jsonl"
 
-    def load(self, spec: CampaignSpec) -> Dict[str, Union[StoredRecord, RunRecord]]:
+    def load(
+        self, spec: CampaignSpec, unsummed: Optional[Set[str]] = None
+    ) -> Dict[str, Union[StoredRecord, RunRecord]]:
         """All completed records of a campaign, keyed by task hash.
 
         A line whose sum verifies loads as a
@@ -231,14 +236,17 @@ class CampaignStore:
         Malformed lines (typically a torn final line after an interrupt) are
         skipped, counted as ``store.lines_skipped`` and reported in one
         ``RuntimeWarning`` per load.  Duplicate keys keep the last occurrence.
-        The ``store.load`` span carries the counts of lines, verified,
-        unverified and skipped.
+        The keys whose record comes from a line with no sum are added to
+        ``unsummed``, when given.  The ``store.load`` span carries the counts
+        of lines, verified, unverified and skipped.
         """
         path = self.shard_path(spec)
         records: Dict[str, Union[StoredRecord, RunRecord]] = {}
         if not path.exists():
             return records
         lines = verified = unverified = skipped = 0
+        if unsummed is None:
+            unsummed = set()
         with obs.span("store.load", shard=path.name) as span:
             with open(path, "rb") as handle:
                 for line in handle:
@@ -249,6 +257,7 @@ class CampaignStore:
                     stored = _verified(line)
                     if stored is not None:
                         records[stored[0]] = stored[1]
+                        unsummed.discard(stored[0])
                         verified += 1
                         continue
                     try:
@@ -258,7 +267,11 @@ class CampaignStore:
                     except (AttributeError, KeyError, TypeError, ValueError):
                         skipped += 1
                         continue
-                    unverified += "sum" in payload
+                    if "sum" in payload:
+                        unverified += 1
+                        unsummed.discard(key)
+                    else:
+                        unsummed.add(key)
             span.set(lines=lines, verified=verified, unverified=unverified, skipped=skipped)
         if skipped:
             obs.inc("store.lines_skipped", skipped)

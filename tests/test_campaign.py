@@ -692,6 +692,61 @@ class TestCanonicalStore:
             assert session.registry.counter("store.lines_unverified") == 0
         assert resumed_out.read_bytes() == fresh_out.read_bytes()
 
+    def test_resume_frames_sum_less_hits_so_the_next_serves_them_verbatim(self, tmp_path):
+        """A resume appends one framed, summed line per hit it read from a
+        line with no ``sum``; the next resume serves all of them as stored."""
+        base = [
+            "sweep", "--layers", "6", "--width", "5", "--scenarios", "i,iii",
+            "--faults", "0,1", "--runs", "3", "--seed", "5", "--name", "t", "--quiet",
+            "--store", str(tmp_path / "store"),
+        ]
+        fresh_out = tmp_path / "fresh.jsonl"
+        assert main(base + ["--out", str(fresh_out)]) == 0
+        shard = tmp_path / "store" / "t.jsonl"
+        stripped = []
+        for line in shard.read_text(encoding="utf-8").splitlines():
+            payload = json.loads(line)
+            del payload["sum"]
+            stripped.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        shard.write_text("\n".join(stripped) + "\n", encoding="utf-8")
+        hits = []
+        for name in ("first", "second"):
+            with obs.observed(metrics=True) as session, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = tmp_path / f"{name}.jsonl"
+                assert main(base + ["--resume", "--out", str(out)]) == 0
+                registry = session.registry
+                hits.append(
+                    (
+                        registry.counter("campaign.hits_verbatim"),
+                        registry.counter("campaign.hits_reencoded"),
+                    )
+                )
+            assert out.read_bytes() == fresh_out.read_bytes()
+        assert hits == [(0, 12), (12, 0)]
+        lines = shard.read_text(encoding="utf-8").splitlines()
+        assert lines[:12] == stripped and len(lines) == 24
+        loaded = CampaignStore(shard.parent).load(dataclasses.replace(small_spec(), name="t"))
+        assert all(type(record) is StoredRecord for record in loaded.values())
+
+    def test_failing_sum_line_is_reencoded_and_warned_about_on_every_resume(self, tmp_path):
+        """A line whose sum fails is never framed anew, which would vouch for
+        its unproven content."""
+        spec = small_spec(runs=2, num_faults=0)
+        store = CampaignStore(tmp_path)
+        CampaignRunner(spec, store=store).run()
+        shard = store.shard_path(spec)
+        lines = shard.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace('"wall_time_s":', '"wall_time_s":1', 1)
+        shard.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for _ in range(2):
+            with obs.observed(metrics=True) as session:
+                with pytest.warns(RuntimeWarning, match="1 line.*failed their checksum"):
+                    CampaignRunner(spec, store=store, resume=True).run()
+                assert session.registry.counter("campaign.hits_reencoded") == 1.0
+                assert session.registry.counter("store.lines_unverified") == 1.0
+            assert shard.read_text(encoding="utf-8").splitlines() == lines
+
     def test_replace_drops_the_stored_text(self, tmp_path):
         spec = small_spec(runs=1)
         store = CampaignStore(tmp_path)

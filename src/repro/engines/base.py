@@ -231,10 +231,6 @@ def _spec_has_deterministic_delays(spec: "RunSpec") -> bool:
     return spec.effective_delay_model() in DETERMINISTIC_DELAY_MODELS
 
 
-def _spec_has_constant_delays(spec: "RunSpec") -> bool:
-    return spec.effective_delay_model() == "constant"
-
-
 #: The named predicates an exactness contract can condition on
 #: (:attr:`EngineCapabilities.exact_when`).  Each maps a spec to whether the
 #: regime holds for it:
@@ -242,13 +238,10 @@ def _spec_has_constant_delays(spec: "RunSpec") -> bool:
 #: * ``"fault_free"`` -- no static faults and no dynamic fault schedule;
 #: * ``"deterministic_delays"`` -- the effective delay model draws nothing
 #:   (see :data:`DETERMINISTIC_DELAY_MODELS`), so every engine sees the same
-#:   per-link delay values;
-#: * ``"constant_delays"`` -- the paper's uniform-delay idealisation
-#:   (every link ``d+``), a strict subset of ``"deterministic_delays"``.
+#:   per-link delay values.
 EXACTNESS_PREDICATES: Dict[str, Any] = {
     "fault_free": _spec_is_fault_free,
     "deterministic_delays": _spec_has_deterministic_delays,
-    "constant_delays": _spec_has_constant_delays,
 }
 
 

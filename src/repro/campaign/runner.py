@@ -417,7 +417,6 @@ class CampaignRunner:
 
         by_index: Dict[int, Union[StoredRecord, RunRecord]] = {}
         pending: List[Tuple[int, RunTask]] = []
-        #: Hits from lines with no sum, framed anew once the shard is open.
         reframed: List[RunRecord] = []
         verbatim = 0
         for index, task in enumerate(tasks):
@@ -452,8 +451,9 @@ class CampaignRunner:
                     params=params,
                 )
                 if key in unsummed:
-                    # A line with no sum (an older writer): frame it anew,
-                    # once, so the next resume serves it verbatim.
+                    # A line with no sum (an older writer): frame it anew
+                    # once the shard is open, so the next resume serves it
+                    # verbatim.
                     unsummed.discard(key)
                     reframed.append(record)
 

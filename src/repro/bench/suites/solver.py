@@ -606,10 +606,9 @@ _case(
 # the dense numpy-frontier engine honest at that scale.  The timed workload is
 # always the array engine (so the tracked baseline follows its performance);
 # the shape checks replay the same specs on the reference solver to pin
-# the exactness contract (bit-identical under deterministic delays) and the
-# >= 10x speedup the engine exists for.  All checks run in quick mode too:
-# they are deterministic, and the CI perf job is exactly where a perf or
-# exactness regression must fail.
+# bit-identity under deterministic delays and the >= 10x speedup the engine
+# exists for.  All checks run in quick mode too: they are deterministic, and
+# the CI perf job is exactly where a perf or agreement regression must fail.
 
 
 def get_array_engine():

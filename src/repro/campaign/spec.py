@@ -44,7 +44,6 @@ from repro.core.parameters import TimerPolicy, TimingConfig
 from repro.engines import Engine, RunSpec, get_engine
 from repro.engines.base import (
     DELAY_MODELS,
-    EXACTNESS,
     INITIAL_STATES,
     KINDS,
     canonical_fault_type,
@@ -54,7 +53,6 @@ from repro.engines.base import (
     canonical_timeouts,
     canonical_timer_policy,
     content_key,
-    require_exactness,
     require_support,
 )
 from repro.faults.models import FaultType
@@ -184,17 +182,6 @@ delay_model, fault_schedule, topology:
         historical random-initial-states behaviour.
     label:
         Free-form tag carried through to the records (e.g. ``"byzantine"``).
-    require_exactness:
-        Optional exactness requirement (one of
-        :data:`~repro.engines.base.EXACTNESS`) every ``(engine, delay_model,
-        num_faults, fault_schedule)`` pairing of the cell must satisfy per
-        the engines' declared contracts
-        (:attr:`~repro.engines.base.EngineCapabilities.exactness`).  Checked
-        at build time via :func:`repro.engines.base.require_exactness`, so a
-        cell that *assumes* cross-engine bit-identity (e.g. an engine-axis
-        comparison sweep) fails with a contract error instead of producing
-        silently diverging numbers.  ``None`` (the default) requires nothing
-        and is omitted from the canonical JSON, preserving content keys.
     """
 
     layers: Tuple[int, ...] = (50,)
@@ -216,7 +203,6 @@ delay_model, fault_schedule, topology:
     timeouts: Optional[Tuple[float, ...]] = None
     initial_states: Optional[str] = None
     label: str = ""
-    require_exactness: Optional[str] = None
 
     def __post_init__(self) -> None:
         coerce = object.__setattr__
@@ -291,14 +277,8 @@ delay_model, fault_schedule, topology:
         # Engine pairings fail at build time, not mid-campaign (which would
         # lose the completed work): every pairing of the executing engines
         # with the topology, delay_model, num_faults and fault_schedule axes
-        # is probed through the engines' own capability rule and, when the
-        # cell sets one, the exactness requirement.  The other axes never
-        # change what an engine can run.
-        if self.require_exactness is not None and self.require_exactness not in EXACTNESS:
-            raise ValueError(
-                f"unknown require_exactness {self.require_exactness!r}; "
-                f"expected one of {EXACTNESS} (or None)"
-            )
+        # is probed through the engines' own capability rule.  The other
+        # axes never change what an engine can run.
         backends = dict.fromkeys(executing_engine(self.kind, name) for name in self.engine)
         for backend, topology, delay_model, num_faults, schedule in itertools.product(
             backends, self.topology, self.delay_model, self.num_faults, self.fault_schedule
@@ -313,14 +293,6 @@ delay_model, fault_schedule, topology:
                 fault_schedule=schedule,
             )
             require_support(backend, probe)
-            if self.require_exactness is not None:
-                try:
-                    require_exactness(backend, probe, self.require_exactness)
-                except ValueError as error:
-                    raise ValueError(
-                        "cell cannot guarantee "
-                        f"require_exactness={self.require_exactness!r}: {error}"
-                    ) from error
 
     @property
     def num_points(self) -> int:
@@ -340,9 +312,8 @@ delay_model, fault_schedule, topology:
 
         The adversary fields (``delay_model``, ``fault_schedule``,
         ``initial_states``) are omitted at their defaults -- and ``topology``
-        at the all-cylinder default, and ``require_exactness`` at ``None`` --
-        so cells that do not use those layers serialize -- and hash --
-        exactly as before the layers existed.
+        at the all-cylinder default -- so cells that do not use those layers
+        serialize -- and hash -- exactly as before the layers existed.
         """
         payload: Dict[str, Any] = {}
         for spec_field in fields(self):
@@ -362,7 +333,7 @@ delay_model, fault_schedule, topology:
                 if value == (DEFAULT_TOPOLOGY,):
                     continue
                 value = list(value)
-            elif spec_field.name in ("initial_states", "require_exactness"):
+            elif spec_field.name == "initial_states":
                 if value is None:
                     continue
             elif isinstance(value, tuple):

@@ -109,7 +109,6 @@ def _build_omission_manifests() -> List[OmissionManifest]:
                 "fault_schedule",
                 "topology",
                 "initial_states",
-                "require_exactness",
             ),
             probes={
                 "delay_model": lambda: SweepSpec(delay_model=("uniform",)),
@@ -120,11 +119,6 @@ def _build_omission_manifests() -> List[OmissionManifest]:
                 "topology": lambda: SweepSpec(topology=("torus",)),
                 "initial_states": lambda: SweepSpec(
                     kind="multi_pulse", initial_states="clean"
-                ),
-                # The solver's contract is unconditionally bit-identical, so
-                # the requirement is satisfiable with all other defaults.
-                "require_exactness": lambda: SweepSpec(
-                    require_exactness="bit_identical"
                 ),
             },
         ),
@@ -288,16 +282,14 @@ def _build_golden_specs() -> Dict[str, Tuple[Callable[[], str], str]]:
 
     def array_sweep() -> SweepSpec:
         # The canonical array-engine comparison cell: engine axis pairing the
-        # solver with the dense frontier, deterministic delay models,
-        # and an explicit bit-identity requirement.  Pins both the engine
-        # name's spelling in the axis and the require_exactness field.
+        # solver with the dense frontier under the deterministic delay
+        # models.  Pins the engine name's spelling in the axis.
         return SweepSpec(
             layers=(8,),
             width=(8,),
             engine=("solver", "array"),
             delay_model=("constant", "max_skew"),
             runs=2,
-            require_exactness="bit_identical",
         )
 
     return {
@@ -336,9 +328,9 @@ def _build_golden_specs() -> Dict[str, Tuple[Callable[[], str], str]]:
             ).key(),
             "6006a46d90e6431c3524bfd4302b4fe2",
         ),
-        "sweepspec-array-exact": (
+        "sweepspec-array": (
             lambda: content_key(array_sweep().to_json_dict()),
-            "da74d277b5482ad3788e213aec21a854",
+            "4055c0cbfec142bc3fa83ade36ea86a4",
         ),
         "campaign-golden": (
             lambda: campaign().key(),
@@ -417,8 +409,8 @@ def golden_key_findings(
     severity="error",
     doc=(
         "Defaulted spec fields (RunSpec topology/fault_schedule/initial_states; "
-        "SweepSpec delay_model/fault_schedule/topology/initial_states/"
-        "require_exactness; RunTask delay_model/fault_schedule/topology/"
+        "SweepSpec delay_model/fault_schedule/topology/initial_states; "
+        "RunTask delay_model/fault_schedule/topology/"
         "initial_states; SoakSpec fault_type/initial_states) must be omitted "
         "from canonical JSON at their default "
         "and present otherwise, so adding a defaulted field never renames "

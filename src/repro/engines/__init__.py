@@ -22,11 +22,9 @@ Built-in engines: ``solver`` (:class:`~repro.engines.solver.SolverEngine`),
 (:class:`~repro.engines.clocktree.ClockTreeEngine`) and ``array``
 (:class:`~repro.engines.array.ArrayEngine`, the dense numpy-frontier fast
 path for very large fault-free grids).  The registry lists them by name and
-imports each engine's module on its first :func:`get_engine` call.  Each
-declares an *exactness contract* in its capabilities
-(:attr:`~repro.engines.base.EngineCapabilities.exactness`), so callers and
-tests derive agreement expectations from the contract instead of switching on
-engine names.
+imports each engine's module on its first :func:`get_engine` call.
+Capabilities say what an engine can run; how closely two engines agree is
+stated by the agreement tests in ``tests/test_engines.py``.
 
 >>> from repro.engines import RunSpec, get_engine
 >>> spec = RunSpec(kind="single_pulse", layers=10, width=8, scenario="iii",
@@ -34,8 +32,8 @@ engine names.
 >>> result = get_engine("solver").run(spec)
 >>> result.all_correct_triggered()
 True
->>> get_engine("array").capabilities.exactness
-'bit_identical'
+>>> get_engine("array").capabilities.kinds
+('single_pulse',)
 """
 
 from repro.engines.base import Engine, EngineCapabilities, RunResult, RunSpec, generic_run_batch

@@ -27,21 +27,20 @@ with whole-row vectorized relaxation instead of the window sweep of
   practice, capped at ``width + 3`` -- lateral chains longer than the ring
   strictly increase with positive delays, so they can never win).
 
-Exactness contract
-------------------
+Agreement with the solver
+-------------------------
 Starting from ``+inf`` the relaxation is monotone non-increasing, so it
 converges to the *greatest* fixed point -- which, with strictly positive
 delays, is the unique fixed point the solver's window sweep fires.  At
 the fixed point every value is produced by the same IEEE ``min`` / ``max`` /
 ``add`` operations on the same operands as the solver's winning guard, so
 whenever both engines see the same per-link delay *values* the results are
-**bit-identical** -- which is exactly the fault-free x deterministic-delays
-regime declared in the capabilities (``exact_when = ("fault_free",
-"deterministic_delays")``; see :data:`~repro.engines.base.
-DETERMINISTIC_DELAY_MODELS`).  Random delay models draw lazily *in traversal
-order*, so two engines observe different per-link values; there the engine
-falls back to the ``tolerance=1.0`` claim: every result lies pointwise inside
-the per-spec delay envelope ``[T_lo, T_hi]`` of :func:`delay_envelope`.
+bit-identical.  The delay models that draw nothing (``constant`` and
+``max_skew``) give every engine the same values.  The random models draw
+lazily *in traversal order*, so the two engines observe different per-link
+values; a result then still lies pointwise between the fixed points under
+all-``d-`` and all-``d+`` delays, since trigger times are monotone in every
+link delay.
 
 Randomness contract (same as the solver): draws come only from the run's
 generator, layer-0 scenario first, then the delay model.  Fault injection is
@@ -73,7 +72,7 @@ from repro.engines.base import (
 )
 from repro.simulation.links import ConstantDelays, DelayModel
 
-__all__ = ["ArrayEngine", "ArrayPlan", "array_plan", "delay_envelope"]
+__all__ = ["ArrayEngine", "ArrayPlan", "array_plan"]
 
 #: Cap on batched cells (``batch x rows x width``) processed per relaxation
 #: call; larger grid-sharing groups are chunked to bound peak memory.  The
@@ -255,39 +254,6 @@ def _stack_planes(
     }
 
 
-def delay_envelope(spec: RunSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """The per-node trigger-time envelope ``[T_lo, T_hi]`` of a spec.
-
-    ``T_lo`` / ``T_hi`` are the fixed points under all-``d-`` / all-``d+``
-    constant link delays.  Trigger times are monotone increasing in every
-    link delay (they are min/max/plus expressions of them), so *any*
-    fault-free execution whose delays respect the ``[d-, d+]`` bounds lands
-    pointwise inside the envelope -- this is the yardstick the ``tolerance``
-    exactness contract is expressed in (``tolerance=1.0`` means "inside the
-    envelope"; see :class:`~repro.engines.base.EngineCapabilities`).
-
-    The layer-0 rows of both bounds equal the spec's scenario firing times
-    (drawn from the spec's own generator, i.e. exactly the values every
-    engine observes); absent nodes are ``nan`` in both bounds.
-    """
-    grid = spec.make_grid()
-    plan = array_plan(grid)
-    timing = spec.make_timing()
-    layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=spec.rng())
-    layer0 = validate_layer0(grid, layer0)
-    bounds: List[np.ndarray] = []
-    for delay in (timing.d_min, timing.d_max):
-        planes = _delay_planes(plan, ConstantDelays(delay))
-        stacked = {
-            direction: plane[np.newaxis] for direction, plane in planes.items()
-        }
-        trigger, _, _ = _relax(plan, layer0[np.newaxis, :], stacked)
-        bound = trigger[0]
-        bound[~plan.presence] = math.nan
-        bounds.append(bound)
-    return bounds[0], bounds[1]
-
-
 class ArrayEngine:
     """Dense vectorized single-pulse engine (the large-grid fast path).
 
@@ -303,9 +269,6 @@ class ArrayEngine:
         kinds=("single_pulse",),
         supports_faults=False,
         supported_topologies=("cylinder", "torus", "patch", "degraded"),
-        exactness="bit_identical",
-        tolerance=1.0,
-        exact_when=("fault_free", "deterministic_delays"),
         description="dense numpy-frontier single-pulse relaxation (large grids)",
     )
 

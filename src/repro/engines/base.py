@@ -77,9 +77,6 @@ if TYPE_CHECKING:
 __all__ = [
     "KINDS",
     "DELAY_MODELS",
-    "DETERMINISTIC_DELAY_MODELS",
-    "EXACTNESS",
-    "EXACTNESS_PREDICATES",
     "INITIAL_STATES",
     "EngineCapabilities",
     "Engine",
@@ -102,16 +99,8 @@ KINDS = ("single_pulse", "multi_pulse")
 #: model.  ``"max_skew"`` and ``"biased"`` are the delay *adversaries* of
 #: :mod:`repro.adversary.delays`, still confined to ``[d-, d+]``.
 #: ``"constant"`` fixes every link to ``d+`` (the paper's uniform-delay
-#: idealisation) -- the regime in which all exact engines agree bit for bit.
+#: idealisation).
 DELAY_MODELS = ("default", "uniform", "fresh", "max_skew", "biased", "constant")
-
-#: Delay models whose per-link delay *values* are pure functions of the spec
-#: (no generator draws).  Engines that compute the same fixed point with the
-#: same IEEE operations produce bit-identical results exactly when the
-#: operand delays match, which only deterministic models can guarantee across
-#: engines with different link-traversal orders (the random models draw
-#: lazily *in traversal order*, so two engines see different values).
-DETERMINISTIC_DELAY_MODELS = ("constant", "max_skew")
 
 #: Initial-state policies of multi-pulse runs.  ``None`` on a spec defers to
 #: the historical ``random_initial_states`` flag; ``"adversarial"`` starts
@@ -218,33 +207,6 @@ def validate_layer0(grid: HexGrid, layer0_times: Sequence[float]) -> np.ndarray:
 # ----------------------------------------------------------------------
 # capabilities & protocol
 # ----------------------------------------------------------------------
-#: The exactness levels an engine can promise (see
-#: :attr:`EngineCapabilities.exactness`).
-EXACTNESS = ("bit_identical", "tolerance")
-
-
-def _spec_is_fault_free(spec: "RunSpec") -> bool:
-    return spec.num_faults == 0 and spec.fault_schedule is None
-
-
-def _spec_has_deterministic_delays(spec: "RunSpec") -> bool:
-    return spec.effective_delay_model() in DETERMINISTIC_DELAY_MODELS
-
-
-#: The named predicates an exactness contract can condition on
-#: (:attr:`EngineCapabilities.exact_when`).  Each maps a spec to whether the
-#: regime holds for it:
-#:
-#: * ``"fault_free"`` -- no static faults and no dynamic fault schedule;
-#: * ``"deterministic_delays"`` -- the effective delay model draws nothing
-#:   (see :data:`DETERMINISTIC_DELAY_MODELS`), so every engine sees the same
-#:   per-link delay values.
-EXACTNESS_PREDICATES: Dict[str, Any] = {
-    "fault_free": _spec_is_fault_free,
-    "deterministic_delays": _spec_has_deterministic_delays,
-}
-
-
 @dataclass(frozen=True)
 class EngineCapabilities:
     """What an execution engine supports.
@@ -270,32 +232,6 @@ class EngineCapabilities:
         Specs naming an unsupported topology fail early via
         :func:`require_support`, and :class:`SweepSpec` rejects the pairing
         at build time.
-    exactness:
-        The engine's *exactness contract* against the reference semantics
-        (the analytic solver's fixed point), one of :data:`EXACTNESS`:
-
-        * ``"bit_identical"`` -- results are bitwise equal to the reference
-          whenever every :attr:`exact_when` predicate holds on the spec (an
-          empty ``exact_when`` claims it unconditionally).  Outside that
-          regime the engine falls back to the :attr:`tolerance` claim, if
-          one is declared.
-        * ``"tolerance"`` -- no bitwise claim; results agree with the
-          reference only within :attr:`tolerance` (``None`` disclaims any
-          quantitative agreement, e.g. for baselines computing a different
-          physical model).
-
-        Consumers -- the agreement tests, ``SweepSpec`` build-time checks and
-        ``hex-repro engines`` -- read the contract from here instead of
-        switching on engine names.
-    tolerance:
-        Agreement bound as a multiplier on the per-spec *delay envelope*
-        ``[T_lo(v), T_hi(v)]`` (the fixed points under all-``d-`` and
-        all-``d+`` link delays; see ``repro.engines.array.delay_envelope``).
-        ``1.0`` means every fault-free result lies inside the envelope
-        pointwise; ``None`` means no quantitative claim.
-    exact_when:
-        Predicate names from :data:`EXACTNESS_PREDICATES` gating the
-        ``"bit_identical"`` claim.  Test :meth:`is_exact_for` against a spec.
     description:
         One-line human-readable summary (shown by ``hex-repro engines``).
     """
@@ -304,9 +240,6 @@ class EngineCapabilities:
     supports_faults: bool = True
     supports_fault_schedules: bool = False
     supported_topologies: Tuple[str, ...] = (DEFAULT_TOPOLOGY,)
-    exactness: str = "tolerance"
-    tolerance: Optional[float] = None
-    exact_when: Tuple[str, ...] = ()
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -315,45 +248,10 @@ class EngineCapabilities:
                 raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
         if not self.supported_topologies:
             raise ValueError("supported_topologies must name at least one family (or '*')")
-        if self.exactness not in EXACTNESS:
-            raise ValueError(
-                f"unknown exactness {self.exactness!r}; expected one of {EXACTNESS}"
-            )
-        for predicate in self.exact_when:
-            if predicate not in EXACTNESS_PREDICATES:
-                raise ValueError(
-                    f"unknown exact_when predicate {predicate!r}; expected names "
-                    f"from {tuple(sorted(EXACTNESS_PREDICATES))}"
-                )
-        if self.exact_when and self.exactness != "bit_identical":
-            raise ValueError(
-                "exact_when predicates only gate a 'bit_identical' contract; "
-                f"got exactness={self.exactness!r}"
-            )
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
     def supports_topology(self, family: str) -> bool:
         """Whether the engine can execute grids of a topology family."""
         return "*" in self.supported_topologies or family in self.supported_topologies
-
-    def is_exact_for(self, spec: "RunSpec") -> bool:
-        """Whether the contract claims bit-identical results for ``spec``."""
-        if self.exactness != "bit_identical":
-            return False
-        return all(
-            EXACTNESS_PREDICATES[predicate](spec) for predicate in self.exact_when
-        )
-
-    def exactness_summary(self) -> str:
-        """One phrase describing the exactness contract."""
-        if self.exactness == "bit_identical":
-            if not self.exact_when:
-                return "bit-identical"
-            return "bit-identical when " + "+".join(self.exact_when)
-        if self.tolerance is None:
-            return "no agreement claim"
-        return f"within {self.tolerance:g}x delay envelope"
 
     def summary(self) -> str:
         """Compact capability listing, e.g. ``"single_pulse, multi_pulse; faults"``."""
@@ -365,7 +263,6 @@ class EngineCapabilities:
             parts.append("all topologies")
         elif self.supported_topologies != (DEFAULT_TOPOLOGY,):
             parts.append("topologies: " + ", ".join(self.supported_topologies))
-        parts.append(self.exactness_summary())
         return "; ".join(parts)
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -375,9 +272,6 @@ class EngineCapabilities:
             "supports_faults": self.supports_faults,
             "supports_fault_schedules": self.supports_fault_schedules,
             "supported_topologies": list(self.supported_topologies),
-            "exactness": self.exactness,
-            "tolerance": self.tolerance,
-            "exact_when": list(self.exact_when),
             "description": self.description,
         }
 
@@ -465,50 +359,6 @@ def require_support(engine: Engine, spec: "RunSpec") -> None:
             f"engine {engine.name!r} does not support topology {spec.topology!r} "
             f"(family {family!r}; supported: {supported}); run the spec on a "
             "hex engine ('solver'/'des'), or keep this engine on the cylinder"
-        )
-
-
-def require_exactness(engine: Engine, spec: "RunSpec", exactness: str) -> None:
-    """Raise a clean contract error when ``engine`` cannot promise ``exactness``.
-
-    The validation counterpart of the exactness contract: callers that need a
-    guaranteed agreement level (e.g. a campaign cell declaring
-    ``require_exactness="bit_identical"``) check it here *before* running,
-    with an error that names the unmet predicates instead of surfacing as a
-    silent numeric mismatch downstream.
-    """
-    if exactness not in EXACTNESS:
-        raise ValueError(
-            f"unknown exactness requirement {exactness!r}; expected one of {EXACTNESS}"
-        )
-    capabilities = engine.capabilities
-    if exactness == "bit_identical":
-        if capabilities.is_exact_for(spec):
-            return
-        if capabilities.exactness != "bit_identical":
-            raise ValueError(
-                f"engine {engine.name!r} declares exactness "
-                f"{capabilities.exactness!r} and cannot promise bit-identical "
-                "results; use an engine whose capabilities claim 'bit_identical'"
-            )
-        unmet = tuple(
-            predicate
-            for predicate in capabilities.exact_when
-            if not EXACTNESS_PREDICATES[predicate](spec)
-        )
-        raise ValueError(
-            f"engine {engine.name!r} is only bit-identical when "
-            f"{'+'.join(capabilities.exact_when)}; the spec violates "
-            f"{'+'.join(unmet)} (delay_model={spec.effective_delay_model()!r}, "
-            f"num_faults={spec.num_faults}); use a deterministic delay model "
-            f"from {DETERMINISTIC_DELAY_MODELS} and a fault-free spec, or drop "
-            "the bit_identical requirement"
-        )
-    if capabilities.exactness == "tolerance" and capabilities.tolerance is None:
-        raise ValueError(
-            f"engine {engine.name!r} makes no quantitative agreement claim "
-            "(tolerance=None); it cannot satisfy a 'tolerance' exactness "
-            "requirement"
         )
 
 
@@ -704,18 +554,6 @@ class RunSpec:
         if choice == "constant":
             return ConstantDelays(timing.d_max)
         return FreshUniformDelays(timing, rng)
-
-    def effective_delay_model(self) -> str:
-        """The concrete delay-model name after resolving ``"default"``.
-
-        ``"default"`` resolves per kind exactly as :meth:`make_delays` does:
-        ``"uniform"`` for single-pulse runs, ``"fresh"`` for multi-pulse
-        runs.  The exactness predicates consult this, so a spec relying on
-        the default model is correctly classified as non-deterministic.
-        """
-        if self.delay_model != "default":
-            return self.delay_model
-        return "uniform" if self.kind == "single_pulse" else "fresh"
 
     def effective_initial_states(self) -> str:
         """The multi-pulse initial-state policy with the legacy flag folded in."""

@@ -47,8 +47,6 @@ class ClockTreeEngine:
         kinds=("single_pulse",),
         supports_faults=False,
         supported_topologies=("cylinder",),
-        exactness="tolerance",
-        tolerance=None,
         description="H-tree clock-tree baseline (sink arrival times on the same die)",
     )
 

@@ -170,8 +170,6 @@ class DesEngine:
         supports_faults=True,
         supports_fault_schedules=True,
         supported_topologies=("*",),
-        exactness="tolerance",
-        tolerance=1.0,
         description="discrete-event simulation of the full node state machines",
     )
 

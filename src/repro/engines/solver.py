@@ -74,7 +74,6 @@ class SolverEngine:
         kinds=("single_pulse",),
         supports_faults=True,
         supported_topologies=("*",),
-        exactness="bit_identical",
         description="analytic single-pulse fixed-point solver (exact under (C1)/(C2))",
     )
 

@@ -10,6 +10,7 @@ from repro.campaign.spec import CampaignSpec, SweepSpec
 from repro.cli import main
 from repro.clocksource.scenarios import scenario_layer0_times
 from repro.core.parameters import TimingConfig
+from repro.core.pulse_solver import solve_single_pulse
 from repro.core.topology import HexGrid
 from repro.engines import (
     EngineCapabilities,
@@ -20,13 +21,13 @@ from repro.engines import (
     register_engine,
     unregister_engine,
 )
-from repro.engines.array import ArrayEngine, delay_envelope
-from repro.engines.base import batch_key, require_exactness
+from repro.engines.array import ArrayEngine
+from repro.engines.base import DELAY_MODELS, batch_key
 from repro.engines.clocktree import ClockTreeEngine
 from repro.engines.des import DesEngine
 from repro.engines.solver import SolverEngine
 from repro.faults.placement import build_fault_model
-from repro.simulation.links import UniformRandomDelays
+from repro.simulation.links import ConstantDelays, UniformRandomDelays
 
 
 @pytest.fixture
@@ -392,10 +393,10 @@ class TestCampaignIntegration:
     def test_array_engine_axis_serial_parallel_resumed_bit_identity(self, tmp_path):
         """Campaign determinism with the dense engine on the engine axis.
 
-        Serial, parallel and store-resumed executions of a
-        ``require_exactness="bit_identical"`` cell must produce byte-identical
-        records, and the solver/array record pairs at each sweep point must
-        carry identical trigger times (the contract, observed end to end).
+        Serial, parallel and store-resumed executions of a solver/array cell
+        under deterministic delays must produce byte-identical records, and
+        the solver/array record pairs at each sweep point must carry
+        identical trigger times (bit-identity, observed end to end).
         """
         cell = SweepSpec(
             layers=6,
@@ -405,7 +406,6 @@ class TestCampaignIntegration:
             delay_model=("constant", "max_skew"),
             runs=2,
             seed_salt=0,
-            require_exactness="bit_identical",
         )
         spec = CampaignSpec(name="dense-axis", seed=13, cells=(cell,))
         serial = CampaignRunner(spec, workers=1).run()
@@ -447,99 +447,6 @@ class TestCampaignIntegration:
 
 
 # ----------------------------------------------------------------------
-# the exactness contract (EngineCapabilities.exactness / exact_when)
-# ----------------------------------------------------------------------
-class TestExactnessContract:
-    def test_capabilities_validation(self):
-        with pytest.raises(ValueError, match="unknown exactness"):
-            EngineCapabilities(kinds=("single_pulse",), exactness="vibes")
-        with pytest.raises(ValueError, match="unknown exact_when predicate"):
-            EngineCapabilities(
-                kinds=("single_pulse",),
-                exactness="bit_identical",
-                exact_when=("lucky",),
-            )
-        with pytest.raises(ValueError, match="only gate a 'bit_identical'"):
-            EngineCapabilities(
-                kinds=("single_pulse",),
-                exactness="tolerance",
-                exact_when=("fault_free",),
-            )
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            EngineCapabilities(kinds=("single_pulse",), tolerance=0.0)
-
-    def test_is_exact_for_consults_spec_regime(self):
-        capabilities = get_engine("array").capabilities
-        exact = RunSpec(layers=4, width=4, delay_model="constant", entropy=1)
-        assert capabilities.is_exact_for(exact)
-        assert capabilities.is_exact_for(
-            RunSpec(layers=4, width=4, delay_model="max_skew", entropy=1)
-        )
-        # Random delays break the deterministic_delays predicate; so does the
-        # per-kind "default" resolution (single-pulse default is uniform).
-        assert not capabilities.is_exact_for(
-            RunSpec(layers=4, width=4, delay_model="uniform", entropy=1)
-        )
-        assert not capabilities.is_exact_for(RunSpec(layers=4, width=4, entropy=1))
-        # The solver's claim is unconditional.
-        assert get_engine("solver").capabilities.is_exact_for(
-            RunSpec(layers=4, width=4, entropy=1)
-        )
-        # Tolerance engines never claim bitwise agreement.
-        assert not get_engine("des").capabilities.is_exact_for(exact)
-
-    def test_require_exactness_names_unmet_predicates(self):
-        spec = RunSpec(layers=4, width=4, delay_model="uniform", entropy=1)
-        require_exactness(get_engine("solver"), spec, "bit_identical")
-        require_exactness(get_engine("des"), spec, "tolerance")
-        with pytest.raises(ValueError, match="deterministic_delays"):
-            require_exactness(get_engine("array"), spec, "bit_identical")
-        with pytest.raises(ValueError, match="cannot promise bit-identical"):
-            require_exactness(get_engine("des"), spec, "bit_identical")
-        with pytest.raises(ValueError, match="no quantitative agreement"):
-            require_exactness(get_engine("clocktree"), spec, "tolerance")
-        with pytest.raises(ValueError, match="unknown exactness requirement"):
-            require_exactness(get_engine("solver"), spec, "vibes")
-
-    def test_sweepspec_require_exactness_checked_at_build_time(self):
-        SweepSpec(
-            layers=6,
-            width=5,
-            engine=("solver", "array"),
-            delay_model=("constant", "max_skew"),
-            require_exactness="bit_identical",
-        )
-        with pytest.raises(ValueError, match="require_exactness"):
-            SweepSpec(
-                layers=6,
-                width=5,
-                engine=("array",),
-                delay_model=("uniform",),
-                require_exactness="bit_identical",
-            )
-        with pytest.raises(ValueError, match="require_exactness"):
-            SweepSpec(layers=6, width=5, engine=("des",), require_exactness="bit_identical")
-        with pytest.raises(ValueError, match="require_exactness"):
-            SweepSpec(layers=6, width=5, engine=("clocktree",), require_exactness="tolerance")
-        with pytest.raises(ValueError, match="unknown require_exactness"):
-            SweepSpec(layers=6, width=5, require_exactness="psychic")
-
-    def test_sweepspec_require_exactness_serialization(self):
-        default = SweepSpec(layers=6, width=5)
-        assert "require_exactness" not in default.to_json_dict()
-        cell = SweepSpec(
-            layers=6,
-            width=5,
-            engine=("solver", "array"),
-            delay_model=("constant",),
-            require_exactness="bit_identical",
-        )
-        document = cell.to_json_dict()
-        assert document["require_exactness"] == "bit_identical"
-        assert SweepSpec.from_json_dict(document) == cell
-
-
-# ----------------------------------------------------------------------
 # the dense numpy-frontier array engine
 # ----------------------------------------------------------------------
 ARRAY_TOPOLOGIES = (
@@ -563,7 +470,6 @@ class TestArrayEngine:
             entropy=2013,
             run_index=4,
         )
-        assert get_engine("array").capabilities.is_exact_for(spec)
         array = get_engine("array").run(spec)
         solver = get_engine("solver").run(spec)
         np.testing.assert_array_equal(array.trigger_times, solver.trigger_times)
@@ -663,67 +569,83 @@ class TestArrayEngine:
 
 
 # ----------------------------------------------------------------------
-# contract-driven cross-engine agreement (no engine-name switches)
+# cross-engine agreement with the solver, one regime per delay model
 # ----------------------------------------------------------------------
-class TestContractDrivenAgreement:
+def delay_envelope(spec):
+    """Trigger times of ``spec`` under all-``d-`` and all-``d+`` link delays.
+
+    Trigger times are min/max/plus expressions of the link delays, so every
+    fault-free run whose delays respect ``[d-, d+]`` lies pointwise between
+    the two.  Both bounds solve the spec's own layer-0 times, the first draws
+    of its generator in every engine.
+    """
+    grid = spec.make_grid()
+    timing = spec.make_timing()
+    layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=spec.rng())
+    low, high = (
+        solve_single_pulse(grid, layer0, ConstantDelays(delay)).trigger_times
+        for delay in (timing.d_min, timing.d_max)
+    )
+    return low, high
+
+
+def assert_inside(times, envelope, label):
+    """``times`` lies pointwise inside ``envelope``; nodes that never fire
+    (``+inf``) or are absent (``nan``) in the bounds must match them."""
+    low, high = envelope
+    finite = np.isfinite(low) & np.isfinite(high)
+    inside = (times >= low - 1e-9) & (times <= high + 1e-9)
+    same = (times == low) | (np.isnan(times) & np.isnan(low))
+    assert np.all(np.where(finite, inside, same)), label
+
+
+class TestEngineAgreement:
     @settings(max_examples=8, deadline=None)
     @given(
         entropy=st.integers(min_value=0, max_value=2**32 - 1),
         layers=st.integers(min_value=2, max_value=4),
         width=st.integers(min_value=4, max_value=6),
         topology=st.sampled_from(ARRAY_TOPOLOGIES),
-        delay_model=st.sampled_from(["constant", "max_skew", "uniform"]),
     )
-    def test_every_engine_honours_its_declared_contract(
-        self, entropy, layers, width, topology, delay_model
+    def test_array_and_des_agree_with_the_solver_in_their_regimes(
+        self, entropy, layers, width, topology
     ):
-        """Agreement expectations derive from capabilities, not engine names.
+        """How closely ``array`` and ``des`` follow the solver, per delay model.
 
-        The solver is the reference semantics.  For every registered
-        single-pulse engine able to run the spec: a spec inside the engine's
-        ``exact_when`` regime must match the solver bit for bit; an engine
-        declaring a numeric ``tolerance`` must land inside the spec's delay
-        envelope scaled by it; ``tolerance=None`` engines (the clock-tree
-        baseline computes a different physical model) are exempt.
+        * ``constant`` and ``max_skew`` delays draw nothing, so ``array``
+          sees the solver's delay values and, computing the same fixed point
+          with the same IEEE min/max/+ operations, matches it bit for bit;
+        * random delays are drawn in each engine's own traversal order, so
+          under ``uniform`` delays ``array`` only lies inside the envelope;
+        * ``des`` lies inside the envelope under every delay model.
+
+        The clock-tree baseline computes a different physical model and
+        makes no agreement claim.
         """
-        spec = RunSpec(
-            kind="single_pulse",
-            layers=layers,
-            width=width,
-            topology=topology,
-            delay_model=delay_model,
-            scenario="iii",
-            entropy=entropy,
-        )
-        reference = get_engine("solver").run(spec)
-        envelope = None
-        for name in available_engines():
-            engine = get_engine(name)
-            capabilities = engine.capabilities
-            if "single_pulse" not in capabilities.kinds:
-                continue
-            if not capabilities.supports_topology(spec.topology_family()):
-                continue
-            if name == "solver":
-                continue
-            if capabilities.is_exact_for(spec):
-                result = engine.run(spec)
-                np.testing.assert_array_equal(
-                    result.trigger_times, reference.trigger_times
-                )
-            elif capabilities.tolerance is not None:
-                result = engine.run(spec)
-                if envelope is None:
-                    envelope = delay_envelope(spec)
-                low, high = envelope
-                pad = (capabilities.tolerance - 1.0) / 2.0
-                times = result.trigger_times
-                finite = np.isfinite(low) & np.isfinite(high)
-                span = np.subtract(high, low, out=np.zeros_like(high), where=finite)
-                slack = pad * span + 1e-9
-                inside = (times >= low - slack) & (times <= high + slack)
-                same = (times == low) | (np.isnan(times) & np.isnan(low))
-                assert np.all(np.where(finite, inside, same)), name
+
+        def spec_for(delay_model):
+            return RunSpec(
+                layers=layers,
+                width=width,
+                topology=topology,
+                delay_model=delay_model,
+                scenario="iii",
+                entropy=entropy,
+            )
+
+        def times(engine, spec):
+            return get_engine(engine).run(spec).trigger_times
+
+        for delay_model in ("constant", "max_skew"):
+            spec = spec_for(delay_model)
+            np.testing.assert_array_equal(
+                times("array", spec), times("solver", spec), err_msg=delay_model
+            )
+        spec = spec_for("uniform")
+        assert_inside(times("array", spec), delay_envelope(spec), "array/uniform")
+        for delay_model in DELAY_MODELS:
+            spec = spec_for(delay_model)
+            assert_inside(times("des", spec), delay_envelope(spec), f"des/{delay_model}")
 
 
 # ----------------------------------------------------------------------
@@ -745,24 +667,18 @@ class TestErrorsAndCli:
         out = capsys.readouterr().out
         for name in ("solver", "des", "clocktree", "array"):
             assert name in out
-        assert "bit-identical when fault_free+deterministic_delays" in out
 
-    def test_cli_engines_json_exposes_exactness(self, capsys):
+    def test_cli_engines_json_lists_capabilities_only(self, capsys):
         import json
 
         assert main(["engines", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in payload}
-        assert by_name["array"]["exactness"] == "bit_identical"
-        assert by_name["array"]["exact_when"] == [
-            "fault_free",
-            "deterministic_delays",
-        ]
-        assert by_name["array"]["tolerance"] == 1.0
-        assert by_name["solver"]["exactness"] == "bit_identical"
-        assert by_name["solver"]["exact_when"] == []
-        assert by_name["des"]["tolerance"] == 1.0
-        assert by_name["clocktree"]["tolerance"] is None
+        assert set(by_name) == {"solver", "des", "clocktree", "array"}
+        for entry in payload:
+            assert not {"exactness", "tolerance", "exact_when"} & set(entry)
+        assert by_name["array"]["supports_faults"] is False
+        assert by_name["des"]["supports_fault_schedules"] is True
 
     def test_cli_sweep_rejects_unknown_engine(self, capsys):
         assert main(["sweep", "--engine", "warp", "--runs", "1"]) == 2

@@ -379,8 +379,11 @@ class CampaignSpec:
     keep_times: bool = True
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("campaign name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"campaign name must be a non-empty string, got {self.name!r}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if not isinstance(self.keep_times, bool):
+            raise ValueError(f"keep_times must be true or false, got {self.keep_times!r}")
         cells = tuple(
             cell if isinstance(cell, SweepSpec) else SweepSpec.from_json_dict(cell)
             for cell in _as_tuple(self.cells)

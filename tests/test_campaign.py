@@ -1117,11 +1117,25 @@ class TestCli:
             ({"timing": {"bogus": 1}}, "malformed campaign timing"),
             ({"timing": {"d_min": 1.0}}, "malformed campaign timing"),
             ({"timing": [1.0, 2.0]}, "malformed campaign timing"),
+            ({"seed": "5"}, "seed must be an integer, got '5'"),
+            ({"seed": 5.5}, "seed must be an integer, got 5.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"keep_times": "no"}, "keep_times must be true or false, got 'no'"),
+            ({"keep_times": 1}, "keep_times must be true or false, got 1"),
+            ({"name": 7}, "campaign name must be a non-empty string, got 7"),
+            ({"name": ""}, "campaign name must be a non-empty string, got ''"),
+            (
+                {"cells": [{"layers": 4, "width": 4, "require_exactness": "bit_identical"}]},
+                "unknown SweepSpec fields: ['require_exactness']",
+            ),
         ],
     )
     def test_sweep_spec_file_rejects_malformed_input(self, tmp_path, capsys, edit, phrase):
-        """A typo or a bad timing object is a clean CLI error (exit 2), not a
-        silently ignored key or a traceback."""
+        """A typo, a bad timing object, a mistyped top-level scalar or a cell
+        field it does not know is a clean CLI error (exit 2): not a
+        silently ignored key, a traceback once the run starts, nor a value
+        quietly read as another (``true`` as seed 1, ``"no"`` as keeping the
+        trigger times)."""
         payload = small_spec(runs=1).to_json_dict()
         payload.update(edit)
         spec_file = tmp_path / "spec.json"

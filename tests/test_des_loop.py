@@ -5,11 +5,11 @@ shipped before it inlined the firing, the broadcast and the draws, and
 before it deferred link and sleep timers: it queues every timer.  On
 randomized configurations -- every topology family, delay model, timer
 policy, initial state and fault kind, with ``run(until=...)`` called in
-slices -- the two must agree exactly: firings, memorized flags, live
-pending events (the heap plus the deferred timers, less the entries the
-handlers would ignore), scheduled-event and
-silent-skip counters, the firings and adversary actions an observer sees
-and the generator's end state.  The events the loop pops are the
+slices -- the two must agree exactly at every slice end: firings, memorized
+flags, live pending events (the heap plus the deferred timers, less the
+entries the handlers would ignore), scheduled-event and silent-skip
+counters and the generator's state; and at the end on the firings and
+adversary actions an observer sees.  The events the loop pops are the
 reference's with some ``FlagExpiry`` / ``WakeUp`` events left out, so the
 processed-event counts and the time of the last popped event may differ.
 A wake-up or a heal drops the deferred timers it voids, where the reference
@@ -160,10 +160,17 @@ def _stranded_assertions(grid: HexGrid, rng) -> List[Tuple[float, object]]:
     ]
 
 
-def _drive(network_cls, config: Dict, max_events: int = 5_000_000):
+def _drive(
+    network_cls, config: Dict, max_events: int = 5_000_000, slices: Optional[List] = None
+):
     """Build and run one case in the engine's draw order.
 
     Returns the network, its generator and the per-slice processed counts.
+    Besides the case's drawn cuts, a slice ends just after the earliest
+    wake-up an initial state drew and just after every heal, where the
+    reference still queues the timers they void.  With ``slices`` given,
+    each slice end appends the network's :func:`_state` and the pending
+    entries :func:`_live` rejects.
     """
     generator = np.random.default_rng([2013, config["seed"]])
     grid = build_topology(config["topology"], config["layers"], config["width"])
@@ -201,21 +208,36 @@ def _drive(network_cls, config: Dict, max_events: int = 5_000_000):
     ]
     network.observer = observer() if observer is not None else None
     network.initialize()
+    marks = []
     if adversary is not None:
         adversary.install(network)
-        network.install_adversary(_stranded_assertions(grid, generator))
+        stranded = _stranded_assertions(grid, generator)
+        network.install_adversary(stranded)
+        marks = [
+            time
+            for time, action in adversary.actions + tuple(stranded)
+            if isinstance(action, HealNode)
+        ]
     if config["initial_states"] == "random":
         network.apply_random_initial_states()
     elif config["initial_states"] == "adversarial":
         network.apply_adversarial_initial_states()
+    wakes = [wake for wake, ready in zip(network._wake, network._ready) if not ready]
+    if wakes:
+        marks.append(min(wakes))
     network.schedule_source_pulses(schedule)
     horizon = float(np.nanmax(schedule)) + (grid.layers + 4) * timing.d_max
     horizon += timeouts.t_sleep_max
     if adversary is not None:
         horizon += adversary.last_time
+    cuts = sorted([cut * horizon for cut in config["cuts"]] + [mark + 1e-6 for mark in marks])
     processed = []
-    for cut in config["cuts"] + [1.0]:
-        processed.append(network.run(until=cut * horizon))
+    for until in [cut for cut in cuts if cut < horizon] + [horizon]:
+        processed.append(network.run(until=until))
+        if slices is not None:
+            pending = network.queue.heap + _deferred_entries(network)
+            voided = sorted(entry for entry in pending if not _live(network, entry))
+            slices.append((_state(network, generator), voided))
     return network, generator, processed
 
 
@@ -324,15 +346,39 @@ def test_cases_cover_every_option():
     assert any(len(config["cuts"]) >= 2 for config in configs)
 
 
+def _drive_both(config: Dict):
+    """Both loops on one case, with their per-slice states and voided entries."""
+    slices, reference_slices = [], []
+    ours = _drive(HexNetwork, config, slices=slices)
+    theirs = _drive(ReferenceHexNetwork, config, slices=reference_slices)
+    return ours, theirs, slices, reference_slices
+
+
 @pytest.mark.parametrize("case", range(NUM_CASES))
 def test_inlined_loop_matches_the_reference(case):
     config = _case(case)
-    network, generator, processed = _drive(HexNetwork, config)
-    reference, reference_generator, reference_processed = _drive(ReferenceHexNetwork, config)
+    ours, theirs, slices, reference_slices = _drive_both(config)
+    network, generator, processed = ours
+    reference, reference_generator, reference_processed = theirs
     assert 0 < sum(processed) <= sum(reference_processed)
     assert len(processed) == len(reference_processed)
     assert network.queue.num_processed + network.timers_deferred >= sum(reference_processed)
+    assert [state for state, _ in slices] == [state for state, _ in reference_slices]
     _assert_same_state(network, generator, reference, reference_generator)
+
+
+def test_some_slice_ends_hold_timers_only_the_reference_keeps():
+    """The per-slice comparisons reach the ``_live`` filter: at some slice
+    ends the reference still queues timers that a wake-up or a heal voided,
+    which the loop has dropped."""
+    slice_ends = 0
+    for case in range(NUM_CASES):
+        _, _, slices, reference_slices = _drive_both(_case(case))
+        slice_ends += sum(
+            bool(set(reference_voided) - set(voided))
+            for (_, voided), (_, reference_voided) in zip(slices, reference_slices)
+        )
+    assert slice_ends >= 1
 
 
 def test_cases_defer_timers():
